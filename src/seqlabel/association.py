@@ -11,31 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dataio import DetectionRecord, TrajectoryFile
-from .errors import (
-    BehindCamera,
-    DegenerateMean,
-    DegenerateProjection,
-    NonPositiveDepth,
-    ZeroArea,
-)
+from .errors import DegenerateMean, NonPositiveDepth
 from .geometry import (
+    CORNER_SIGNS,
     Dimensions3D,
     Pose,
     ProjectionMatrix,
     back_project,
-    box3d_corners,
     compose,
-    inverse,
-    iou_2d,
-    project_box,
     yaw_to_rotation,
 )
-from .landmark import fuse_pose
+from .landmark import project_rotation_mean, yaw_only_pose
 
 INFEASIBLE = math.inf
 
@@ -92,7 +83,9 @@ class Track:
 
     fused_pose and fused_dims are running weighted-fusion estimates over
     all observations so far; the predicted box for gating comes from
-    reprojecting them, not from the last raw detection.
+    reprojecting them, not from the last raw detection.  They are kept
+    from running sums, so adding an observation costs the same however
+    long the track is.
     """
 
     track_id: int
@@ -100,6 +93,11 @@ class Track:
     last_seen: int = -1
     fused_pose: Pose | None = None
     fused_dims: Dimensions3D | None = None
+    # Running sums over the observations: w, w t (3), w R (9, row-major) and
+    # w (h, w, l) (3), with w the observation weight.
+    _sums: np.ndarray = field(default_factory=lambda: np.zeros(16), init=False, repr=False,
+                              compare=False)
+    _descriptor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def category(self) -> str:
@@ -111,10 +109,7 @@ class Track:
 
     def descriptor(self) -> np.ndarray | None:
         """Most recent appearance descriptor, if any observation carried one."""
-        for obs in reversed(self.observations):
-            if obs.detection.descriptor is not None:
-                return obs.detection.descriptor
-        return None
+        return self._descriptor
 
     def add(self, obs: Observation) -> None:
         if self.observations and obs.frame_id <= self.last_seen:
@@ -124,21 +119,37 @@ class Track:
             )
         self.observations.append(obs)
         self.last_seen = obs.frame_id
-        self._refresh_fusion()
-
-    def _refresh_fusion(self) -> None:
-        weights = [o.weight for o in self.observations]
-        try:
-            self.fused_pose = fuse_pose(self.observations, weights)
-        except DegenerateMean:
-            self.fused_pose = self.observations[-1].global_pose
-        total = sum(weights)
-        hwl = np.array(
-            [(o.detection.dims.height, o.detection.dims.width, o.detection.dims.length)
-             for o in self.observations]
+        if obs.detection.descriptor is not None:
+            self._descriptor = obs.detection.descriptor
+        pose, dims = obs.global_pose, obs.detection.dims
+        self._sums += obs.weight * np.concatenate(
+            ([1.0], pose.translation, pose.rotation.ravel(), (dims.height, dims.width, dims.length))
         )
-        h, w, l = np.asarray(weights) @ hwl / total
-        self.fused_dims = Dimensions3D(h, w, l)
+        self._refresh_fusion(obs)
+
+    def _refresh_fusion(self, latest: Observation) -> None:
+        """Fuse as landmark.fuse_pose does over all observations, from the sums.
+
+        The chordal rotation mean is the SVD projection of sum(w R) / sum(w),
+        so the sums give the same estimate as a refit.
+        """
+        if len(self.observations) == 1:  # a single observation passes through exactly
+            self.fused_pose = yaw_only_pose(latest.global_pose.rotation,
+                                            latest.global_pose.translation)
+            self.fused_dims = latest.detection.dims
+            return
+        total = self._sums[0]
+        if total <= 0.0:  # every weight is zero, so no mean exists
+            self.fused_pose = latest.global_pose
+            self.fused_dims = latest.detection.dims
+            return
+        mean = self._sums / total
+        try:
+            self.fused_pose = yaw_only_pose(project_rotation_mean(mean[4:13].reshape(3, 3)),
+                                            mean[1:4])
+        except DegenerateMean:
+            self.fused_pose = latest.global_pose
+        self.fused_dims = Dimensions3D(*mean[13:16])
 
     def alive(self, frame_id: int, max_frame_gap: int) -> bool:
         return frame_id - self.last_seen <= max_frame_gap
@@ -159,56 +170,102 @@ def lift_detection(d: DetectionRecord, P: ProjectionMatrix, cam: Pose) -> Observ
     )
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float | None:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return None
-    return float(np.dot(a, b) / (na * nb))
+def _descriptor_rows(descriptors: list[np.ndarray | None]) -> tuple[np.ndarray, np.ndarray]:
+    """Descriptors stacked as rows, a missing one as zeros, and the row norms."""
+    k = next(len(d) for d in descriptors if d is not None)
+    rows = np.array([np.zeros(k) if d is None else d for d in descriptors])
+    return rows, np.linalg.norm(rows, axis=1)
+
+
+def cost_matrix(
+    live: Sequence[Track],
+    observations: Sequence[Observation],
+    P: ProjectionMatrix,
+    cam: Pose,
+    cfg: AssociationConfig,
+) -> np.ndarray:
+    """Matching cost of every track against every observation, shape (T, D).
+
+    Each cost is in [0, 1], or _BIG when the pair is infeasible.  A pair is
+    infeasible only when both hard gates fail: projected-box IoU below
+    iou_gate AND global distance beyond dist_gate.  Categories never mix.
+    The IoU is 0 when no corner of the track's box lies in front of the
+    camera or both boxes have zero area.  Descriptor similarity below
+    descriptor_gate saturates the appearance term at its maximum instead of
+    gating the pair out; without a non-zero descriptor on both sides the
+    IoU and distance weights are renormalized to sum to 1.
+    """
+    rot = np.stack([t.fused_pose.rotation for t in live])
+    trans = np.stack([t.fused_pose.translation for t in live])
+    half = np.array([(t.fused_dims.length / 2.0, t.fused_dims.height, t.fused_dims.width / 2.0)
+                     for t in live])
+
+    # Predicted boxes: each track's cuboid in the camera frame, projected.
+    cam_rt = cam.rotation.T
+    local_rot = cam_rt @ rot
+    local_trans = trans @ cam_rt.T - cam_rt @ cam.translation
+    corners = (CORNER_SIGNS * half[:, None, :]) @ local_rot.transpose(0, 2, 1)
+    rows = (corners + local_trans[:, None, :]) @ P.P[:, :3].T + P.P[:, 3]
+    front = rows[..., 2] > 0
+    depth = np.where(front, rows[..., 2], 1.0)
+    u = rows[..., 0] / depth
+    v = rows[..., 1] / depth
+    # The hull of the corners in front of the camera.  With none in front it
+    # is empty (left = +inf, right = -inf) and overlaps nothing.
+    tl, tt, tr, tb = np.stack([
+        np.where(front, u, np.inf).min(axis=1), np.where(front, v, np.inf).min(axis=1),
+        np.where(front, u, -np.inf).max(axis=1), np.where(front, v, -np.inf).max(axis=1),
+    ])[:, :, None]
+
+    dets = [o.detection for o in observations]
+    dl, dt, dr, db = np.array([(d.box2d.left, d.box2d.top, d.box2d.right, d.box2d.bottom)
+                               for d in dets]).T[:, None, :]
+    iw = np.minimum(tr, dr) - np.maximum(tl, dl)
+    ih = np.minimum(tb, db) - np.maximum(tt, dt)
+    overlap = (iw > 0.0) & (ih > 0.0)
+    inter = np.where(overlap, iw * ih, 0.0)
+    union = (tr - tl) * (tb - tt) + (dr - dl) * (db - dt) - inter
+    iou = np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
+
+    obs_trans = np.stack([o.global_pose.translation for o in observations])
+    dist = np.linalg.norm(trans[:, None, :] - obs_trans[None, :, :], axis=2)
+    same_category = (np.array([t.category for t in live])[:, None]
+                     == np.array([d.category for d in dets])[None, :])
+    feasible = same_category & ~((iou < cfg.iou_gate) & (dist > cfg.dist_gate))
+
+    iou_term = 1.0 - iou
+    dist_term = np.minimum(1.0, dist / cfg.dist_gate)
+    wi = cfg.w_iou / (cfg.w_iou + cfg.w_dist)
+    wd = cfg.w_dist / (cfg.w_iou + cfg.w_dist)
+    cost = wi * iou_term + wd * dist_term
+
+    track_desc = [t.descriptor() for t in live]
+    det_desc = [d.descriptor for d in dets]
+    if any(d is not None for d in track_desc) and any(d is not None for d in det_desc):
+        a, na = _descriptor_rows(track_desc)
+        b, nb = _descriptor_rows(det_desc)
+        both = (na[:, None] != 0.0) & (nb[None, :] != 0.0)
+        cos = np.divide(a @ b.T, na[:, None] * nb[None, :], out=np.zeros(both.shape), where=both)
+        desc_term = np.where(cos >= cfg.descriptor_gate, 1.0 - np.clip(cos, 0.0, 1.0), 1.0)
+        with_desc = cfg.w_iou * iou_term + cfg.w_dist * dist_term + cfg.w_desc * desc_term
+        cost = np.where(both, with_desc, cost)
+    return np.where(feasible, cost, _BIG)
 
 
 def association_cost(
     track: Track, obs: Observation, P: ProjectionMatrix, cam: Pose, cfg: AssociationConfig
 ) -> float:
-    """Matching cost in [0, 1], or INFEASIBLE.
-
-    A pair is infeasible only when both hard gates fail: projected-box IoU
-    below iou_gate AND global distance beyond dist_gate.  Categories never
-    mix.  Descriptor similarity below descriptor_gate saturates the
-    appearance term at its maximum instead of gating the pair out.
-    """
-    if track.category != obs.detection.category:
-        return INFEASIBLE
-
-    try:
-        local = compose(inverse(cam), track.fused_pose)
-        box = project_box(box3d_corners(local, track.fused_dims), P)
-        iou = iou_2d(box, obs.detection.box2d)
-    except (BehindCamera, DegenerateProjection, ZeroArea):
-        iou = 0.0
-
-    dist = float(np.linalg.norm(track.fused_pose.translation - obs.global_pose.translation))
-    if iou < cfg.iou_gate and dist > cfg.dist_gate:
-        return INFEASIBLE
-
-    iou_term = 1.0 - iou
-    dist_term = min(1.0, dist / cfg.dist_gate)
-
-    cos = None
-    t_desc = track.descriptor()
-    o_desc = obs.detection.descriptor
-    if t_desc is not None and o_desc is not None:
-        cos = _cosine(t_desc, o_desc)
-    if cos is None:
-        wi = cfg.w_iou / (cfg.w_iou + cfg.w_dist)
-        wd = cfg.w_dist / (cfg.w_iou + cfg.w_dist)
-        return wi * iou_term + wd * dist_term
-    desc_term = 1.0 - min(max(cos, 0.0), 1.0) if cos >= cfg.descriptor_gate else 1.0
-    return cfg.w_iou * iou_term + cfg.w_dist * dist_term + cfg.w_desc * desc_term
+    """Matching cost in [0, 1], or INFEASIBLE: the 1x1 case of cost_matrix."""
+    cost = float(cost_matrix([track], [obs], P, cam, cfg)[0, 0])
+    return INFEASIBLE if cost >= _BIG else cost
 
 
 def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-total-cost one-to-one assignment; infeasible (>= _BIG) pairs dropped."""
+    # Imported here: scipy.optimize is most of the package's import time, and
+    # only build-map assigns.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     return [(int(i), int(j)) for i, j in zip(rows, cols) if cost[i, j] < _BIG]
 
@@ -234,13 +291,7 @@ def associate_frame(
     live = [t for t in tracks if t.alive(frame_id, cfg.max_frame_gap)]
     matched_obs = set()
     if live:
-        cost = np.full((len(live), len(observations)), _BIG)
-        for i, track in enumerate(live):
-            for j, obs in enumerate(observations):
-                c = association_cost(track, obs, P, cam, cfg)
-                if c != INFEASIBLE:
-                    cost[i, j] = c
-        for i, j in solve_assignment(cost):
+        for i, j in solve_assignment(cost_matrix(live, observations, P, cam, cfg)):
             live[i].add(observations[j])
             matched_obs.add(j)
 

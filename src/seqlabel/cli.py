@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -128,23 +127,17 @@ def cmd_build_map(cfg: PipelineConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None, threads: int) -> int:
+def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> int:
     trajectory, P = _load_inputs(cfg)
     map_file = Path(map_path) if map_path else out_dir / "map.jsonl"
     if not map_file.exists():
         raise ConfigError(f"landmark map not found: {map_file}")
     landmarks = parse_landmarks(map_file.read_text())
 
-    frames = [k for k in range(len(trajectory)) if cfg.frame_allowed(k)]
-
-    def one(frame_id: int):
-        return annotate_frame(landmarks, frame_id, trajectory.pose(frame_id), P, cfg.visibility)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            annotations = list(pool.map(one, frames))
-    else:
-        annotations = [one(k) for k in frames]
+    annotations = [
+        annotate_frame(landmarks, k, trajectory.pose(k), P, cfg.visibility)
+        for k in range(len(trajectory)) if cfg.frame_allowed(k)
+    ]
 
     labels_dir = out_dir / "labels"
     labels_dir.mkdir(parents=True, exist_ok=True)
@@ -161,7 +154,7 @@ def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None, threa
 
 
 def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
-                 gt_dir: str | None, threads: int) -> int:
+                 gt_dir: str | None) -> int:
     pred = Path(pred_dir) if pred_dir else out_dir / "labels"
     if gt_dir is None:
         raise ConfigError("evaluate needs --gt DIR with ground-truth label files")
@@ -187,11 +180,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
         pairs = match_annotations(pred_ann, gt_ann, cfg.metrics_iou_min)
         return pairs, len(pred_ann.entries), len(gt_ann.entries)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, common))
-    else:
-        results = [one(name) for name in common]
+    results = [one(name) for name in common]
 
     pairs = [p for frame_pairs, _, _ in results for p in frame_pairs]
     n_pred = sum(r[1] for r in results)
@@ -264,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="pipeline YAML config")
         p.add_argument("--output", help="output directory (overrides config and env)")
         p.add_argument("--camera", help="calibration key, e.g. P2")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
 
     p = sub.add_parser("build-map", help="associate detections and fuse the landmark map")
     common(p)
@@ -294,9 +282,9 @@ def main(argv=None) -> int:
         if args.command == "build-map":
             return cmd_build_map(cfg, out_dir)
         if args.command == "annotate":
-            return cmd_annotate(cfg, out_dir, args.map, args.threads)
+            return cmd_annotate(cfg, out_dir, args.map)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg, out_dir, args.pred, args.gt, args.threads)
+            return cmd_evaluate(cfg, out_dir, args.pred, args.gt)
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir, args.seed)
         raise ConfigError(f"unknown command {args.command!r}")

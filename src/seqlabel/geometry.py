@@ -32,12 +32,6 @@ def wrap_angle(theta: float) -> float:
     return r
 
 
-def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """Vectorized wrap into (-pi, pi]."""
-    r = np.mod(np.asarray(theta, dtype=float) + np.pi, math.tau) - np.pi
-    return np.where(r == -np.pi, np.pi, r)
-
-
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: rotation (3x3, orthonormal, det +1) and translation (3,)."""
@@ -235,27 +229,28 @@ def yaw_to_rotation(yaw: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-# Corner offsets in the object frame, bottom-centered origin.  Order:
-# bottom face (y = 0) going (+x,+z) -> (+x,-z) -> (-x,-z) -> (-x,+z),
-# then the top face (y = -height) in the same x/z order.
+# Corner offsets in the object frame, bottom-centered origin, as multiples
+# of (length / 2, height, width / 2).  Order: bottom face (y = 0) going
+# (+x,+z) -> (+x,-z) -> (-x,-z) -> (-x,+z), then the top face (y = -height)
+# in the same x/z order.
+CORNER_SIGNS = np.array(
+    [
+        [1.0, 0.0, 1.0],
+        [1.0, 0.0, -1.0],
+        [-1.0, 0.0, -1.0],
+        [-1.0, 0.0, 1.0],
+        [1.0, -1.0, 1.0],
+        [1.0, -1.0, -1.0],
+        [-1.0, -1.0, -1.0],
+        [-1.0, -1.0, 1.0],
+    ]
+)
+CORNER_SIGNS.flags.writeable = False
+
+
 def box3d_corners(pose: Pose, dims: Dimensions3D) -> np.ndarray:
     """The 8 cuboid corners in the parent frame of pose, shape (8, 3)."""
-    hx = dims.length / 2.0
-    hz = dims.width / 2.0
-    h = dims.height
-    offsets = np.array(
-        [
-            [hx, 0.0, hz],
-            [hx, 0.0, -hz],
-            [-hx, 0.0, -hz],
-            [-hx, 0.0, hz],
-            [hx, -h, hz],
-            [hx, -h, -hz],
-            [-hx, -h, -hz],
-            [-hx, -h, hz],
-        ]
-    )
-    return pose.apply(offsets)
+    return pose.apply(CORNER_SIGNS * (dims.length / 2.0, dims.height, dims.width / 2.0))
 
 
 def project_box(corners: np.ndarray, P: ProjectionMatrix) -> Box2D:

@@ -128,6 +128,15 @@ def rotation_average(rotations: Sequence[np.ndarray], weights: Sequence[float]) 
     m = np.zeros((3, 3))
     for w, r in zip(weights, rotations):
         m += (w / total) * np.asarray(r, dtype=float)
+    return project_rotation_mean(m)
+
+
+def project_rotation_mean(m: np.ndarray) -> np.ndarray:
+    """Closest proper rotation to a weighted rotation mean M = U S V^T.
+
+    Returns U diag(1, 1, det(U V^T)) V^T; raises DegenerateMean when the
+    two largest singular values vanish, since M then has no direction.
+    """
     u, s, vt = np.linalg.svd(m)
     if s[0] < 1e-9 and s[1] < 1e-9:
         raise DegenerateMean(f"rotation mean collapsed (singular values {s})")
@@ -211,7 +220,12 @@ def fuse_pose(observations: Sequence["Observation"], weights: Sequence[float]) -
         ts = np.array([o.global_pose.translation for o in observations])
         t = np.asarray(weights) @ ts / total
         r_avg = rotation_average([o.global_pose.rotation for o in observations], weights)
-    return Pose(yaw_to_rotation(yaw_from_rotation(r_avg)), t)
+    return yaw_only_pose(r_avg, t)
+
+
+def yaw_only_pose(rotation: np.ndarray, translation: np.ndarray) -> Pose:
+    """The pose with the given translation and only the yaw of rotation."""
+    return Pose(yaw_to_rotation(yaw_from_rotation(rotation)), translation)
 
 
 def _mean_dims(observations: Sequence["Observation"], weights: Sequence[float]) -> Dimensions3D:
@@ -249,7 +263,7 @@ def fuse_track(track: "Track", policy: WeightPolicy, cfg: FusionConfig) -> Landm
     weights = [observation_weight(o, policy) for o in inliers]
     try:
         pose = fuse_pose(inliers, weights)
-    except DegenerateMean as e:
+    except (DegenerateMean, ZeroWeightSum) as e:
         return Rejected("degenerate_mean", track.track_id, str(e))
 
     frames = [o.detection.frame_id for o in inliers]

@@ -1,34 +1,97 @@
 """Data association: lifting, cost combination, optimal assignment, tracking."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P_SIMPLE, make_detection, make_observation, make_track
 from seqlabel.association import (
     _BIG,
     INFEASIBLE,
     AssociationConfig,
+    Observation,
+    Track,
     association_cost,
     associate_frame,
+    cost_matrix,
     lift_detection,
     run_association,
     solve_assignment,
 )
 from seqlabel.dataio import TrajectoryFile
-from seqlabel.errors import MissingCameraPose, NonPositiveDepth
+from seqlabel.errors import (
+    BehindCamera,
+    DegenerateProjection,
+    MissingCameraPose,
+    NonPositiveDepth,
+    ZeroArea,
+)
 from seqlabel.geometry import (
     Box2D,
     Dimensions3D,
     Pose,
+    ProjectionMatrix,
     box3d_corners,
     compose,
     inverse,
     iou_2d,
     project_box,
     project_point,
+    yaw_to_rotation,
 )
+from seqlabel.landmark import _mean_dims, fuse_pose
+
+# A KITTI-like camera whose projection has a non-zero last column.
+P_OFFSET = ProjectionMatrix(
+    np.array([[721.5, 0, 609.6, 44.9], [0, 721.5, 172.9, 0.22], [0, 0, 1, 0.0027]])
+)
+
+
+def _cosine(a, b):
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return None
+    return float(np.dot(a, b) / (na * nb))
+
+
+def oracle_cost(track, obs, P, cam, cfg):
+    """One pair at a time, with the scalar geometry helpers: the reference
+    that cost_matrix must reproduce (INFEASIBLE where it has _BIG)."""
+    if track.category != obs.detection.category:
+        return INFEASIBLE
+
+    try:
+        local = compose(inverse(cam), track.fused_pose)
+        box = project_box(box3d_corners(local, track.fused_dims), P)
+        iou = iou_2d(box, obs.detection.box2d)
+    except (BehindCamera, DegenerateProjection, ZeroArea):
+        iou = 0.0
+
+    dist = float(np.linalg.norm(track.fused_pose.translation - obs.global_pose.translation))
+    if iou < cfg.iou_gate and dist > cfg.dist_gate:
+        return INFEASIBLE
+
+    iou_term = 1.0 - iou
+    dist_term = min(1.0, dist / cfg.dist_gate)
+
+    cos = None
+    t_desc = next((o.detection.descriptor for o in reversed(track.observations)
+                   if o.detection.descriptor is not None), None)
+    o_desc = obs.detection.descriptor
+    if t_desc is not None and o_desc is not None:
+        cos = _cosine(t_desc, o_desc)
+    if cos is None:
+        wi = cfg.w_iou / (cfg.w_iou + cfg.w_dist)
+        wd = cfg.w_dist / (cfg.w_iou + cfg.w_dist)
+        return wi * iou_term + wd * dist_term
+    desc_term = 1.0 - min(max(cos, 0.0), 1.0) if cos >= cfg.descriptor_gate else 1.0
+    return cfg.w_iou * iou_term + cfg.w_dist * dist_term + cfg.w_desc * desc_term
+
 
 def brute_force_assignment(cost):
     """Enumerate every injection of the smaller side into the larger."""
@@ -320,3 +383,169 @@ class TestRunAssociation:
         dets[99] = [make_detection(frame_id=99, depth=20.0)]
         with pytest.raises(MissingCameraPose):
             run_association(dets, traj, P_SIMPLE, self.CFG)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _observation(frame_id, global_pose, *, category="Car", dims=(1.5, 1.7, 4.2), score=0.9,
+                 descriptor=None, box=Box2D(0.0, 0.0, 1.0, 1.0)):
+    """An observation placed directly at a global pose; its local pose is unused here."""
+    det = make_detection(frame_id=frame_id, category=category, dims=dims, score=score,
+                         descriptor=descriptor, box=box)
+    return Observation(det, Pose.identity(), global_pose, det.score)
+
+
+@st.composite
+def cameras(draw):
+    """Yaw anywhere, sometimes a pitch as well, anywhere on the ground plane."""
+    pitch = draw(st.one_of(st.just(0.0), _finite(0.02, 0.3), _finite(-0.3, -0.02)))
+    c, s = math.cos(pitch), math.sin(pitch)
+    tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    rotation = yaw_to_rotation(draw(_finite(-math.pi, math.pi))) @ tilt
+    return Pose(rotation, [draw(_finite(-50, 50)), draw(_finite(-2, 2)), draw(_finite(-50, 50))])
+
+
+descriptors = st.one_of(
+    st.none(), st.just([0.0, 0.0, 0.0]), st.lists(_finite(-1, 1), min_size=3, max_size=3)
+)
+dimensions = st.tuples(_finite(0.5, 3), _finite(0.5, 3), _finite(0.5, 6))
+
+
+@st.composite
+def scenes(draw):
+    """A camera, its live tracks and one frame's observations.
+
+    Track centers sit in front of the camera, straddling depth 0 or behind
+    it; an observation either reuses a track's predicted box, jittered, or
+    takes an arbitrary one (zero width or height included), and lies within
+    a few meters of a track so both gates are exercised.
+    """
+    cam = draw(cameras())
+    P = draw(st.sampled_from([P_SIMPLE, P_OFFSET]))
+    tracks, centers = [], []
+    for track_id in range(draw(st.integers(1, 4))):
+        x = draw(_finite(-15, 15))
+        z = draw(st.one_of(_finite(3, 40), _finite(-3, 3), _finite(-30, -3)))
+        yaw = draw(_finite(-math.pi, math.pi))
+        category = draw(st.sampled_from(["Car", "Car", "Pedestrian"]))
+        track = Track(track_id)
+        for k in range(draw(st.integers(1, 3))):
+            local = Pose(yaw_to_rotation(yaw + draw(_finite(-0.2, 0.2))),
+                         [x + draw(_finite(-0.5, 0.5)), 1.65, z + draw(_finite(-0.5, 0.5))])
+            track.add(_observation(k, compose(cam, local), category=category,
+                                   dims=draw(dimensions), score=draw(_finite(0.05, 1)),
+                                   descriptor=draw(descriptors)))
+        tracks.append(track)
+        centers.append((x, z))
+
+    observations = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = tracks[draw(st.integers(0, len(tracks) - 1))]
+        x, z = centers[base.track_id]
+        local = Pose(np.eye(3), [x + draw(_finite(-5, 5)), 1.65, z + draw(_finite(-5, 5))])
+        try:
+            tb = project_box(box3d_corners(compose(inverse(cam), base.fused_pose),
+                                           base.fused_dims), P)
+        except BehindCamera:
+            tb = None
+        if tb is not None and draw(st.booleans()):
+            l, t, r, b = (v + draw(_finite(-30, 30)) for v in (tb.left, tb.top, tb.right, tb.bottom))
+            box = Box2D(min(l, r), min(t, b), max(l, r), max(t, b))
+        else:
+            l, t = draw(_finite(-100, 1300)), draw(_finite(-50, 400))
+            w = draw(st.one_of(st.just(0.0), _finite(0, 400)))
+            h = draw(st.one_of(st.just(0.0), _finite(0, 200)))
+            box = Box2D(l, t, l + w, t + h)
+        observations.append(_observation(
+            9, compose(cam, local), category=draw(st.sampled_from(["Car", "Car", "Pedestrian"])),
+            descriptor=draw(descriptors), box=box))
+
+    w_desc = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    w_iou = (1.0 - w_desc) * draw(_finite(0.1, 0.9))
+    cfg = AssociationConfig(iou_gate=draw(_finite(0, 1)), dist_gate=draw(_finite(0.5, 6)),
+                            descriptor_gate=draw(_finite(0, 1)),
+                            w_iou=w_iou, w_dist=1.0 - w_desc - w_iou, w_desc=w_desc)
+    return tracks, observations, P, cam, cfg
+
+
+class TestCostMatrix:
+    @given(scenes())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_oracle(self, scene):
+        tracks, observations, P, cam, cfg = scene
+        got = cost_matrix(tracks, observations, P, cam, cfg)
+        assert got.shape == (len(tracks), len(observations))
+        for i, track in enumerate(tracks):
+            for j, obs in enumerate(observations):
+                want = oracle_cost(track, obs, P, cam, cfg)
+                assert (got[i, j] >= _BIG) == (want is INFEASIBLE), (i, j, got[i, j], want)
+                if want is not INFEASIBLE:
+                    assert abs(got[i, j] - want) <= 1e-12, (i, j, got[i, j], want)
+
+    def test_track_behind_camera_scores_iou_zero(self):
+        # The track sits 5 m behind the camera and the detection 2 m from it:
+        # only the distance gate admits the pair, with the IoU term at 1.
+        track = make_track([_observation(0, Pose(np.eye(3), [0.0, 1.65, -5.0]))])
+        obs = _observation(1, Pose(np.eye(3), [0.0, 1.65, -3.0]), box=Box2D(500, 100, 700, 300))
+        cfg = AssociationConfig(w_iou=0.5, w_dist=0.5, w_desc=0.0)
+        got = cost_matrix([track], [obs], P_SIMPLE, Pose.identity(), cfg)
+        assert got[0, 0] == pytest.approx(0.5 * 1.0 + 0.5 * 2.0 / 3.0, abs=1e-12)
+
+    def test_track_straddling_depth_zero_matches_oracle(self):
+        # Corners at depths -0.35 to 1.35: only those in front span the hull.
+        cam = Pose(yaw_to_rotation(0.4), [3.0, 0.0, -2.0])
+        track = make_track([_observation(0, compose(cam, Pose(np.eye(3), [0.5, 1.65, 0.5])))])
+        observations = [
+            _observation(1, compose(cam, Pose(np.eye(3), [0.0, 1.65, 2.0])), box=box)
+            for box in (Box2D(0, 0, 1242, 375), Box2D(900, 100, 1200, 375), Box2D(0, 0, 0, 0))
+        ]
+        cfg = AssociationConfig(dist_gate=3.0)
+        got = cost_matrix([track], observations, P_SIMPLE, cam, cfg)
+        for j, obs in enumerate(observations):
+            want = oracle_cost(track, obs, P_SIMPLE, cam, cfg)
+            assert want is not INFEASIBLE
+            assert got[0, j] == pytest.approx(want, abs=1e-12)
+
+
+def _refit(observations):
+    weights = [o.weight for o in observations]
+    return fuse_pose(observations, weights), _mean_dims(observations, weights)
+
+
+class TestRunningFusion:
+    @given(
+        cameras(),
+        _finite(-math.pi, math.pi),
+        st.lists(st.tuples(_finite(-1, 1), _finite(-2, 2), _finite(-2, 2),
+                           st.one_of(st.just(0.0), _finite(0.05, 1)), dimensions),
+                 min_size=1, max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_refit_after_every_add(self, cam, yaw, steps):
+        # Yaws stay within 1 rad of a common heading, so the rotation mean is
+        # well conditioned and a refit and the running sums agree to rounding.
+        track = Track(0)
+        for k, (dyaw, dx, dz, score, dims) in enumerate(steps):
+            local = Pose(yaw_to_rotation(yaw + dyaw), [10.0 + dx, 1.65, 20.0 + dz])
+            track.add(_observation(k, compose(cam, local), dims=dims, score=score))
+            obs = track.observations
+            if k == 0:
+                pose, fused_dims = _refit(obs)
+                assert np.array_equal(track.fused_pose.rotation, pose.rotation)
+                assert np.array_equal(track.fused_pose.translation, pose.translation)
+                assert track.fused_dims == fused_dims
+            elif sum(o.weight for o in obs) == 0.0:
+                assert track.fused_pose is obs[-1].global_pose
+                assert track.fused_dims is obs[-1].detection.dims
+            else:
+                pose, fused_dims = _refit(obs)
+                np.testing.assert_allclose(track.fused_pose.rotation, pose.rotation,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(track.fused_pose.translation, pose.translation,
+                                           rtol=0, atol=1e-12)
+                for a, b in ((track.fused_dims.height, fused_dims.height),
+                             (track.fused_dims.width, fused_dims.width),
+                             (track.fused_dims.length, fused_dims.length)):
+                    assert abs(a - b) <= 1e-12
