@@ -220,6 +220,10 @@ def _box_json(b: Box2D) -> dict:
     return {"l": b.left, "t": b.top, "r": b.right, "b": b.bottom}
 
 
+def _box_from_json(obj: dict) -> Box2D:
+    return Box2D(obj["l"], obj["t"], obj["r"], obj["b"])
+
+
 def annotation_to_json(ann: FrameAnnotation) -> dict:
     return {
         "frame_id": ann.frame_id,
@@ -262,10 +266,8 @@ def read_annotation_dump(text: str) -> list[FrameAnnotation]:
                     landmark_id=int(e["landmark_id"]),
                     category=e["category"],
                     local_pose=Pose(m[:, :3], m[:, 3]),
-                    box2d=Box2D(**{k: e["box2d"][s] for k, s in
-                                   [("left", "l"), ("top", "t"), ("right", "r"), ("bottom", "b")]}),
-                    box2d_raw=Box2D(**{k: e["box2d_raw"][s] for k, s in
-                                       [("left", "l"), ("top", "t"), ("right", "r"), ("bottom", "b")]}),
+                    box2d=_box_from_json(e["box2d"]),
+                    box2d_raw=_box_from_json(e["box2d_raw"]),
                     depth=float(e["depth"]),
                     yaw_local=float(e["yaw_local"]),
                     dims=Dimensions3D(e["dims"]["h"], e["dims"]["w"], e["dims"]["l"]),

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import DetectionRecord, TrajectoryFile
-from .errors import DegenerateMean, NonPositiveDepth
+from .errors import DegenerateMean, NonPositiveDepth, ZeroWeightSum
 from .geometry import (
     CORNER_SIGNS,
     Dimensions3D,
@@ -26,7 +26,7 @@ from .geometry import (
     compose,
     yaw_to_rotation,
 )
-from .landmark import project_rotation_mean, yaw_only_pose
+from .landmark import fuse_rows, fusion_row, yaw_only_pose
 
 INFEASIBLE = math.inf
 
@@ -83,9 +83,9 @@ class Track:
 
     fused_pose and fused_dims are running weighted-fusion estimates over
     all observations so far; the predicted box for gating comes from
-    reprojecting them, not from the last raw detection.  They are kept
-    from running sums, so adding an observation costs the same however
-    long the track is.
+    reprojecting them, not from the last raw detection.  They are
+    landmark.fuse_rows of a running sum of weighted fusion rows, so adding
+    an observation costs the same however long the track is.
     """
 
     track_id: int
@@ -93,8 +93,7 @@ class Track:
     last_seen: int = -1
     fused_pose: Pose | None = None
     fused_dims: Dimensions3D | None = None
-    # Running sums over the observations: w, w t (3), w R (9, row-major) and
-    # w (h, w, l) (3), with w the observation weight.
+    # sum(w * landmark.fusion_row) over the observations, w the observation weight.
     _sums: np.ndarray = field(default_factory=lambda: np.zeros(16), init=False, repr=False,
                               compare=False)
     _descriptor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -121,35 +120,16 @@ class Track:
         self.last_seen = obs.frame_id
         if obs.detection.descriptor is not None:
             self._descriptor = obs.detection.descriptor
-        pose, dims = obs.global_pose, obs.detection.dims
-        self._sums += obs.weight * np.concatenate(
-            ([1.0], pose.translation, pose.rotation.ravel(), (dims.height, dims.width, dims.length))
-        )
-        self._refresh_fusion(obs)
-
-    def _refresh_fusion(self, latest: Observation) -> None:
-        """Fuse as landmark.fuse_pose does over all observations, from the sums.
-
-        The chordal rotation mean is the SVD projection of sum(w R) / sum(w),
-        so the sums give the same estimate as a refit.
-        """
+        self._sums += obs.weight * fusion_row(obs)
         if len(self.observations) == 1:  # a single observation passes through exactly
-            self.fused_pose = yaw_only_pose(latest.global_pose.rotation,
-                                            latest.global_pose.translation)
-            self.fused_dims = latest.detection.dims
+            pose = obs.global_pose
+            self.fused_pose = yaw_only_pose(pose.rotation, pose.translation)
+            self.fused_dims = obs.detection.dims
             return
-        total = self._sums[0]
-        if total <= 0.0:  # every weight is zero, so no mean exists
-            self.fused_pose = latest.global_pose
-            self.fused_dims = latest.detection.dims
-            return
-        mean = self._sums / total
         try:
-            self.fused_pose = yaw_only_pose(project_rotation_mean(mean[4:13].reshape(3, 3)),
-                                            mean[1:4])
-        except DegenerateMean:
-            self.fused_pose = latest.global_pose
-        self.fused_dims = Dimensions3D(*mean[13:16])
+            self.fused_pose, self.fused_dims = fuse_rows(self._sums)
+        except (ZeroWeightSum, DegenerateMean):  # no mean exists: keep the latest
+            self.fused_pose, self.fused_dims = obs.global_pose, obs.detection.dims
 
     def alive(self, frame_id: int, max_frame_gap: int) -> bool:
         return frame_id - self.last_seen <= max_frame_gap

@@ -51,6 +51,22 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _check_finite(node, path: Path, where: str = "") -> None:
+    """Reject NaN and infinity anywhere in the raw config, naming the key path.
+
+    The range checks of the config classes compare with < and <=, which a
+    NaN passes; the input parsers apply the same rule to their numbers.
+    """
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, path, f"{where}.{key}" if where else str(key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _check_finite(value, path, f"{where}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{path}: {where} must be a finite number, got {node}")
+
+
 def _ranges(raw, where: str) -> tuple:
     out = []
     for item in raw or ():
@@ -109,6 +125,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     _check_keys(raw, {"paths", "camera", "association", "weighting", "fusion",
                       "visibility", "metrics", "sequence", "simulate"}, str(path))
+    _check_finite(raw, path)
     try:
         cfg = PipelineConfig()
         paths = raw.get("paths", {})

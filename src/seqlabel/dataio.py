@@ -209,8 +209,8 @@ def _detection_from_json(obj: dict, lineno: int, descriptor_len: list) -> Detect
             raise SchemaError(lineno, f"field {name!r} must be an object with keys {list(keys)}")
 
     depth = _number(obj, "depth", lineno)
-    if not math.isfinite(depth):
-        raise SchemaError(lineno, "field 'depth' must be finite")
+    if not (math.isfinite(depth) and depth > 0):
+        raise SchemaError(lineno, f"field 'depth' must be finite and positive, got {depth}")
     score = _number(obj, "score", lineno)
     if not 0.0 <= score <= 1.0:
         raise SchemaError(lineno, f"field 'score' must be in [0, 1], got {score}")

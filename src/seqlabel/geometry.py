@@ -59,12 +59,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Pose":
-        """Build from a 3x4 (or 4x4) row-major [R | t] matrix."""
-        m = np.asarray(m, dtype=float)
-        return cls(m[:3, :3], m[:3, 3])
-
     def matrix(self) -> np.ndarray:
         """The 3x4 [R | t] matrix."""
         return np.hstack([self.rotation, self.translation.reshape(3, 1)])

@@ -2,16 +2,18 @@
 
 The pipeline per track: reject depth/yaw outliers around robust weighted
 medians, gate on support and on translation variance (dynamic objects),
-then average the survivors: per-axis weighted mean for translation, the
-SVD projection of the weighted rotation mean for orientation, with the
-final rotation rebuilt from its yaw alone.
+then average the survivors: per-axis weighted mean for translation and
+dims, the SVD projection of the weighted rotation mean for orientation,
+with the final rotation rebuilt from its yaw alone.  Every fused estimate,
+final or running (association.Track), is fuse_rows of a weighted sum of
+fusion_row vectors.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -97,20 +99,6 @@ def observation_weight(obs: "Observation", policy: WeightPolicy) -> float:
     return 1.0 / max(sigma, policy.sigma_floor) ** 2
 
 
-def weighted_depth_mean(depths: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted average sum(w_i z_i) / sum(w_i)."""
-    if len(depths) == 0:
-        raise EmptyInput("no depths to average")
-    if len(depths) != len(weights):
-        raise ValueError(f"{len(depths)} depths vs {len(weights)} weights")
-    if len(depths) == 1:
-        return float(depths[0])  # singleton passes through unchanged
-    total = float(np.sum(weights))
-    if total <= 0.0:
-        raise ZeroWeightSum("weights sum to zero")
-    return float(np.dot(weights, depths) / total)
-
-
 def rotation_average(rotations: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
     """SVD-projected weighted mean of rotation matrices.
 
@@ -125,10 +113,8 @@ def rotation_average(rotations: Sequence[np.ndarray], weights: Sequence[float]) 
     total = float(np.sum(weights))
     if total <= 0.0:
         raise ZeroWeightSum("weights sum to zero")
-    m = np.zeros((3, 3))
-    for w, r in zip(weights, rotations):
-        m += (w / total) * np.asarray(r, dtype=float)
-    return project_rotation_mean(m)
+    m = np.tensordot(np.asarray(weights, dtype=float), np.asarray(rotations, dtype=float), axes=1)
+    return project_rotation_mean(m / total)
 
 
 def project_rotation_mean(m: np.ndarray) -> np.ndarray:
@@ -165,12 +151,16 @@ def weighted_circular_median(angles: Sequence[float], weights: Sequence[float],
     """Candidate angle minimizing the weighted sum of wrapped absolute deviations.
 
     Candidates are the input angles themselves; ties go to the lowest order key.
+    The wrapped deviation min(d, tau - d), d = |theta - a|, equals
+    |wrap_angle(theta - a)| exactly for angles in (-pi, pi].
     """
+    values = np.asarray(angles, dtype=float)
+    w = np.asarray(weights, dtype=float)
     best = None
     for j, theta in enumerate(angles):
-        cost = sum(
-            w * abs(wrap_angle(theta - a)) for w, a in zip(weights, angles)
-        )
+        d = np.abs(theta - values)
+        # Summed left to right, so the costs and the ties match a plain loop.
+        cost = np.cumsum(w * np.minimum(d, math.tau - d))[-1]
         key = (cost, order_keys[j])
         if best is None or key < best[0]:
             best = (key, theta)
@@ -207,37 +197,47 @@ def reject_outliers(
     return inliers, outliers
 
 
-def fuse_pose(observations: Sequence["Observation"], weights: Sequence[float]) -> Pose:
-    """Fused global pose: per-axis weighted mean translation and yaw-only
-    rotation rebuilt from the averaged orientation."""
+def fusion_row(obs: "Observation") -> np.ndarray:
+    """One observation as a row of the fusion sums: (1, t, R row-major, h, w, l)."""
+    pose, dims = obs.global_pose, obs.detection.dims
+    return np.concatenate(
+        ([1.0], pose.translation, pose.rotation.ravel(), (dims.height, dims.width, dims.length))
+    )
+
+
+def fuse_rows(sums: np.ndarray) -> tuple[Pose, Dimensions3D]:
+    """Fused pose and dims from sum(w * fusion_row) over the observations.
+
+    Translation and dims are the weighted means; the rotation is the SVD
+    projection of the weighted rotation mean, rebuilt from its yaw alone.
+    Raises ZeroWeightSum when sum(w) <= 0 and DegenerateMean when the
+    rotation mean has no direction.
+    """
+    total = sums[0]
+    if total <= 0.0:
+        raise ZeroWeightSum("weights sum to zero")
+    mean = sums / total
+    pose = yaw_only_pose(project_rotation_mean(mean[4:13].reshape(3, 3)), mean[1:4])
+    return pose, Dimensions3D(*mean[13:16])
+
+
+def fuse_pose(observations: Sequence["Observation"],
+              weights: Sequence[float]) -> tuple[Pose, Dimensions3D]:
+    """Fused global pose and dims of the observations under the weights.
+
+    A single observation passes through exactly: its pose rebuilt from its
+    yaw, and its dims.
+    """
     if len(observations) == 1:
-        t = observations[0].global_pose.translation
-        r_avg = observations[0].global_pose.rotation
-    else:
-        total = float(np.sum(weights))
-        if total <= 0.0:
-            raise ZeroWeightSum("weights sum to zero")
-        ts = np.array([o.global_pose.translation for o in observations])
-        t = np.asarray(weights) @ ts / total
-        r_avg = rotation_average([o.global_pose.rotation for o in observations], weights)
-    return yaw_only_pose(r_avg, t)
+        pose = observations[0].global_pose
+        return yaw_only_pose(pose.rotation, pose.translation), observations[0].detection.dims
+    rows = np.array([fusion_row(o) for o in observations])
+    return fuse_rows(np.asarray(weights, dtype=float) @ rows)
 
 
 def yaw_only_pose(rotation: np.ndarray, translation: np.ndarray) -> Pose:
     """The pose with the given translation and only the yaw of rotation."""
     return Pose(yaw_to_rotation(yaw_from_rotation(rotation)), translation)
-
-
-def _mean_dims(observations: Sequence["Observation"], weights: Sequence[float]) -> Dimensions3D:
-    if len(observations) == 1:
-        return observations[0].detection.dims
-    total = float(np.sum(weights))
-    hwl = np.array(
-        [(o.detection.dims.height, o.detection.dims.width, o.detection.dims.length)
-         for o in observations]
-    )
-    h, w, l = np.asarray(weights) @ hwl / total
-    return Dimensions3D(h, w, l)
 
 
 def fuse_track(track: "Track", policy: WeightPolicy, cfg: FusionConfig) -> Landmark | Rejected:
@@ -262,7 +262,7 @@ def fuse_track(track: "Track", policy: WeightPolicy, cfg: FusionConfig) -> Landm
 
     weights = [observation_weight(o, policy) for o in inliers]
     try:
-        pose = fuse_pose(inliers, weights)
+        pose, dims = fuse_pose(inliers, weights)
     except (DegenerateMean, ZeroWeightSum) as e:
         return Rejected("degenerate_mean", track.track_id, str(e))
 
@@ -270,7 +270,7 @@ def fuse_track(track: "Track", policy: WeightPolicy, cfg: FusionConfig) -> Landm
     return Landmark(
         landmark_id=-1,
         global_pose=pose,
-        dims=_mean_dims(inliers, weights),
+        dims=dims,
         support=len(inliers),
         first_frame=min(frames),
         last_frame=max(frames),
@@ -297,20 +297,7 @@ def fuse_tracks(
         else:
             fused.append((result.first_frame, track.track_id, result))
     fused.sort(key=lambda item: (item[0], item[1]))
-    landmarks = [
-        Landmark(
-            landmark_id=i,
-            global_pose=lm.global_pose,
-            dims=lm.dims,
-            support=lm.support,
-            first_frame=lm.first_frame,
-            last_frame=lm.last_frame,
-            category=lm.category,
-            mean_score=lm.mean_score,
-            observed_frames=lm.observed_frames,
-        )
-        for i, (_, _, lm) in enumerate(fused)
-    ]
+    landmarks = [replace(lm, landmark_id=i) for i, (_, _, lm) in enumerate(fused)]
     track_of = {i: track_id for i, (_, track_id, _) in enumerate(fused)}
     return landmarks, rejected, track_of
 

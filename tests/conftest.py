@@ -1,10 +1,19 @@
-"""Shared helpers: a simple projection matrix and detection/observation builders."""
+"""Shared helpers: a simple projection matrix, detection/observation builders
+and the fusion oracle."""
 
 import numpy as np
 
 from seqlabel.association import Observation, Track, lift_detection
 from seqlabel.dataio import DetectionRecord
-from seqlabel.geometry import Box2D, Dimensions3D, Pose, ProjectionMatrix
+from seqlabel.errors import ZeroWeightSum
+from seqlabel.geometry import (
+    Box2D,
+    Dimensions3D,
+    Pose,
+    ProjectionMatrix,
+    yaw_from_rotation,
+    yaw_to_rotation,
+)
 
 P_SIMPLE = ProjectionMatrix(
     np.array([[700.0, 0, 600, 0], [0, 700, 180, 0], [0, 0, 1, 0]])
@@ -55,3 +64,30 @@ def make_track(observations, track_id=0) -> Track:
     for obs in observations:
         track.add(obs)
     return track
+
+
+def oracle_fuse(observations, weights):
+    """Fused (pose, dims) as a plain refit, independent of landmark.fuse_rows.
+
+    The rotation mean is accumulated one rotation at a time and projected by
+    SVD; translation and dims are weights @ values / sum(weights).  A single
+    observation passes through with its pose rebuilt from its yaw.
+    """
+    if len(observations) == 1:
+        pose = observations[0].global_pose
+        return (Pose(yaw_to_rotation(yaw_from_rotation(pose.rotation)), pose.translation),
+                observations[0].detection.dims)
+    total = float(np.sum(weights))
+    if total <= 0.0:
+        raise ZeroWeightSum("weights sum to zero")
+    m = np.zeros((3, 3))
+    for w, o in zip(weights, observations):
+        m += (w / total) * o.global_pose.rotation
+    u, _, vt = np.linalg.svd(m)
+    rotation = u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
+    ts = np.array([o.global_pose.translation for o in observations])
+    hwl = np.array([(o.detection.dims.height, o.detection.dims.width, o.detection.dims.length)
+                    for o in observations])
+    w = np.asarray(weights)
+    pose = Pose(yaw_to_rotation(yaw_from_rotation(rotation)), w @ ts / total)
+    return pose, Dimensions3D(*(w @ hwl / total))

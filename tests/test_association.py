@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import P_SIMPLE, make_detection, make_observation, make_track
+from conftest import P_SIMPLE, make_detection, make_observation, make_track, oracle_fuse
 from seqlabel.association import (
     _BIG,
     INFEASIBLE,
@@ -43,7 +43,6 @@ from seqlabel.geometry import (
     project_point,
     yaw_to_rotation,
 )
-from seqlabel.landmark import _mean_dims, fuse_pose
 
 # A KITTI-like camera whose projection has a non-zero last column.
 P_OFFSET = ProjectionMatrix(
@@ -510,8 +509,7 @@ class TestCostMatrix:
 
 
 def _refit(observations):
-    weights = [o.weight for o in observations]
-    return fuse_pose(observations, weights), _mean_dims(observations, weights)
+    return oracle_fuse(observations, [o.weight for o in observations])
 
 
 class TestRunningFusion:

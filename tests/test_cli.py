@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 from seqlabel.cli import main
@@ -231,6 +232,39 @@ class TestExitCodes:
         assert all(t["status"] == "rejected" for t in diagnostics["tracks"])
         reasons = {t["reason"] for t in diagnostics["tracks"] if t["n_observations"] > 1}
         assert "degenerate_mean" in reasons
+
+    def test_negative_depth_exit_2_with_line(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        det = tmp_path / "sim" / "detections.jsonl"
+        lines = det.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "depth": -1.0})
+        det.write_text("\n".join(lines) + "\n")
+        assert main(["build-map", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "depth" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("section, key", [
+        ("association", "dist_gate"),
+        ("association", "w_iou"),
+        ("association", "max_frame_gap"),
+        ("fusion", "depth_tol"),
+        ("fusion", "yaw_tol_deg"),
+        ("fusion", "var_gate"),
+        ("visibility", "min_box_area"),
+        ("visibility", "image_width"),
+        ("metrics", "iou_min"),
+    ])
+    def test_nan_config_number_exit_3(self, tmp_path, capsys, section, key):
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        capsys.readouterr()
+        raw = yaml.safe_load(config.read_text())
+        raw.setdefault(section, {})[key] = float("nan")
+        config.write_text(yaml.safe_dump(raw))
+        assert main(["build-map", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and len(err.splitlines()) == 1
 
 
 class TestOutputOverrides:

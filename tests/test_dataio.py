@@ -147,6 +147,13 @@ class TestDetections:
             read_detections(text)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("depth", [-1.0, 0.0, 0])
+    def test_non_positive_depth(self, depth):
+        text = self._record() + self._record(depth=depth)
+        with pytest.raises(SchemaError) as exc:
+            read_detections(text)
+        assert "depth" in str(exc.value) and exc.value.line == 2
+
     def test_missing_field(self):
         rec = json.loads(self._record())
         del rec["dims"]

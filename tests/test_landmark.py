@@ -11,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_observation, make_track
-from seqlabel.errors import EmptyInput, MissingSigma, ZeroWeightSum
-from seqlabel.geometry import yaw_from_rotation, yaw_to_rotation
+from conftest import make_observation, make_track, oracle_fuse
+from seqlabel.association import Observation
+from seqlabel.errors import EmptyInput, MissingSigma
+from seqlabel.geometry import Pose, wrap_angle, yaw_from_rotation, yaw_to_rotation
 from seqlabel.landmark import (
     FusionConfig,
     Landmark,
     Rejected,
     WeightPolicy,
+    fuse_pose,
     fuse_track,
     fuse_tracks,
     observation_weight,
@@ -27,7 +29,6 @@ from seqlabel.landmark import (
     rotation_average,
     serialize_landmarks,
     weighted_circular_median,
-    weighted_depth_mean,
     weighted_median,
 )
 
@@ -36,6 +37,19 @@ def circular_mean(angles, weights):
     s = sum(w * math.sin(a) for w, a in zip(weights, angles))
     c = sum(w * math.cos(a) for w, a in zip(weights, angles))
     return math.atan2(s, c)
+
+
+def oracle_circular_median(angles, weights, order_keys):
+    """weighted_circular_median as a plain double loop over candidates and angles."""
+    best = None
+    for j, theta in enumerate(angles):
+        cost = sum(
+            w * abs(wrap_angle(theta - a)) for w, a in zip(weights, angles)
+        )
+        key = (cost, order_keys[j])
+        if best is None or key < best[0]:
+            best = (key, theta)
+    return float(best[1])
 
 
 class TestObservationWeight:
@@ -60,37 +74,6 @@ class TestObservationWeight:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             WeightPolicy("magic")
-
-
-class TestWeightedDepthMean:
-    def test_equal_weights(self):
-        assert weighted_depth_mean([10, 20], [1, 1]) == 15.0
-
-    def test_unequal_weights(self):
-        assert weighted_depth_mean([10, 20], [3, 1]) == pytest.approx(12.5)
-
-    def test_singleton_exact(self):
-        assert weighted_depth_mean([7.0], [0.2]) == 7.0
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            weighted_depth_mean([], [])
-
-    def test_zero_weight_sum(self):
-        with pytest.raises(ZeroWeightSum):
-            weighted_depth_mean([1, 2], [0, 0])
-
-    @given(
-        st.lists(st.floats(1, 100), min_size=1, max_size=10),
-        st.floats(0.1, 10),
-    )
-    @settings(max_examples=100)
-    def test_convexity_and_weight_scale_invariance(self, zs, c):
-        ws = [1.0 + 0.1 * i for i in range(len(zs))]
-        m = weighted_depth_mean(zs, ws)
-        assert min(zs) - 1e-9 <= m <= max(zs) + 1e-9
-        scaled = weighted_depth_mean(zs, [c * w for w in ws])
-        assert scaled == pytest.approx(m, abs=1e-12)
 
 
 class TestRotationAverage:
@@ -153,6 +136,31 @@ class TestMedians:
         assert med in angles  # candidate set
         # All inputs sit within 0.2 rad of the wrap point; the median must too.
         assert abs(math.remainder(med - math.pi, math.tau)) < 0.2
+
+
+# Angles as yaw_from_rotation returns them, in (-pi, pi], with the wrap
+# point, exact duplicates and sums that tie all likely.
+_angles = st.one_of(
+    st.floats(-math.pi, math.pi, allow_nan=False, exclude_min=True),
+    st.sampled_from([math.pi, -math.pi + 1e-15, 0.0, 0.5, -0.5, math.pi / 2, -math.pi / 2]),
+)
+_weights = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 5.0, allow_nan=False))
+
+
+class TestCircularMedianOracle:
+    @given(st.lists(st.tuples(_angles, _weights), min_size=1, max_size=12), st.randoms())
+    @settings(max_examples=300, deadline=None)
+    def test_same_pick_as_double_loop(self, pairs, rnd):
+        angles = [a for a, _ in pairs]
+        weights = [w for _, w in pairs]
+        keys = list(range(len(pairs)))
+        rnd.shuffle(keys)
+        assert (weighted_circular_median(angles, weights, keys)
+                == oracle_circular_median(angles, weights, keys))
+
+    def test_tie_goes_to_lowest_order_key(self):
+        # Both candidates cost 1.0; order key 0 belongs to the second.
+        assert weighted_circular_median([0.0, 1.0], [1, 1], [1, 0]) == 1.0
 
 
 class TestRejectOutliers:
@@ -277,6 +285,45 @@ class TestFuseTrack:
         want = circular_mean(yaws, scores)
         got = yaw_from_rotation(lm.global_pose.rotation)
         assert abs(got - want) < 1e-6
+
+
+def _global_observation(frame_id, yaw, translation, dims, score, sigma):
+    """An observation placed directly at a global pose."""
+    obs = make_observation(frame_id=frame_id, score=score, sigma=sigma, dims=dims)
+    return Observation(obs.detection, obs.local_pose, Pose(yaw_to_rotation(yaw), translation),
+                       obs.weight)
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+class TestFusePoseOracle:
+    @given(
+        st.sampled_from(["score", "inverse_variance"]),
+        st.floats(-math.pi, math.pi, allow_nan=False),
+        st.lists(st.tuples(_unit, _unit, _unit, _unit,
+                           st.tuples(st.floats(0.5, 3), st.floats(0.5, 3), st.floats(0.5, 6)),
+                           st.floats(0.05, 1.0), st.floats(0.05, 2.0)),
+                 min_size=2, max_size=10),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_refit(self, mode, heading, steps):
+        # Yaws stay within 1 rad of a common heading, so the rotation mean is
+        # well conditioned and the two summation orders agree to rounding.
+        observations = [
+            _global_observation(k, heading + dyaw, [20.0 * dx, 1.65 + dy, 30.0 + 20.0 * dz],
+                                dims, score, sigma)
+            for k, (dyaw, dx, dy, dz, dims, score, sigma) in enumerate(steps)
+        ]
+        policy = WeightPolicy(mode)
+        weights = [observation_weight(o, policy) for o in observations]
+        pose, dims = fuse_pose(observations, weights)
+        want_pose, want_dims = oracle_fuse(observations, weights)
+        np.testing.assert_allclose(pose.rotation, want_pose.rotation, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pose.translation, want_pose.translation, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            [dims.height, dims.width, dims.length],
+            [want_dims.height, want_dims.width, want_dims.length], rtol=0, atol=1e-12)
 
 
 class TestErrorReduction:
