@@ -130,9 +130,7 @@ def cmd_build_map(cfg: PipelineConfig, out_dir: Path) -> int:
 def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> int:
     trajectory, P = _load_inputs(cfg)
     map_file = Path(map_path) if map_path else out_dir / "map.jsonl"
-    if not map_file.exists():
-        raise ConfigError(f"landmark map not found: {map_file}")
-    landmarks = parse_landmarks(map_file.read_text())
+    landmarks = _parse_with_context(parse_landmarks, str(map_file), "landmark map")
 
     annotations = [
         annotate_frame(landmarks, k, trajectory.pose(k), P, cfg.visibility)

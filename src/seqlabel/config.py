@@ -158,7 +158,12 @@ def load_config(path: str | Path) -> PipelineConfig:
 
         metrics = raw.get("metrics", {})
         _check_keys(metrics, {"iou_min"}, "metrics")
-        cfg.metrics_iou_min = float(metrics.get("iou_min", cfg.metrics_iou_min))
+        iou_min = metrics.get("iou_min", cfg.metrics_iou_min)
+        if isinstance(iou_min, bool) or not isinstance(iou_min, (int, float)) \
+                or not 0 < iou_min <= 1:
+            raise ConfigError(f"{path}: metrics.iou_min must be a number in (0, 1], "
+                              f"got {iou_min!r}")
+        cfg.metrics_iou_min = float(iou_min)
 
         sequence = raw.get("sequence", {})
         _check_keys(sequence, {"include", "exclude"}, "sequence")

@@ -125,15 +125,13 @@ def _parse_floats(fields: list[str], lineno: int) -> list[float]:
     return values
 
 
-def _pose_from_values(values: list[float], lineno: int) -> Pose:
-    m = np.array(values, dtype=float).reshape(3, 4)
-    r = m[:, :3]
+def _check_rotation(r: np.ndarray, lineno: int, tol: float) -> None:
+    """OrthonormalityError unless max |R^T R - I| <= tol and det R > 0; NaN fails both."""
     dev = np.abs(r.T @ r - np.eye(3)).max()
-    if dev > ROTATION_INPUT_TOL:
+    if not dev <= tol:
         raise OrthonormalityError(lineno, f"rotation deviates from orthonormal by {dev:.3e}")
-    if np.linalg.det(r) < 0:
+    if not np.linalg.det(r) > 0:
         raise OrthonormalityError(lineno, "rotation block is a reflection (det < 0)")
-    return Pose(nearest_rotation(r), m[:, 3])
 
 
 def parse_trajectory(text: str) -> TrajectoryFile:
@@ -143,7 +141,9 @@ def parse_trajectory(text: str) -> TrajectoryFile:
         fields = line.split()
         if len(fields) != 12:
             raise ParseError(lineno, f"expected 12 fields, got {len(fields)}")
-        poses.append(_pose_from_values(_parse_floats(fields, lineno), lineno))
+        m = np.array(_parse_floats(fields, lineno)).reshape(3, 4)
+        _check_rotation(m[:, :3], lineno, ROTATION_INPUT_TOL)
+        poses.append(Pose(nearest_rotation(m[:, :3]), m[:, 3]))
     return TrajectoryFile(poses)
 
 
@@ -180,6 +180,35 @@ def serialize_calib(calib: CalibFile) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _json_float(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {text}")
+    return v
+
+
+def _json_int(text: str) -> int:
+    _json_float(text)  # an integer beyond the float range is not finite either
+    return int(text)
+
+
+def _json_record(line: str, lineno: int) -> dict:
+    """Decode one JSONL record; NaN, Infinity and out-of-range numbers are errors.
+
+    The same finite-number rule _parse_floats applies to text inputs.
+    """
+    try:
+        obj = json.loads(line, parse_float=_json_float, parse_int=_json_int,
+                         parse_constant=_json_float)
+    except json.JSONDecodeError as e:
+        raise SchemaError(lineno, f"invalid JSON: {e.msg}") from None
+    except ValueError as e:
+        raise SchemaError(lineno, str(e)) from None
+    if not isinstance(obj, dict):
+        raise SchemaError(lineno, "record must be a JSON object")
+    return obj
+
+
 def _require(obj: dict, name: str, lineno: int):
     if name not in obj:
         raise SchemaError(lineno, f"missing field {name!r}")
@@ -209,8 +238,8 @@ def _detection_from_json(obj: dict, lineno: int, descriptor_len: list) -> Detect
             raise SchemaError(lineno, f"field {name!r} must be an object with keys {list(keys)}")
 
     depth = _number(obj, "depth", lineno)
-    if not (math.isfinite(depth) and depth > 0):
-        raise SchemaError(lineno, f"field 'depth' must be finite and positive, got {depth}")
+    if not depth > 0:
+        raise SchemaError(lineno, f"field 'depth' must be positive, got {depth}")
     score = _number(obj, "score", lineno)
     if not 0.0 <= score <= 1.0:
         raise SchemaError(lineno, f"field 'score' must be in [0, 1], got {score}")
@@ -224,8 +253,9 @@ def _detection_from_json(obj: dict, lineno: int, descriptor_len: list) -> Detect
     descriptor = None
     if obj.get("descriptor") is not None:
         raw = obj["descriptor"]
-        if not isinstance(raw, list) or not raw:
-            raise SchemaError(lineno, "field 'descriptor' must be a non-empty array")
+        if (not isinstance(raw, list) or not raw
+                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
+            raise SchemaError(lineno, "field 'descriptor' must be a non-empty array of numbers")
         if descriptor_len[0] is None:
             descriptor_len[0] = len(raw)
         elif len(raw) != descriptor_len[0]:
@@ -267,13 +297,7 @@ def read_detections(stream) -> dict[int, list[DetectionRecord]]:
     groups: dict[int, list[DetectionRecord]] = {}
     descriptor_len = [None]
     for lineno, line in _data_lines(text):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SchemaError(lineno, f"invalid JSON: {e.msg}") from None
-        if not isinstance(obj, dict):
-            raise SchemaError(lineno, "record must be a JSON object")
-        rec = _detection_from_json(obj, lineno, descriptor_len)
+        rec = _detection_from_json(_json_record(line, lineno), lineno, descriptor_len)
         groups.setdefault(rec.frame_id, []).append(rec)
     return {k: groups[k] for k in sorted(groups)}
 

@@ -35,7 +35,7 @@ class OrthonormalityError(ParseError):
 
 
 class SchemaError(ParseError):
-    """A JSONL detection record violates the input schema."""
+    """A JSONL record (a detection or a landmark) violates its input schema."""
 
 
 class MissingCamera(SeqLabelError):

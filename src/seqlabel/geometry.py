@@ -17,8 +17,6 @@ from .errors import BehindCamera, DegenerateProjection, ZeroArea
 
 log = logging.getLogger(__name__)
 
-ORTHONORMAL_TOL = 1e-9
-
 # Off-pattern elements this small mean the matrix is a pure y rotation,
 # which allows full-range yaw recovery instead of the folded formula.
 _YAW_ONLY_TOL = 1e-9
@@ -34,7 +32,7 @@ def wrap_angle(theta: float) -> float:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform: rotation (3x3, orthonormal, det +1) and translation (3,)."""
+    """Rigid transform: rotation (3x3, det +1; file readers check it) and translation (3,)."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -44,12 +42,6 @@ class Pose:
         t = np.array(self.translation, dtype=float).reshape(3)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        dev = np.abs(r.T @ r - np.eye(3)).max()
-        if dev >= ORTHONORMAL_TOL:
-            raise ValueError(f"rotation not orthonormal (max |R^T R - I| = {dev:.3e})")
-        det = np.linalg.det(r)
-        if abs(det - 1.0) >= ORTHONORMAL_TOL:
-            raise ValueError(f"rotation determinant {det:.12f} != +1")
         r.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)

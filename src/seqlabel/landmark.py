@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMean, EmptyInput, MissingSigma, ZeroWeightSum
+from .dataio import _check_rotation, _data_lines, _json_record
+from .errors import DegenerateMean, EmptyInput, MissingSigma, ParseError, ZeroWeightSum
 from .geometry import (
     Dimensions3D,
     Pose,
@@ -31,6 +32,7 @@ if TYPE_CHECKING:
     from .association import Observation, Track
 
 WEIGHT_MODES = ("score", "inverse_variance")
+MAP_ROTATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -321,24 +323,30 @@ def serialize_landmarks(landmarks: Iterable[Landmark]) -> str:
 
 
 def parse_landmarks(text: str) -> list[Landmark]:
+    """Read a map; rotations are used exactly as read, so they must pass MAP_ROTATION_TOL."""
     out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        obj = json.loads(line)
-        m = np.array(obj["pose"], dtype=float).reshape(3, 4)
-        out.append(
-            Landmark(
-                landmark_id=int(obj["id"]),
-                global_pose=Pose(m[:, :3], m[:, 3]),
-                dims=Dimensions3D(obj["dims"]["h"], obj["dims"]["w"], obj["dims"]["l"]),
-                support=int(obj["support"]),
-                first_frame=int(obj["first_frame"]),
-                last_frame=int(obj["last_frame"]),
-                category=obj["category"],
-                mean_score=float(obj["mean_score"]),
-                observed_frames=tuple(int(f) for f in obj.get("observed_frames", [])),
+    for lineno, line in _data_lines(text):
+        obj = _json_record(line, lineno)
+        try:
+            m = np.array(obj["pose"], dtype=float).reshape(3, 4)
+            _check_rotation(m[:, :3], lineno, MAP_ROTATION_TOL)
+            if not isinstance(obj["category"], str):
+                raise TypeError("field 'category' must be a string")
+            out.append(
+                Landmark(
+                    landmark_id=int(obj["id"]),
+                    global_pose=Pose(m[:, :3], m[:, 3]),
+                    dims=Dimensions3D(obj["dims"]["h"], obj["dims"]["w"], obj["dims"]["l"]),
+                    support=int(obj["support"]),
+                    first_frame=int(obj["first_frame"]),
+                    last_frame=int(obj["last_frame"]),
+                    category=obj["category"],
+                    mean_score=float(obj["mean_score"]),
+                    observed_frames=tuple(int(f) for f in obj.get("observed_frames", [])),
+                )
             )
-        )
+        except KeyError as e:
+            raise ParseError(lineno, f"missing field {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ParseError(lineno, str(e)) from None
     return out

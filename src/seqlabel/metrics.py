@@ -37,10 +37,6 @@ class MatchedPair:
     yaw_gt: float
     yaw_pred: float
 
-    def __post_init__(self):
-        if not self.z_gt > 0:
-            raise ValueError(f"ground-truth depth must be positive, got {self.z_gt}")
-
     @property
     def depth_bucket(self) -> str:
         return bucket_of(self.z_gt)
@@ -72,15 +68,17 @@ def match_annotations(
 ) -> list[MatchedPair]:
     """Greedy highest-IoU-first one-to-one matching of same-category entries.
 
-    Pairs below iou_min never match.  Ties break on (prediction index,
-    ground-truth index) so matching is deterministic.
+    Pairs below iou_min never match, nor do ground-truth entries at depth
+    <= 0 (such as KITTI DontCare rows), since the depth metrics divide by
+    the ground-truth depth.  Ties break on (prediction index, ground-truth
+    index) so matching is deterministic.
     """
     if pred.frame_id != gt.frame_id:
         raise FrameMismatch(f"pred frame {pred.frame_id} vs gt frame {gt.frame_id}")
     candidates = []
     for i, p in enumerate(pred.entries):
         for j, g in enumerate(gt.entries):
-            if p.category != g.category:
+            if p.category != g.category or g.depth <= 0:
                 continue
             if p.box2d.area() == 0.0 and g.box2d.area() == 0.0:
                 continue

@@ -267,6 +267,77 @@ class TestExitCodes:
         assert f"{section}.{key}" in err and len(err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("iou_min", ["nan", "0.5", 0, -0.25, 1.5, True])
+    def test_bad_iou_min_exit_3(self, tmp_path, capsys, iou_min):
+        config = write_config(tmp_path, metrics={"iou_min": iou_min})
+        assert main(["build-map", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert "metrics.iou_min" in err and len(err.splitlines()) == 1
+
+    def test_nan_yaw_exit_2_with_line(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        det = tmp_path / "sim" / "detections.jsonl"
+        lines = det.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "yaw": float("nan")})
+        det.write_text("\n".join(lines) + "\n")
+        assert main(["build-map", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "non-finite" in err and len(err.splitlines()) == 1
+
+    def test_non_numeric_descriptor_exit_2_with_line(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        det = tmp_path / "sim" / "detections.jsonl"
+        lines = det.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "descriptor": ["a", "b"]})
+        det.write_text("\n".join(lines) + "\n")
+        assert main(["build-map", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "descriptor" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda obj: {**obj, "pose": [1.1 * v for v in obj["pose"]]},
+        lambda obj: {**obj, "pose": [-v if i in (0, 4, 8) else v
+                                     for i, v in enumerate(obj["pose"])]},
+        lambda obj: json.dumps(obj).replace(str(obj["pose"][0]), "NaN", 1),
+        lambda obj: json.dumps(obj)[:40],
+        lambda obj: {k: v for k, v in obj.items() if k != "dims"},
+        lambda obj: {**obj, "dims": {**obj["dims"], "h": -obj["dims"]["h"]}},
+    ], ids=["scaled_rotation", "reflection", "nan", "truncated", "missing_dims",
+            "negative_dims"])
+    def test_malformed_map_exit_2_with_file_and_line(self, tmp_path, capsys, corrupt):
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        lines = (tmp_path / "sim" / "gt_map.jsonl").read_text().splitlines()
+        bad = corrupt(json.loads(lines[-1]))
+        lines[-1] = bad if isinstance(bad, str) else json.dumps(bad)
+        map_file = tmp_path / "bad_map.jsonl"
+        map_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["annotate", "--config", str(config), "--map", str(map_file)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(map_file) in err and f"line {len(lines)}" in err
+
+    def test_gt_label_at_negative_depth_is_never_matched(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        assert main(["build-map", "--config", str(config)]) == 0
+        assert main(["annotate", "--config", str(config)]) == 0
+        gt_dir = tmp_path / "sim" / "gt_labels"
+        label = next(p for p in sorted(gt_dir.glob("*.txt")) if p.read_text())
+        fields = label.read_text().splitlines()[0].split()
+        fields[13] = "-3.00"  # z of the first object
+        label.write_text(" ".join(fields) + "\n" + "".join(
+            line + "\n" for line in label.read_text().splitlines()[1:]))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--gt", str(gt_dir)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        matching = json.loads((tmp_path / "out" / "report.json").read_text())["matching"]
+        assert matching["n_matched"] == matching["n_gt"] - 1
+
+
 class TestOutputOverrides:
     def test_env_var_overrides_config(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)

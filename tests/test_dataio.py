@@ -10,6 +10,8 @@ import pytest
 
 from seqlabel.annotate import AnnotationEntry, FrameAnnotation
 from seqlabel.dataio import (
+    ROTATION_INPUT_TOL,
+    _check_rotation,
     format_label_line,
     frame_file_name,
     parse_calib,
@@ -65,6 +67,10 @@ class TestTrajectory:
     def test_reflection_rejected(self):
         with pytest.raises(OrthonormalityError):
             parse_trajectory("1 0 0 0 0 1 0 0 0 0 -1 0\n")
+
+    def test_nan_rotation_fails_the_check(self):
+        with pytest.raises(OrthonormalityError):
+            _check_rotation(np.full((3, 3), np.nan), 1, ROTATION_INPUT_TOL)
 
     def test_mild_noise_reorthonormalized(self):
         # 1e-4-level deviation passes the input tolerance and gets projected back.
@@ -178,6 +184,27 @@ class TestDetections:
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
             read_detections("{not json}\n")
+
+    @pytest.mark.parametrize("field, literal", [
+        ("yaw", "NaN"),
+        ("yaw", "-Infinity"),
+        ("depth", "Infinity"),
+        ("depth", "1e999"),
+        ("score", "-1e400"),
+        ("depth", "1" * 400),
+        ("sigma", "NaN"),
+    ])
+    def test_non_finite_number(self, field, literal):
+        rec = self._record(**{field: "LITERAL"}).replace('"LITERAL"', literal)
+        with pytest.raises(SchemaError) as exc:
+            read_detections(self._record() + rec)
+        assert "non-finite" in str(exc.value) and exc.value.line == 2
+
+    @pytest.mark.parametrize("descriptor", [["a", "b"], [1.0, None], [True, 0.5], [[1.0], [2.0]]])
+    def test_descriptor_entries_must_be_numbers(self, descriptor):
+        with pytest.raises(SchemaError) as exc:
+            read_detections(self._record(descriptor=descriptor))
+        assert "descriptor" in str(exc.value) and exc.value.line == 1
 
     def test_round_trip(self):
         text = (DATA / "detections_good.jsonl").read_text()

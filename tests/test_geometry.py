@@ -12,6 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_observation
+from seqlabel.annotate import landmark_to_local
+from seqlabel.association import Track
 from seqlabel.errors import BehindCamera, DegenerateProjection, ZeroArea
 from seqlabel.geometry import (
     Box2D,
@@ -30,6 +33,8 @@ from seqlabel.geometry import (
     yaw_from_rotation,
     yaw_to_rotation,
 )
+from seqlabel.landmark import Landmark, WeightPolicy, fuse_pose, observation_weight
+from seqlabel.simulator import SimConfig, make_trajectory
 
 P_SIMPLE = ProjectionMatrix(np.array([[700.0, 0, 600, 0], [0, 700, 180, 0], [0, 0, 1, 0]]))
 
@@ -115,11 +120,72 @@ class TestPoseAlgebra:
             assert np.abs(ident.rotation - np.eye(3)).max() < 1e-9
             assert np.abs(ident.translation).max() < 1e-9
 
-    def test_invalid_rotation_rejected(self):
-        with pytest.raises(ValueError):
-            Pose(np.eye(3) * 1.1, np.zeros(3))
-        with pytest.raises(ValueError):
-            Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # reflection
+
+def assert_proper_rotation(pose):
+    r = pose.rotation
+    assert np.abs(r.T @ r - np.eye(3)).max() < 1e-9
+    assert abs(np.linalg.det(r) - 1.0) < 1e-9
+
+
+angles = st.floats(-math.pi, math.pi, allow_nan=False)
+coords = st.floats(-50, 50, allow_nan=False)
+
+
+@st.composite
+def cameras(draw):
+    """A camera pose with yaw, pitch and roll anywhere."""
+    yaw, pitch, roll = draw(angles), draw(angles), draw(angles)
+    cp, sp, cr, sr = math.cos(pitch), math.sin(pitch), math.cos(roll), math.sin(roll)
+    pitch_m = np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
+    roll_m = np.array([[cr, -sr, 0.0], [sr, cr, 0.0], [0.0, 0.0, 1.0]])
+    return Pose(yaw_to_rotation(yaw) @ pitch_m @ roll_m, [draw(coords) for _ in range(3)])
+
+
+class TestInternalPosesStayProper:
+    """Pose does not check its rotation, so every pose the pipeline builds
+    itself must stay within 1e-9 of orthonormal with determinant +1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(cameras(), min_size=1, max_size=30))
+    def test_compose_and_inverse_chains(self, poses):
+        acc = Pose.identity()
+        for p in poses:
+            acc = compose(acc, p)
+            assert_proper_rotation(acc)
+            assert_proper_rotation(inverse(acc))
+            assert_proper_rotation(compose(acc, inverse(p)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cameras(), st.lists(st.tuples(angles, st.floats(1, 80)), min_size=1, max_size=8),
+           st.sampled_from(["score", "inverse_variance"]))
+    def test_lift_fuse_and_reproject(self, cam, dets, mode):
+        observations = [make_observation(cam=cam, frame_id=k, yaw=yaw, depth=depth, sigma=0.5)
+                        for k, (yaw, depth) in enumerate(dets)]
+        for obs in observations:
+            assert_proper_rotation(obs.local_pose)
+            assert_proper_rotation(obs.global_pose)
+        track = Track(track_id=0)
+        for obs in observations:
+            track.add(obs)  # fuse_rows and yaw_only_pose on the running sums
+            assert_proper_rotation(track.fused_pose)
+        policy = WeightPolicy(mode)
+        pose, dims = fuse_pose(observations, [observation_weight(o, policy) for o in observations])
+        assert_proper_rotation(pose)
+        lm = Landmark(0, pose, dims, len(observations), 0, len(observations) - 1, "Car", 0.9,
+                      tuple(range(len(observations))))
+        assert_proper_rotation(landmark_to_local(lm, cam))
+
+    @pytest.mark.parametrize("sim", [
+        SimConfig(frames=400, trajectory="straight"),
+        SimConfig(frames=400, trajectory="arc", speed=1.7, arc_radius=35.0),
+        SimConfig(frames=400, trajectory="waypoints",
+                  waypoints=((0, 0, 0), (30, 0, 40), (-20, 0, 90), (-25, 0, 60))),
+    ], ids=["straight", "arc", "waypoints"])
+    def test_simulated_trajectories(self, sim):
+        trajectory = make_trajectory(sim)
+        for pose in trajectory.poses:
+            assert_proper_rotation(pose)
+            assert_proper_rotation(inverse(pose))
 
 
 class TestYaw:

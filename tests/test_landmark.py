@@ -4,6 +4,7 @@ Rotation-averaging results are checked against the weighted circular mean
 atan2(sum w sin, sum w cos), which never touches an SVD.
 """
 
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import make_observation, make_track, oracle_fuse
 from seqlabel.association import Observation
-from seqlabel.errors import EmptyInput, MissingSigma
+from seqlabel.errors import EmptyInput, MissingSigma, OrthonormalityError, ParseError
 from seqlabel.geometry import Pose, wrap_angle, yaw_from_rotation, yaw_to_rotation
 from seqlabel.landmark import (
     FusionConfig,
@@ -376,3 +377,67 @@ class TestFuseTracks:
         assert np.array_equal(again[0].global_pose.rotation, landmarks[0].global_pose.rotation)
         assert again[0].observed_frames == landmarks[0].observed_frames
         assert again[0].mean_score == landmarks[0].mean_score
+
+
+class TestParseLandmarks:
+    """The map reader checks each rotation once, as it reads it."""
+
+    def _line(self, rotation=None, **overrides):
+        r = np.eye(3) if rotation is None else np.asarray(rotation, dtype=float)
+        obj = {
+            "id": 0, "category": "Car",
+            "pose": [float(v) for v in np.hstack([r, [[1.0], [1.65], [20.0]]]).ravel()],
+            "dims": {"h": 1.5, "w": 1.7, "l": 4.2}, "support": 3,
+            "first_frame": 0, "last_frame": 2, "mean_score": 0.9, "observed_frames": [0, 1, 2],
+        }
+        obj.update(overrides)
+        return json.dumps(obj) + "\n"
+
+    def test_rotation_used_exactly_as_read(self):
+        r = yaw_to_rotation(0.7)
+        (lm,) = parse_landmarks(self._line(r))
+        assert np.array_equal(lm.global_pose.rotation, r)
+
+    def test_scaled_rotation(self):
+        with pytest.raises(OrthonormalityError) as exc:
+            parse_landmarks(self._line() + self._line(1.1 * np.eye(3)))
+        assert exc.value.line == 2
+
+    def test_reflection(self):
+        with pytest.raises(OrthonormalityError) as exc:
+            parse_landmarks("# header\n" + self._line(np.diag([1.0, 1.0, -1.0])))
+        assert exc.value.line == 2
+
+    def test_off_by_more_than_tolerance(self):
+        r = yaw_to_rotation(0.3) + 1e-6 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(OrthonormalityError):
+            parse_landmarks(self._line(r))
+
+    @pytest.mark.parametrize("text", [
+        '{"id": 0, "category": "Car", "pose": [1, 0, 0',                # truncated JSON
+        json.dumps({"id": 0, "category": "Car", "pose": [1.0] * 12}),  # missing fields
+        '{"id": 0, "pose": [NaN, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]}',    # NaN
+    ], ids=["truncated", "missing_fields", "nan"])
+    def test_malformed_json(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_landmarks(self._line() + text + "\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("dims", {"h": -1.5, "w": 1.7, "l": 4.2}),
+        ("dims", [1.5, 1.7, 4.2]),
+        ("pose", [1.0, 0.0, 0.0]),
+        ("pose", ["a"] * 12),
+        ("id", "seven"),
+        ("category", 3),
+    ])
+    def test_bad_field(self, field, value):
+        with pytest.raises(ParseError) as exc:
+            parse_landmarks(self._line(**{field: value}))
+        assert exc.value.line == 1
+
+    def test_missing_field_is_named(self):
+        line = json.loads(self._line())
+        del line["dims"]
+        with pytest.raises(ParseError, match="'dims'"):
+            parse_landmarks(json.dumps(line))

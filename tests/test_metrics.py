@@ -102,6 +102,14 @@ class TestMatching:
         assert match_annotations(pred, gt, iou_min=0.5) == []
         assert len(match_annotations(pred, gt, iou_min=0.2)) == 1
 
+    @pytest.mark.parametrize("z_gt", [-3.0, 0.0, -1000.0])
+    def test_gt_at_non_positive_depth_never_matches(self, z_gt):
+        pred = _frame([_label(box=(0, 0, 100, 100), z=20.0)])
+        gt = _frame([_label(box=(0, 0, 100, 100), z=z_gt),
+                     _label(box=(0, 0, 100, 80), z=21.0)])  # IoU 0.8, positive depth
+        pairs = match_annotations(pred, gt)
+        assert [(p.z_gt, p.z_pred) for p in pairs] == [(21.0, 20.0)]
+
     def test_frame_mismatch(self):
         with pytest.raises(FrameMismatch):
             match_annotations(_frame([], frame_id=0), _frame([], frame_id=1))
