@@ -85,7 +85,9 @@ class Track:
     all observations so far; the predicted box for gating comes from
     reprojecting them, not from the last raw detection.  They are
     landmark.fuse_rows of a running sum of weighted fusion rows, so adding
-    an observation costs the same however long the track is.
+    an observation costs the same however long the track is.  They weight
+    by detection score whatever the WeightPolicy (see lift_detection);
+    only the final fusion (landmark.fuse_track) follows the policy.
     """
 
     track_id: int
@@ -137,7 +139,16 @@ class Track:
 
 def lift_detection(d: DetectionRecord, P: ProjectionMatrix, cam: Pose) -> Observation:
     """Lift a detection to 3D: back-project its center at the reported depth,
-    build the local yaw rotation, then convert to the global frame."""
+    build the local yaw rotation, then convert to the global frame.
+
+    The observation's weight, used by the running fusion that predicts
+    each track's box for gating, is the detection score under either
+    WeightPolicy.  The score is always present and bounded in [0, 1],
+    while 1/sigma^2 needs a sigma on every detection and reaches
+    1/sigma_floor^2, so one overconfident detection would steer the gate
+    before outlier rejection has seen the track.  Association, and so the
+    set of tracks, also stays the same whichever policy final fusion uses.
+    """
     if d.depth <= 0:
         raise NonPositiveDepth(f"depth {d.depth} in frame {d.frame_id}")
     translation = back_project(d.center2d[0], d.center2d[1], d.depth, P)
@@ -240,14 +251,77 @@ def association_cost(
     return INFEASIBLE if cost >= _BIG else cost
 
 
+def min_cost_assignment(cost: np.ndarray) -> tuple[list[int], list[int]]:
+    """Rows and columns of a minimum-total-cost one-to-one assignment.
+
+    A pure-Python port of the rectangular shortest-augmenting-path solver
+    (Crouse, "On implementing 2D rectangular assignment algorithms", IEEE
+    TAES 2016) as SciPy's linear_sum_assignment implements it.  It keeps
+    SciPy's arithmetic, tie rules and output order, so it picks the same
+    pairs; the per-frame matrices are small enough that plain lists beat
+    importing SciPy.  Raises ValueError on a NaN or -inf entry and on an
+    infeasible matrix.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("cost matrix contains NaN or -inf entries")
+    transpose = cost.shape[1] < cost.shape[0]  # a tall matrix is solved transposed
+    c = (cost.T if transpose else cost).tolist()
+    nr, nc = min(cost.shape), max(cost.shape)
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        # Shortest augmenting path from row `cur` to a free column.
+        shortest = [math.inf] * nc
+        remaining = list(range(nc - 1, -1, -1))  # reversed: a constant matrix gives the identity
+        visited_rows, visited_cols = [], []
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            visited_rows.append(i)
+            index, lowest = -1, math.inf
+            ci, ui = c[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                # Among equal costs a free column wins: it ends the path.
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # Dual update, then flip the path's assignments.
+        u[cur] += min_val
+        for i in visited_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        pairs = sorted((r, j) for j, r in enumerate(col4row))
+        return [r for r, _ in pairs], [j for _, j in pairs]
+    return list(range(nr)), col4row
+
+
 def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-total-cost one-to-one assignment; infeasible (>= _BIG) pairs dropped."""
-    # Imported here: scipy.optimize is most of the package's import time, and
-    # only build-map assigns.
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(cost)
-    return [(int(i), int(j)) for i, j in zip(rows, cols) if cost[i, j] < _BIG]
+    rows, cols = min_cost_assignment(cost)
+    return [(i, j) for i, j in zip(rows, cols) if cost[i, j] < _BIG]
 
 
 def associate_frame(

@@ -57,7 +57,13 @@ def _read_text(path: str, what: str) -> str:
         raise ConfigError(f"no {what} path configured")
     if not p.exists():
         raise ConfigError(f"{what} file not found: {p}")
-    return p.read_text()
+    data = p.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        reason = f"not valid UTF-8 (byte {data[e.start]:#04x} at offset {e.start})"
+        raise ParseError(line, reason) from None
 
 
 def _parse_with_context(parser, path: str, what: str):

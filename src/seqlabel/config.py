@@ -113,9 +113,11 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Read and validate the YAML pipeline config."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not valid UTF-8 ({e.reason})") from None
     except yaml.YAMLError as e:
         raise ConfigError(f"{path}: invalid YAML: {e}") from None
     if raw is None:

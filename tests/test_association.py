@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from conftest import P_SIMPLE, make_detection, make_observation, make_track, oracle_fuse
 from seqlabel.association import (
@@ -19,6 +20,7 @@ from seqlabel.association import (
     associate_frame,
     cost_matrix,
     lift_detection,
+    min_cost_assignment,
     run_association,
     solve_assignment,
 )
@@ -43,6 +45,15 @@ from seqlabel.geometry import (
     project_point,
     yaw_to_rotation,
 )
+from seqlabel.landmark import (
+    FusionConfig,
+    Landmark,
+    WeightPolicy,
+    fuse_track,
+    observation_weight,
+    reject_outliers,
+)
+from seqlabel.simulator import SimConfig, generate
 
 # A KITTI-like camera whose projection has a non-zero last column.
 P_OFFSET = ProjectionMatrix(
@@ -242,6 +253,68 @@ class TestSolveAssignment:
         cost = np.array([[0.1, 0.2], [0.15, 0.9]])
         pairs = solve_assignment(cost)
         assert sorted(pairs) == [(0, 1), (1, 0)]
+
+@st.composite
+def cost_matrices(draw):
+    """Wide, tall, square and 1 x n matrices of uniform, tied, constant or
+    mostly-_BIG costs."""
+    n_rows, n_cols = draw(st.sampled_from([
+        (draw(st.integers(1, 7)), draw(st.integers(1, 7))),
+        (1, draw(st.integers(1, 7))),
+        (draw(st.integers(1, 7)), 1),
+    ]))
+    cells = n_rows * n_cols
+    kind = draw(st.sampled_from(["uniform", "ties", "constant", "big"]))
+    if kind == "uniform":
+        values = draw(st.lists(_finite(0, 1), min_size=cells, max_size=cells))
+    elif kind == "ties":
+        values = draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells))
+    elif kind == "constant":
+        values = [draw(st.sampled_from([0.0, 0.5, 1.0, _BIG]))] * cells
+    else:
+        values = draw(st.lists(st.one_of(st.just(_BIG), st.just(_BIG), _finite(0, 1)),
+                               min_size=cells, max_size=cells))
+    return np.array(values, dtype=float).reshape(n_rows, n_cols)
+
+
+class TestAssignmentOracle:
+    """The built-in solver picks exactly what scipy's linear_sum_assignment picks."""
+
+    @given(cost_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_same_rows_and_columns_as_scipy(self, cost):
+        rows, cols = linear_sum_assignment(cost)
+        assert min_cost_assignment(cost) == (rows.tolist(), cols.tolist())
+        assert solve_assignment(cost) == [
+            (i, j) for i, j in zip(rows.tolist(), cols.tolist()) if cost[i, j] < _BIG]
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrix(self, shape):
+        cost = np.zeros(shape)
+        rows, cols = linear_sum_assignment(cost)
+        assert rows.size == cols.size == 0
+        assert min_cost_assignment(cost) == ([], [])
+        assert solve_assignment(cost) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_nan_and_negative_infinity_raise(self, bad):
+        cost = np.array([[0.1, 0.2], [0.3, bad]])
+        with pytest.raises(ValueError):
+            linear_sum_assignment(cost)
+        with pytest.raises(ValueError, match="NaN or -inf"):
+            min_cost_assignment(cost)
+
+    def test_infeasible_matrix_raises(self):
+        cost = np.array([[math.inf, math.inf], [0.1, 0.2]])
+        with pytest.raises(ValueError):
+            linear_sum_assignment(cost)
+        with pytest.raises(ValueError, match="infeasible"):
+            min_cost_assignment(cost)
+
+    def test_constant_matrix_gives_the_identity(self):
+        assert min_cost_assignment(np.ones((3, 4))) == ([0, 1, 2], [0, 1, 2])
+        assert min_cost_assignment(np.ones((4, 3))) == ([0, 1, 2], [0, 1, 2])
+
 
 class TestAssociateFrame:
     CFG = AssociationConfig(w_iou=0.5, w_dist=0.5, w_desc=0.0)
@@ -547,3 +620,44 @@ class TestRunningFusion:
                              (track.fused_dims.width, fused_dims.width),
                              (track.fused_dims.length, fused_dims.length)):
                     assert abs(a - b) <= 1e-12
+
+
+class TestRunningFusionWeights:
+    """Running fusion (gating) weights by score; final fusion follows WeightPolicy."""
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002])
+    def test_inverse_variance_config_on_criterion_2_scenes(self, seed):
+        # Criterion 2's scenes, with a known sigma = 0.1 + 0.02 * depth per detection.
+        gt, detections = generate(SimConfig(
+            seed=seed, n_objects=2, frames=45, sigma_z=0.5, sigma_yaw=math.radians(10.0),
+            depth_range=(25.0, 40.0), sigma_model=(0.1, 0.02)))
+        by_frame = {}
+        for d in detections:
+            by_frame.setdefault(d.frame_id, []).append(d)
+        tracks = run_association(by_frame, gt.trajectory, gt.P,
+                                 AssociationConfig(w_iou=0.5, w_dist=0.5, w_desc=0.0))
+        policy, cfg = WeightPolicy("inverse_variance"), FusionConfig()
+        apart = 0.0
+        for track in (t for t in tracks if len(t.observations) > 1):
+            obs = track.observations
+            by_score, _ = oracle_fuse(obs, [o.detection.score for o in obs])
+            np.testing.assert_allclose(track.fused_pose.translation, by_score.translation,
+                                       rtol=0, atol=1e-9)
+            np.testing.assert_allclose(track.fused_pose.rotation, by_score.rotation,
+                                       rtol=0, atol=1e-9)
+            weights = [observation_weight(o, policy) for o in obs]
+            by_variance, _ = oracle_fuse(obs, weights)
+            apart = max(apart, float(np.abs(by_variance.translation
+                                            - by_score.translation).max()))
+
+            landmark = fuse_track(track, policy, cfg)
+            if not isinstance(landmark, Landmark):
+                continue
+            inliers, _ = reject_outliers(obs, cfg, weights=weights)
+            want, _ = oracle_fuse(inliers, [observation_weight(o, policy) for o in inliers])
+            np.testing.assert_allclose(landmark.global_pose.translation, want.translation,
+                                       rtol=0, atol=1e-9)
+            np.testing.assert_allclose(landmark.global_pose.rotation, want.rotation,
+                                       rtol=0, atol=1e-9)
+        # The two weightings really differ here, so each check above tells them apart.
+        assert apart > 1e-3

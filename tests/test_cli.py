@@ -337,6 +337,35 @@ class TestExitCodes:
         matching = json.loads((tmp_path / "out" / "report.json").read_text())["matching"]
         assert matching["n_matched"] == matching["n_gt"] - 1
 
+    @pytest.mark.parametrize("command, target", [
+        ("build-map", "detections"), ("annotate", "map"), ("evaluate", "labels"),
+    ])
+    def test_non_utf8_input_exit_2_naming_the_file(self, tmp_path, capsys, command, target):
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        assert main(["build-map", "--config", str(config)]) == 0
+        assert main(["annotate", "--config", str(config)]) == 0
+        bad = {"detections": tmp_path / "sim" / "detections.jsonl",
+               "map": tmp_path / "out" / "map.jsonl",
+               "labels": tmp_path / "sim" / "gt_labels" / "000000.txt"}[target]
+        bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+        capsys.readouterr()
+        argv = [command, "--config", str(config)]
+        if command == "evaluate":
+            argv += ["--gt", str(tmp_path / "sim" / "gt_labels")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(bad) in err and "line 1" in err and "UTF-8" in err
+
+    def test_non_utf8_config_exit_3_naming_the_file(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        config.write_bytes(config.read_bytes() + b"# caf\xe9\n")
+        assert main(["build-map", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(config) in err and "UTF-8" in err
+
 
 class TestOutputOverrides:
     def test_env_var_overrides_config(self, tmp_path, monkeypatch):
@@ -409,3 +438,21 @@ def test_cli_import_leaves_scipy_unloaded():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_build_map_never_loads_scipy(tmp_path):
+    # The assignment solver is built in: a whole build-map run, not just
+    # the import, finishes without scipy in sys.modules.
+    config = write_config(tmp_path)
+    simulate(tmp_path, config)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = ("import sys\n"
+              "from seqlabel.cli import main\n"
+              "rc = main(['build-map', '--config', sys.argv[1]])\n"
+              "print(rc, 'scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script, str(config)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "map.jsonl").exists()
