@@ -5,6 +5,9 @@ positive, (b) the frame lies within the landmark's observed span padded
 by the frame window, and (c) enough of its projected box survives
 clipping to the image.  Exclusions are recorded with their cause so the
 pipeline can explain every missing entry.
+
+Per frame, one geometry.project_box call (as in association) projects
+every landmark in its window, and the rules are masks over the hulls.
 """
 
 from __future__ import annotations
@@ -16,15 +19,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataio import DetectionRecord, KittiLabelLine, TrajectoryFile
-from .errors import BehindCamera
 from .geometry import (
     Box2D,
     Dimensions3D,
     Pose,
     ProjectionMatrix,
     back_project,
-    box3d_corners,
     compose,
+    half_extents,
     inverse,
     project_box,
     yaw_from_rotation,
@@ -84,43 +86,50 @@ def landmark_to_local(lm: Landmark, cam: Pose) -> Pose:
     return compose(inverse(cam), lm.global_pose)
 
 
-def _visible_entry(
-    landmark_id: int,
-    category: str,
-    local: Pose,
-    dims: Dimensions3D,
-    score: float,
-    provenance: str,
-    P: ProjectionMatrix,
-    cfg: VisibilityConfig,
-) -> tuple[AnnotationEntry | None, str | None]:
-    depth = float(local.translation[2])
-    if depth <= 0.0:
-        return None, CAUSE_BEHIND
-    try:
-        raw = project_box(box3d_corners(local, dims), P)
-    except BehindCamera:
-        return None, CAUSE_BEHIND
-    clipped = raw.clip(cfg.image_width, cfg.image_height)
-    raw_area = raw.area()
-    if clipped is None or raw_area <= 0.0:
-        return None, CAUSE_OFF_IMAGE
-    if clipped.area() < cfg.min_box_area or clipped.area() / raw_area < cfg.min_visible_fraction:
-        return None, CAUSE_OFF_IMAGE
-    entry = AnnotationEntry(
-        landmark_id=landmark_id,
-        category=category,
-        local_pose=local,
-        box2d=clipped,
-        box2d_raw=raw,
-        depth=depth,
-        yaw_local=yaw_from_rotation(local.rotation),
-        dims=dims,
-        provenance=provenance,
-        score=score,
-        visible_fraction=clipped.area() / raw_area,
-    )
-    return entry, None
+def _visible_entries(frame_id: int, candidates: Sequence[tuple], P: ProjectionMatrix,
+                     cfg: VisibilityConfig) -> FrameAnnotation:
+    """Entries and exclusions, in candidate order, of (id, category, camera-local
+    pose, dims, score, provenance) candidates."""
+    annotation = FrameAnnotation(frame_id=frame_id)
+    if not candidates:
+        return annotation
+    ids, categories, poses, dims, scores, provenances = zip(*candidates)
+    translation = np.stack([p.translation for p in poses])
+    hull = project_box(np.stack([p.rotation for p in poses]), translation, half_extents(dims), P)
+    left, top, right, bottom = hull
+    # No corner in front of the camera leaves the hull empty (left > right).
+    behind = (translation[:, 2] <= 0.0) | (left > right)
+    # Empty hulls give inf - inf and zero-area raw boxes x / 0 here.  The clipped box
+    # lies inside the raw one, so area >= min_box_area > 0 implies a positive raw area.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        width = np.minimum(right, cfg.image_width) - np.maximum(left, 0.0)
+        height = np.minimum(bottom, cfg.image_height) - np.maximum(top, 0.0)
+        area = width * height
+        fraction = area / ((right - left) * (bottom - top))
+        visible = ((width >= 0.0) & (height >= 0.0) & (area >= cfg.min_box_area)
+                   & (fraction >= cfg.min_visible_fraction))
+    for i, landmark_id in enumerate(ids):
+        if behind[i]:
+            annotation.exclusions.append((landmark_id, CAUSE_BEHIND))
+        elif not visible[i]:
+            annotation.exclusions.append((landmark_id, CAUSE_OFF_IMAGE))
+        else:
+            # Box2D.clip keeps an int image size as given, so the written bytes do too.
+            raw = Box2D(*(float(x) for x in hull[:, i]))
+            annotation.entries.append(AnnotationEntry(
+                landmark_id=landmark_id,
+                category=categories[i],
+                local_pose=poses[i],
+                box2d=raw.clip(cfg.image_width, cfg.image_height),
+                box2d_raw=raw,
+                depth=float(translation[i, 2]),
+                yaw_local=yaw_from_rotation(poses[i].rotation),
+                dims=dims[i],
+                provenance=provenances[i],
+                score=scores[i],
+                visible_fraction=float(fraction[i]),
+            ))
+    return annotation
 
 
 def annotate_frame(
@@ -131,22 +140,18 @@ def annotate_frame(
     cfg: VisibilityConfig,
 ) -> FrameAnnotation:
     """All landmarks visible in one frame, ordered by landmark id."""
-    annotation = FrameAnnotation(frame_id=frame_id)
+    candidates, out_of_window = [], []
     for lm in sorted(landmarks, key=lambda l: l.landmark_id):
         if not lm.first_frame - cfg.frame_window <= frame_id <= lm.last_frame + cfg.frame_window:
-            annotation.exclusions.append((lm.landmark_id, CAUSE_WINDOW))
+            out_of_window.append((lm.landmark_id, CAUSE_WINDOW))
             continue
         provenance = (
             PROVENANCE_OBSERVED if frame_id in lm.observed_frames else PROVENANCE_PROJECTED
         )
-        entry, cause = _visible_entry(
-            lm.landmark_id, lm.category, landmark_to_local(lm, cam), lm.dims,
-            lm.mean_score, provenance, P, cfg,
-        )
-        if entry is None:
-            annotation.exclusions.append((lm.landmark_id, cause))
-        else:
-            annotation.entries.append(entry)
+        candidates.append((lm.landmark_id, lm.category, landmark_to_local(lm, cam), lm.dims,
+                           lm.mean_score, provenance))
+    annotation = _visible_entries(frame_id, candidates, P, cfg)
+    annotation.exclusions = sorted(annotation.exclusions + out_of_window, key=lambda e: e[0])
     return annotation
 
 
@@ -176,21 +181,14 @@ def annotation_from_detections(
     its entry is directly comparable (and byte-comparable once formatted)
     with a map-based annotation of the same object.
     """
-    annotation = FrameAnnotation(frame_id=frame_id)
-    for i, det in enumerate(detections):
-        local = Pose(
-            yaw_to_rotation(det.yaw),
-            back_project(det.center2d[0], det.center2d[1], det.depth, P),
-        )
-        entry, cause = _visible_entry(
-            start_id + i, det.category, local, det.dims, det.score,
-            PROVENANCE_OBSERVED, P, cfg,
-        )
-        if entry is None:
-            annotation.exclusions.append((start_id + i, cause))
-        else:
-            annotation.entries.append(entry)
-    return annotation
+    candidates = [
+        (start_id + i, det.category,
+         Pose(yaw_to_rotation(det.yaw),
+              back_project(det.center2d[0], det.center2d[1], det.depth, P)),
+         det.dims, det.score, PROVENANCE_OBSERVED)
+        for i, det in enumerate(detections)
+    ]
+    return _visible_entries(frame_id, candidates, P, cfg)
 
 
 def annotation_from_labels(frame_id: int, labels: Sequence[KittiLabelLine]) -> FrameAnnotation:

@@ -18,12 +18,13 @@ import numpy as np
 from .dataio import DetectionRecord, TrajectoryFile
 from .errors import DegenerateMean, NonPositiveDepth, ZeroWeightSum
 from .geometry import (
-    CORNER_SIGNS,
     Dimensions3D,
     Pose,
     ProjectionMatrix,
     back_project,
     compose,
+    half_extents,
+    project_box,
     yaw_to_rotation,
 )
 from .landmark import fuse_rows, fusion_row, yaw_only_pose
@@ -188,25 +189,13 @@ def cost_matrix(
     """
     rot = np.stack([t.fused_pose.rotation for t in live])
     trans = np.stack([t.fused_pose.translation for t in live])
-    half = np.array([(t.fused_dims.length / 2.0, t.fused_dims.height, t.fused_dims.width / 2.0)
-                     for t in live])
 
     # Predicted boxes: each track's cuboid in the camera frame, projected.
     cam_rt = cam.rotation.T
     local_rot = cam_rt @ rot
     local_trans = trans @ cam_rt.T - cam_rt @ cam.translation
-    corners = (CORNER_SIGNS * half[:, None, :]) @ local_rot.transpose(0, 2, 1)
-    rows = (corners + local_trans[:, None, :]) @ P.P[:, :3].T + P.P[:, 3]
-    front = rows[..., 2] > 0
-    depth = np.where(front, rows[..., 2], 1.0)
-    u = rows[..., 0] / depth
-    v = rows[..., 1] / depth
-    # The hull of the corners in front of the camera.  With none in front it
-    # is empty (left = +inf, right = -inf) and overlaps nothing.
-    tl, tt, tr, tb = np.stack([
-        np.where(front, u, np.inf).min(axis=1), np.where(front, v, np.inf).min(axis=1),
-        np.where(front, u, -np.inf).max(axis=1), np.where(front, v, -np.inf).max(axis=1),
-    ])[:, :, None]
+    half = half_extents(t.fused_dims for t in live)
+    tl, tt, tr, tb = project_box(local_rot, local_trans, half, P)[:, :, None]
 
     dets = [o.detection for o in observations]
     dl, dt, dr, db = np.array([(d.box2d.left, d.box2d.top, d.box2d.right, d.box2d.bottom)

@@ -76,6 +76,22 @@ def _ranges(raw, where: str) -> tuple:
     return tuple(out)
 
 
+def _string(section: dict, key: str, where: str, default: str) -> str:
+    value = section.get(key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _numbers(value, where: str, sizes: tuple[int, ...]) -> tuple[float, ...]:
+    """A list of YAML numbers whose length is one of sizes, as floats."""
+    if not isinstance(value, list) or len(value) not in sizes or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        raise ValueError(f"{where} must be a list of {' or '.join(map(str, sizes))} numbers, "
+                         f"got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 def _build_simulate(section: dict) -> SimConfig:
     allowed = {
         "seed", "n_objects", "frames", "trajectory", "speed", "arc_radius",
@@ -91,21 +107,23 @@ def _build_simulate(section: dict) -> SimConfig:
     if "outlier_dyaw_deg" in kwargs:
         kwargs["outlier_dyaw"] = math.radians(kwargs.pop("outlier_dyaw_deg"))
     if kwargs.get("waypoints"):
-        kwargs["waypoints"] = tuple(tuple(float(v) for v in p) for p in kwargs["waypoints"])
+        kwargs["waypoints"] = tuple(_numbers(p, f"simulate.waypoints[{i}]", (3,))
+                                    for i, p in enumerate(kwargs["waypoints"]))
     if kwargs.get("sigma_model") is not None:
         sm = kwargs["sigma_model"]
+        if not isinstance(sm, dict) or set(sm) != {"offset", "slope"}:
+            raise ValueError(f"simulate.sigma_model must be a mapping of offset and slope, "
+                             f"got {sm!r}")
         kwargs["sigma_model"] = (float(sm["offset"]), float(sm["slope"]))
     if kwargs.get("objects"):
         objs = []
-        for spec in kwargs["objects"]:
-            spec = [float(v) for v in spec]
-            spec[3] = math.radians(spec[3])  # yaw written in degrees
-            objs.append(tuple(spec))
+        for i, spec in enumerate(kwargs["objects"]):
+            x, y, z, yaw, *dims = _numbers(spec, f"simulate.objects[{i}]", (4, 7))
+            objs.append((x, y, z, math.radians(yaw), *dims))  # yaw written in degrees
         kwargs["objects"] = tuple(objs)
-    if kwargs.get("depth_range"):
-        kwargs["depth_range"] = tuple(float(v) for v in kwargs["depth_range"])
-    if kwargs.get("lateral_range"):
-        kwargs["lateral_range"] = tuple(float(v) for v in kwargs["lateral_range"])
+    for key in ("depth_range", "lateral_range"):
+        if key in kwargs:
+            kwargs[key] = _numbers(kwargs[key], f"simulate.{key}", (2,))
     return SimConfig(**kwargs)
 
 
@@ -132,11 +150,11 @@ def load_config(path: str | Path) -> PipelineConfig:
         cfg = PipelineConfig()
         paths = raw.get("paths", {})
         _check_keys(paths, {"trajectory", "calib", "detections", "output"}, "paths")
-        cfg.trajectory_path = paths.get("trajectory", "")
-        cfg.calib_path = paths.get("calib", "")
-        cfg.detections_path = paths.get("detections", "")
-        cfg.output_dir = paths.get("output", cfg.output_dir)
-        cfg.camera = raw.get("camera", cfg.camera)
+        cfg.trajectory_path = _string(paths, "trajectory", "paths.trajectory", "")
+        cfg.calib_path = _string(paths, "calib", "paths.calib", "")
+        cfg.detections_path = _string(paths, "detections", "paths.detections", "")
+        cfg.output_dir = _string(paths, "output", "paths.output", cfg.output_dir)
+        cfg.camera = _string(raw, "camera", "camera", cfg.camera)
 
         assoc = raw.get("association", {})
         _check_keys(assoc, {"score_threshold", "iou_gate", "dist_gate", "descriptor_gate",

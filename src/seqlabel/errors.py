@@ -9,10 +9,6 @@ class DegenerateProjection(SeqLabelError):
     """Projection denominator is (numerically) zero, or the intrinsics block is singular."""
 
 
-class BehindCamera(SeqLabelError):
-    """Every corner of the box lies at non-positive depth; nothing to project."""
-
-
 class ZeroArea(SeqLabelError):
     """Both boxes in an IoU computation have zero area."""
 

@@ -1,8 +1,11 @@
-"""Rigid transforms, pinhole projection, 3D box corners and 2D IoU.
+"""Rigid transforms, pinhole projection, cuboid-to-box projection and 2D IoU.
 
 Conventions (KITTI camera frame): x right, y down, z forward, all in
 meters.  An object pose places the bottom-face center of its cuboid at
 the pose translation; yaw is the rotation about the y axis.
+
+project_box is the one cuboid-to-box projection; association and
+annotation both call it once per frame.
 """
 
 from __future__ import annotations
@@ -10,10 +13,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateProjection, ZeroArea
+from .errors import DegenerateProjection, ZeroArea
 
 log = logging.getLogger(__name__)
 
@@ -234,23 +238,30 @@ CORNER_SIGNS = np.array(
 CORNER_SIGNS.flags.writeable = False
 
 
-def box3d_corners(pose: Pose, dims: Dimensions3D) -> np.ndarray:
-    """The 8 cuboid corners in the parent frame of pose, shape (8, 3)."""
-    return pose.apply(CORNER_SIGNS * (dims.length / 2.0, dims.height, dims.width / 2.0))
+def half_extents(dims: Iterable[Dimensions3D]) -> np.ndarray:
+    """The (N, 3) half sizes project_box takes: (length / 2, height, width / 2) per cuboid."""
+    return np.array([(d.length / 2.0, d.height, d.width / 2.0) for d in dims])
 
 
-def project_box(corners: np.ndarray, P: ProjectionMatrix) -> Box2D:
-    """Axis-aligned hull of the projected corners that lie in front of the camera."""
-    pts = np.asarray(corners, dtype=float)
-    hom = np.hstack([pts, np.ones((len(pts), 1))])
-    rows = hom @ P.P.T
-    depths = rows[:, 2]
-    front = depths > 0
-    if not np.any(front):
-        raise BehindCamera("all corners have non-positive depth")
-    u = rows[front, 0] / depths[front]
-    v = rows[front, 1] / depths[front]
-    return Box2D(float(u.min()), float(v.min()), float(u.max()), float(v.max()))
+def project_box(rotation: np.ndarray, translation: np.ndarray, half: np.ndarray,
+                P: ProjectionMatrix) -> np.ndarray:
+    """Image hulls of N cuboids seen from the camera, shape (4, N): left, top, right, bottom.
+
+    Cuboid i has pose (rotation[i], translation[i]) in the camera frame and
+    its corners at CORNER_SIGNS * half[i] (see half_extents).  A hull
+    covers the corners in front of the camera; with none in front it is
+    empty: (+inf, +inf, -inf, -inf).
+    """
+    corners = (CORNER_SIGNS * half[:, None, :]) @ rotation.transpose(0, 2, 1)
+    rows = (corners + translation[:, None, :]) @ P.P[:, :3].T + P.P[:, 3]
+    front = rows[..., 2] > 0
+    depth = np.where(front, rows[..., 2], 1.0)
+    u = rows[..., 0] / depth
+    v = rows[..., 1] / depth
+    return np.stack([
+        np.where(front, u, np.inf).min(axis=1), np.where(front, v, np.inf).min(axis=1),
+        np.where(front, u, -np.inf).max(axis=1), np.where(front, v, -np.inf).max(axis=1),
+    ])
 
 
 def iou_2d(a: Box2D, b: Box2D) -> float:

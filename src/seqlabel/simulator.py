@@ -84,6 +84,10 @@ class SimConfig:
             raise ValueError("waypoint trajectory needs at least 2 points")
         if self.trajectory == "arc" and self.arc_radius <= 0:
             raise ValueError("arc_radius must be positive")
+        for name in ("depth_range", "lateral_range"):
+            low, high = getattr(self, name)
+            if not low <= high:
+                raise ValueError(f"{name} must be [low, high] with low <= high")
 
 
 @dataclass

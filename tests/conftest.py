@@ -1,12 +1,14 @@
-"""Shared helpers: a simple projection matrix, detection/observation builders
-and the fusion oracle."""
+"""Shared helpers: a simple projection matrix, detection/observation builders,
+the fusion oracle and the scalar projection oracles."""
 
 import numpy as np
 
+from seqlabel.annotate import CAUSE_BEHIND, CAUSE_OFF_IMAGE, AnnotationEntry
 from seqlabel.association import Observation, Track, lift_detection
 from seqlabel.dataio import DetectionRecord
 from seqlabel.errors import ZeroWeightSum
 from seqlabel.geometry import (
+    CORNER_SIGNS,
     Box2D,
     Dimensions3D,
     Pose,
@@ -17,6 +19,11 @@ from seqlabel.geometry import (
 
 P_SIMPLE = ProjectionMatrix(
     np.array([[700.0, 0, 600, 0], [0, 700, 180, 0], [0, 0, 1, 0]])
+)
+
+# A KITTI-like camera whose projection has a non-zero last column.
+P_OFFSET = ProjectionMatrix(
+    np.array([[721.5, 0, 609.6, 44.9], [0, 721.5, 172.9, 0.22], [0, 0, 1, 0.0027]])
 )
 
 
@@ -91,3 +98,52 @@ def oracle_fuse(observations, weights):
     w = np.asarray(weights)
     pose = Pose(yaw_to_rotation(yaw_from_rotation(rotation)), w @ ts / total)
     return pose, Dimensions3D(*(w @ hwl / total))
+
+
+def oracle_box3d_corners(pose: Pose, dims: Dimensions3D) -> np.ndarray:
+    """The 8 cuboid corners in the parent frame of pose, shape (8, 3), one cuboid at a time."""
+    return pose.apply(CORNER_SIGNS * (dims.length / 2.0, dims.height, dims.width / 2.0))
+
+
+def oracle_project_box(corners, P: ProjectionMatrix) -> Box2D | None:
+    """Hull of the projected corners in front of the camera, in homogeneous
+    coordinates; None when every corner has non-positive depth."""
+    pts = np.asarray(corners, dtype=float)
+    rows = np.hstack([pts, np.ones((len(pts), 1))]) @ P.P.T
+    front = rows[:, 2] > 0
+    if not np.any(front):
+        return None
+    u = rows[front, 0] / rows[front, 2]
+    v = rows[front, 1] / rows[front, 2]
+    return Box2D(float(u.min()), float(v.min()), float(u.max()), float(v.max()))
+
+
+def oracle_visible_entry(landmark_id, category, local, dims, score, provenance, P, cfg):
+    """(entry, None) or (None, cause) for one candidate, with scalar geometry:
+    the reference annotate._visible_entries must reproduce."""
+    depth = float(local.translation[2])
+    if depth <= 0.0:
+        return None, CAUSE_BEHIND
+    raw = oracle_project_box(oracle_box3d_corners(local, dims), P)
+    if raw is None:
+        return None, CAUSE_BEHIND
+    clipped = raw.clip(cfg.image_width, cfg.image_height)
+    raw_area = raw.area()
+    if clipped is None or raw_area <= 0.0:
+        return None, CAUSE_OFF_IMAGE
+    if clipped.area() < cfg.min_box_area or clipped.area() / raw_area < cfg.min_visible_fraction:
+        return None, CAUSE_OFF_IMAGE
+    entry = AnnotationEntry(
+        landmark_id=landmark_id,
+        category=category,
+        local_pose=local,
+        box2d=clipped,
+        box2d_raw=raw,
+        depth=depth,
+        yaw_local=yaw_from_rotation(local.rotation),
+        dims=dims,
+        provenance=provenance,
+        score=score,
+        visible_fraction=clipped.area() / raw_area,
+    )
+    return entry, None

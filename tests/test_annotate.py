@@ -1,15 +1,29 @@
 """Map reprojection: local poses, visibility rules, provenance, dumps."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import P_SIMPLE, make_detection, make_observation, make_track
+from conftest import (
+    P_OFFSET,
+    P_SIMPLE,
+    make_detection,
+    make_observation,
+    make_track,
+    oracle_box3d_corners,
+    oracle_project_box,
+    oracle_visible_entry,
+)
 from seqlabel.annotate import (
     CAUSE_BEHIND,
     CAUSE_OFF_IMAGE,
     CAUSE_WINDOW,
     PROVENANCE_OBSERVED,
     PROVENANCE_PROJECTED,
+    FrameAnnotation,
     VisibilityConfig,
     annotate_frame,
     annotate_sequence,
@@ -22,9 +36,9 @@ from seqlabel.dataio import TrajectoryFile, write_kitti_labels
 from seqlabel.geometry import (
     Dimensions3D,
     Pose,
-    box3d_corners,
-
-    project_box,
+    back_project,
+    compose,
+    yaw_to_rotation,
 )
 from seqlabel.landmark import FusionConfig, Landmark, WeightPolicy, fuse_tracks
 
@@ -115,8 +129,8 @@ class TestAnnotateFrame:
         cam = Pose(np.eye(3), [1.0, 0.0, 4.0])
         ann = annotate_frame([lm], 2, cam, P_SIMPLE, VIS)
         entry = ann.entries[0]
-        recomputed = project_box(
-            box3d_corners(landmark_to_local(lm, cam), lm.dims), P_SIMPLE
+        recomputed = oracle_project_box(
+            oracle_box3d_corners(landmark_to_local(lm, cam), lm.dims), P_SIMPLE
         )
         for attr in ("left", "top", "right", "bottom"):
             assert getattr(entry.box2d_raw, attr) == pytest.approx(
@@ -235,3 +249,105 @@ class TestDump:
                 assert np.array_equal(ea.local_pose.translation, eb.local_pose.translation)
                 assert ea.depth == eb.depth
             assert a.exclusions == b.exclusions
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cameras(draw):
+    """Any yaw, sometimes pitched and rolled as well."""
+    tilt = st.one_of(st.just(0.0), _finite(-0.4, 0.4))
+    c, s = math.cos(draw(tilt)), math.sin(draw(tilt))
+    pitch = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    c, s = math.cos(draw(tilt)), math.sin(draw(tilt))
+    roll = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    rotation = yaw_to_rotation(draw(_finite(-math.pi, math.pi))) @ pitch @ roll
+    return Pose(rotation, [draw(_finite(-50, 50)), draw(_finite(-2, 2)), draw(_finite(-50, 50))])
+
+
+# In front, straddling depth 0 or behind; laterally far enough to leave the image.
+depths = st.one_of(_finite(3, 80), _finite(-3, 3), _finite(-60, -3))
+dimensions = st.tuples(_finite(0.3, 3), _finite(0.3, 3), _finite(0.3, 6))
+visibility_configs = st.builds(
+    VisibilityConfig,
+    image_width=st.sampled_from([1242, 1242.0, 640.5]),
+    image_height=st.sampled_from([375, 375.0, 200.5]),
+    min_box_area=_finite(1, 400),
+    frame_window=st.integers(0, 5),
+    min_visible_fraction=_finite(0.05, 1.0),
+)
+
+
+@st.composite
+def landmark_frames(draw):
+    """A camera, a projection, a visibility config, a frame id and up to 8 landmarks."""
+    cam = draw(cameras())
+    landmarks = []
+    for landmark_id in draw(st.lists(st.integers(0, 50), unique=True, max_size=8)):
+        local = Pose(yaw_to_rotation(draw(_finite(-math.pi, math.pi))),
+                     [draw(_finite(-40, 40)), draw(_finite(-3, 3)), draw(depths)])
+        first = draw(st.integers(0, 20))
+        last = draw(st.integers(first, 25))
+        observed = tuple(sorted(draw(st.sets(st.integers(first, last), max_size=4))))
+        landmarks.append(Landmark(
+            landmark_id=landmark_id, global_pose=compose(cam, local),
+            dims=Dimensions3D(*draw(dimensions)), support=len(observed), first_frame=first,
+            last_frame=last, category=draw(st.sampled_from(["Car", "Pedestrian"])),
+            mean_score=draw(_finite(0, 1)), observed_frames=observed,
+        ))
+    return (cam, draw(st.sampled_from([P_SIMPLE, P_OFFSET])), draw(visibility_configs),
+            draw(st.integers(0, 25)), landmarks)
+
+
+def _oracle_annotation(frame_id, candidates, P, cfg, out_of_window=()):
+    annotation = FrameAnnotation(frame_id=frame_id)
+    for landmark_id, *rest in candidates:
+        if landmark_id in out_of_window:
+            annotation.exclusions.append((landmark_id, CAUSE_WINDOW))
+            continue
+        entry, cause = oracle_visible_entry(landmark_id, *rest, P, cfg)
+        if entry is None:
+            annotation.exclusions.append((landmark_id, cause))
+        else:
+            annotation.entries.append(entry)
+    return annotation
+
+
+class TestSharedProjectionOracle:
+    """The batched visibility pass against the scalar one-landmark-at-a-time oracle."""
+
+    @given(landmark_frames())
+    @settings(max_examples=200, deadline=None)
+    def test_annotate_frame_matches_oracle(self, scene):
+        cam, P, cfg, frame_id, landmarks = scene
+        ordered = sorted(landmarks, key=lambda l: l.landmark_id)
+        out_of_window = {lm.landmark_id for lm in ordered
+                         if not lm.first_frame - cfg.frame_window <= frame_id
+                         <= lm.last_frame + cfg.frame_window}
+        candidates = [
+            (lm.landmark_id, lm.category, landmark_to_local(lm, cam), lm.dims, lm.mean_score,
+             PROVENANCE_OBSERVED if frame_id in lm.observed_frames else PROVENANCE_PROJECTED)
+            for lm in ordered
+        ]
+        want = _oracle_annotation(frame_id, candidates, P, cfg, out_of_window)
+        got = annotate_frame(landmarks, frame_id, cam, P, cfg)
+        assert write_annotation_dump([got]) == write_annotation_dump([want])
+
+    @given(st.lists(st.tuples(_finite(-400, 1700), _finite(-200, 600), depths,
+                              _finite(-math.pi, math.pi), dimensions), max_size=8),
+           st.sampled_from([P_SIMPLE, P_OFFSET]), visibility_configs, st.integers(0, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_annotation_from_detections_matches_oracle(self, raw, P, cfg, start_id):
+        detections = [make_detection(frame_id=3, u=u, v=v, depth=depth, yaw=yaw, dims=dims)
+                      for u, v, depth, yaw, dims in raw]
+        candidates = [
+            (start_id + i, d.category,
+             Pose(yaw_to_rotation(d.yaw), back_project(d.center2d[0], d.center2d[1], d.depth, P)),
+             d.dims, d.score, PROVENANCE_OBSERVED)
+            for i, d in enumerate(detections)
+        ]
+        want = _oracle_annotation(3, candidates, P, cfg)
+        got = annotation_from_detections(3, detections, P, cfg, start_id=start_id)
+        assert write_annotation_dump([got]) == write_annotation_dump([want])

@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import P_SIMPLE, make_detection, make_observation, make_track, oracle_fuse
+from conftest import (
+    P_OFFSET,
+    P_SIMPLE,
+    make_detection,
+    make_observation,
+    make_track,
+    oracle_box3d_corners,
+    oracle_fuse,
+    oracle_project_box,
+)
 from seqlabel.association import (
     _BIG,
     INFEASIBLE,
@@ -25,23 +34,14 @@ from seqlabel.association import (
     solve_assignment,
 )
 from seqlabel.dataio import TrajectoryFile
-from seqlabel.errors import (
-    BehindCamera,
-    DegenerateProjection,
-    MissingCameraPose,
-    NonPositiveDepth,
-    ZeroArea,
-)
+from seqlabel.errors import DegenerateProjection, MissingCameraPose, NonPositiveDepth, ZeroArea
 from seqlabel.geometry import (
     Box2D,
     Dimensions3D,
     Pose,
-    ProjectionMatrix,
-    box3d_corners,
     compose,
     inverse,
     iou_2d,
-    project_box,
     project_point,
     yaw_to_rotation,
 )
@@ -54,12 +54,6 @@ from seqlabel.landmark import (
     reject_outliers,
 )
 from seqlabel.simulator import SimConfig, generate
-
-# A KITTI-like camera whose projection has a non-zero last column.
-P_OFFSET = ProjectionMatrix(
-    np.array([[721.5, 0, 609.6, 44.9], [0, 721.5, 172.9, 0.22], [0, 0, 1, 0.0027]])
-)
-
 
 def _cosine(a, b):
     na = float(np.linalg.norm(a))
@@ -75,11 +69,11 @@ def oracle_cost(track, obs, P, cam, cfg):
     if track.category != obs.detection.category:
         return INFEASIBLE
 
+    local = compose(inverse(cam), track.fused_pose)
+    box = oracle_project_box(oracle_box3d_corners(local, track.fused_dims), P)
     try:
-        local = compose(inverse(cam), track.fused_pose)
-        box = project_box(box3d_corners(local, track.fused_dims), P)
-        iou = iou_2d(box, obs.detection.box2d)
-    except (BehindCamera, DegenerateProjection, ZeroArea):
+        iou = 0.0 if box is None else iou_2d(box, obs.detection.box2d)
+    except (DegenerateProjection, ZeroArea):
         iou = 0.0
 
     dist = float(np.linalg.norm(track.fused_pose.translation - obs.global_pose.translation))
@@ -154,7 +148,7 @@ class TestLiftDetection:
 def _track_box(track, cam=None):
     cam = cam or Pose.identity()
     local = compose(inverse(cam), track.fused_pose)
-    return project_box(box3d_corners(local, track.fused_dims), P_SIMPLE)
+    return oracle_project_box(oracle_box3d_corners(local, track.fused_dims), P_SIMPLE)
 
 class TestAssociationCost:
     def test_perfect_match_zero_cost(self):
@@ -377,8 +371,8 @@ def _simulated_sequence(n_frames=10, objects=((0.0, 30.0), (15.0, 55.0)), jitter
             local = inverse(cam).apply(np.array([x, 1.65, z]))
             depth = float(local[2]) + float(rng.normal(0, jitter))
             u, v, _ = project_point(local, P_SIMPLE)
-            box = project_box(
-                box3d_corners(Pose(np.eye(3), local), Dimensions3D(1.5, 1.7, 4.2)),
+            box = oracle_project_box(
+                oracle_box3d_corners(Pose(np.eye(3), local), Dimensions3D(1.5, 1.7, 4.2)),
                 P_SIMPLE,
             )
             frame.append(
@@ -447,7 +441,8 @@ class TestRunAssociation:
                 if dist > self.CFG.dist_gate:
                     cam = traj.pose(obs.frame_id)
                     local = compose(inverse(cam), prev.global_pose)
-                    box = project_box(box3d_corners(local, prev.detection.dims), P_SIMPLE)
+                    box = oracle_project_box(oracle_box3d_corners(local, prev.detection.dims),
+                                             P_SIMPLE)
                     assert iou_2d(box, obs.detection.box2d) >= self.CFG.iou_gate
 
     def test_missing_camera_pose(self):
@@ -517,11 +512,8 @@ def scenes(draw):
         base = tracks[draw(st.integers(0, len(tracks) - 1))]
         x, z = centers[base.track_id]
         local = Pose(np.eye(3), [x + draw(_finite(-5, 5)), 1.65, z + draw(_finite(-5, 5))])
-        try:
-            tb = project_box(box3d_corners(compose(inverse(cam), base.fused_pose),
-                                           base.fused_dims), P)
-        except BehindCamera:
-            tb = None
+        tb = oracle_project_box(oracle_box3d_corners(compose(inverse(cam), base.fused_pose),
+                                                     base.fused_dims), P)
         if tb is not None and draw(st.booleans()):
             l, t, r, b = (v + draw(_finite(-30, 30)) for v in (tb.left, tb.top, tb.right, tb.bottom))
             box = Box2D(min(l, r), min(t, b), max(l, r), max(t, b))

@@ -366,6 +366,49 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert str(config) in err and "UTF-8" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("paths.trajectory", 5),
+        ("paths.calib", [1]),
+        ("paths.detections", None),
+        ("paths.output", 3.5),
+        ("camera", [1]),
+        ("camera", 2),
+    ])
+    def test_non_string_config_value_exit_3(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path)
+        raw = yaml.safe_load(config.read_text())
+        if key.startswith("paths."):
+            raw["paths"][key.split(".")[1]] = value
+        else:
+            raw[key] = value
+        config.write_text(yaml.safe_dump(raw))
+        assert main(["build-map", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert key in err and "string" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_model", {}),
+        ("sigma_model", {"offset": 0.1}),
+        ("objects", [[1.0, 2.0]]),
+        ("objects", [[0.0, 1.65, 30.0, 0.0, 1.5]]),
+        ("objects", [[0.0, 1.65, 30.0, 0.0, 1.5, 1.7]]),
+        ("waypoints", [[0.0, 0.0, 0.0], [0.0]]),
+        ("depth_range", [5.0]),
+        ("depth_range", [45.0, 12.0]),
+        ("lateral_range", [1.0, 2.0, 3.0]),
+    ])
+    def test_malformed_simulate_shape_exit_3(self, tmp_path, capsys, key, value):
+        sim = {**BASE_CONFIG["simulate"], key: value}
+        if key == "waypoints":
+            sim["trajectory"] = "waypoints"
+        config = write_config(tmp_path, simulate=sim)
+        assert main(["simulate", "--config", str(config),
+                     "--output", str(tmp_path / "sim")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert key in err
+
 
 class TestOutputOverrides:
     def test_env_var_overrides_config(self, tmp_path, monkeypatch):

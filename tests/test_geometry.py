@@ -12,18 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_observation
+from conftest import P_OFFSET, make_observation, oracle_box3d_corners, oracle_project_box
 from seqlabel.annotate import landmark_to_local
 from seqlabel.association import Track
-from seqlabel.errors import BehindCamera, DegenerateProjection, ZeroArea
+from seqlabel.errors import DegenerateProjection, ZeroArea
 from seqlabel.geometry import (
     Box2D,
     Dimensions3D,
     Pose,
     ProjectionMatrix,
     back_project,
-    box3d_corners,
     compose,
+    half_extents,
     inverse,
     iou_2d,
     nearest_rotation,
@@ -241,27 +241,52 @@ class TestYaw:
         assert wrap_angle(0.3 + 4 * math.pi) == pytest.approx(0.3, abs=1e-12)
 
 
+def hulls(poses, dims, P=P_SIMPLE):
+    """project_box over a batch of (pose, dims) cuboids, as Box2D (None for an empty hull)."""
+    out = project_box(np.stack([p.rotation for p in poses]),
+                      np.stack([p.translation for p in poses]), half_extents(dims), P)
+    return [Box2D(*(float(x) for x in col)) if col[0] <= col[2] else None for col in out.T]
+
+
 class TestBoxCorners:
+    """The corner layout, through the scalar oracle and the batched hull built on it."""
+
     def test_identity_bottom_centered(self):
-        corners = box3d_corners(Pose.identity(), Dimensions3D(2, 2, 2))
+        corners = oracle_box3d_corners(Pose.identity(), Dimensions3D(2, 2, 2))
         expected = {
             (1, 0, 1), (1, 0, -1), (-1, 0, -1), (-1, 0, 1),
             (1, -2, 1), (1, -2, -1), (-1, -2, -1), (-1, -2, 1),
         }
         got = {tuple(np.round(c, 9)) for c in corners}
         assert got == expected
+        # Seen 10 m ahead, the hull spans those corners: x in [-1, 1], y in [-2, 0],
+        # nearest face at z = 9 (u = 600 -+ 700/9), v from 180 - 1400/9 to 180.
+        (box,) = hulls([Pose(np.eye(3), [0, 0, 10])], [Dimensions3D(2, 2, 2)])
+        assert (box.left, box.top, box.right, box.bottom) == pytest.approx(
+            (600 - 700 / 9, 180 - 1400 / 9, 600 + 700 / 9, 180.0), abs=1e-9)
 
     def test_translation_equivariance(self):
-        base = box3d_corners(Pose.identity(), Dimensions3D(1.5, 1.6, 4.0))
-        moved = box3d_corners(Pose(np.eye(3), [0, 0, 10]), Dimensions3D(1.5, 1.6, 4.0))
+        base = oracle_box3d_corners(Pose.identity(), Dimensions3D(1.5, 1.6, 4.0))
+        moved = oracle_box3d_corners(Pose(np.eye(3), [0, 0, 10]), Dimensions3D(1.5, 1.6, 4.0))
         assert np.allclose(moved, base + np.array([0, 0, 10]))
+        # A camera-frame shift along x moves the whole hull by focal * dx / depth
+        # when the cuboid's depth extent is zero.
+        flat = Dimensions3D(1.5, 1e-12, 4.0)
+        near, shifted = hulls([Pose(np.eye(3), [0, 0, 20]), Pose(np.eye(3), [2, 0, 20])],
+                              [flat, flat])
+        assert shifted.left - near.left == pytest.approx(700 * 2 / 20, abs=1e-9)
+        assert shifted.right - near.right == pytest.approx(700 * 2 / 20, abs=1e-9)
 
     def test_yaw_90_swaps_extents(self):
         dims = Dimensions3D(1.0, 2.0, 6.0)  # width 2 along z, length 6 along x
-        corners = box3d_corners(yaw_pose(math.pi / 2), dims)
+        corners = oracle_box3d_corners(yaw_pose(math.pi / 2), dims)
         # After a 90 degree yaw the x extent comes from width, z from length.
         assert corners[:, 0].max() - corners[:, 0].min() == pytest.approx(2.0)
         assert corners[:, 2].max() - corners[:, 2].min() == pytest.approx(6.0)
+        # So the hull is narrower than the unrotated one at the same place.
+        turned, straight = hulls([yaw_pose(math.pi / 2, (0, 0, 30)), yaw_pose(0.0, (0, 0, 30))],
+                                 [dims, dims])
+        assert turned.right - turned.left < straight.right - straight.left
 
     def test_group_equivariance(self):
         rng = np.random.default_rng(3)
@@ -269,32 +294,63 @@ class TestBoxCorners:
         for _ in range(20):
             g = random_pose(rng)
             pose = random_pose(rng)
-            lhs = box3d_corners(compose(g, pose), dims)
-            rhs = g.apply(box3d_corners(pose, dims))
+            lhs = oracle_box3d_corners(compose(g, pose), dims)
+            rhs = g.apply(oracle_box3d_corners(pose, dims))
             assert np.allclose(lhs, rhs, atol=1e-9)
+
+    def test_batch_matches_oracle(self):
+        # Random poses in front, straddling depth 0 and behind, under both cameras:
+        # every hull equals the scalar oracle's, bit for bit, and an empty hull
+        # is exactly where the oracle finds no corner in front.
+        rng = np.random.default_rng(11)
+        for P in (P_SIMPLE, P_OFFSET):
+            poses = [random_pose(rng) for _ in range(60)]
+            dims = [Dimensions3D(*rng.uniform(0.3, 5.0, size=3)) for _ in poses]
+            for pose, d, got in zip(poses, dims, hulls(poses, dims, P)):
+                assert got == oracle_project_box(oracle_box3d_corners(pose, d), P)
 
 
 class TestProjectBox:
     def test_centered_cuboid_symmetric_box(self):
         # Cuboid around the optical axis: box symmetric about the principal point.
         pose = Pose(np.eye(3), [0, 1, 20])  # bottom center 1 below axis, height 2
-        box = project_box(box3d_corners(pose, Dimensions3D(2, 2, 2)), P_SIMPLE)
+        (box,) = hulls([pose], [Dimensions3D(2, 2, 2)])
         assert box.left + box.right == pytest.approx(2 * 600)
         assert box.top + box.bottom == pytest.approx(2 * 180)
 
     def test_all_behind_camera(self):
         pose = Pose(np.eye(3), [0, 0, -50])
-        with pytest.raises(BehindCamera):
-            project_box(box3d_corners(pose, Dimensions3D(2, 2, 2)), P_SIMPLE)
+        out = project_box(pose.rotation[None], pose.translation[None],
+                          half_extents([Dimensions3D(2, 2, 2)]), P_SIMPLE)
+        assert out[:, 0].tolist() == [math.inf, math.inf, -math.inf, -math.inf]
+        assert oracle_project_box(oracle_box3d_corners(pose, Dimensions3D(2, 2, 2)),
+                                  P_SIMPLE) is None
 
     def test_degenerate_cuboid_matches_point(self):
         eps = 1e-9
         pose = Pose(np.eye(3), [2, 1, 30])
-        box = project_box(box3d_corners(pose, Dimensions3D(eps, eps, eps)), P_SIMPLE)
+        (box,) = hulls([pose], [Dimensions3D(eps, eps, eps)])
         u, v, _ = project_point((2, 1, 30), P_SIMPLE)
         assert box.area() < 1e-6
         assert box.left == pytest.approx(u, abs=1e-6)
         assert box.top == pytest.approx(v, abs=1e-6)
+
+    def test_straddling_depth_zero_keeps_front_corners(self):
+        # Length 4 along z centered at z = 1: the z = 3 corners are in front,
+        # the z = -1 ones behind and left out of the hull.
+        pose = yaw_pose(math.pi / 2, (0, 0, 1))
+        (box,) = hulls([pose], [Dimensions3D(2, 2, 4)])
+        assert (box.left, box.top, box.right, box.bottom) == pytest.approx(
+            (600 - 700 / 3, 180 - 1400 / 3, 600 + 700 / 3, 180.0), abs=1e-9)
+
+    def test_batch_order_and_empty_batch(self):
+        poses = [Pose(np.eye(3), [x, 0, 25]) for x in (-3.0, 0.0, 3.0)]
+        dims = [Dimensions3D(1.5, 1.7, 4.2)] * 3
+        boxes = hulls(poses, dims)
+        assert [b.left for b in boxes] == sorted(b.left for b in boxes)
+        assert hulls(poses[1:2], dims[1:2]) == boxes[1:2]
+        empty = project_box(np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3)), P_SIMPLE)
+        assert empty.shape == (4, 0)
 
 
 class TestIoU:
