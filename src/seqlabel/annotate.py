@@ -13,15 +13,14 @@ every landmark in its window, and the rules are masks over the hulls.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataio import DetectionRecord, KittiLabelLine, TrajectoryFile
+from .config import VisibilityConfig
+from .dataio import DetectionRecord, TrajectoryFile
 from .geometry import (
-    Box2D,
-    Dimensions3D,
     Pose,
     ProjectionMatrix,
     back_project,
@@ -32,6 +31,7 @@ from .geometry import (
     yaw_from_rotation,
     yaw_to_rotation,
 )
+from .labels import Box2D, Dimensions3D, FrameAnnotation
 from .landmark import Landmark
 
 PROVENANCE_OBSERVED = "observed_in_frame"
@@ -40,23 +40,6 @@ PROVENANCE_PROJECTED = "map_projected"
 CAUSE_BEHIND = "behind_camera"
 CAUSE_WINDOW = "out_of_window"
 CAUSE_OFF_IMAGE = "off_image"
-
-
-@dataclass(frozen=True)
-class VisibilityConfig:
-    image_width: float = 1242.0
-    image_height: float = 375.0
-    min_box_area: float = 100.0        # px^2 after clipping
-    frame_window: int = 10             # frames beyond the observed span
-    min_visible_fraction: float = 0.25  # clipped / unclipped area
-
-    def __post_init__(self):
-        if self.image_width <= 0 or self.image_height <= 0 or self.min_box_area <= 0:
-            raise ValueError("image size and min_box_area must be positive")
-        if self.frame_window < 0:
-            raise ValueError("frame_window must be >= 0")
-        if not 0.0 < self.min_visible_fraction <= 1.0:
-            raise ValueError("min_visible_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -72,13 +55,6 @@ class AnnotationEntry:
     provenance: str
     score: float
     visible_fraction: float
-
-
-@dataclass
-class FrameAnnotation:
-    frame_id: int
-    entries: list[AnnotationEntry] = field(default_factory=list)
-    exclusions: list[tuple[int, str]] = field(default_factory=list)
 
 
 def landmark_to_local(lm: Landmark, cam: Pose) -> Pose:
@@ -189,29 +165,6 @@ def annotation_from_detections(
         for i, det in enumerate(detections)
     ]
     return _visible_entries(frame_id, candidates, P, cfg)
-
-
-def annotation_from_labels(frame_id: int, labels: Sequence[KittiLabelLine]) -> FrameAnnotation:
-    """Rebuild a frame annotation from parsed KITTI label lines (for evaluation)."""
-    annotation = FrameAnnotation(frame_id=frame_id)
-    for i, lab in enumerate(labels):
-        pose = Pose(yaw_to_rotation(lab.rotation_y), np.array(lab.location))
-        annotation.entries.append(
-            AnnotationEntry(
-                landmark_id=i,
-                category=lab.type,
-                local_pose=pose,
-                box2d=lab.bbox,
-                box2d_raw=lab.bbox,
-                depth=lab.location[2],
-                yaw_local=lab.rotation_y,
-                dims=lab.dims,
-                provenance=PROVENANCE_OBSERVED,
-                score=1.0,
-                visible_fraction=1.0 - lab.truncated,
-            )
-        )
-    return annotation
 
 
 def _box_json(b: Box2D) -> dict:

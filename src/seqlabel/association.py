@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import AssociationConfig
 from .dataio import DetectionRecord, TrajectoryFile
 from .errors import DegenerateMean, NonPositiveDepth, ZeroWeightSum
 from .geometry import (
@@ -34,34 +35,6 @@ INFEASIBLE = math.inf
 # Any finite cost is < 1; this dominates so the assignment prefers
 # matching every feasible pair before ever touching an infeasible one.
 _BIG = 1e6
-
-
-@dataclass(frozen=True)
-class AssociationConfig:
-    score_threshold: float = 0.7
-    iou_gate: float = 0.3
-    dist_gate: float = 3.0
-    descriptor_gate: float = 0.5
-    max_frame_gap: int = 20
-    w_iou: float = 0.5
-    w_dist: float = 0.4
-    w_desc: float = 0.1
-
-    def __post_init__(self):
-        for name in ("score_threshold", "iou_gate", "descriptor_gate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.dist_gate <= 0:
-            raise ValueError("dist_gate must be positive")
-        if self.max_frame_gap < 0:
-            raise ValueError("max_frame_gap must be >= 0")
-        if min(self.w_iou, self.w_dist, self.w_desc) < 0:
-            raise ValueError("cost weights must be non-negative")
-        if abs(self.w_iou + self.w_dist + self.w_desc - 1.0) > 1e-12:
-            raise ValueError("cost weights must sum to 1")
-        if self.w_iou + self.w_dist == 0:
-            raise ValueError("w_iou + w_dist must be positive (descriptors are optional)")
 
 
 @dataclass(frozen=True)

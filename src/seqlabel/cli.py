@@ -6,43 +6,63 @@ Exit codes: 0 ok, 2 input parse error, 3 config error, 4 empty
 evaluation.  Output files we own start with a provenance comment line
 (tool version, config hash, input digests); KITTI-format files stay
 comment-free for ecosystem compatibility.
+
+Each command imports only what it runs.  This module imports only the
+numpy-free config and labels modules at the top; the stage functions are
+imported on first use.  So `--version` loads no stage, `evaluate` loads
+metrics but never numpy, and build-map and annotate never load metrics.
+The module __getattr__ (PEP 562) imports a stage function and keeps it
+as a module global; each cmd_* first calls _load with the names it uses
+and then calls them as module globals.  They are globals, not local
+imports, because the benchmark tracer hooks a command by patching these
+names on this module, and a local import would bypass its wrappers.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .annotate import annotate_frame, annotation_from_labels, write_annotation_dump
-from .association import run_association
 from .config import PipelineConfig, config_fingerprint, file_digest, load_config
-from .dataio import (
-    CalibFile,
-    frame_file_name,
-    parse_calib,
-    parse_kitti_labels,
-    parse_trajectory,
-    read_detections,
-    serialize_calib,
-    serialize_trajectory,
-    write_detections,
-    write_kitti_labels,
-)
 from .errors import ConfigError, ParseError, SeqLabelError
-from .landmark import fuse_tracks, parse_landmarks, serialize_landmarks
-from .metrics import (
-    depth_metrics,
-    depth_report_to_json,
-    format_report_table,
-    match_annotations,
-    viewpoint_metrics,
-    viewpoint_report_to_json,
-)
-from .simulator import generate
+from .labels import FrameAnnotation, frame_file_name, parse_kitti_labels
+
+# The stage functions each stage module provides to the commands.
+_STAGES = {
+    "annotate": ("annotate_frame", "write_annotation_dump"),
+    "association": ("run_association",),
+    "dataio": ("CalibFile", "parse_calib", "parse_trajectory", "read_detections",
+               "serialize_calib", "serialize_trajectory", "write_detections",
+               "write_kitti_labels"),
+    "landmark": ("fuse_tracks", "parse_landmarks", "serialize_landmarks"),
+    "metrics": ("depth_metrics", "depth_report_to_json", "format_report_table",
+                "match_annotations", "viewpoint_metrics", "viewpoint_report_to_json"),
+    "simulator": ("generate",),
+}
+_MODULE_OF = {name: module for module, names in _STAGES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a stage function on first access and keep it as a module global."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _load(*names: str) -> None:
+    """Make names module globals, keeping any a tracer has patched in already."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
+
 
 OUTPUT_ENV = "SEQLABEL_OUTPUT"
 
@@ -87,6 +107,7 @@ def _meta(cfg: PipelineConfig, inputs: dict[str, str]) -> dict:
 
 
 def _load_inputs(cfg: PipelineConfig):
+    _load("parse_trajectory", "parse_calib")
     trajectory = _parse_with_context(parse_trajectory, cfg.trajectory_path, "trajectory")
     calib = _parse_with_context(parse_calib, cfg.calib_path, "calib")
     P = calib.get(cfg.camera)
@@ -94,6 +115,7 @@ def _load_inputs(cfg: PipelineConfig):
 
 
 def cmd_build_map(cfg: PipelineConfig, out_dir: Path) -> int:
+    _load("read_detections", "run_association", "fuse_tracks", "serialize_landmarks")
     trajectory, P = _load_inputs(cfg)
     detections = _parse_with_context(read_detections, cfg.detections_path, "detections")
     detections = {k: v for k, v in detections.items() if cfg.frame_allowed(k)}
@@ -134,6 +156,7 @@ def cmd_build_map(cfg: PipelineConfig, out_dir: Path) -> int:
 
 
 def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> int:
+    _load("parse_landmarks", "annotate_frame", "write_kitti_labels", "write_annotation_dump")
     trajectory, P = _load_inputs(cfg)
     map_file = Path(map_path) if map_path else out_dir / "map.jsonl"
     landmarks = _parse_with_context(parse_landmarks, str(map_file), "landmark map")
@@ -159,6 +182,8 @@ def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> in
 
 def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
                  gt_dir: str | None) -> int:
+    _load("match_annotations", "depth_metrics", "viewpoint_metrics", "depth_report_to_json",
+          "viewpoint_report_to_json", "format_report_table")
     pred = Path(pred_dir) if pred_dir else out_dir / "labels"
     if gt_dir is None:
         raise ConfigError("evaluate needs --gt DIR with ground-truth label files")
@@ -177,9 +202,9 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
 
     def one(name: str):
         frame_id = int(name.split(".")[0])
-        pred_ann = annotation_from_labels(
+        pred_ann = FrameAnnotation(
             frame_id, _parse_with_context(parse_kitti_labels, str(pred / name), "labels"))
-        gt_ann = annotation_from_labels(
+        gt_ann = FrameAnnotation(
             frame_id, _parse_with_context(parse_kitti_labels, str(gt / name), "labels"))
         pairs = match_annotations(pred_ann, gt_ann, cfg.metrics_iou_min)
         return pairs, len(pred_ann.entries), len(gt_ann.entries)
@@ -219,11 +244,16 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
 
 
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path, seed: int | None) -> int:
+    _load("generate", "serialize_trajectory", "serialize_calib", "CalibFile", "write_detections",
+          "serialize_landmarks", "annotate_frame", "write_kitti_labels")
     if cfg.simulate is None:
         raise ConfigError("config has no simulate section")
     sim = cfg.simulate
     if seed is not None:
-        sim = type(sim)(**{**sim.__dict__, "seed": seed})
+        try:
+            sim = dataclasses.replace(sim, seed=seed)
+        except ValueError as e:
+            raise ConfigError(f"--seed: {e}") from None
 
     gt, detections = generate(sim)
     out_dir.mkdir(parents=True, exist_ok=True)

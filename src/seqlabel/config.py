@@ -1,9 +1,17 @@
 """Pipeline configuration: one YAML file with sections, flags win over it.
 
+This module owns the config dataclass of every stage (AssociationConfig,
+WeightPolicy, FusionConfig, VisibilityConfig, SimConfig) and imports no
+stage: the stages import their configs from here.  So loading a config
+costs PyYAML and the standard library only, and a command that needs no
+numpy stage, such as evaluate, never loads numpy.
+
 Angles are written in degrees in the file (yaw_tol_deg, sigma_yaw_deg,
 outlier_dyaw_deg, object yaw) and converted to radians on load.  Unknown
 keys are rejected so typos fail loudly instead of silently using a
-default.
+default.  Count fields (seed, frames, n_objects, frame_window,
+max_frame_gap, min_support) must be YAML integers, not floats or
+booleans.
 """
 
 from __future__ import annotations
@@ -16,11 +24,142 @@ from pathlib import Path
 
 import yaml
 
-from .annotate import VisibilityConfig
-from .association import AssociationConfig
 from .errors import ConfigError
-from .landmark import FusionConfig, WeightPolicy
-from .simulator import SimConfig
+
+WEIGHT_MODES = ("score", "inverse_variance")
+TRAJECTORY_KINDS = ("straight", "arc", "waypoints")
+
+
+def _check_count(value, name: str, low: int) -> None:
+    """ValueError unless value is an int (a bool is not) and at least low."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
+@dataclass(frozen=True)
+class AssociationConfig:
+    score_threshold: float = 0.7
+    iou_gate: float = 0.3
+    dist_gate: float = 3.0
+    descriptor_gate: float = 0.5
+    max_frame_gap: int = 20
+    w_iou: float = 0.5
+    w_dist: float = 0.4
+    w_desc: float = 0.1
+
+    def __post_init__(self):
+        for name in ("score_threshold", "iou_gate", "descriptor_gate"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        if self.dist_gate <= 0:
+            raise ValueError("dist_gate must be positive")
+        _check_count(self.max_frame_gap, "max_frame_gap", 0)
+        if min(self.w_iou, self.w_dist, self.w_desc) < 0:
+            raise ValueError("cost weights must be non-negative")
+        if abs(self.w_iou + self.w_dist + self.w_desc - 1.0) > 1e-12:
+            raise ValueError("cost weights must sum to 1")
+        if self.w_iou + self.w_dist == 0:
+            raise ValueError("w_iou + w_dist must be positive (descriptors are optional)")
+
+
+@dataclass(frozen=True)
+class WeightPolicy:
+    """How observation weights are derived: detection score or 1/sigma^2."""
+
+    mode: str = "score"
+    sigma_floor: float = 1e-3
+
+    def __post_init__(self):
+        if self.mode not in WEIGHT_MODES:
+            raise ValueError(f"unknown weight mode {self.mode!r}; expected one of {WEIGHT_MODES}")
+        if not self.sigma_floor > 0:
+            raise ValueError("sigma_floor must be positive")
+
+
+@dataclass(frozen=True)
+class FusionConfig:
+    depth_tol: float = 2.0            # meters around the weighted median global z
+    yaw_tol: float = math.radians(30)  # radians around the weighted circular median
+    min_support: int = 2
+    var_gate: float = 1.0             # m^2 per axis; beyond this the track is dynamic
+
+    def __post_init__(self):
+        if self.depth_tol <= 0 or self.yaw_tol <= 0:
+            raise ValueError("tolerances must be positive")
+        _check_count(self.min_support, "min_support", 1)
+        if self.var_gate <= 0:
+            raise ValueError("var_gate must be positive")
+
+
+@dataclass(frozen=True)
+class VisibilityConfig:
+    image_width: float = 1242.0
+    image_height: float = 375.0
+    min_box_area: float = 100.0        # px^2 after clipping
+    frame_window: int = 10             # frames beyond the observed span
+    min_visible_fraction: float = 0.25  # clipped / unclipped area
+
+    def __post_init__(self):
+        if self.image_width <= 0 or self.image_height <= 0 or self.min_box_area <= 0:
+            raise ValueError("image size and min_box_area must be positive")
+        _check_count(self.frame_window, "frame_window", 0)
+        if not 0.0 < self.min_visible_fraction <= 1.0:
+            raise ValueError("min_visible_fraction must be in (0, 1]")
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    seed: int = 0
+    n_objects: int = 3
+    frames: int = 60
+    trajectory: str = "straight"
+    speed: float = 1.0                  # meters per frame
+    arc_radius: float = 80.0
+    waypoints: tuple = ()               # ((x, y, z), ...) when trajectory="waypoints"
+    sigma_z: float = 0.0                # depth noise, meters
+    sigma_yaw: float = 0.0              # yaw noise, radians
+    sigma_px: float = 0.0               # box edge jitter, pixels
+    dropout_prob: float = 0.0
+    outlier_prob: float = 0.0
+    outlier_dz: float = 20.0
+    outlier_dyaw: float = math.radians(90.0)
+    score_base: float = 0.9
+    score_decay: float = 0.002          # per meter of depth
+    sigma_model: tuple | None = None    # (offset, slope): sigma = offset + slope * depth
+    objects: tuple = ()                 # optional explicit ((x, y, z, yaw[, h, w, l]), ...)
+    category: str = "Car"
+    image_width: float = 1242.0
+    image_height: float = 375.0
+    focal: float = 700.0
+    ground_y: float = 1.65              # camera height above ground (y points down)
+    depth_range: tuple = (12.0, 45.0)
+    lateral_range: tuple = (-8.0, 8.0)
+
+    def __post_init__(self):
+        _check_count(self.seed, "seed", 0)
+        _check_count(self.n_objects, "n_objects", 0)
+        _check_count(self.frames, "frames", 1)
+        if not isinstance(self.category, str):
+            raise ValueError(f"category must be a string, got {self.category!r}")
+        for name in ("dropout_prob", "outlier_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        for name in ("sigma_z", "sigma_yaw", "sigma_px"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.trajectory not in TRAJECTORY_KINDS:
+            raise ValueError(f"trajectory must be one of {TRAJECTORY_KINDS}")
+        if self.trajectory == "waypoints" and len(self.waypoints) < 2:
+            raise ValueError("waypoint trajectory needs at least 2 points")
+        if self.trajectory == "arc" and self.arc_radius <= 0:
+            raise ValueError("arc_radius must be positive")
+        for name in ("depth_range", "lateral_range"):
+            low, high = getattr(self, name)
+            if not low <= high:
+                raise ValueError(f"{name} must be [low, high] with low <= high")
 
 
 @dataclass

@@ -8,7 +8,8 @@ Formats:
               box2d{l,t,r,b}, depth, yaw, dims{h,w,l}, center2d{u,v},
               score, sigma?, descriptor?, gt_id?
   labels      KITTI object labels, 15 whitespace-separated fields per
-              line, floats rendered with 2 decimals
+              line, floats rendered with 2 decimals; the numpy-free
+              reader and formatter live in seqlabel.labels
 
 Blank lines and lines starting with '#' are skipped everywhere; reported
 line numbers are 1-based positions in the raw file.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -30,17 +31,19 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .geometry import (
+from .geometry import Pose, ProjectionMatrix, nearest_rotation
+from .labels import (
     Box2D,
     Dimensions3D,
-    Pose,
-    ProjectionMatrix,
-    nearest_rotation,
+    FrameAnnotation,
+    KittiLabelLine,
+    _data_lines,
+    _parse_floats,
+    format_label_line,
+    frame_file_name,  # re-exported: dataio serves every on-disk format
+    parse_kitti_labels,  # re-exported
     wrap_angle,
 )
-
-if TYPE_CHECKING:
-    from .annotate import FrameAnnotation
 
 # Rotation blocks may deviate this much from orthonormal before parsing fails;
 # anything accepted is re-projected onto the closest proper rotation.
@@ -91,38 +94,6 @@ class DetectionRecord:
     sigma: float | None = None
     descriptor: np.ndarray | None = None
     gt_id: int | None = None  # simulator diagnostic, not produced by detectors
-
-
-@dataclass
-class KittiLabelLine:
-    """One KITTI object label: exactly 15 whitespace-separated fields."""
-
-    type: str
-    truncated: float
-    occluded: int
-    alpha: float
-    bbox: Box2D
-    dims: Dimensions3D
-    location: tuple[float, float, float]
-    rotation_y: float
-
-
-def _data_lines(text: str) -> Iterable[tuple[int, str]]:
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield i, line
-
-
-def _parse_floats(fields: list[str], lineno: int) -> list[float]:
-    try:
-        values = [float(f) for f in fields]
-    except ValueError:
-        raise ParseError(lineno, f"non-numeric field in {fields!r}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ParseError(lineno, "non-finite value")
-    return values
 
 
 def _check_rotation(r: np.ndarray, lineno: int, tol: float) -> None:
@@ -327,59 +298,7 @@ def write_detections(records: Iterable[DetectionRecord]) -> str:
     return "".join(json.dumps(detection_to_json(r)) + "\n" for r in records)
 
 
-def _fmt2(v: float) -> str:
-    out = f"{v:.2f}"
-    return "0.00" if out == "-0.00" else out
-
-
-def format_label_line(lab: KittiLabelLine) -> str:
-    fields = [
-        lab.type,
-        _fmt2(lab.truncated),
-        str(int(lab.occluded)),
-        _fmt2(lab.alpha),
-        _fmt2(lab.bbox.left),
-        _fmt2(lab.bbox.top),
-        _fmt2(lab.bbox.right),
-        _fmt2(lab.bbox.bottom),
-        _fmt2(lab.dims.height),
-        _fmt2(lab.dims.width),
-        _fmt2(lab.dims.length),
-        _fmt2(lab.location[0]),
-        _fmt2(lab.location[1]),
-        _fmt2(lab.location[2]),
-        _fmt2(lab.rotation_y),
-    ]
-    return " ".join(fields)
-
-
-def parse_kitti_labels(text: str) -> list[KittiLabelLine]:
-    """Parse KITTI object labels (a trailing 16th score field is tolerated)."""
-    out = []
-    for lineno, line in _data_lines(text):
-        fields = line.split()
-        if len(fields) not in (15, 16):
-            raise ParseError(lineno, f"expected 15 label fields, got {len(fields)}")
-        vals = _parse_floats(fields[1:15], lineno)
-        try:
-            out.append(
-                KittiLabelLine(
-                    type=fields[0],
-                    truncated=vals[0],
-                    occluded=int(vals[1]),
-                    alpha=vals[2],
-                    bbox=Box2D(vals[3], vals[4], vals[5], vals[6]),
-                    dims=Dimensions3D(vals[7], vals[8], vals[9]),
-                    location=(vals[10], vals[11], vals[12]),
-                    rotation_y=vals[13],
-                )
-            )
-        except ValueError as e:
-            raise ParseError(lineno, str(e)) from None
-    return out
-
-
-def write_kitti_labels(annotation: "FrameAnnotation") -> str:
+def write_kitti_labels(annotation: FrameAnnotation) -> str:
     """Render a frame annotation as KITTI label text, ordered by landmark id.
 
     alpha follows the KITTI convention rotation_y - arctan(x / z); truncation
@@ -401,6 +320,3 @@ def write_kitti_labels(annotation: "FrameAnnotation") -> str:
         lines.append(format_label_line(lab))
     return "".join(line + "\n" for line in lines)
 
-
-def frame_file_name(frame_id: int) -> str:
-    return "%06d.txt" % frame_id

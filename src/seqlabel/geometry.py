@@ -1,11 +1,12 @@
-"""Rigid transforms, pinhole projection, cuboid-to-box projection and 2D IoU.
+"""Rigid transforms, pinhole projection and cuboid-to-box projection.
 
 Conventions (KITTI camera frame): x right, y down, z forward, all in
 meters.  An object pose places the bottom-face center of its cuboid at
 the pose translation; yaw is the rotation about the y axis.
 
 project_box is the one cuboid-to-box projection; association and
-annotation both call it once per frame.
+annotation both call it once per frame.  The numpy-free box types, 2D
+IoU and wrap_angle live in seqlabel.labels and are re-exported here.
 """
 
 from __future__ import annotations
@@ -17,21 +18,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateProjection, ZeroArea
+from .errors import DegenerateProjection
+from .labels import Box2D, Dimensions3D, iou_2d, wrap_angle  # re-exported for the stages
 
 log = logging.getLogger(__name__)
 
 # Off-pattern elements this small mean the matrix is a pure y rotation,
 # which allows full-range yaw recovery instead of the folded formula.
 _YAW_ONLY_TOL = 1e-9
-
-
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    r = math.remainder(theta, math.tau)
-    if r <= -math.pi:
-        r += math.tau
-    return r
 
 
 @dataclass(frozen=True)
@@ -81,54 +75,6 @@ class ProjectionMatrix:
             raise ValueError("P[2][2] is zero; depth along the optical axis undefined")
         p.flags.writeable = False
         object.__setattr__(self, "P", p)
-
-
-@dataclass(frozen=True)
-class Box2D:
-    """Axis-aligned pixel box; left <= right, top <= bottom."""
-
-    left: float
-    top: float
-    right: float
-    bottom: float
-
-    def __post_init__(self):
-        if self.left > self.right or self.top > self.bottom:
-            raise ValueError(
-                f"invalid box: ({self.left}, {self.top}, {self.right}, {self.bottom})"
-            )
-
-    def area(self) -> float:
-        return (self.right - self.left) * (self.bottom - self.top)
-
-    def clip(self, width: float, height: float) -> "Box2D | None":
-        """Intersect with the image rectangle [0, width] x [0, height].
-
-        Returns None when the box lies entirely outside the image.
-        """
-        l = max(self.left, 0.0)
-        t = max(self.top, 0.0)
-        r = min(self.right, width)
-        b = min(self.bottom, height)
-        if l > r or t > b:
-            return None
-        return Box2D(l, t, r, b)
-
-
-@dataclass(frozen=True)
-class Dimensions3D:
-    """Cuboid extents in meters: height (y), width (z), length (x)."""
-
-    height: float
-    width: float
-    length: float
-
-    def __post_init__(self):
-        if not (self.height > 0 and self.width > 0 and self.length > 0):
-            raise ValueError(
-                f"dimensions must be strictly positive, got "
-                f"({self.height}, {self.width}, {self.length})"
-            )
 
 
 def project_point(p, P: ProjectionMatrix) -> tuple[float, float, float]:
@@ -263,16 +209,3 @@ def project_box(rotation: np.ndarray, translation: np.ndarray, half: np.ndarray,
         np.where(front, u, -np.inf).max(axis=1), np.where(front, v, -np.inf).max(axis=1),
     ])
 
-
-def iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    area_a = a.area()
-    area_b = b.area()
-    if area_a == 0.0 and area_b == 0.0:
-        raise ZeroArea("both boxes have zero area")
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (area_a + area_b - inter)

@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .dataio import _check_rotation, _data_lines, _json_record
+from .config import FusionConfig, WeightPolicy
+from .dataio import _check_rotation, _json_record
 from .errors import DegenerateMean, EmptyInput, MissingSigma, ParseError, ZeroWeightSum
 from .geometry import (
     Dimensions3D,
@@ -27,42 +28,12 @@ from .geometry import (
     yaw_from_rotation,
     yaw_to_rotation,
 )
+from .labels import _data_lines
 
 if TYPE_CHECKING:
     from .association import Observation, Track
 
-WEIGHT_MODES = ("score", "inverse_variance")
 MAP_ROTATION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class WeightPolicy:
-    """How observation weights are derived: detection score or 1/sigma^2."""
-
-    mode: str = "score"
-    sigma_floor: float = 1e-3
-
-    def __post_init__(self):
-        if self.mode not in WEIGHT_MODES:
-            raise ValueError(f"unknown weight mode {self.mode!r}; expected one of {WEIGHT_MODES}")
-        if not self.sigma_floor > 0:
-            raise ValueError("sigma_floor must be positive")
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    depth_tol: float = 2.0            # meters around the weighted median global z
-    yaw_tol: float = math.radians(30)  # radians around the weighted circular median
-    min_support: int = 2
-    var_gate: float = 1.0             # m^2 per axis; beyond this the track is dynamic
-
-    def __post_init__(self):
-        if self.depth_tol <= 0 or self.yaw_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.min_support < 1:
-            raise ValueError("min_support must be >= 1")
-        if self.var_gate <= 0:
-            raise ValueError("var_gate must be positive")
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,23 @@ Depth: the delta < 1.25 accuracy, Abs Rel, Sqr Rel, RMSE and RMSE_log.
 Viewpoint: Acc at pi/4 and pi/6 plus the median absolute yaw error in
 degrees.  Everything is reported overall and per ground-truth depth
 interval {[0,10), [10,20), [20,30), [30,40), [40,50), [50,inf)}.
+
+Pure Python, so that evaluate never loads numpy, with numpy's results
+bit for bit: every mean is numpy's pairwise float64 sum (_pairwise_sum)
+divided by the count, and square roots, degrees and medians are the
+correctly rounded stdlib ones.  The one exception is math.log, which may
+differ from np.log in the last bit, so rmse_log may move by an ulp.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from .annotate import FrameAnnotation
 from .errors import EmptyInput, FrameMismatch
-from .geometry import iou_2d, wrap_angle
+from .labels import FrameAnnotation, iou_2d, wrap_angle
 
 BUCKETS = ("0-10", "10-20", "20-30", "30-40", "40-50", "50+")
 _BUCKET_EDGES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
@@ -32,6 +36,8 @@ def bucket_of(z_gt: float) -> str:
 
 @dataclass(frozen=True)
 class MatchedPair:
+    """One matched prediction and ground truth; z_gt > 0 (match_annotations ensures it)."""
+
     z_gt: float
     z_pred: float
     yaw_gt: float
@@ -67,6 +73,9 @@ def match_annotations(
     pred: FrameAnnotation, gt: FrameAnnotation, iou_min: float = 0.5
 ) -> list[MatchedPair]:
     """Greedy highest-IoU-first one-to-one matching of same-category entries.
+
+    Entries are read through category, box2d, depth and yaw_local, which
+    annotate.AnnotationEntry and labels.KittiLabelLine both provide.
 
     Pairs below iou_min never match, nor do ground-truth entries at depth
     <= 0 (such as KITTI DontCare rows), since the depth metrics divide by
@@ -112,23 +121,60 @@ def interval_breakdown(pairs: Sequence[MatchedPair]) -> dict[str, list[MatchedPa
     return {label: grouped[label] for label in BUCKETS if label in grouped}
 
 
-def _depth_stats(pairs: Sequence[MatchedPair]) -> DepthReport:
-    z_gt = np.array([p.z_gt for p in pairs])
-    z_pred = np.array([p.z_pred for p in pairs])
-    err = z_gt - z_pred
+_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(z_pred > 0, np.maximum(z_pred / z_gt, z_gt / z_pred), np.inf)
-    positive = z_pred > 0
-    log_sq = (np.log(z_gt[positive]) - np.log(z_pred[positive])) ** 2
+
+def _pairwise_sum(values: Sequence[float], start: int = 0, n: int | None = None) -> float:
+    """Sum of values[start:start + n] in the order of numpy's float64 pairwise sum.
+
+    Under 8 items: one running sum.  Up to 128: 8 interleaved accumulators
+    combined as a tree, then the remainder.  Above: the two halves, split
+    at n / 2 rounded down to a multiple of 8.
+    """
+    if n is None:
+        n = len(values)
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += values[i]
+        return total
+    if n <= _PAIRWISE_BLOCK:
+        r = list(values[start:start + 8])
+        stop = start + n - n % 8
+        for i in range(start + 8, stop, 8):
+            for k in range(8):
+                r[k] += values[i + k]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(stop, start + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+
+
+def _mean(values: Sequence[float]) -> float:
+    """np.mean of a non-empty float64 sequence: the identity 0.0 plus the pairwise sum."""
+    return (0.0 + _pairwise_sum(values)) / len(values)
+
+
+def _depth_stats(pairs: Sequence[MatchedPair]) -> DepthReport:
+    err = [p.z_gt - p.z_pred for p in pairs]
+    positive = [p for p in pairs if p.z_pred > 0]
+    # A non-positive prediction counts as a miss of delta and leaves RMSE_log.
+    within = sum(max(p.z_pred / p.z_gt, p.z_gt / p.z_pred) < 1.25 for p in positive)
+    log_sq = []
+    for p in positive:
+        d = math.log(p.z_gt) - math.log(p.z_pred)
+        log_sq.append(d * d)
     return DepthReport(
-        delta_125=float(np.mean(ratio < 1.25)),
-        abs_rel=float(np.mean(np.abs(err) / z_gt)),
-        sqr_rel=float(np.mean(err**2 / z_gt)),
-        rmse=float(np.sqrt(np.mean(err**2))),
-        rmse_log=float(np.sqrt(np.mean(log_sq))) if len(log_sq) else None,
+        delta_125=within / len(pairs),
+        abs_rel=_mean([abs(e) / p.z_gt for e, p in zip(err, pairs)]),
+        sqr_rel=_mean([e * e / p.z_gt for e, p in zip(err, pairs)]),
+        rmse=math.sqrt(_mean([e * e for e in err])),
+        rmse_log=math.sqrt(_mean(log_sq)) if log_sq else None,
         count=len(pairs),
-        log_excluded=int(np.sum(~positive)),
+        log_excluded=len(pairs) - len(positive),
     )
 
 
@@ -153,11 +199,11 @@ def depth_metrics(pairs: Sequence[MatchedPair]) -> DepthReport:
 
 
 def _viewpoint_stats(pairs: Sequence[MatchedPair]) -> ViewpointReport:
-    err = np.array([abs(wrap_angle(p.yaw_pred - p.yaw_gt)) for p in pairs])
+    err = [abs(wrap_angle(p.yaw_pred - p.yaw_gt)) for p in pairs]
     return ViewpointReport(
-        acc_pi4=float(np.mean(err < math.pi / 4)),
-        acc_pi6=float(np.mean(err < math.pi / 6)),
-        mederr=float(np.degrees(np.median(err))),
+        acc_pi4=sum(e < math.pi / 4 for e in err) / len(err),
+        acc_pi6=sum(e < math.pi / 6 for e in err) / len(err),
+        mederr=math.degrees(statistics.median(err)),
         count=len(pairs),
     )
 

@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotate import VisibilityConfig, annotate_sequence
+from .annotate import annotate_sequence
 from .association import Track
+from .config import SimConfig, VisibilityConfig
 from .dataio import DetectionRecord, TrajectoryFile
 from .errors import InfeasibleScene
 from .geometry import (
@@ -32,62 +33,9 @@ from .landmark import Landmark
 # Draw kinds for the stream keying.
 _PLACEMENT, _DROPOUT, _OUTLIER, _NOISE_Z, _NOISE_YAW, _NOISE_PX = range(6)
 
-TRAJECTORY_KINDS = ("straight", "arc", "waypoints")
-
 
 def _rng(seed: int, frame: int, obj: int, kind: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, frame, obj, kind)))
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    seed: int = 0
-    n_objects: int = 3
-    frames: int = 60
-    trajectory: str = "straight"
-    speed: float = 1.0                  # meters per frame
-    arc_radius: float = 80.0
-    waypoints: tuple = ()               # ((x, y, z), ...) when trajectory="waypoints"
-    sigma_z: float = 0.0                # depth noise, meters
-    sigma_yaw: float = 0.0              # yaw noise, radians
-    sigma_px: float = 0.0               # box edge jitter, pixels
-    dropout_prob: float = 0.0
-    outlier_prob: float = 0.0
-    outlier_dz: float = 20.0
-    outlier_dyaw: float = math.radians(90.0)
-    score_base: float = 0.9
-    score_decay: float = 0.002          # per meter of depth
-    sigma_model: tuple | None = None    # (offset, slope): sigma = offset + slope * depth
-    objects: tuple = ()                 # optional explicit ((x, y, z, yaw[, h, w, l]), ...)
-    category: str = "Car"
-    image_width: float = 1242.0
-    image_height: float = 375.0
-    focal: float = 700.0
-    ground_y: float = 1.65              # camera height above ground (y points down)
-    depth_range: tuple = (12.0, 45.0)
-    lateral_range: tuple = (-8.0, 8.0)
-
-    def __post_init__(self):
-        if self.frames < 1:
-            raise ValueError("frames must be >= 1")
-        if self.n_objects < 0:
-            raise ValueError("n_objects must be >= 0")
-        for name in ("dropout_prob", "outlier_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("sigma_z", "sigma_yaw", "sigma_px"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.trajectory not in TRAJECTORY_KINDS:
-            raise ValueError(f"trajectory must be one of {TRAJECTORY_KINDS}")
-        if self.trajectory == "waypoints" and len(self.waypoints) < 2:
-            raise ValueError("waypoint trajectory needs at least 2 points")
-        if self.trajectory == "arc" and self.arc_radius <= 0:
-            raise ValueError("arc_radius must be positive")
-        for name in ("depth_range", "lateral_range"):
-            low, high = getattr(self, name)
-            if not low <= high:
-                raise ValueError(f"{name} must be [low, high] with low <= high")
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Shared helpers: a simple projection matrix, detection/observation builders,
-the fusion oracle and the scalar projection oracles."""
+the fusion oracle, the scalar projection oracles and the numpy metric oracles."""
+
+import math
 
 import numpy as np
 
@@ -13,9 +15,11 @@ from seqlabel.geometry import (
     Dimensions3D,
     Pose,
     ProjectionMatrix,
+    wrap_angle,
     yaw_from_rotation,
     yaw_to_rotation,
 )
+from seqlabel.metrics import DepthReport, ViewpointReport
 
 P_SIMPLE = ProjectionMatrix(
     np.array([[700.0, 0, 600, 0], [0, 700, 180, 0], [0, 0, 1, 0]])
@@ -147,3 +151,35 @@ def oracle_visible_entry(landmark_id, category, local, dims, score, provenance, 
         visible_fraction=clipped.area() / raw_area,
     )
     return entry, None
+
+
+def oracle_depth_stats(pairs) -> DepthReport:
+    """The depth report of pairs in numpy, which metrics._depth_stats must reproduce."""
+    z_gt = np.array([p.z_gt for p in pairs])
+    z_pred = np.array([p.z_pred for p in pairs])
+    err = z_gt - z_pred
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(z_pred > 0, np.maximum(z_pred / z_gt, z_gt / z_pred), np.inf)
+    positive = z_pred > 0
+    log_sq = (np.log(z_gt[positive]) - np.log(z_pred[positive])) ** 2
+    return DepthReport(
+        delta_125=float(np.mean(ratio < 1.25)),
+        abs_rel=float(np.mean(np.abs(err) / z_gt)),
+        sqr_rel=float(np.mean(err**2 / z_gt)),
+        rmse=float(np.sqrt(np.mean(err**2))),
+        rmse_log=float(np.sqrt(np.mean(log_sq))) if len(log_sq) else None,
+        count=len(pairs),
+        log_excluded=int(np.sum(~positive)),
+    )
+
+
+def oracle_viewpoint_stats(pairs) -> ViewpointReport:
+    """The viewpoint report of pairs in numpy, which metrics._viewpoint_stats must reproduce."""
+    err = np.array([abs(wrap_angle(p.yaw_pred - p.yaw_gt)) for p in pairs])
+    return ViewpointReport(
+        acc_pi4=float(np.mean(err < math.pi / 4)),
+        acc_pi6=float(np.mean(err < math.pi / 6)),
+        mederr=float(np.degrees(np.median(err))),
+        count=len(pairs),
+    )

@@ -409,6 +409,30 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert key in err
 
+    @pytest.mark.parametrize("key, value, flags", [
+        ("simulate.frames", 1.5, []),
+        ("simulate.frames", True, []),
+        ("simulate.n_objects", 2.5, []),
+        ("simulate.seed", "a", []),
+        ("simulate.seed", -1, []),
+        ("simulate.seed", 42, ["--seed", "-1"]),
+        ("simulate.category", 5, []),
+        ("visibility.frame_window", 1.5, []),
+        ("association.max_frame_gap", 1.5, []),
+        ("fusion.min_support", 1.5, []),
+    ])
+    def test_bad_count_or_category_exit_3(self, tmp_path, capsys, key, value, flags):
+        # Counts must be YAML integers (not floats or booleans), the seed
+        # non-negative and the category a string, from the file or a flag.
+        section, name = key.split(".")
+        config = write_config(tmp_path, **{section: {name: value}})
+        assert main(["simulate", "--config", str(config),
+                     "--output", str(tmp_path / "sim"), *flags]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert name in err
+        assert not (tmp_path / "sim").exists()
+
 
 class TestOutputOverrides:
     def test_env_var_overrides_config(self, tmp_path, monkeypatch):
@@ -470,17 +494,20 @@ class TestSequenceFilter:
         assert labels[0].name == "000030.txt"
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # simulate, annotate and evaluate never assign, so they must not pay
-    # for importing scipy.optimize at start-up.
+def _python(script: str, *args: str) -> str:
+    """stdout of a fresh interpreter running script with this checkout's sources."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, seqlabel.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # simulate, annotate and evaluate never assign, so they must not pay
+    # for importing scipy.optimize at start-up.
+    out = _python("import sys, seqlabel.cli; print('scipy' in sys.modules)")
+    assert out.strip() == "False"
 
 
 def test_build_map_never_loads_scipy(tmp_path):
@@ -488,14 +515,40 @@ def test_build_map_never_loads_scipy(tmp_path):
     # the import, finishes without scipy in sys.modules.
     config = write_config(tmp_path)
     simulate(tmp_path, config)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     script = ("import sys\n"
               "from seqlabel.cli import main\n"
               "rc = main(['build-map', '--config', sys.argv[1]])\n"
               "print(rc, 'scipy' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", script, str(config)],
-                         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 False"
+    assert _python(script, str(config)).splitlines()[-1] == "0 False"
     assert (tmp_path / "out" / "map.jsonl").exists()
+
+
+@pytest.mark.parametrize("script", [
+    "import seqlabel.errors",
+    "import seqlabel.config",
+    "import seqlabel.labels",
+    "import seqlabel.metrics",
+    "import seqlabel.cli",
+    pytest.param("from seqlabel.cli import main\ntry:\n    main(['--version'])\n"
+                 "except SystemExit:\n    pass", id="seqlabel --version"),
+])
+def test_numpy_free_layer_never_loads_numpy(script):
+    # These modules import no numpy stage; a stray top-level import would
+    # cost every evaluate run the numpy import.
+    out = _python(script + "\nimport sys\nprint('numpy' in sys.modules)")
+    assert out.splitlines()[-1] == "False"
+
+
+def test_evaluate_never_loads_numpy(tmp_path):
+    # evaluate parses labels, matches and averages in pure Python.
+    config = write_config(tmp_path)
+    simulate(tmp_path, config)
+    assert main(["build-map", "--config", str(config)]) == 0
+    assert main(["annotate", "--config", str(config)]) == 0
+    script = ("import sys\n"
+              "from seqlabel.cli import main\n"
+              "rc = main(['evaluate', '--config', sys.argv[1], '--gt', sys.argv[2]])\n"
+              "print(rc, 'numpy' in sys.modules)\n")
+    out = _python(script, str(config), str(tmp_path / "sim" / "gt_labels"))
+    assert out.splitlines()[-1] == "0 False"
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["matching"]["n_matched"] > 0

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlabel.annotate import annotation_from_labels
-from seqlabel.dataio import KittiLabelLine
 from seqlabel.errors import EmptyInput, FrameMismatch
-from seqlabel.geometry import Box2D, Dimensions3D
+from seqlabel.labels import Box2D, Dimensions3D, FrameAnnotation, KittiLabelLine
 from seqlabel.metrics import (
     BUCKETS,
     MatchedPair,
+    _pairwise_sum,
     bucket_of,
     depth_metrics,
     format_report_table,
@@ -21,6 +20,8 @@ from seqlabel.metrics import (
     match_annotations,
     viewpoint_metrics,
 )
+
+from conftest import oracle_depth_stats, oracle_viewpoint_stats
 
 
 def _label(category="Car", box=(0, 0, 100, 100), z=20.0, ry=0.0):
@@ -32,7 +33,7 @@ def _label(category="Car", box=(0, 0, 100, 100), z=20.0, ry=0.0):
 
 
 def _frame(labels, frame_id=0):
-    return annotation_from_labels(frame_id, labels)
+    return FrameAnnotation(frame_id, labels)
 
 
 # The 10-pair fixture.  Expected values computed once with 50-digit
@@ -252,6 +253,61 @@ class TestFrozenFixture:
         )
         assert viewpoint_metrics(pairs).mederr == viewpoint_metrics(shuffled).mederr
 
+
+class TestNumpyOracle:
+    """The pure-Python metrics against the numpy bodies they replaced, bit for bit."""
+
+    @given(st.lists(st.floats(-1e12, 1e12), min_size=0, max_size=600),
+           st.sampled_from([0, 1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1000, 3000]))
+    @settings(max_examples=200)
+    def test_pairwise_sum_is_numpy_add_reduce(self, values, pad):
+        # pad pushes the length across the 8- and 128-item block edges.
+        values = values + [float(v) for v in np.linspace(-3.7, 5.1, pad)]
+        want = float(np.add.reduce(np.array(values, dtype=float)))
+        assert (0.0 + _pairwise_sum(values)).hex() == want.hex()
+
+    _DEPTH = st.floats(0.05, 120.0)
+    # Predictions include non-positive depths, which leave RMSE_log, and
+    # depths within 0.1% of the truth, where log(z_gt) - log(z_pred) cancels.
+    _PRED = st.one_of(st.floats(0.05, 120.0), st.just(0.0), st.floats(-5.0, -1e-6),
+                      st.floats(-1e-3, 1e-3).map(lambda r: ("near", r)))
+    # Yaw errors land near +-pi as often as anywhere else.
+    _YAW = st.one_of(st.floats(-math.pi, math.pi),
+                     st.floats(math.pi - 1e-9, math.pi), st.floats(-math.pi, -math.pi + 1e-9))
+
+    def _pair(self, data):
+        z_gt = data.draw(self._DEPTH)
+        z_pred = data.draw(self._PRED)
+        if isinstance(z_pred, tuple):
+            z_pred = z_gt * (1.0 + z_pred[1])
+        return MatchedPair(z_gt, z_pred, data.draw(self._YAW), data.draw(self._YAW))
+
+    @given(st.data(), st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 200, 300]))
+    @settings(max_examples=60, deadline=None)
+    def test_reports_equal_numpy(self, data, n):
+        pairs = [self._pair(data) for _ in range(n)]
+        depth = depth_metrics(pairs)
+        viewpoint = viewpoint_metrics(pairs)
+        groups = interval_breakdown(pairs)
+        assert list(depth.intervals) == list(viewpoint.intervals) == list(groups)
+        for got, group in [(depth, pairs), *((depth.intervals[k], g) for k, g in groups.items())]:
+            want = oracle_depth_stats(group)
+            for name in ("delta_125", "abs_rel", "sqr_rel", "rmse", "count", "log_excluded"):
+                assert getattr(got, name) == getattr(want, name), name
+            if want.rmse_log is None:
+                assert got.rmse_log is None
+            else:
+                # math.log and np.log may differ by an ulp, and the difference of
+                # two close logs keeps that ulp while shrinking, so the bound is
+                # 1e-15 relative or 2 ulps of the largest |log z|, whichever is larger.
+                logs = [abs(math.log(z)) for p in group if p.z_pred > 0 for z in (p.z_gt, p.z_pred)]
+                assert got.rmse_log == pytest.approx(want.rmse_log, rel=1e-15,
+                                                     abs=2 * math.ulp(max(logs)))
+        for got, group in [(viewpoint, pairs),
+                           *((viewpoint.intervals[k], g) for k, g in groups.items())]:
+            want = oracle_viewpoint_stats(group)
+            for name in ("acc_pi4", "acc_pi6", "mederr", "count"):
+                assert getattr(got, name) == getattr(want, name), name
 
 def test_report_table_layout():
     d = depth_metrics(fixture_pairs())

@@ -16,19 +16,26 @@ from test_cli import simulate, write_config
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
-def test_traced_build_map_and_annotate_have_no_absent_hook(tmp_path):
+def test_traced_commands_have_no_absent_hook(tmp_path):
     config = write_config(tmp_path)
     simulate(tmp_path, config)
-    for command in ("build-map", "annotate"):
+    counts = {}
+    for command, extra in (("build-map", []), ("annotate", []),
+                           ("evaluate", ["--gt", str(tmp_path / "sim" / "gt_labels")])):
         spans = tmp_path / f"{command}.json"
         proc = subprocess.run(
             [sys.executable, str(TRACER), "--spans", str(spans), "--n-objects", "3", "--",
-             command, "--config", str(config)],
+             command, "--config", str(config), *extra],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         record = json.loads(spans.read_text())
         assert record["rc"] == 0
         assert record["absent"] == []
-        # Both stages project through the hooked name, once per frame.
-        assert record["counts"]["geometry.project_box_calls"] > 0
+        counts[command] = record["counts"]
+    # Both stages project through the hooked name, once per frame.
+    assert counts["build-map"]["geometry.project_box_calls"] > 0
+    assert counts["annotate"]["geometry.project_box_calls"] > 0
+    # evaluate loads its stages lazily; it must still call the hooked names.
+    assert counts["evaluate"]["metrics.pairs_matched"] > 0
+    assert counts["evaluate"]["dataio.label_lines_parsed"] > 0
