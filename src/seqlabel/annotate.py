@@ -6,15 +6,25 @@ by the frame window, and (c) enough of its projected box survives
 clipping to the image.  Exclusions are recorded with their cause so the
 pipeline can explain every missing entry.
 
-Per frame, one geometry.project_box call (as in association) projects
-every landmark in its window, and the rules are masks over the hulls.
+One batched pass serves a single frame (annotate_frame) and a sequence
+(annotate_sequence).  Each call sorts and stacks the landmarks once.
+Per block of BLOCK_FRAMES frames, stacked matmuls give the camera-local
+pose of every (frame, landmark) pair inside the frame window, one
+geometry.project_box call projects them all, and the visibility rules
+are masks over the hulls.  The blocks bound the memory of a long
+sequence.  simulate writes its ground-truth labels with one
+annotate_sequence call; the annotate command still calls annotate_frame
+once per frame, because the benchmark tracer counts its annotate.*
+metrics per call of that name.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,9 +34,7 @@ from .geometry import (
     Pose,
     ProjectionMatrix,
     back_project,
-    compose,
     half_extents,
-    inverse,
     project_box,
     yaw_from_rotation,
     yaw_to_rotation,
@@ -40,6 +48,9 @@ PROVENANCE_PROJECTED = "map_projected"
 CAUSE_BEHIND = "behind_camera"
 CAUSE_WINDOW = "out_of_window"
 CAUSE_OFF_IMAGE = "off_image"
+
+# Frames per batched projection: bounds the per-pair arrays of a long sequence.
+BLOCK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -57,21 +68,30 @@ class AnnotationEntry:
     visible_fraction: float
 
 
-def landmark_to_local(lm: Landmark, cam: Pose) -> Pose:
-    """The landmark pose seen from the camera: inverse(cam) composed with it."""
-    return compose(inverse(cam), lm.global_pose)
+class _Objects(NamedTuple):
+    """Per object, in output order: what its entries carry, and the frames it was seen in."""
+
+    ids: Sequence[int]
+    categories: Sequence[str]
+    dims: Sequence[Dimensions3D]
+    half: np.ndarray  # half_extents(dims)
+    scores: Sequence[float]
+    observed: Sequence  # supports `frame_id in observed[i]`
 
 
-def _visible_entries(frame_id: int, candidates: Sequence[tuple], P: ProjectionMatrix,
-                     cfg: VisibilityConfig) -> FrameAnnotation:
-    """Entries and exclusions, in candidate order, of (id, category, camera-local
-    pose, dims, score, provenance) candidates."""
-    annotation = FrameAnnotation(frame_id=frame_id)
-    if not candidates:
-        return annotation
-    ids, categories, poses, dims, scores, provenances = zip(*candidates)
-    translation = np.stack([p.translation for p in poses])
-    hull = project_box(np.stack([p.rotation for p in poses]), translation, half_extents(dims), P)
+def _pair_annotations(frame_ids: Sequence[int], bounds: Sequence[int], objects: _Objects,
+                      obj: np.ndarray, rotation: np.ndarray, translation: np.ndarray,
+                      P: ProjectionMatrix, cfg: VisibilityConfig) -> list[FrameAnnotation]:
+    """Entries and exclusions of (frame, object) pairs, one FrameAnnotation per frame.
+
+    Pair p is object obj[p] with camera-local pose (rotation[p],
+    translation[p]); frame f owns pairs bounds[f] to bounds[f + 1], and its
+    entries and exclusions keep their pair order.
+    """
+    annotations = [FrameAnnotation(frame_id=k) for k in frame_ids]
+    if not len(obj):
+        return annotations
+    hull = project_box(rotation, translation, objects.half[obj], P)
     left, top, right, bottom = hull
     # No corner in front of the camera leaves the hull empty (left > right).
     behind = (translation[:, 2] <= 0.0) | (left > right)
@@ -84,28 +104,50 @@ def _visible_entries(frame_id: int, candidates: Sequence[tuple], P: ProjectionMa
         fraction = area / ((right - left) * (bottom - top))
         visible = ((width >= 0.0) & (height >= 0.0) & (area >= cfg.min_box_area)
                    & (fraction >= cfg.min_visible_fraction))
-    for i, landmark_id in enumerate(ids):
-        if behind[i]:
-            annotation.exclusions.append((landmark_id, CAUSE_BEHIND))
-        elif not visible[i]:
-            annotation.exclusions.append((landmark_id, CAUSE_OFF_IMAGE))
-        else:
-            # Box2D.clip keeps an int image size as given, so the written bytes do too.
-            raw = Box2D(*(float(x) for x in hull[:, i]))
-            annotation.entries.append(AnnotationEntry(
-                landmark_id=landmark_id,
-                category=categories[i],
-                local_pose=poses[i],
-                box2d=raw.clip(cfg.image_width, cfg.image_height),
-                box2d_raw=raw,
-                depth=float(translation[i, 2]),
-                yaw_local=yaw_from_rotation(poses[i].rotation),
-                dims=dims[i],
-                provenance=provenances[i],
-                score=scores[i],
-                visible_fraction=float(fraction[i]),
-            ))
-    return annotation
+    # Python floats and bools, read once per array instead of once per entry.
+    behind, visible, fraction = behind.tolist(), visible.tolist(), fraction.tolist()
+    hulls, depths, obj = hull.T.tolist(), translation[:, 2].tolist(), obj.tolist()
+    for f, annotation in enumerate(annotations):
+        for p in range(bounds[f], bounds[f + 1]):
+            i = obj[p]
+            if behind[p]:
+                annotation.exclusions.append((objects.ids[i], CAUSE_BEHIND))
+            elif not visible[p]:
+                annotation.exclusions.append((objects.ids[i], CAUSE_OFF_IMAGE))
+            else:
+                # Box2D.clip keeps an int image size as given, so the written bytes do too.
+                raw = Box2D(*hulls[p])
+                annotation.entries.append(AnnotationEntry(
+                    landmark_id=objects.ids[i],
+                    category=objects.categories[i],
+                    local_pose=Pose(rotation[p], translation[p]),
+                    box2d=raw.clip(cfg.image_width, cfg.image_height),
+                    box2d_raw=raw,
+                    depth=depths[p],
+                    yaw_local=yaw_from_rotation(rotation[p]),
+                    dims=objects.dims[i],
+                    provenance=(PROVENANCE_OBSERVED if annotation.frame_id in objects.observed[i]
+                                else PROVENANCE_PROJECTED),
+                    score=objects.scores[i],
+                    visible_fraction=fraction[p],
+                ))
+    return annotations
+
+
+def annotate_sequence(
+    landmarks: Sequence[Landmark],
+    trajectory: TrajectoryFile,
+    P: ProjectionMatrix,
+    cfg: VisibilityConfig,
+    frames: Iterable[int] | None = None,
+) -> list[FrameAnnotation]:
+    """One FrameAnnotation per listed frame (default: every trajectory frame), in order.
+
+    Each lists the visible landmarks ordered by landmark id, and every
+    other landmark as an exclusion with its cause.
+    """
+    frames = list(range(len(trajectory)) if frames is None else frames)
+    return _annotate(landmarks, frames, [trajectory.pose(k) for k in frames], P, cfg)
 
 
 def annotate_frame(
@@ -116,32 +158,56 @@ def annotate_frame(
     cfg: VisibilityConfig,
 ) -> FrameAnnotation:
     """All landmarks visible in one frame, ordered by landmark id."""
-    candidates, out_of_window = [], []
-    for lm in sorted(landmarks, key=lambda l: l.landmark_id):
-        if not lm.first_frame - cfg.frame_window <= frame_id <= lm.last_frame + cfg.frame_window:
-            out_of_window.append((lm.landmark_id, CAUSE_WINDOW))
-            continue
-        provenance = (
-            PROVENANCE_OBSERVED if frame_id in lm.observed_frames else PROVENANCE_PROJECTED
-        )
-        candidates.append((lm.landmark_id, lm.category, landmark_to_local(lm, cam), lm.dims,
-                           lm.mean_score, provenance))
-    annotation = _visible_entries(frame_id, candidates, P, cfg)
-    annotation.exclusions = sorted(annotation.exclusions + out_of_window, key=lambda e: e[0])
-    return annotation
+    return _annotate(landmarks, [frame_id], [cam], P, cfg)[0]
 
 
-def annotate_sequence(
-    landmarks: Sequence[Landmark],
-    trajectory: TrajectoryFile,
-    P: ProjectionMatrix,
-    cfg: VisibilityConfig,
-    frames: Iterable[int] | None = None,
-) -> list[FrameAnnotation]:
-    """One FrameAnnotation per trajectory frame, in frame order."""
-    if frames is None:
-        frames = range(len(trajectory))
-    return [annotate_frame(landmarks, k, trajectory.pose(k), P, cfg) for k in frames]
+def _annotate(landmarks: Sequence[Landmark], frames: list[int], cams: list[Pose],
+              P: ProjectionMatrix, cfg: VisibilityConfig) -> list[FrameAnnotation]:
+    """annotate_sequence over frames seen by cams, BLOCK_FRAMES frames at a time."""
+    if not landmarks:
+        return [FrameAnnotation(frame_id=k) for k in frames]
+    ordered = sorted(landmarks, key=lambda l: l.landmark_id)
+    objects = _Objects(
+        ids=[lm.landmark_id for lm in ordered],
+        categories=[lm.category for lm in ordered],
+        dims=[lm.dims for lm in ordered],
+        half=half_extents(lm.dims for lm in ordered),
+        scores=[lm.mean_score for lm in ordered],
+        # A set pays for itself only when it is looked up for several frames.
+        observed=[lm.observed_frames if len(frames) == 1 else frozenset(lm.observed_frames)
+                  for lm in ordered],
+    )
+    # The window bounds are summed as Python ints, so no map value can wrap around.
+    first = np.array([lm.first_frame - cfg.frame_window for lm in ordered])
+    last = np.array([lm.last_frame + cfg.frame_window for lm in ordered])
+    rotation = np.array([lm.global_pose.rotation for lm in ordered])
+    translation = np.array([lm.global_pose.translation for lm in ordered])
+    out = []
+    for start in range(0, len(frames), BLOCK_FRAMES):
+        block = frames[start:start + BLOCK_FRAMES]
+        column = np.array(block)[:, None]
+        in_window = (first <= column) & (column <= last)  # (frames, landmarks)
+        fi, li = np.nonzero(in_window)  # frame-major: each frame's pairs are contiguous
+        # compose(inverse(cam), landmark pose), stacked: these matmuls give the
+        # scalar path's bits, which np.einsum does not.
+        block_cams = cams[start:start + BLOCK_FRAMES]
+        inv_R = np.array([c.rotation for c in block_cams]).transpose(0, 2, 1)
+        inv_t = -(inv_R @ np.array([c.translation for c in block_cams])[..., None])[..., 0]
+        pair_inv_R = inv_R[fi]
+        local_R = pair_inv_R @ rotation[li]
+        local_t = (pair_inv_R @ translation[li][..., None])[..., 0] + inv_t[fi]
+        rows = in_window.tolist()
+        bounds = list(accumulate(map(sum, rows), initial=0))
+        annotations = _pair_annotations(block, bounds, objects, li, local_R, local_t, P, cfg)
+        for annotation, row in zip(annotations, rows):
+            out_of_window = [(i, CAUSE_WINDOW) for i, inside in zip(objects.ids, row)
+                             if not inside]
+            if out_of_window:
+                # Stable: among equal ids, the in-window exclusions stay first.
+                annotation.exclusions = sorted(annotation.exclusions + out_of_window,
+                                               key=itemgetter(0))
+        out += annotations
+    return out
 
 
 def annotation_from_detections(
@@ -157,14 +223,20 @@ def annotation_from_detections(
     its entry is directly comparable (and byte-comparable once formatted)
     with a map-based annotation of the same object.
     """
-    candidates = [
-        (start_id + i, det.category,
-         Pose(yaw_to_rotation(det.yaw),
-              back_project(det.center2d[0], det.center2d[1], det.depth, P)),
-         det.dims, det.score, PROVENANCE_OBSERVED)
-        for i, det in enumerate(detections)
-    ]
-    return _visible_entries(frame_id, candidates, P, cfg)
+    n = len(detections)
+    objects = _Objects(
+        ids=range(start_id, start_id + n),
+        categories=[det.category for det in detections],
+        dims=[det.dims for det in detections],
+        half=half_extents(det.dims for det in detections),
+        scores=[det.score for det in detections],
+        observed=[(frame_id,)] * n,  # each detection is observed in its own frame
+    )
+    rotation = np.array([yaw_to_rotation(det.yaw) for det in detections]).reshape(n, 3, 3)
+    translation = np.array([back_project(det.center2d[0], det.center2d[1], det.depth, P)
+                            for det in detections]).reshape(n, 3)
+    return _pair_annotations([frame_id], [0, n], objects, np.arange(n), rotation, translation,
+                             P, cfg)[0]
 
 
 def _box_json(b: Box2D) -> dict:

@@ -35,7 +35,7 @@ from .labels import FrameAnnotation, frame_file_name, parse_kitti_labels
 
 # The stage functions each stage module provides to the commands.
 _STAGES = {
-    "annotate": ("annotate_frame", "write_annotation_dump"),
+    "annotate": ("annotate_frame", "annotate_sequence", "write_annotation_dump"),
     "association": ("run_association",),
     "dataio": ("CalibFile", "parse_calib", "parse_trajectory", "read_detections",
                "serialize_calib", "serialize_trajectory", "write_detections",
@@ -245,7 +245,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
 
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path, seed: int | None) -> int:
     _load("generate", "serialize_trajectory", "serialize_calib", "CalibFile", "write_detections",
-          "serialize_landmarks", "annotate_frame", "write_kitti_labels")
+          "serialize_landmarks", "annotate_sequence", "write_kitti_labels")
     if cfg.simulate is None:
         raise ConfigError("config has no simulate section")
     sim = cfg.simulate
@@ -266,9 +266,8 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, seed: int | None) -> int:
     )
     gt_labels = out_dir / "gt_labels"
     gt_labels.mkdir(exist_ok=True)
-    for k in range(len(gt.trajectory)):
-        ann = annotate_frame(gt.landmarks, k, gt.trajectory.pose(k), gt.P, cfg.visibility)
-        (gt_labels / frame_file_name(k)).write_text(write_kitti_labels(ann))
+    for ann in annotate_sequence(gt.landmarks, gt.trajectory, gt.P, cfg.visibility):
+        (gt_labels / frame_file_name(ann.frame_id)).write_text(write_kitti_labels(ann))
     print(f"simulate: {len(gt.landmarks)} objects, {len(gt.trajectory)} frames, "
           f"{len(detections)} detections -> {out_dir}")
     return 0

@@ -11,7 +11,8 @@ outlier_dyaw_deg, object yaw) and converted to radians on load.  Unknown
 keys are rejected so typos fail loudly instead of silently using a
 default.  Count fields (seed, frames, n_objects, frame_window,
 max_frame_gap, min_support) must be YAML integers, not floats or
-booleans.
+booleans, and the simulator's scalar fields (_SIM_NUMBERS) YAML numbers;
+each is kept as given, so an int image size stays an int.
 """
 
 from __future__ import annotations
@@ -28,6 +29,17 @@ from .errors import ConfigError
 
 WEIGHT_MODES = ("score", "inverse_variance")
 TRAJECTORY_KINDS = ("straight", "arc", "waypoints")
+# Scalar keys of the simulate section that must be YAML numbers.
+_SIM_NUMBERS = (
+    "speed", "arc_radius", "sigma_z", "sigma_yaw_deg", "sigma_px", "dropout_prob",
+    "outlier_prob", "outlier_dz", "outlier_dyaw_deg", "score_base", "score_decay",
+    "image_width", "image_height", "focal", "ground_y",
+)
+
+
+def _is_number(value) -> bool:
+    """A YAML int or float; a boolean is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_count(value, name: str, low: int) -> None:
@@ -224,8 +236,7 @@ def _string(section: dict, key: str, where: str, default: str) -> str:
 
 def _numbers(value, where: str, sizes: tuple[int, ...]) -> tuple[float, ...]:
     """A list of YAML numbers whose length is one of sizes, as floats."""
-    if not isinstance(value, list) or len(value) not in sizes or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+    if not isinstance(value, list) or len(value) not in sizes or not all(map(_is_number, value)):
         raise ValueError(f"{where} must be a list of {' or '.join(map(str, sizes))} numbers, "
                          f"got {value!r}")
     return tuple(float(v) for v in value)
@@ -240,6 +251,9 @@ def _build_simulate(section: dict) -> SimConfig:
         "image_height", "focal", "ground_y", "depth_range", "lateral_range",
     }
     _check_keys(section, allowed, "simulate")
+    for key in _SIM_NUMBERS:
+        if key in section and not _is_number(section[key]):
+            raise ValueError(f"simulate.{key} must be a number, got {section[key]!r}")
     kwargs = dict(section)
     if "sigma_yaw_deg" in kwargs:
         kwargs["sigma_yaw"] = math.radians(kwargs.pop("sigma_yaw_deg"))
@@ -318,8 +332,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         metrics = raw.get("metrics", {})
         _check_keys(metrics, {"iou_min"}, "metrics")
         iou_min = metrics.get("iou_min", cfg.metrics_iou_min)
-        if isinstance(iou_min, bool) or not isinstance(iou_min, (int, float)) \
-                or not 0 < iou_min <= 1:
+        if not _is_number(iou_min) or not 0 < iou_min <= 1:
             raise ConfigError(f"{path}: metrics.iou_min must be a number in (0, 1], "
                               f"got {iou_min!r}")
         cfg.metrics_iou_min = float(iou_min)

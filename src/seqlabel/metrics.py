@@ -77,21 +77,28 @@ def match_annotations(
     Entries are read through category, box2d, depth and yaw_local, which
     annotate.AnnotationEntry and labels.KittiLabelLine both provide.
 
-    Pairs below iou_min never match, nor do ground-truth entries at depth
-    <= 0 (such as KITTI DontCare rows), since the depth metrics divide by
-    the ground-truth depth.  Ties break on (prediction index, ground-truth
-    index) so matching is deterministic.
+    Pairs below iou_min, which is in (0, 1], never match, nor do
+    ground-truth entries at depth <= 0 (such as KITTI DontCare rows), since
+    the depth metrics divide by the ground-truth depth.  Ties break on
+    (prediction index, ground-truth index) so matching is deterministic.
     """
     if pred.frame_id != gt.frame_id:
         raise FrameMismatch(f"pred frame {pred.frame_id} vs gt frame {gt.frame_id}")
+    # Each entry's fields are read once, not once per pair.
+    gts = [(j, g.category, g.box2d, g.box2d.area() == 0.0)
+           for j, g in enumerate(gt.entries) if not g.depth <= 0]
     candidates = []
     for i, p in enumerate(pred.entries):
-        for j, g in enumerate(gt.entries):
-            if p.category != g.category or g.depth <= 0:
+        category, box = p.category, p.box2d
+        empty = box.area() == 0.0
+        for j, g_category, g_box, g_empty in gts:
+            if category != g_category or (empty and g_empty):
                 continue
-            if p.box2d.area() == 0.0 and g.box2d.area() == 0.0:
+            # Boxes that do not overlap have IoU 0, below any iou_min.
+            if (box.right <= g_box.left or g_box.right <= box.left
+                    or box.bottom <= g_box.top or g_box.bottom <= box.top):
                 continue
-            iou = iou_2d(p.box2d, g.box2d)
+            iou = iou_2d(box, g_box)
             if iou >= iou_min:
                 candidates.append((-iou, i, j))
     candidates.sort()

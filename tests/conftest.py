@@ -1,11 +1,19 @@
 """Shared helpers: a simple projection matrix, detection/observation builders,
-the fusion oracle, the scalar projection oracles and the numpy metric oracles."""
+the fusion oracle, the scalar projection and annotation oracles, the numpy
+metric oracles and the all-pairs matcher."""
 
 import math
 
 import numpy as np
 
-from seqlabel.annotate import CAUSE_BEHIND, CAUSE_OFF_IMAGE, AnnotationEntry
+from seqlabel.annotate import (
+    CAUSE_BEHIND,
+    CAUSE_OFF_IMAGE,
+    CAUSE_WINDOW,
+    PROVENANCE_OBSERVED,
+    PROVENANCE_PROJECTED,
+    AnnotationEntry,
+)
 from seqlabel.association import Observation, Track, lift_detection
 from seqlabel.dataio import DetectionRecord
 from seqlabel.errors import ZeroWeightSum
@@ -15,11 +23,15 @@ from seqlabel.geometry import (
     Dimensions3D,
     Pose,
     ProjectionMatrix,
+    compose,
+    inverse,
+    iou_2d,
     wrap_angle,
     yaw_from_rotation,
     yaw_to_rotation,
 )
-from seqlabel.metrics import DepthReport, ViewpointReport
+from seqlabel.labels import FrameAnnotation
+from seqlabel.metrics import DepthReport, MatchedPair, ViewpointReport
 
 P_SIMPLE = ProjectionMatrix(
     np.array([[700.0, 0, 600, 0], [0, 700, 180, 0], [0, 0, 1, 0]])
@@ -124,7 +136,7 @@ def oracle_project_box(corners, P: ProjectionMatrix) -> Box2D | None:
 
 def oracle_visible_entry(landmark_id, category, local, dims, score, provenance, P, cfg):
     """(entry, None) or (None, cause) for one candidate, with scalar geometry:
-    the reference annotate._visible_entries must reproduce."""
+    the reference annotate._pair_annotations must reproduce."""
     depth = float(local.translation[2])
     if depth <= 0.0:
         return None, CAUSE_BEHIND
@@ -151,6 +163,65 @@ def oracle_visible_entry(landmark_id, category, local, dims, score, provenance, 
         visible_fraction=clipped.area() / raw_area,
     )
     return entry, None
+
+
+def oracle_landmark_to_local(lm, cam: Pose) -> Pose:
+    """The landmark pose seen from the camera: inverse(cam) composed with it."""
+    return compose(inverse(cam), lm.global_pose)
+
+
+def oracle_annotate_frame(landmarks, frame_id, cam, P, cfg) -> FrameAnnotation:
+    """One frame's annotation one landmark at a time, with scalar geometry: the
+    reference annotate.annotate_frame and annotate.annotate_sequence must reproduce.
+
+    Entries and in-window exclusions come in landmark id order, then the
+    out-of-window exclusions are merged in by a stable sort on the id.
+    """
+    annotation = FrameAnnotation(frame_id=frame_id)
+    out_of_window = []
+    for lm in sorted(landmarks, key=lambda l: l.landmark_id):
+        if not lm.first_frame - cfg.frame_window <= frame_id <= lm.last_frame + cfg.frame_window:
+            out_of_window.append((lm.landmark_id, CAUSE_WINDOW))
+            continue
+        provenance = (
+            PROVENANCE_OBSERVED if frame_id in lm.observed_frames else PROVENANCE_PROJECTED
+        )
+        entry, cause = oracle_visible_entry(lm.landmark_id, lm.category,
+                                            oracle_landmark_to_local(lm, cam), lm.dims,
+                                            lm.mean_score, provenance, P, cfg)
+        if entry is None:
+            annotation.exclusions.append((lm.landmark_id, cause))
+        else:
+            annotation.entries.append(entry)
+    annotation.exclusions = sorted(annotation.exclusions + out_of_window, key=lambda e: e[0])
+    return annotation
+
+
+def oracle_match_annotations(pred, gt, iou_min):
+    """Greedy matching that scores every pair through iou_2d: the reference
+    metrics.match_annotations must reproduce."""
+    candidates = []
+    for i, p in enumerate(pred.entries):
+        for j, g in enumerate(gt.entries):
+            if p.category != g.category or g.depth <= 0:
+                continue
+            if p.box2d.area() == 0.0 and g.box2d.area() == 0.0:
+                continue
+            iou = iou_2d(p.box2d, g.box2d)
+            if iou >= iou_min:
+                candidates.append((-iou, i, j))
+    candidates.sort()
+    used_pred, used_gt = set(), set()
+    pairs = []
+    for _, i, j in candidates:
+        if i in used_pred or j in used_gt:
+            continue
+        used_pred.add(i)
+        used_gt.add(j)
+        pairs.append(MatchedPair(z_gt=gt.entries[j].depth, z_pred=pred.entries[i].depth,
+                                 yaw_gt=gt.entries[j].yaw_local,
+                                 yaw_pred=pred.entries[i].yaw_local))
+    return pairs
 
 
 def oracle_depth_stats(pairs) -> DepthReport:

@@ -1,6 +1,7 @@
 """Map reprojection: local poses, visibility rules, provenance, dumps."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +14,13 @@ from conftest import (
     make_detection,
     make_observation,
     make_track,
+    oracle_annotate_frame,
     oracle_box3d_corners,
+    oracle_landmark_to_local,
     oracle_project_box,
     oracle_visible_entry,
 )
+from seqlabel import annotate
 from seqlabel.annotate import (
     CAUSE_BEHIND,
     CAUSE_OFF_IMAGE,
@@ -28,7 +32,6 @@ from seqlabel.annotate import (
     annotate_frame,
     annotate_sequence,
     annotation_from_detections,
-    landmark_to_local,
     read_annotation_dump,
     write_annotation_dump,
 )
@@ -65,16 +68,22 @@ def make_landmark(x=0.0, y=1.65, z=30.0, yaw=0.0, first=0, last=9,
 def straight_trajectory(n):
     return TrajectoryFile([Pose(np.eye(3), [0, 0, float(k)]) for k in range(n)])
 
+def local_pose(lm, cam):
+    """The camera-local pose the batched pass gives the landmark's one entry."""
+    (entry,) = annotate_frame([lm], 0, cam, P_SIMPLE, VIS).entries
+    return entry.local_pose
+
+
 class TestLandmarkToLocal:
     def test_identity_camera(self):
         lm = make_landmark(z=15.0)
-        local = landmark_to_local(lm, Pose.identity())
+        local = local_pose(lm, Pose.identity())
         assert np.allclose(local.translation, lm.global_pose.translation)
         assert np.allclose(local.rotation, lm.global_pose.rotation)
 
     def test_translated_camera(self):
         lm = make_landmark(x=0.0, y=0.0, z=15.0)
-        local = landmark_to_local(lm, Pose(np.eye(3), [0, 0, 5]))
+        local = local_pose(lm, Pose(np.eye(3), [0, 0, 5]))
         assert np.allclose(local.translation, [0, 0, 10])
 
     def test_round_trip_with_lift(self):
@@ -82,7 +91,7 @@ class TestLandmarkToLocal:
         obs = make_observation(cam=cam, u=640.0, v=200.0, depth=20.0)
         lm = make_landmark()
         lm = Landmark(**{**lm.__dict__, "global_pose": obs.global_pose})
-        local = landmark_to_local(lm, cam)
+        local = local_pose(lm, cam)
         assert np.allclose(local.translation, obs.local_pose.translation, atol=1e-9)
         assert np.allclose(local.rotation, obs.local_pose.rotation, atol=1e-9)
 
@@ -130,7 +139,7 @@ class TestAnnotateFrame:
         ann = annotate_frame([lm], 2, cam, P_SIMPLE, VIS)
         entry = ann.entries[0]
         recomputed = oracle_project_box(
-            oracle_box3d_corners(landmark_to_local(lm, cam), lm.dims), P_SIMPLE
+            oracle_box3d_corners(oracle_landmark_to_local(lm, cam), lm.dims), P_SIMPLE
         )
         for attr in ("left", "top", "right", "bottom"):
             assert getattr(entry.box2d_raw, attr) == pytest.approx(
@@ -301,12 +310,9 @@ def landmark_frames(draw):
             draw(st.integers(0, 25)), landmarks)
 
 
-def _oracle_annotation(frame_id, candidates, P, cfg, out_of_window=()):
+def _oracle_annotation(frame_id, candidates, P, cfg):
     annotation = FrameAnnotation(frame_id=frame_id)
     for landmark_id, *rest in candidates:
-        if landmark_id in out_of_window:
-            annotation.exclusions.append((landmark_id, CAUSE_WINDOW))
-            continue
         entry, cause = oracle_visible_entry(landmark_id, *rest, P, cfg)
         if entry is None:
             annotation.exclusions.append((landmark_id, cause))
@@ -322,16 +328,7 @@ class TestSharedProjectionOracle:
     @settings(max_examples=200, deadline=None)
     def test_annotate_frame_matches_oracle(self, scene):
         cam, P, cfg, frame_id, landmarks = scene
-        ordered = sorted(landmarks, key=lambda l: l.landmark_id)
-        out_of_window = {lm.landmark_id for lm in ordered
-                         if not lm.first_frame - cfg.frame_window <= frame_id
-                         <= lm.last_frame + cfg.frame_window}
-        candidates = [
-            (lm.landmark_id, lm.category, landmark_to_local(lm, cam), lm.dims, lm.mean_score,
-             PROVENANCE_OBSERVED if frame_id in lm.observed_frames else PROVENANCE_PROJECTED)
-            for lm in ordered
-        ]
-        want = _oracle_annotation(frame_id, candidates, P, cfg, out_of_window)
+        want = oracle_annotate_frame(landmarks, frame_id, cam, P, cfg)
         got = annotate_frame(landmarks, frame_id, cam, P, cfg)
         assert write_annotation_dump([got]) == write_annotation_dump([want])
 
@@ -351,3 +348,71 @@ class TestSharedProjectionOracle:
         want = _oracle_annotation(3, candidates, P, cfg)
         got = annotation_from_detections(3, detections, P, cfg, start_id=start_id)
         assert write_annotation_dump([got]) == write_annotation_dump([want])
+
+
+@st.composite
+def camera_paths(draw):
+    """A trajectory of 1 to 12 frames: a yawed, pitched or rolled start that turns and moves."""
+    start = draw(cameras())
+    turn, step = draw(_finite(-0.2, 0.2)), draw(_finite(-3, 3))
+    return TrajectoryFile([compose(start, Pose(yaw_to_rotation(k * turn), [0.0, 0.0, k * step]))
+                           for k in range(draw(st.integers(1, 12)))])
+
+
+@st.composite
+def sequence_scenes(draw):
+    """A camera path, a projection, a visibility config, a frame list (None: every
+    frame) and up to 6 landmarks around the start, some sharing an id."""
+    trajectory = draw(camera_paths())
+    n = len(trajectory)
+    landmarks = []
+    for landmark_id in draw(st.lists(st.integers(0, 6), max_size=6)):
+        local = Pose(yaw_to_rotation(draw(_finite(-math.pi, math.pi))),
+                     [draw(_finite(-40, 40)), draw(_finite(-3, 3)), draw(depths)])
+        first = draw(st.integers(0, n + 2))
+        last = draw(st.integers(first, n + 4))
+        observed = tuple(sorted(draw(st.sets(st.integers(first, last), max_size=4))))
+        landmarks.append(Landmark(
+            landmark_id=landmark_id, global_pose=compose(trajectory.pose(0), local),
+            dims=Dimensions3D(*draw(dimensions)), support=len(observed), first_frame=first,
+            last_frame=last, category=draw(st.sampled_from(["Car", "Pedestrian"])),
+            mean_score=draw(_finite(0, 1)), observed_frames=observed,
+        ))
+    frames = draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), max_size=8)))
+    return (trajectory, draw(st.sampled_from([P_SIMPLE, P_OFFSET])), draw(visibility_configs),
+            frames, landmarks)
+
+
+def _assert_sequence_matches_oracle(landmarks, trajectory, P, cfg, frames=None):
+    got = annotate_sequence(landmarks, trajectory, P, cfg, frames)
+    want = [oracle_annotate_frame(landmarks, k, trajectory.pose(k), P, cfg)
+            for k in (range(len(trajectory)) if frames is None else frames)]
+    # One line per frame: a failure names the first differing frame.
+    assert write_annotation_dump(got).splitlines() == write_annotation_dump(want).splitlines()
+    assert [write_kitti_labels(a) for a in got] == [write_kitti_labels(a) for a in want]
+
+
+class TestSequenceOracle:
+    """annotate_sequence, frame by frame, against the scalar per-frame oracle."""
+
+    @given(sequence_scenes(), st.sampled_from([1, 2, 5, annotate.BLOCK_FRAMES]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, scene, block):
+        trajectory, P, cfg, frames, landmarks = scene
+        # Small blocks put block seams inside these short sequences.
+        with mock.patch.object(annotate, "BLOCK_FRAMES", block):
+            _assert_sequence_matches_oracle(landmarks, trajectory, P, cfg, frames)
+
+    def test_longer_than_one_block(self):
+        n = 2 * annotate.BLOCK_FRAMES + 5
+        trajectory = TrajectoryFile([Pose(yaw_to_rotation(0.01 * k), [0.3 * k, 0.0, 1.5 * k])
+                                     for k in range(n)])
+        landmarks = [
+            make_landmark(landmark_id=j % 7, x=(-1) ** j * (3.0 + j % 5), z=12.0 + 4.5 * j,
+                          yaw=0.3 * j, first=max(0, 3 * j - 20), last=min(n - 1, 3 * j + 5),
+                          observed=range(3 * j - 20, 3 * j + 5, 3))
+            for j in range(40)
+        ]
+        _assert_sequence_matches_oracle(landmarks, trajectory, P_OFFSET, VIS)
+        _assert_sequence_matches_oracle(landmarks, trajectory, P_SIMPLE, VIS,
+                                        frames=[n - 1, 0, annotate.BLOCK_FRAMES, 3, 3])

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from seqlabel.cli import main
+from seqlabel.config import load_config
 
 BASE_CONFIG = {
     "paths": {},
@@ -432,6 +433,33 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert name in err
         assert not (tmp_path / "sim").exists()
+
+
+    @pytest.mark.parametrize("key, value", [
+        *((key, "x") for key in (
+            "speed", "arc_radius", "sigma_z", "sigma_yaw_deg", "sigma_px", "dropout_prob",
+            "outlier_prob", "outlier_dz", "outlier_dyaw_deg", "score_base", "score_decay",
+            "image_width", "image_height", "focal", "ground_y")),
+        ("speed", True),
+        ("dropout_prob", True),
+        ("focal", False),
+        ("score_decay", None),
+        ("image_width", [1242]),
+    ])
+    def test_non_numeric_simulate_scalar_exit_3(self, tmp_path, capsys, key, value):
+        # arc_radius is checked on a straight trajectory too, which never reads it.
+        config = write_config(tmp_path, simulate={key: value})
+        assert main(["simulate", "--config", str(config),
+                     "--output", str(tmp_path / "sim")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"simulate.{key}" in err
+        assert not (tmp_path / "sim").exists()
+
+    def test_simulate_scalars_kept_as_given(self, tmp_path):
+        config = write_config(tmp_path, simulate={"image_width": 1242, "speed": 1.5})
+        sim = load_config(config).simulate
+        assert type(sim.image_width) is int and type(sim.speed) is float
 
 
 class TestOutputOverrides:

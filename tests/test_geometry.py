@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P_OFFSET, make_observation, oracle_box3d_corners, oracle_project_box
-from seqlabel.annotate import landmark_to_local
+from seqlabel.annotate import annotate_frame
+from seqlabel.config import VisibilityConfig
 from seqlabel.association import Track
 from seqlabel.errors import DegenerateProjection, ZeroArea
 from seqlabel.geometry import (
@@ -173,7 +174,10 @@ class TestInternalPosesStayProper:
         assert_proper_rotation(pose)
         lm = Landmark(0, pose, dims, len(observations), 0, len(observations) - 1, "Car", 0.9,
                       tuple(range(len(observations))))
-        assert_proper_rotation(landmark_to_local(lm, cam))
+        # The batched annotation pass builds the camera-local pose of each entry.
+        vis = VisibilityConfig(min_box_area=1e-9, min_visible_fraction=1e-9)
+        (entry,) = annotate_frame([lm], 0, cam, P_SIMPLE, vis).entries
+        assert_proper_rotation(entry.local_pose)
 
     @pytest.mark.parametrize("sim", [
         SimConfig(frames=400, trajectory="straight"),

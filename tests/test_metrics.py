@@ -21,7 +21,7 @@ from seqlabel.metrics import (
     viewpoint_metrics,
 )
 
-from conftest import oracle_depth_stats, oracle_viewpoint_stats
+from conftest import oracle_depth_stats, oracle_match_annotations, oracle_viewpoint_stats
 
 
 def _label(category="Car", box=(0, 0, 100, 100), z=20.0, ry=0.0):
@@ -70,7 +70,30 @@ def fixture_pairs():
             for zg, zp, yg, yp in FIXTURE_PAIRS]
 
 
+@st.composite
+def _grid_labels(draw):
+    """Up to 8 labels on a 10 px grid, so edges touch, boxes have zero width or
+    height and IoUs tie; categories mix, and depths include 0 and below.
+    rotation_y is the label's index, which tells matched pairs apart."""
+    labels = []
+    for index in range(draw(st.integers(0, 8))):
+        left, top = draw(st.integers(0, 6)) * 10, draw(st.integers(0, 6)) * 10
+        width, height = draw(st.integers(0, 3)) * 10, draw(st.integers(0, 3)) * 10
+        labels.append(_label(category=draw(st.sampled_from(["Car", "Van"])),
+                             box=(left, top, left + width, top + height),
+                             z=draw(st.sampled_from([-2.0, 0.0, 8.0, 21.0])), ry=float(index)))
+    return labels
+
+
 class TestMatching:
+    @given(_grid_labels(), _grid_labels(),
+           st.one_of(st.sampled_from([1e-9, 1 / 3, 0.5, 1.0]),
+                     st.floats(0, 1, exclude_min=True)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_all_pairs_oracle(self, pred, gt, iou_min):
+        assert match_annotations(_frame(pred), _frame(gt), iou_min) \
+            == oracle_match_annotations(_frame(pred), _frame(gt), iou_min)
+
     def test_identical_sets_all_match(self):
         gt = _frame([_label(z=10.0), _label(box=(200, 0, 300, 100), z=30.0)])
         pairs = match_annotations(gt, gt)

@@ -3,7 +3,9 @@
 bench/tracer.py lists a hook whose targets are all gone as absent and
 drops its metrics instead of failing, so a refactor that renames a hooked
 function would silently thin the benchmark.  This runs the tracer on a
-small simulated scene and requires every hook to be present.
+small simulated scene and requires every hook to be present.  The
+annotate.* metrics count calls of cli.annotate_frame, so annotate must
+still call it once per frame.
 """
 
 import json
@@ -11,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_cli import simulate, write_config
+from test_cli import BASE_CONFIG, simulate, write_config
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -36,6 +38,8 @@ def test_traced_commands_have_no_absent_hook(tmp_path):
     # Both stages project through the hooked name, once per frame.
     assert counts["build-map"]["geometry.project_box_calls"] > 0
     assert counts["annotate"]["geometry.project_box_calls"] > 0
+    assert counts["annotate"].get("annotate.frames") == BASE_CONFIG["simulate"]["frames"]
+    assert counts["annotate"].get("annotate.entries", 0) > 0
     # evaluate loads its stages lazily; it must still call the hooked names.
     assert counts["evaluate"]["metrics.pairs_matched"] > 0
     assert counts["evaluate"]["dataio.label_lines_parsed"] > 0
