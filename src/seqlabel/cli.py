@@ -93,17 +93,18 @@ def _parse_with_context(parser, path: str, what: str):
         raise ParseError(e.line, f"{path}: {e.reason}") from None
 
 
-def _header(cfg: PipelineConfig, inputs: dict[str, str]) -> str:
-    digests = " ".join(f"{name}:{file_digest(p)}" for name, p in inputs.items() if Path(p).exists())
-    return f"# seqlabel {__version__} config={config_fingerprint(cfg)} {digests}".rstrip() + "\n"
-
-
 def _meta(cfg: PipelineConfig, inputs: dict[str, str]) -> dict:
     return {
         "tool": f"seqlabel {__version__}",
         "config": config_fingerprint(cfg),
         "inputs": {name: file_digest(p) for name, p in inputs.items() if Path(p).exists()},
     }
+
+
+def _header(meta: dict) -> str:
+    """The provenance comment line of a _meta: tool, config hash and input digests."""
+    digests = " ".join(f"{name}:{digest}" for name, digest in meta["inputs"].items())
+    return f"# {meta['tool']} config={meta['config']} {digests}".rstrip() + "\n"
 
 
 def _load_inputs(cfg: PipelineConfig):
@@ -128,11 +129,12 @@ def cmd_build_map(cfg: PipelineConfig, out_dir: Path) -> int:
 
     inputs = {"trajectory": cfg.trajectory_path, "calib": cfg.calib_path,
               "detections": cfg.detections_path}
+    meta = _meta(cfg, inputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "map.jsonl").write_text(_header(cfg, inputs) + serialize_landmarks(landmarks))
+    (out_dir / "map.jsonl").write_text(_header(meta) + serialize_landmarks(landmarks))
 
     diagnostics = {
-        "meta": _meta(cfg, inputs),
+        "meta": meta,
         "tracks": [
             {
                 "track_id": t.track_id,
@@ -173,7 +175,7 @@ def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> in
     inputs = {"trajectory": cfg.trajectory_path, "calib": cfg.calib_path,
               "map": str(map_file)}
     (out_dir / "annotations.jsonl").write_text(
-        _header(cfg, inputs) + write_annotation_dump(annotations)
+        _header(_meta(cfg, inputs)) + write_annotation_dump(annotations)
     )
     n_entries = sum(len(a.entries) for a in annotations)
     print(f"annotate: {n_entries} entries over {len(annotations)} frames -> {labels_dir}")
@@ -227,8 +229,9 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
         "precision": len(pairs) / n_pred if n_pred else 0.0,
         "recall": len(pairs) / n_gt if n_gt else 0.0,
     }
+    meta = _meta(cfg, {})
     report = {
-        "meta": _meta(cfg, {}),
+        "meta": meta,
         "depth": depth_report_to_json(depth),
         "viewpoint": viewpoint_report_to_json(viewpoint),
         "matching": sidebar,
@@ -236,7 +239,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     table = format_report_table(depth, viewpoint)
-    (out_dir / "report.txt").write_text(_header(cfg, {}) + table)
+    (out_dir / "report.txt").write_text(_header(meta) + table)
     print(table, end="")
     print(f"matching: {sidebar['n_matched']}/{n_gt} gt matched "
           f"(precision {sidebar['precision']:.4f}, recall {sidebar['recall']:.4f})")
@@ -261,9 +264,7 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, seed: int | None) -> int:
     (out_dir / "calib.txt").write_text(serialize_calib(CalibFile({cfg.camera: gt.P})))
     (out_dir / "detections.jsonl").write_text(write_detections(detections))
     (out_dir / "gt_map.jsonl").write_text(
-        f"# seqlabel {__version__} config={config_fingerprint(cfg)}\n"
-        + serialize_landmarks(gt.landmarks)
-    )
+        _header(_meta(cfg, {})) + serialize_landmarks(gt.landmarks))
     gt_labels = out_dir / "gt_labels"
     gt_labels.mkdir(exist_ok=True)
     for ann in annotate_sequence(gt.landmarks, gt.trajectory, gt.P, cfg.visibility):

@@ -6,13 +6,10 @@ stage: the stages import their configs from here.  So loading a config
 costs PyYAML and the standard library only, and a command that needs no
 numpy stage, such as evaluate, never loads numpy.
 
-Angles are written in degrees in the file (yaw_tol_deg, sigma_yaw_deg,
-outlier_dyaw_deg, object yaw) and converted to radians on load.  Unknown
-keys are rejected so typos fail loudly instead of silently using a
-default.  Count fields (seed, frames, n_objects, frame_window,
-max_frame_gap, min_support) must be YAML integers, not floats or
-booleans, and the simulator's scalar fields (_SIM_NUMBERS) YAML numbers;
-each is kept as given, so an int image size stays an int.
+Each dataclass is the schema of its section, read by _section: the keys
+are its fields, and each value has the kind of the field's default.  An
+angle field x is written x_deg, in degrees.  Anything else fails with one
+line naming section.key.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -29,12 +26,6 @@ from .errors import ConfigError
 
 WEIGHT_MODES = ("score", "inverse_variance")
 TRAJECTORY_KINDS = ("straight", "arc", "waypoints")
-# Scalar keys of the simulate section that must be YAML numbers.
-_SIM_NUMBERS = (
-    "speed", "arc_radius", "sigma_z", "sigma_yaw_deg", "sigma_px", "dropout_prob",
-    "outlier_prob", "outlier_dz", "outlier_dyaw_deg", "score_base", "score_decay",
-    "image_width", "image_height", "focal", "ground_y",
-)
 
 
 def _is_number(value) -> bool:
@@ -42,12 +33,9 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_count(value, name: str, low: int) -> None:
-    """ValueError unless value is an int (a bool is not) and at least low."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}")
+def _is_int(value) -> bool:
+    """A YAML int; a boolean is not an int here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -68,11 +56,12 @@ class AssociationConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.dist_gate <= 0:
             raise ValueError("dist_gate must be positive")
-        _check_count(self.max_frame_gap, "max_frame_gap", 0)
+        if self.max_frame_gap < 0:
+            raise ValueError("max_frame_gap must be >= 0")
         if min(self.w_iou, self.w_dist, self.w_desc) < 0:
-            raise ValueError("cost weights must be non-negative")
+            raise ValueError("w_iou, w_dist and w_desc must be non-negative")
         if abs(self.w_iou + self.w_dist + self.w_desc - 1.0) > 1e-12:
-            raise ValueError("cost weights must sum to 1")
+            raise ValueError("w_iou + w_dist + w_desc must sum to 1")
         if self.w_iou + self.w_dist == 0:
             raise ValueError("w_iou + w_dist must be positive (descriptors are optional)")
 
@@ -86,7 +75,7 @@ class WeightPolicy:
 
     def __post_init__(self):
         if self.mode not in WEIGHT_MODES:
-            raise ValueError(f"unknown weight mode {self.mode!r}; expected one of {WEIGHT_MODES}")
+            raise ValueError(f"mode must be one of {WEIGHT_MODES}, got {self.mode!r}")
         if not self.sigma_floor > 0:
             raise ValueError("sigma_floor must be positive")
 
@@ -99,11 +88,11 @@ class FusionConfig:
     var_gate: float = 1.0             # m^2 per axis; beyond this the track is dynamic
 
     def __post_init__(self):
-        if self.depth_tol <= 0 or self.yaw_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        _check_count(self.min_support, "min_support", 1)
-        if self.var_gate <= 0:
-            raise ValueError("var_gate must be positive")
+        for name in ("depth_tol", "yaw_tol", "var_gate"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.min_support < 1:
+            raise ValueError("min_support must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -115,9 +104,11 @@ class VisibilityConfig:
     min_visible_fraction: float = 0.25  # clipped / unclipped area
 
     def __post_init__(self):
-        if self.image_width <= 0 or self.image_height <= 0 or self.min_box_area <= 0:
-            raise ValueError("image size and min_box_area must be positive")
-        _check_count(self.frame_window, "frame_window", 0)
+        for name in ("image_width", "image_height", "min_box_area"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.frame_window < 0:
+            raise ValueError("frame_window must be >= 0")
         if not 0.0 < self.min_visible_fraction <= 1.0:
             raise ValueError("min_visible_fraction must be in (0, 1]")
 
@@ -151,11 +142,9 @@ class SimConfig:
     lateral_range: tuple = (-8.0, 8.0)
 
     def __post_init__(self):
-        _check_count(self.seed, "seed", 0)
-        _check_count(self.n_objects, "n_objects", 0)
-        _check_count(self.frames, "frames", 1)
-        if not isinstance(self.category, str):
-            raise ValueError(f"category must be a string, got {self.category!r}")
+        for name, low in (("seed", 0), ("n_objects", 0), ("frames", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         for name in ("dropout_prob", "outlier_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -165,7 +154,7 @@ class SimConfig:
         if self.trajectory not in TRAJECTORY_KINDS:
             raise ValueError(f"trajectory must be one of {TRAJECTORY_KINDS}")
         if self.trajectory == "waypoints" and len(self.waypoints) < 2:
-            raise ValueError("waypoint trajectory needs at least 2 points")
+            raise ValueError("waypoints must hold at least 2 points for a waypoints trajectory")
         if self.trajectory == "arc" and self.arc_radius <= 0:
             raise ValueError("arc_radius must be positive")
         for name in ("depth_range", "lateral_range"):
@@ -196,10 +185,15 @@ class PipelineConfig:
         return not any(a <= frame_id <= b for a, b in self.exclude)
 
 
+# The paths section: YAML key -> PipelineConfig field.
+_PATHS = {"trajectory": "trajectory_path", "calib": "calib_path",
+          "detections": "detections_path", "output": "output_dir"}
+
+
 def _check_keys(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+        raise ConfigError(f"unknown key(s) {sorted(map(str, unknown))} in {where}")
 
 
 def _check_finite(node, path: Path, where: str = "") -> None:
@@ -218,19 +212,31 @@ def _check_finite(node, path: Path, where: str = "") -> None:
         raise ConfigError(f"{path}: {where} must be a finite number, got {node}")
 
 
-def _ranges(raw, where: str) -> tuple:
-    out = []
-    for item in raw or ():
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ConfigError(f"{where} entries must be [start, end] pairs")
-        out.append((int(item[0]), int(item[1])))
-    return tuple(out)
+# The kind of a field's default -> (its name, the test a YAML value must pass).
+_KINDS = {
+    float: ("a number", _is_number),
+    int: ("an integer", _is_int),
+    str: ("a string", lambda value: isinstance(value, str)),
+}
+# Angle fields, written in degrees as <name>_deg.
+_DEGREES = ("yaw_tol", "sigma_yaw", "outlier_dyaw")
 
 
-def _string(section: dict, key: str, where: str, default: str) -> str:
-    value = section.get(key, default)
-    if not isinstance(value, str):
-        raise ValueError(f"{where} must be a string, got {value!r}")
+def _of_kind(value, default, where: str):
+    """value if it has the kind of default, else ValueError naming where."""
+    kind, ok = _KINDS[type(default)]
+    if not ok(value):
+        raise ValueError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
+def _mapping(value, allowed: set, where: str) -> dict:
+    """A config section: a mapping (null reads as empty) with no key outside allowed."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a mapping, got {value!r}")
+    _check_keys(value, allowed, where)
     return value
 
 
@@ -242,42 +248,75 @@ def _numbers(value, where: str, sizes: tuple[int, ...]) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
-def _build_simulate(section: dict) -> SimConfig:
-    allowed = {
-        "seed", "n_objects", "frames", "trajectory", "speed", "arc_radius",
-        "waypoints", "sigma_z", "sigma_yaw_deg", "sigma_px", "dropout_prob",
-        "outlier_prob", "outlier_dz", "outlier_dyaw_deg", "score_base",
-        "score_decay", "sigma_model", "objects", "category", "image_width",
-        "image_height", "focal", "ground_y", "depth_range", "lateral_range",
-    }
-    _check_keys(section, allowed, "simulate")
-    for key in _SIM_NUMBERS:
-        if key in section and not _is_number(section[key]):
-            raise ValueError(f"simulate.{key} must be a number, got {section[key]!r}")
-    kwargs = dict(section)
-    if "sigma_yaw_deg" in kwargs:
-        kwargs["sigma_yaw"] = math.radians(kwargs.pop("sigma_yaw_deg"))
-    if "outlier_dyaw_deg" in kwargs:
-        kwargs["outlier_dyaw"] = math.radians(kwargs.pop("outlier_dyaw_deg"))
-    if kwargs.get("waypoints"):
-        kwargs["waypoints"] = tuple(_numbers(p, f"simulate.waypoints[{i}]", (3,))
-                                    for i, p in enumerate(kwargs["waypoints"]))
-    if kwargs.get("sigma_model") is not None:
-        sm = kwargs["sigma_model"]
-        if not isinstance(sm, dict) or set(sm) != {"offset", "slope"}:
-            raise ValueError(f"simulate.sigma_model must be a mapping of offset and slope, "
-                             f"got {sm!r}")
-        kwargs["sigma_model"] = (float(sm["offset"]), float(sm["slope"]))
-    if kwargs.get("objects"):
-        objs = []
-        for i, spec in enumerate(kwargs["objects"]):
-            x, y, z, yaw, *dims = _numbers(spec, f"simulate.objects[{i}]", (4, 7))
-            objs.append((x, y, z, math.radians(yaw), *dims))  # yaw written in degrees
-        kwargs["objects"] = tuple(objs)
-    for key in ("depth_range", "lateral_range"):
-        if key in kwargs:
-            kwargs[key] = _numbers(kwargs[key], f"simulate.{key}", (2,))
-    return SimConfig(**kwargs)
+def _points(value, where: str, sizes: tuple[int, ...]) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {value!r}")
+    return tuple(_numbers(p, f"{where}[{i}]", sizes) for i, p in enumerate(value))
+
+
+def _objects(value, where: str) -> tuple:
+    """((x, y, z, yaw[, h, w, l]), ...) with yaw written in degrees."""
+    return tuple((x, y, z, math.radians(yaw), *dims)
+                 for x, y, z, yaw, *dims in _points(value, where, (4, 7)))
+
+
+def _sigma_model(value, where: str) -> tuple | None:
+    if value is None:
+        return None
+    if (not isinstance(value, dict) or set(value) != {"offset", "slope"}
+            or not all(map(_is_number, value.values()))):
+        raise ValueError(f"{where} must be a mapping of the numbers offset and slope, "
+                         f"got {value!r}")
+    return float(value["offset"]), float(value["slope"])
+
+
+# Fields whose YAML value has a shape of its own: field -> converter(value, where).
+_SHAPED = {
+    "waypoints": lambda value, where: _points(value, where, (3,)),
+    "objects": _objects,
+    "sigma_model": _sigma_model,
+    "depth_range": lambda value, where: _numbers(value, where, (2,)),
+    "lateral_range": lambda value, where: _numbers(value, where, (2,)),
+}
+
+
+def _section(cls, raw, where: str):
+    """Build the config dataclass cls from its YAML section raw.
+
+    The keys are the fields of cls (an angle field x as x_deg, converted to
+    radians); a shaped field goes through its _SHAPED converter, and every
+    other value must have the kind of the field's default and is kept as
+    given.  The range checks of cls start their messages with the field
+    name, so prefixing the section names the key path.
+    """
+    by_key = {f"{f.name}_deg" if f.name in _DEGREES else f.name: f for f in fields(cls)}
+    kwargs = {}
+    for key, value in _mapping(raw, set(by_key), where).items():
+        f = by_key[key]
+        if f.name in _SHAPED:
+            value = _SHAPED[f.name](value, f"{where}.{key}")
+        else:
+            value = _of_kind(value, f.default, f"{where}.{key}")
+            if f.name in _DEGREES:
+                value = math.radians(value)
+        kwargs[f.name] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"{where}.{e}") from None
+
+
+def _ranges(raw, where: str) -> tuple:
+    """((start, end), ...) from a list of [start, end] pairs of YAML ints."""
+    if raw is None:
+        return ()
+    if not isinstance(raw, list):
+        raise ValueError(f"{where} must be a list of [start, end] pairs, got {raw!r}")
+    for item in raw:
+        if not isinstance(item, list) or len(item) != 2 or not all(map(_is_int, item)):
+            raise ValueError(f"{where} entries must be [start, end] pairs of integers, "
+                             f"got {item!r}")
+    return tuple(tuple(item) for item in raw)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -301,49 +340,26 @@ def load_config(path: str | Path) -> PipelineConfig:
     _check_finite(raw, path)
     try:
         cfg = PipelineConfig()
-        paths = raw.get("paths", {})
-        _check_keys(paths, {"trajectory", "calib", "detections", "output"}, "paths")
-        cfg.trajectory_path = _string(paths, "trajectory", "paths.trajectory", "")
-        cfg.calib_path = _string(paths, "calib", "paths.calib", "")
-        cfg.detections_path = _string(paths, "detections", "paths.detections", "")
-        cfg.output_dir = _string(paths, "output", "paths.output", cfg.output_dir)
-        cfg.camera = _string(raw, "camera", "camera", cfg.camera)
+        for key, value in _mapping(raw.get("paths"), set(_PATHS), "paths").items():
+            setattr(cfg, _PATHS[key], _of_kind(value, "", f"paths.{key}"))
+        cfg.camera = _of_kind(raw.get("camera", cfg.camera), "", "camera")
 
-        assoc = raw.get("association", {})
-        _check_keys(assoc, {"score_threshold", "iou_gate", "dist_gate", "descriptor_gate",
-                            "max_frame_gap", "w_iou", "w_dist", "w_desc"}, "association")
-        cfg.association = AssociationConfig(**assoc)
+        cfg.association = _section(AssociationConfig, raw.get("association"), "association")
+        cfg.weighting = _section(WeightPolicy, raw.get("weighting"), "weighting")
+        cfg.fusion = _section(FusionConfig, raw.get("fusion"), "fusion")
+        cfg.visibility = _section(VisibilityConfig, raw.get("visibility"), "visibility")
+        if raw.get("simulate") is not None:
+            cfg.simulate = _section(SimConfig, raw["simulate"], "simulate")
 
-        weighting = raw.get("weighting", {})
-        _check_keys(weighting, {"mode", "sigma_floor"}, "weighting")
-        cfg.weighting = WeightPolicy(**weighting)
-
-        fusion = dict(raw.get("fusion", {}))
-        _check_keys(fusion, {"depth_tol", "yaw_tol_deg", "min_support", "var_gate"}, "fusion")
-        if "yaw_tol_deg" in fusion:
-            fusion["yaw_tol"] = math.radians(fusion.pop("yaw_tol_deg"))
-        cfg.fusion = FusionConfig(**fusion)
-
-        vis = raw.get("visibility", {})
-        _check_keys(vis, {"image_width", "image_height", "min_box_area",
-                          "frame_window", "min_visible_fraction"}, "visibility")
-        cfg.visibility = VisibilityConfig(**vis)
-
-        metrics = raw.get("metrics", {})
-        _check_keys(metrics, {"iou_min"}, "metrics")
+        metrics = _mapping(raw.get("metrics"), {"iou_min"}, "metrics")
         iou_min = metrics.get("iou_min", cfg.metrics_iou_min)
         if not _is_number(iou_min) or not 0 < iou_min <= 1:
-            raise ConfigError(f"{path}: metrics.iou_min must be a number in (0, 1], "
-                              f"got {iou_min!r}")
+            raise ValueError(f"metrics.iou_min must be a number in (0, 1], got {iou_min!r}")
         cfg.metrics_iou_min = float(iou_min)
 
-        sequence = raw.get("sequence", {})
-        _check_keys(sequence, {"include", "exclude"}, "sequence")
+        sequence = _mapping(raw.get("sequence"), {"include", "exclude"}, "sequence")
         cfg.include = _ranges(sequence.get("include"), "sequence.include")
         cfg.exclude = _ranges(sequence.get("exclude"), "sequence.exclude")
-
-        if raw.get("simulate") is not None:
-            cfg.simulate = _build_simulate(raw["simulate"])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from None
     return cfg
@@ -355,17 +371,7 @@ def config_fingerprint(cfg: PipelineConfig) -> str:
     Paths are machine-specific and excluded; input content is covered by
     the per-file digests written next to this hash.
     """
-    payload = {
-        "camera": cfg.camera,
-        "association": asdict(cfg.association),
-        "weighting": asdict(cfg.weighting),
-        "fusion": asdict(cfg.fusion),
-        "visibility": asdict(cfg.visibility),
-        "metrics_iou_min": cfg.metrics_iou_min,
-        "include": cfg.include,
-        "exclude": cfg.exclude,
-        "simulate": asdict(cfg.simulate) if cfg.simulate else None,
-    }
+    payload = {k: v for k, v in asdict(cfg).items() if k not in _PATHS.values()}
     blob = json.dumps(payload, sort_keys=True, default=list)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateProjection
+from .errors import DegenerateMean, DegenerateProjection
 from .labels import Box2D, Dimensions3D, iou_2d, wrap_angle  # re-exported for the stages
 
 log = logging.getLogger(__name__)
@@ -120,9 +120,13 @@ def nearest_rotation(m: np.ndarray) -> np.ndarray:
     """Project an arbitrary 3x3 matrix onto the closest proper rotation.
 
     SVD projection with the sign of the smallest singular direction fixed
-    so the determinant is always +1 (never a reflection).
+    so the determinant is always +1 (never a reflection).  Raises
+    DegenerateMean when the two largest singular values vanish, since m
+    then has no direction (a collapsed weighted rotation mean).
     """
-    u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    if s[0] < 1e-9 and s[1] < 1e-9:
+        raise DegenerateMean(f"rotation mean collapsed (singular values {s})")
     d = np.sign(np.linalg.det(u @ vt))
     return u @ np.diag([1.0, 1.0, d]) @ vt
 

@@ -24,6 +24,7 @@ from .errors import DegenerateMean, EmptyInput, MissingSigma, ParseError, ZeroWe
 from .geometry import (
     Dimensions3D,
     Pose,
+    nearest_rotation,
     wrap_angle,
     yaw_from_rotation,
     yaw_to_rotation,
@@ -87,20 +88,7 @@ def rotation_average(rotations: Sequence[np.ndarray], weights: Sequence[float]) 
     if total <= 0.0:
         raise ZeroWeightSum("weights sum to zero")
     m = np.tensordot(np.asarray(weights, dtype=float), np.asarray(rotations, dtype=float), axes=1)
-    return project_rotation_mean(m / total)
-
-
-def project_rotation_mean(m: np.ndarray) -> np.ndarray:
-    """Closest proper rotation to a weighted rotation mean M = U S V^T.
-
-    Returns U diag(1, 1, det(U V^T)) V^T; raises DegenerateMean when the
-    two largest singular values vanish, since M then has no direction.
-    """
-    u, s, vt = np.linalg.svd(m)
-    if s[0] < 1e-9 and s[1] < 1e-9:
-        raise DegenerateMean(f"rotation mean collapsed (singular values {s})")
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    return nearest_rotation(m / total)
 
 
 def weighted_median(values: Sequence[float], weights: Sequence[float],
@@ -190,7 +178,7 @@ def fuse_rows(sums: np.ndarray) -> tuple[Pose, Dimensions3D]:
     if total <= 0.0:
         raise ZeroWeightSum("weights sum to zero")
     mean = sums / total
-    pose = yaw_only_pose(project_rotation_mean(mean[4:13].reshape(3, 3)), mean[1:4])
+    pose = yaw_only_pose(nearest_rotation(mean[4:13].reshape(3, 3)), mean[1:4])
     return pose, Dimensions3D(*mean[13:16])
 
 

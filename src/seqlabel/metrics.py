@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import EmptyInput, FrameMismatch
@@ -193,16 +193,7 @@ def depth_metrics(pairs: Sequence[MatchedPair]) -> DepthReport:
     intervals = {
         label: _depth_stats(group) for label, group in interval_breakdown(pairs).items()
     }
-    return DepthReport(
-        delta_125=overall.delta_125,
-        abs_rel=overall.abs_rel,
-        sqr_rel=overall.sqr_rel,
-        rmse=overall.rmse,
-        rmse_log=overall.rmse_log,
-        count=overall.count,
-        log_excluded=overall.log_excluded,
-        intervals=intervals,
-    )
+    return replace(overall, intervals=intervals)
 
 
 def _viewpoint_stats(pairs: Sequence[MatchedPair]) -> ViewpointReport:
@@ -223,13 +214,7 @@ def viewpoint_metrics(pairs: Sequence[MatchedPair]) -> ViewpointReport:
     intervals = {
         label: _viewpoint_stats(group) for label, group in interval_breakdown(pairs).items()
     }
-    return ViewpointReport(
-        acc_pi4=overall.acc_pi4,
-        acc_pi6=overall.acc_pi6,
-        mederr=overall.mederr,
-        count=overall.count,
-        intervals=intervals,
-    )
+    return replace(overall, intervals=intervals)
 
 
 def _depth_row(r: DepthReport) -> str:

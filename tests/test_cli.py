@@ -461,6 +461,40 @@ class TestExitCodes:
         sim = load_config(config).simulate
         assert type(sim.image_width) is int and type(sim.speed) is float
 
+    @pytest.mark.parametrize("key, value", [
+        ("association.score_threshold", True),
+        ("association.iou_gate", False),
+        ("association.w_iou", "0.5"),
+        ("visibility.image_width", True),
+        ("visibility.min_visible_fraction", True),
+        ("visibility.min_box_area", "100"),
+        ("weighting.sigma_floor", True),
+        ("fusion.var_gate", True),
+        ("fusion.yaw_tol_deg", True),
+        ("fusion.depth_tol", "a"),
+        ("simulate.sigma_model", {"offset": "nan", "slope": 0.01}),
+        ("simulate.sigma_model", {"offset": 0.1, "slope": True}),
+        ("sequence.include", [[0.5, 10.9]]),
+        ("sequence.include", [["3", "7"]]),
+        ("sequence.exclude", [[True, 4]]),
+        ("sequence.include", 5),
+        ("association", 5),
+        ("paths", 5),
+        ("metrics", 0.5),
+        ("sequence", 5),
+    ])
+    def test_value_of_wrong_kind_exit_3_naming_it(self, tmp_path, capsys, key, value):
+        # A section must be a mapping, each value must have the kind of its
+        # field's default, and a frame range must be a pair of integers.
+        section, _, name = key.partition(".")
+        config = write_config(tmp_path, **{section: {name: value} if name else value})
+        assert main(["simulate", "--config", str(config),
+                     "--output", str(tmp_path / "sim")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert key in err
+        assert not (tmp_path / "sim").exists()
+
 
 class TestOutputOverrides:
     def test_env_var_overrides_config(self, tmp_path, monkeypatch):

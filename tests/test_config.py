@@ -1,0 +1,120 @@
+"""Config loading: each section's dataclass is its schema, and a value of the
+wrong kind fails with one line naming its key path."""
+
+import math
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from seqlabel.config import (
+    AssociationConfig,
+    FusionConfig,
+    SimConfig,
+    VisibilityConfig,
+    WeightPolicy,
+    config_fingerprint,
+    load_config,
+)
+from seqlabel.errors import ConfigError
+
+SYNTHETIC = Path(__file__).resolve().parent.parent / "configs" / "synthetic.yaml"
+SECTIONS = {
+    "association": AssociationConfig,
+    "weighting": WeightPolicy,
+    "fusion": FusionConfig,
+    "visibility": VisibilityConfig,
+    "simulate": SimConfig,
+}
+DEGREES = {"yaw_tol", "sigma_yaw", "outlier_dyaw"}  # written as <name>_deg
+
+
+def _keys():
+    """(section, YAML key, field name, read the loaded value, default) of every key."""
+    keys = [
+        (section, f"{f.name}_deg" if f.name in DEGREES else f.name, f.name,
+         lambda cfg, s=section, n=f.name: getattr(getattr(cfg, s), n), f.default)
+        for section, cls in SECTIONS.items() for f in fields(cls)
+    ]
+    keys.append(("metrics", "iou_min", "iou_min", lambda cfg: cfg.metrics_iou_min, 0.5))
+    for key, attr in (("trajectory", "trajectory_path"), ("calib", "calib_path"),
+                      ("detections", "detections_path"), ("output", "output_dir")):
+        keys.append(("paths", key, key, lambda cfg, a=attr: getattr(cfg, a), ""))
+    for key in ("include", "exclude"):
+        keys.append(("sequence", key, key, lambda cfg, k=key: getattr(cfg, k), ()))
+    return keys
+
+
+KEYS = _keys()
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _has_kind(value, default) -> bool:
+    """Whether a loaded value has the kind of the field's default."""
+    if isinstance(default, float):
+        return type(value) in (int, float) and math.isfinite(value)
+    if isinstance(default, int):
+        return type(value) is int
+    if isinstance(default, str):
+        return type(value) is str
+    if default is None and value is None:  # sigma_model
+        return True
+    return isinstance(value, tuple) and all(type(v) in (int, float) for v in _leaves(value))
+
+
+VALUES = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False).map(str),  # a quoted number
+    st.integers(-5, 10**6).map(str),
+    st.just("nan"),
+    st.lists(st.one_of(st.integers(-5, 50), st.floats(-50, 50), st.booleans()), max_size=4),
+    st.lists(st.lists(st.one_of(st.integers(-5, 50), st.floats(-50, 50)), max_size=4),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["offset", "slope", "x"]),
+                    st.one_of(st.floats(-1, 1), st.just("nan"), st.booleans()), max_size=3),
+    st.none(),
+    st.integers(-5, 10**6),
+    st.floats(),
+)
+
+
+class TestSectionReader:
+    def test_synthetic_fingerprint_pinned(self):
+        # Every provenance header carries this hash; a reader that converts
+        # a value (say an int image size to a float) moves it.
+        assert config_fingerprint(load_config(SYNTHETIC)) == "f2c55abc3d2b"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(KEYS), VALUES)
+    def test_one_replaced_key_loads_with_its_kind_or_fails_naming_it(
+            self, tmp_path_factory, entry, value):
+        section, key, name, read, default = entry
+        raw = yaml.safe_load(SYNTHETIC.read_text())
+        raw.setdefault(section, {})[key] = value
+        path = tmp_path_factory.mktemp("config") / "pipeline.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        try:
+            cfg = load_config(path)
+        except ConfigError as e:
+            message = str(e)
+            assert "\n" not in message
+            assert f"{section}." in message and name in message, message
+        else:
+            assert _has_kind(read(cfg), default), (section, key, read(cfg))
+
+    @pytest.mark.parametrize("raw", [{1: 2, "bogus": 3}, {"association": {2: 0.5, "x": 1}}])
+    def test_mixed_type_unknown_keys_are_a_config_error(self, tmp_path, raw):
+        # Listing unknown keys of mixed types must not compare an int with a str.
+        path = tmp_path / "pipeline.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)

@@ -16,7 +16,7 @@ from conftest import P_OFFSET, make_observation, oracle_box3d_corners, oracle_pr
 from seqlabel.annotate import annotate_frame
 from seqlabel.config import VisibilityConfig
 from seqlabel.association import Track
-from seqlabel.errors import DegenerateProjection, ZeroArea
+from seqlabel.errors import DegenerateMean, DegenerateProjection, ZeroArea
 from seqlabel.geometry import (
     Box2D,
     Dimensions3D,
@@ -190,6 +190,15 @@ class TestInternalPosesStayProper:
         for pose in trajectory.poses:
             assert_proper_rotation(pose)
             assert_proper_rotation(inverse(pose))
+
+
+class TestNearestRotation:
+    @pytest.mark.parametrize("m", [np.zeros((3, 3)), np.diag([0.0, 0.0, 1e-10])])
+    def test_collapsed_mean_raises_degenerate_mean(self, m):
+        # A weighted rotation mean whose two largest singular values vanish
+        # has no direction to project onto.
+        with pytest.raises(DegenerateMean):
+            nearest_rotation(m)
 
 
 class TestYaw:
