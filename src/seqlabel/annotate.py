@@ -215,7 +215,6 @@ def annotation_from_detections(
     detections: Sequence[DetectionRecord],
     P: ProjectionMatrix,
     cfg: VisibilityConfig,
-    start_id: int = 0,
 ) -> FrameAnnotation:
     """Render raw detections through the same geometry as map projections.
 
@@ -225,7 +224,7 @@ def annotation_from_detections(
     """
     n = len(detections)
     objects = _Objects(
-        ids=range(start_id, start_id + n),
+        ids=range(n),
         categories=[det.category for det in detections],
         dims=[det.dims for det in detections],
         half=half_extents(det.dims for det in detections),

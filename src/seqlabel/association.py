@@ -17,9 +17,8 @@ import numpy as np
 
 from .config import AssociationConfig
 from .dataio import DetectionRecord, TrajectoryFile
-from .errors import DegenerateMean, NonPositiveDepth, ZeroWeightSum
+from .errors import DegenerateMean, ZeroWeightSum
 from .geometry import (
-    Dimensions3D,
     Pose,
     ProjectionMatrix,
     back_project,
@@ -28,6 +27,7 @@ from .geometry import (
     project_box,
     yaw_to_rotation,
 )
+from .labels import Dimensions3D
 from .landmark import fuse_rows, fusion_row, yaw_only_pose
 
 INFEASIBLE = math.inf
@@ -39,12 +39,10 @@ _BIG = 1e6
 
 @dataclass(frozen=True)
 class Observation:
-    """One detection lifted to 3D, in both camera-local and global frames."""
+    """One detection lifted to 3D, in the global frame."""
 
     detection: DetectionRecord
-    local_pose: Pose
     global_pose: Pose
-    weight: float
 
     @property
     def frame_id(self) -> int:
@@ -60,8 +58,13 @@ class Track:
     reprojecting them, not from the last raw detection.  They are
     landmark.fuse_rows of a running sum of weighted fusion rows, so adding
     an observation costs the same however long the track is.  They weight
-    by detection score whatever the WeightPolicy (see lift_detection);
-    only the final fusion (landmark.fuse_track) follows the policy.
+    by detection score whatever the WeightPolicy; only the final fusion
+    (landmark.fuse_track) follows the policy.  The score is always present
+    and bounded in [0, 1], while 1/sigma^2 needs a sigma on every detection
+    and reaches 1/sigma_floor^2, so one overconfident detection would steer
+    the gate before outlier rejection has seen the track.  Association, and
+    so the set of tracks, also stays the same whichever policy final fusion
+    uses.
     """
 
     track_id: int
@@ -69,10 +72,11 @@ class Track:
     last_seen: int = -1
     fused_pose: Pose | None = None
     fused_dims: Dimensions3D | None = None
-    # sum(w * landmark.fusion_row) over the observations, w the observation weight.
+    # Most recent appearance descriptor, if any observation carried one.
+    descriptor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # sum(w * landmark.fusion_row) over the observations, w the detection score.
     _sums: np.ndarray = field(default_factory=lambda: np.zeros(16), init=False, repr=False,
                               compare=False)
-    _descriptor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def category(self) -> str:
@@ -81,10 +85,6 @@ class Track:
     @property
     def frames(self) -> list[int]:
         return [o.frame_id for o in self.observations]
-
-    def descriptor(self) -> np.ndarray | None:
-        """Most recent appearance descriptor, if any observation carried one."""
-        return self._descriptor
 
     def add(self, obs: Observation) -> None:
         if self.observations and obs.frame_id <= self.last_seen:
@@ -95,8 +95,8 @@ class Track:
         self.observations.append(obs)
         self.last_seen = obs.frame_id
         if obs.detection.descriptor is not None:
-            self._descriptor = obs.detection.descriptor
-        self._sums += obs.weight * fusion_row(obs)
+            self.descriptor = obs.detection.descriptor
+        self._sums += obs.detection.score * fusion_row(obs)
         if len(self.observations) == 1:  # a single observation passes through exactly
             pose = obs.global_pose
             self.fused_pose = yaw_only_pose(pose.rotation, pose.translation)
@@ -115,24 +115,11 @@ def lift_detection(d: DetectionRecord, P: ProjectionMatrix, cam: Pose) -> Observ
     """Lift a detection to 3D: back-project its center at the reported depth,
     build the local yaw rotation, then convert to the global frame.
 
-    The observation's weight, used by the running fusion that predicts
-    each track's box for gating, is the detection score under either
-    WeightPolicy.  The score is always present and bounded in [0, 1],
-    while 1/sigma^2 needs a sigma on every detection and reaches
-    1/sigma_floor^2, so one overconfident detection would steer the gate
-    before outlier rejection has seen the track.  Association, and so the
-    set of tracks, also stays the same whichever policy final fusion uses.
+    The depth is positive: read_detections rejects any other.
     """
-    if d.depth <= 0:
-        raise NonPositiveDepth(f"depth {d.depth} in frame {d.frame_id}")
     translation = back_project(d.center2d[0], d.center2d[1], d.depth, P)
     local = Pose(yaw_to_rotation(d.yaw), translation)
-    return Observation(
-        detection=d,
-        local_pose=local,
-        global_pose=compose(cam, local),
-        weight=d.score,
-    )
+    return Observation(detection=d, global_pose=compose(cam, local))
 
 
 def _descriptor_rows(descriptors: list[np.ndarray | None]) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +179,7 @@ def cost_matrix(
     wd = cfg.w_dist / (cfg.w_iou + cfg.w_dist)
     cost = wi * iou_term + wd * dist_term
 
-    track_desc = [t.descriptor() for t in live]
+    track_desc = [t.descriptor for t in live]
     det_desc = [d.descriptor for d in dets]
     if any(d is not None for d in track_desc) and any(d is not None for d in det_desc):
         a, na = _descriptor_rows(track_desc)

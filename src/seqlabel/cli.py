@@ -107,6 +107,13 @@ def _header(meta: dict) -> str:
     return f"# {meta['tool']} config={meta['config']} {digests}".rstrip() + "\n"
 
 
+def _write_labels(directory: Path, annotations) -> None:
+    """One KITTI label file per frame annotation."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for ann in annotations:
+        (directory / frame_file_name(ann.frame_id)).write_text(write_kitti_labels(ann))
+
+
 def _load_inputs(cfg: PipelineConfig):
     _load("parse_trajectory", "parse_calib")
     trajectory = _parse_with_context(parse_trajectory, cfg.trajectory_path, "trajectory")
@@ -169,9 +176,7 @@ def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> in
     ]
 
     labels_dir = out_dir / "labels"
-    labels_dir.mkdir(parents=True, exist_ok=True)
-    for ann in annotations:
-        (labels_dir / frame_file_name(ann.frame_id)).write_text(write_kitti_labels(ann))
+    _write_labels(labels_dir, annotations)
     inputs = {"trajectory": cfg.trajectory_path, "calib": cfg.calib_path,
               "map": str(map_file)}
     (out_dir / "annotations.jsonl").write_text(
@@ -202,20 +207,14 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
         print("evaluate: no common label files between the two directories", file=sys.stderr)
         return 4
 
-    def one(name: str):
+    pairs, n_pred, n_gt = [], 0, 0
+    for name in common:
         frame_id = int(name.split(".")[0])
-        pred_ann = FrameAnnotation(
-            frame_id, _parse_with_context(parse_kitti_labels, str(pred / name), "labels"))
-        gt_ann = FrameAnnotation(
-            frame_id, _parse_with_context(parse_kitti_labels, str(gt / name), "labels"))
-        pairs = match_annotations(pred_ann, gt_ann, cfg.metrics_iou_min)
-        return pairs, len(pred_ann.entries), len(gt_ann.entries)
-
-    results = [one(name) for name in common]
-
-    pairs = [p for frame_pairs, _, _ in results for p in frame_pairs]
-    n_pred = sum(r[1] for r in results)
-    n_gt = sum(r[2] for r in results)
+        pred_ann, gt_ann = (FrameAnnotation(frame_id, _parse_with_context(
+            parse_kitti_labels, str(d / name), "labels")) for d in (pred, gt))
+        pairs += match_annotations(pred_ann, gt_ann, cfg.metrics_iou_min)
+        n_pred += len(pred_ann.entries)
+        n_gt += len(gt_ann.entries)
     if not pairs:
         print("evaluate: zero matched pairs", file=sys.stderr)
         return 4
@@ -265,10 +264,8 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, seed: int | None) -> int:
     (out_dir / "detections.jsonl").write_text(write_detections(detections))
     (out_dir / "gt_map.jsonl").write_text(
         _header(_meta(cfg, {})) + serialize_landmarks(gt.landmarks))
-    gt_labels = out_dir / "gt_labels"
-    gt_labels.mkdir(exist_ok=True)
-    for ann in annotate_sequence(gt.landmarks, gt.trajectory, gt.P, cfg.visibility):
-        (gt_labels / frame_file_name(ann.frame_id)).write_text(write_kitti_labels(ann))
+    _write_labels(out_dir / "gt_labels",
+                  annotate_sequence(gt.landmarks, gt.trajectory, gt.P, cfg.visibility))
     print(f"simulate: {len(gt.landmarks)} objects, {len(gt.trajectory)} frames, "
           f"{len(detections)} detections -> {out_dir}")
     return 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -29,8 +30,14 @@ TRAJECTORY_KINDS = ("straight", "arc", "waypoints")
 
 
 def _is_number(value) -> bool:
-    """A YAML int or float; a boolean is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A YAML int or float that fits a finite float; a boolean is not a number here.
+
+    The range checks of the config classes compare with < and <=, which a
+    NaN passes, and an int beyond the float range overflows where a stage
+    converts it; the input parsers apply the same finite-number rule.
+    """
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_int(value) -> bool:
@@ -196,25 +203,9 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(map(str, unknown))} in {where}")
 
 
-def _check_finite(node, path: Path, where: str = "") -> None:
-    """Reject NaN and infinity anywhere in the raw config, naming the key path.
-
-    The range checks of the config classes compare with < and <=, which a
-    NaN passes; the input parsers apply the same rule to their numbers.
-    """
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _check_finite(value, path, f"{where}.{key}" if where else str(key))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            _check_finite(value, path, f"{where}[{i}]")
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"{path}: {where} must be a finite number, got {node}")
-
-
 # The kind of a field's default -> (its name, the test a YAML value must pass).
 _KINDS = {
-    float: ("a number", _is_number),
+    float: ("a finite number", _is_number),
     int: ("an integer", _is_int),
     str: ("a string", lambda value: isinstance(value, str)),
 }
@@ -337,7 +328,6 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     _check_keys(raw, {"paths", "camera", "association", "weighting", "fusion",
                       "visibility", "metrics", "sequence", "simulate"}, str(path))
-    _check_finite(raw, path)
     try:
         cfg = PipelineConfig()
         for key, value in _mapping(raw.get("paths"), set(_PATHS), "paths").items():

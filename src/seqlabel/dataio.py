@@ -40,8 +40,7 @@ from .labels import (
     _data_lines,
     _parse_floats,
     format_label_line,
-    frame_file_name,  # re-exported: dataio serves every on-disk format
-    parse_kitti_labels,  # re-exported
+    parse_kitti_labels,  # re-exported: the acceptance suite reads labels through dataio
     wrap_angle,
 )
 
@@ -193,10 +192,15 @@ def _number(obj: dict, name: str, lineno: int) -> float:
     return float(v)
 
 
+def _integer(obj: dict, name: str, lineno: int) -> int:
+    v = _require(obj, name, lineno)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaError(lineno, f"field {name!r} must be an integer")
+    return v
+
+
 def _detection_from_json(obj: dict, lineno: int, descriptor_len: list) -> DetectionRecord:
-    frame_id = _require(obj, "frame_id", lineno)
-    if isinstance(frame_id, bool) or not isinstance(frame_id, int):
-        raise SchemaError(lineno, "field 'frame_id' must be an integer")
+    frame_id = _integer(obj, "frame_id", lineno)
     category = _require(obj, "category", lineno)
     if not isinstance(category, str):
         raise SchemaError(lineno, "field 'category' must be a string")
@@ -236,9 +240,7 @@ def _detection_from_json(obj: dict, lineno: int, descriptor_len: list) -> Detect
             )
         descriptor = np.asarray(raw, dtype=float)
 
-    gt_id = obj.get("gt_id")
-    if gt_id is not None and (isinstance(gt_id, bool) or not isinstance(gt_id, int)):
-        raise SchemaError(lineno, "field 'gt_id' must be an integer")
+    gt_id = _integer(obj, "gt_id", lineno) if obj.get("gt_id") is not None else None
 
     try:
         return DetectionRecord(
@@ -258,13 +260,12 @@ def _detection_from_json(obj: dict, lineno: int, descriptor_len: list) -> Detect
         raise SchemaError(lineno, str(e)) from None
 
 
-def read_detections(stream) -> dict[int, list[DetectionRecord]]:
+def read_detections(text: str) -> dict[int, list[DetectionRecord]]:
     """Read detection JSONL grouped by frame id.
 
     Returns a dict whose keys are ascending frame ids; within each frame
-    the input order is preserved.  stream may be a file object or a str.
+    the input order is preserved.
     """
-    text = stream if isinstance(stream, str) else stream.read()
     groups: dict[int, list[DetectionRecord]] = {}
     descriptor_len = [None]
     for lineno, line in _data_lines(text):

@@ -13,10 +13,6 @@ class ZeroArea(SeqLabelError):
     """Both boxes in an IoU computation have zero area."""
 
 
-class NonPositiveDepth(SeqLabelError):
-    """A detection reported depth <= 0 and cannot be lifted to 3D."""
-
-
 class ParseError(SeqLabelError):
     """A text input failed to parse. Carries the 1-based line number."""
 

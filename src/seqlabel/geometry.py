@@ -6,12 +6,11 @@ the pose translation; yaw is the rotation about the y axis.
 
 project_box is the one cuboid-to-box projection; association and
 annotation both call it once per frame.  The numpy-free box types, 2D
-IoU and wrap_angle live in seqlabel.labels and are re-exported here.
+IoU and wrap_angle live in seqlabel.labels.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -19,9 +18,6 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegenerateMean, DegenerateProjection
-from .labels import Box2D, Dimensions3D, iou_2d, wrap_angle  # re-exported for the stages
-
-log = logging.getLogger(__name__)
 
 # Off-pattern elements this small mean the matrix is a pure y rotation,
 # which allows full-range yaw recovery instead of the folded formula.
@@ -153,12 +149,6 @@ def yaw_from_rotation(R: np.ndarray) -> float:
     r = np.asarray(R, dtype=float)
     if _is_yaw_only(r):
         return math.atan2(r[0, 2], r[0, 0])
-    if abs(r[1, 0]) > 0.5:
-        log.warning(
-            "large pitch/roll component (|R[1,0]| = %.3f); yaw extraction is "
-            "only meaningful for nearly ground-parallel rotations",
-            abs(r[1, 0]),
-        )
     return math.atan2(-r[2, 0], math.hypot(r[0, 0], r[1, 0]))
 
 
@@ -188,8 +178,8 @@ CORNER_SIGNS = np.array(
 CORNER_SIGNS.flags.writeable = False
 
 
-def half_extents(dims: Iterable[Dimensions3D]) -> np.ndarray:
-    """The (N, 3) half sizes project_box takes: (length / 2, height, width / 2) per cuboid."""
+def half_extents(dims: Iterable) -> np.ndarray:
+    """(N, 3) half sizes for project_box: (length / 2, height, width / 2) per Dimensions3D."""
     return np.array([(d.length / 2.0, d.height, d.width / 2.0) for d in dims])
 
 

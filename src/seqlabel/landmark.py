@@ -19,17 +19,10 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .config import FusionConfig, WeightPolicy
-from .dataio import _check_rotation, _json_record
+from .dataio import _check_rotation, _integer, _json_record, _number, _require
 from .errors import DegenerateMean, EmptyInput, MissingSigma, ParseError, ZeroWeightSum
-from .geometry import (
-    Dimensions3D,
-    Pose,
-    nearest_rotation,
-    wrap_angle,
-    yaw_from_rotation,
-    yaw_to_rotation,
-)
-from .labels import _data_lines
+from .geometry import Pose, nearest_rotation, yaw_from_rotation, yaw_to_rotation
+from .labels import Dimensions3D, _data_lines, wrap_angle
 
 if TYPE_CHECKING:
     from .association import Observation, Track
@@ -131,17 +124,15 @@ def weighted_circular_median(angles: Sequence[float], weights: Sequence[float],
 def reject_outliers(
     observations: Sequence["Observation"],
     cfg: FusionConfig,
-    weights: Sequence[float] | None = None,
+    weights: Sequence[float],
 ) -> tuple[list["Observation"], list["Observation"]]:
-    """Split observations into (inliers, outliers).
+    """Split observations into (inliers, outliers) under the weights.
 
     Inliers sit within depth_tol of the weighted median global z and within
     yaw_tol of the weighted circular median global yaw.
     """
     if len(observations) == 0:
         raise EmptyInput("no observations")
-    if weights is None:
-        weights = [o.weight for o in observations]
     frames = [o.detection.frame_id for o in observations]
     zs = [float(o.global_pose.translation[2]) for o in observations]
     yaws = [yaw_from_rotation(o.global_pose.rotation) for o in observations]
@@ -282,30 +273,38 @@ def serialize_landmarks(landmarks: Iterable[Landmark]) -> str:
 
 
 def parse_landmarks(text: str) -> list[Landmark]:
-    """Read a map; rotations are used exactly as read, so they must pass MAP_ROTATION_TOL."""
+    """Read a map; rotations are used exactly as read, so they must pass MAP_ROTATION_TOL.
+
+    Integer and number fields follow read_detections' rules (no booleans).
+    """
     out = []
     for lineno, line in _data_lines(text):
         obj = _json_record(line, lineno)
         try:
-            m = np.array(obj["pose"], dtype=float).reshape(3, 4)
+            m = np.array(_require(obj, "pose", lineno), dtype=float).reshape(3, 4)
             _check_rotation(m[:, :3], lineno, MAP_ROTATION_TOL)
-            if not isinstance(obj["category"], str):
+            category = _require(obj, "category", lineno)
+            if not isinstance(category, str):
                 raise TypeError("field 'category' must be a string")
+            dims = _require(obj, "dims", lineno)
+            frames = obj.get("observed_frames", [])
+            if not isinstance(frames, list):
+                raise TypeError("field 'observed_frames' must be an array of integers")
+            # Keyed by their path, so that _integer names a bad entry.
+            frames = {f"observed_frames[{i}]": f for i, f in enumerate(frames)}
             out.append(
                 Landmark(
-                    landmark_id=int(obj["id"]),
+                    landmark_id=_integer(obj, "id", lineno),
                     global_pose=Pose(m[:, :3], m[:, 3]),
-                    dims=Dimensions3D(obj["dims"]["h"], obj["dims"]["w"], obj["dims"]["l"]),
-                    support=int(obj["support"]),
-                    first_frame=int(obj["first_frame"]),
-                    last_frame=int(obj["last_frame"]),
-                    category=obj["category"],
-                    mean_score=float(obj["mean_score"]),
-                    observed_frames=tuple(int(f) for f in obj.get("observed_frames", [])),
+                    dims=Dimensions3D(*(_number(dims, k, lineno) for k in "hwl")),
+                    support=_integer(obj, "support", lineno),
+                    first_frame=_integer(obj, "first_frame", lineno),
+                    last_frame=_integer(obj, "last_frame", lineno),
+                    category=category,
+                    mean_score=_number(obj, "mean_score", lineno),
+                    observed_frames=tuple(_integer(frames, k, lineno) for k in frames),
                 )
             )
-        except KeyError as e:
-            raise ParseError(lineno, f"missing field {e}") from None
         except (TypeError, ValueError) as e:
             raise ParseError(lineno, str(e)) from None
     return out

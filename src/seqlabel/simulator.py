@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,15 +19,8 @@ from .association import Track
 from .config import SimConfig, VisibilityConfig
 from .dataio import DetectionRecord, TrajectoryFile
 from .errors import InfeasibleScene
-from .geometry import (
-    Box2D,
-    Dimensions3D,
-    Pose,
-    ProjectionMatrix,
-    project_point,
-    wrap_angle,
-    yaw_to_rotation,
-)
+from .geometry import Pose, ProjectionMatrix, project_point, yaw_to_rotation
+from .labels import Box2D, Dimensions3D, wrap_angle
 from .landmark import Landmark
 
 # Draw kinds for the stream keying.
@@ -43,9 +36,7 @@ class GroundTruth:
     landmarks: list[Landmark]
     trajectory: TrajectoryFile
     P: ProjectionMatrix
-    visibility: VisibilityConfig = field(
-        default_factory=lambda: VisibilityConfig(frame_window=0)
-    )
+    visibility: VisibilityConfig
 
 
 def projection_matrix(cfg: SimConfig) -> ProjectionMatrix:

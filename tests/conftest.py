@@ -19,18 +19,14 @@ from seqlabel.dataio import DetectionRecord
 from seqlabel.errors import ZeroWeightSum
 from seqlabel.geometry import (
     CORNER_SIGNS,
-    Box2D,
-    Dimensions3D,
     Pose,
     ProjectionMatrix,
     compose,
     inverse,
-    iou_2d,
-    wrap_angle,
     yaw_from_rotation,
     yaw_to_rotation,
 )
-from seqlabel.labels import FrameAnnotation
+from seqlabel.labels import Box2D, Dimensions3D, FrameAnnotation, iou_2d, wrap_angle
 from seqlabel.metrics import DepthReport, MatchedPair, ViewpointReport
 
 P_SIMPLE = ProjectionMatrix(

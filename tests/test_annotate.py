@@ -36,13 +36,8 @@ from seqlabel.annotate import (
     write_annotation_dump,
 )
 from seqlabel.dataio import TrajectoryFile, write_kitti_labels
-from seqlabel.geometry import (
-    Dimensions3D,
-    Pose,
-    back_project,
-    compose,
-    yaw_to_rotation,
-)
+from seqlabel.geometry import Pose, back_project, compose, yaw_to_rotation
+from seqlabel.labels import Dimensions3D
 from seqlabel.landmark import FusionConfig, Landmark, WeightPolicy, fuse_tracks
 
 VIS = VisibilityConfig(image_width=1242, image_height=375, min_box_area=100,
@@ -88,12 +83,14 @@ class TestLandmarkToLocal:
 
     def test_round_trip_with_lift(self):
         cam = Pose(np.eye(3), [2.0, 0.0, 7.0])
-        obs = make_observation(cam=cam, u=640.0, v=200.0, depth=20.0)
+        obs = make_observation(cam=cam, u=640.0, v=200.0, yaw=0.1, depth=20.0)
         lm = make_landmark()
         lm = Landmark(**{**lm.__dict__, "global_pose": obs.global_pose})
         local = local_pose(lm, cam)
-        assert np.allclose(local.translation, obs.local_pose.translation, atol=1e-9)
-        assert np.allclose(local.rotation, obs.local_pose.rotation, atol=1e-9)
+        # The lift's camera-local pose, by its definition.
+        assert np.allclose(local.translation, back_project(640.0, 200.0, 20.0, P_SIMPLE),
+                           atol=1e-9)
+        assert np.allclose(local.rotation, yaw_to_rotation(0.1), atol=1e-9)
 
 class TestAnnotateFrame:
     def test_visible_landmark_included(self):
@@ -334,19 +331,19 @@ class TestSharedProjectionOracle:
 
     @given(st.lists(st.tuples(_finite(-400, 1700), _finite(-200, 600), depths,
                               _finite(-math.pi, math.pi), dimensions), max_size=8),
-           st.sampled_from([P_SIMPLE, P_OFFSET]), visibility_configs, st.integers(0, 100))
+           st.sampled_from([P_SIMPLE, P_OFFSET]), visibility_configs)
     @settings(max_examples=200, deadline=None)
-    def test_annotation_from_detections_matches_oracle(self, raw, P, cfg, start_id):
+    def test_annotation_from_detections_matches_oracle(self, raw, P, cfg):
         detections = [make_detection(frame_id=3, u=u, v=v, depth=depth, yaw=yaw, dims=dims)
                       for u, v, depth, yaw, dims in raw]
         candidates = [
-            (start_id + i, d.category,
+            (i, d.category,
              Pose(yaw_to_rotation(d.yaw), back_project(d.center2d[0], d.center2d[1], d.depth, P)),
              d.dims, d.score, PROVENANCE_OBSERVED)
             for i, d in enumerate(detections)
         ]
         want = _oracle_annotation(3, candidates, P, cfg)
-        got = annotation_from_detections(3, detections, P, cfg, start_id=start_id)
+        got = annotation_from_detections(3, detections, P, cfg)
         assert write_annotation_dump([got]) == write_annotation_dump([want])
 
 

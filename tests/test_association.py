@@ -34,17 +34,16 @@ from seqlabel.association import (
     solve_assignment,
 )
 from seqlabel.dataio import TrajectoryFile
-from seqlabel.errors import DegenerateProjection, MissingCameraPose, NonPositiveDepth, ZeroArea
+from seqlabel.errors import DegenerateProjection, MissingCameraPose, ZeroArea
 from seqlabel.geometry import (
-    Box2D,
-    Dimensions3D,
     Pose,
+    back_project,
     compose,
     inverse,
-    iou_2d,
     project_point,
     yaw_to_rotation,
 )
+from seqlabel.labels import Box2D, Dimensions3D, iou_2d
 from seqlabel.landmark import (
     FusionConfig,
     Landmark,
@@ -127,22 +126,18 @@ class TestLiftDetection:
         obs = make_observation(cam=cam, u=600.0, v=180.0, depth=10.0)
         assert np.allclose(obs.global_pose.translation, [0, 0, 15], atol=1e-12)
 
-    def test_negative_depth(self):
-        with pytest.raises(NonPositiveDepth):
-            lift_detection(make_detection(depth=-1.0), P_SIMPLE, Pose.identity())
-
-    def test_weight_is_score(self):
-        assert make_observation(score=0.73).weight == 0.73
-
     def test_local_global_consistency(self):
         cam = Pose(np.eye(3), [3, 0, 7])
-        obs = make_observation(cam=cam, u=650.0, v=190.0, depth=24.0)
-        recomposed = compose(cam, obs.local_pose)
+        obs = make_observation(cam=cam, u=650.0, v=190.0, yaw=0.4, depth=24.0)
+        local = Pose(yaw_to_rotation(0.4), back_project(650.0, 190.0, 24.0, P_SIMPLE))
+        recomposed = compose(cam, local)
         assert np.allclose(recomposed.translation, obs.global_pose.translation, atol=1e-9)
+        assert np.allclose(recomposed.rotation, obs.global_pose.rotation, atol=1e-12)
 
     def test_projection_round_trip(self):
-        obs = make_observation(u=712.0, v=204.5, depth=18.0)
-        u, v, z = project_point(obs.local_pose.translation, P_SIMPLE)
+        cam = Pose(yaw_to_rotation(0.3), [2, 0, 5])
+        obs = make_observation(cam=cam, u=712.0, v=204.5, depth=18.0)
+        u, v, z = project_point(inverse(cam).apply(obs.global_pose.translation), P_SIMPLE)
         assert (u, v, z) == pytest.approx((712.0, 204.5, 18.0), abs=1e-9)
 
 def _track_box(track, cam=None):
@@ -458,10 +453,10 @@ def _finite(lo, hi):
 
 def _observation(frame_id, global_pose, *, category="Car", dims=(1.5, 1.7, 4.2), score=0.9,
                  descriptor=None, box=Box2D(0.0, 0.0, 1.0, 1.0)):
-    """An observation placed directly at a global pose; its local pose is unused here."""
+    """An observation placed directly at a global pose."""
     det = make_detection(frame_id=frame_id, category=category, dims=dims, score=score,
                          descriptor=descriptor, box=box)
-    return Observation(det, Pose.identity(), global_pose, det.score)
+    return Observation(det, global_pose)
 
 
 @st.composite
@@ -574,7 +569,7 @@ class TestCostMatrix:
 
 
 def _refit(observations):
-    return oracle_fuse(observations, [o.weight for o in observations])
+    return oracle_fuse(observations, [o.detection.score for o in observations])
 
 
 class TestRunningFusion:
@@ -599,7 +594,7 @@ class TestRunningFusion:
                 assert np.array_equal(track.fused_pose.rotation, pose.rotation)
                 assert np.array_equal(track.fused_pose.translation, pose.translation)
                 assert track.fused_dims == fused_dims
-            elif sum(o.weight for o in obs) == 0.0:
+            elif sum(o.detection.score for o in obs) == 0.0:
                 assert track.fused_pose is obs[-1].global_pose
                 assert track.fused_dims is obs[-1].detection.dims
             else:

@@ -46,6 +46,20 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
+# Number keys of the config, for the finite-number rule.
+NUMBER_KEYS = [
+    ("association", "dist_gate"),
+    ("association", "w_iou"),
+    ("association", "max_frame_gap"),
+    ("fusion", "depth_tol"),
+    ("fusion", "yaw_tol_deg"),
+    ("fusion", "var_gate"),
+    ("visibility", "min_box_area"),
+    ("visibility", "image_width"),
+    ("metrics", "iou_min"),
+]
+
+
 def simulate(tmp_path, config):
     assert main(["simulate", "--config", str(config),
                  "--output", str(tmp_path / "sim")]) == 0
@@ -97,6 +111,7 @@ class TestPipelineComposition:
     def test_build_annotate_evaluate(self, tmp_path, capsys):
         config = write_config(tmp_path)
         simulate(tmp_path, config)
+        capsys.readouterr()
         out = tmp_path / "out"
         assert main(["build-map", "--config", str(config)]) == 0
         assert (out / "map.jsonl").exists()
@@ -112,7 +127,9 @@ class TestPipelineComposition:
         assert report["depth"]["count"] > 0
         assert report["depth"]["abs_rel"] < 1e-9
         assert report["viewpoint"]["mederr"] < 1e-7
-        assert "MedErr" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "MedErr" in captured.out
+        assert captured.err == ""  # a successful run warns about nothing
 
     def test_outputs_deterministic(self, tmp_path):
         config = write_config(tmp_path)
@@ -245,23 +262,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 3" in err and "depth" in err and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("section, key", [
-        ("association", "dist_gate"),
-        ("association", "w_iou"),
-        ("association", "max_frame_gap"),
-        ("fusion", "depth_tol"),
-        ("fusion", "yaw_tol_deg"),
-        ("fusion", "var_gate"),
-        ("visibility", "min_box_area"),
-        ("visibility", "image_width"),
-        ("metrics", "iou_min"),
+    @pytest.mark.parametrize("section, key, value", [
+        *(pytest.param(section, key, float("nan"), id=f"{section}-{key}")
+          for section, key in NUMBER_KEYS),
+        # An integer beyond the float range, for each float field.
+        *(pytest.param(section, key, 10**400, id=f"{section}-{key}-1e400")
+          for section, key in NUMBER_KEYS if key != "max_frame_gap"),
     ])
-    def test_nan_config_number_exit_3(self, tmp_path, capsys, section, key):
+    def test_nan_config_number_exit_3(self, tmp_path, capsys, section, key, value):
         config = write_config(tmp_path)
         simulate(tmp_path, config)
         capsys.readouterr()
         raw = yaml.safe_load(config.read_text())
-        raw.setdefault(section, {})[key] = float("nan")
+        raw.setdefault(section, {})[key] = value
         config.write_text(yaml.safe_dump(raw))
         assert main(["build-map", "--config", str(config)]) == 3
         err = capsys.readouterr().err
@@ -305,8 +318,16 @@ class TestExitCodes:
         lambda obj: json.dumps(obj)[:40],
         lambda obj: {k: v for k, v in obj.items() if k != "dims"},
         lambda obj: {**obj, "dims": {**obj["dims"], "h": -obj["dims"]["h"]}},
+        # The detections reader's field rules: integers are JSON integers, and
+        # numbers are never booleans.
+        lambda obj: {**obj, "id": 1.5},
+        lambda obj: {**obj, "first_frame": 2.9},
+        lambda obj: {**obj, "observed_frames": [3.7]},
+        lambda obj: {**obj, "support": True},
+        lambda obj: {**obj, "dims": {**obj["dims"], "h": True}},
     ], ids=["scaled_rotation", "reflection", "nan", "truncated", "missing_dims",
-            "negative_dims"])
+            "negative_dims", "float_id", "float_first_frame", "float_observed_frame",
+            "bool_support", "bool_dims"])
     def test_malformed_map_exit_2_with_file_and_line(self, tmp_path, capsys, corrupt):
         config = write_config(tmp_path)
         simulate(tmp_path, config)

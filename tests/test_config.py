@@ -71,13 +71,16 @@ def _has_kind(value, default) -> bool:
     return isinstance(value, tuple) and all(type(v) in (int, float) for v in _leaves(value))
 
 
+HUGE = st.just(10**400)  # an integer beyond the float range
 VALUES = st.one_of(
     st.booleans(),
     st.floats(allow_nan=False, allow_infinity=False).map(str),  # a quoted number
     st.integers(-5, 10**6).map(str),
     st.just("nan"),
-    st.lists(st.one_of(st.integers(-5, 50), st.floats(-50, 50), st.booleans()), max_size=4),
-    st.lists(st.lists(st.one_of(st.integers(-5, 50), st.floats(-50, 50)), max_size=4),
+    HUGE,
+    st.lists(st.one_of(st.integers(-5, 50), st.floats(-50, 50), st.booleans(), HUGE),
+             max_size=4),
+    st.lists(st.lists(st.one_of(st.integers(-5, 50), st.floats(-50, 50), HUGE), max_size=4),
              max_size=3),
     st.dictionaries(st.sampled_from(["offset", "slope", "x"]),
                     st.one_of(st.floats(-1, 1), st.just("nan"), st.booleans()), max_size=3),

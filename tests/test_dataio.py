@@ -1,6 +1,5 @@
 """Format round trips, golden files and schema error reporting."""
 
-import io
 import json
 import math
 from pathlib import Path
@@ -13,7 +12,6 @@ from seqlabel.dataio import (
     ROTATION_INPUT_TOL,
     _check_rotation,
     format_label_line,
-    frame_file_name,
     parse_calib,
     parse_kitti_labels,
     parse_trajectory,
@@ -29,7 +27,8 @@ from seqlabel.errors import (
     ParseError,
     SchemaError,
 )
-from seqlabel.geometry import Box2D, Dimensions3D, Pose, yaw_to_rotation
+from seqlabel.geometry import Pose, yaw_to_rotation
+from seqlabel.labels import Box2D, Dimensions3D, frame_file_name
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,10 +125,6 @@ class TestDetections:
         assert d0.sigma == 0.5 and d0.descriptor is None
         assert d1.sigma is None and list(d1.descriptor) == [0.1, 0.5, 0.2]
         assert d1.gt_id == 2
-
-    def test_accepts_stream(self):
-        text = (DATA / "detections_good.jsonl").read_text()
-        assert list(read_detections(io.StringIO(text))) == [0, 1]
 
     def _record(self, **overrides):
         base = {

@@ -18,22 +18,19 @@ from seqlabel.config import VisibilityConfig
 from seqlabel.association import Track
 from seqlabel.errors import DegenerateMean, DegenerateProjection, ZeroArea
 from seqlabel.geometry import (
-    Box2D,
-    Dimensions3D,
     Pose,
     ProjectionMatrix,
     back_project,
     compose,
     half_extents,
     inverse,
-    iou_2d,
     nearest_rotation,
     project_box,
     project_point,
-    wrap_angle,
     yaw_from_rotation,
     yaw_to_rotation,
 )
+from seqlabel.labels import Box2D, Dimensions3D, iou_2d, wrap_angle
 from seqlabel.landmark import Landmark, WeightPolicy, fuse_pose, observation_weight
 from seqlabel.simulator import SimConfig, make_trajectory
 
@@ -163,7 +160,10 @@ class TestInternalPosesStayProper:
         observations = [make_observation(cam=cam, frame_id=k, yaw=yaw, depth=depth, sigma=0.5)
                         for k, (yaw, depth) in enumerate(dets)]
         for obs in observations:
-            assert_proper_rotation(obs.local_pose)
+            d = obs.detection
+            # The camera-local pose of the lift, by its definition.
+            assert_proper_rotation(Pose(yaw_to_rotation(d.yaw),
+                                        back_project(*d.center2d, d.depth, P_SIMPLE)))
             assert_proper_rotation(obs.global_pose)
         track = Track(track_id=0)
         for obs in observations:

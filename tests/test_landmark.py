@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import make_observation, make_track, oracle_fuse
 from seqlabel.association import Observation
 from seqlabel.errors import EmptyInput, MissingSigma, OrthonormalityError, ParseError
-from seqlabel.geometry import Pose, wrap_angle, yaw_from_rotation, yaw_to_rotation
+from seqlabel.geometry import Pose, yaw_from_rotation, yaw_to_rotation
+from seqlabel.labels import wrap_angle
 from seqlabel.landmark import (
     FusionConfig,
     Landmark,
@@ -164,31 +165,35 @@ class TestCircularMedianOracle:
         assert weighted_circular_median([0.0, 1.0], [1, 1], [1, 0]) == 1.0
 
 
+def _scores(observations):
+    return [o.detection.score for o in observations]
+
+
 class TestRejectOutliers:
     CFG = FusionConfig(depth_tol=2.0, yaw_tol=math.radians(30), min_support=2)
 
     def test_identical_all_inliers(self):
         obs = [make_observation(frame_id=i, depth=20.0) for i in range(5)]
-        inliers, outliers = reject_outliers(obs, self.CFG)
+        inliers, outliers = reject_outliers(obs, self.CFG, _scores(obs))
         assert len(inliers) == 5 and not outliers
 
     def test_depth_outlier_removed(self):
         obs = [make_observation(frame_id=i, depth=10.0) for i in range(9)]
         obs.append(make_observation(frame_id=9, depth=50.0))
-        inliers, outliers = reject_outliers(obs, self.CFG)
+        inliers, outliers = reject_outliers(obs, self.CFG, _scores(obs))
         assert len(outliers) == 1
         assert outliers[0].detection.depth == 50.0
 
     def test_yaw_outlier_removed(self):
         obs = [make_observation(frame_id=i, yaw=0.1) for i in range(6)]
         obs.append(make_observation(frame_id=6, yaw=0.1 + math.radians(90)))
-        inliers, outliers = reject_outliers(obs, self.CFG)
+        inliers, outliers = reject_outliers(obs, self.CFG, _scores(obs))
         assert len(outliers) == 1
 
     def test_two_way_disagreement(self):
         obs = [make_observation(frame_id=0, depth=10.0, yaw=0.0),
                make_observation(frame_id=1, depth=50.0, yaw=2.0)]
-        inliers, _ = reject_outliers(obs, self.CFG)
+        inliers, _ = reject_outliers(obs, self.CFG, _scores(obs))
         assert len(inliers) < 2
 
     def test_weight_scale_invariance(self):
@@ -291,8 +296,7 @@ class TestFuseTrack:
 def _global_observation(frame_id, yaw, translation, dims, score, sigma):
     """An observation placed directly at a global pose."""
     obs = make_observation(frame_id=frame_id, score=score, sigma=sigma, dims=dims)
-    return Observation(obs.detection, obs.local_pose, Pose(yaw_to_rotation(yaw), translation),
-                       obs.weight)
+    return Observation(obs.detection, Pose(yaw_to_rotation(yaw), translation))
 
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False)
