@@ -17,16 +17,8 @@ import numpy as np
 
 from .config import AssociationConfig
 from .dataio import DetectionRecord, TrajectoryFile
-from .errors import DegenerateMean, ZeroWeightSum
-from .geometry import (
-    Pose,
-    ProjectionMatrix,
-    back_project,
-    compose,
-    half_extents,
-    project_box,
-    yaw_to_rotation,
-)
+from .errors import DegenerateProjection
+from .geometry import Pose, ProjectionMatrix, half_extents, project_box, yaw_to_rotation
 from .labels import Dimensions3D
 from .landmark import fuse_rows, fusion_row, yaw_only_pose
 
@@ -55,9 +47,9 @@ class Track:
 
     fused_pose and fused_dims are running weighted-fusion estimates over
     all observations so far; the predicted box for gating comes from
-    reprojecting them, not from the last raw detection.  They are
-    landmark.fuse_rows of a running sum of weighted fusion rows, so adding
-    an observation costs the same however long the track is.  They weight
+    reprojecting them, not from the last raw detection.  add only adds to
+    running sums of weighted fusion rows; refresh_fused refits every track a
+    frame touched with one landmark.fuse_rows call.  They weight
     by detection score whatever the WeightPolicy; only the final fusion
     (landmark.fuse_track) follows the policy.  The score is always present
     and bounded in [0, 1], while 1/sigma^2 needs a sigma on every detection
@@ -70,13 +62,13 @@ class Track:
     track_id: int
     observations: list[Observation] = field(default_factory=list)
     last_seen: int = -1
-    fused_pose: Pose | None = None
-    fused_dims: Dimensions3D | None = None
     # Most recent appearance descriptor, if any observation carried one.
     descriptor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     # sum(w * landmark.fusion_row) over the observations, w the detection score.
     _sums: np.ndarray = field(default_factory=lambda: np.zeros(16), init=False, repr=False,
                               compare=False)
+    # (fused_pose, fused_dims), or None while stale.
+    _fused: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def category(self) -> str:
@@ -85,6 +77,18 @@ class Track:
     @property
     def frames(self) -> list[int]:
         return [o.frame_id for o in self.observations]
+
+    @property
+    def fused_pose(self) -> Pose:
+        if self._fused is None:
+            refresh_fused([self])
+        return self._fused[0]
+
+    @property
+    def fused_dims(self) -> Dimensions3D:
+        if self._fused is None:
+            refresh_fused([self])
+        return self._fused[1]
 
     def add(self, obs: Observation) -> None:
         if self.observations and obs.frame_id <= self.last_seen:
@@ -97,29 +101,51 @@ class Track:
         if obs.detection.descriptor is not None:
             self.descriptor = obs.detection.descriptor
         self._sums += obs.detection.score * fusion_row(obs)
-        if len(self.observations) == 1:  # a single observation passes through exactly
-            pose = obs.global_pose
-            self.fused_pose = yaw_only_pose(pose.rotation, pose.translation)
-            self.fused_dims = obs.detection.dims
-            return
-        try:
-            self.fused_pose, self.fused_dims = fuse_rows(self._sums)
-        except (ZeroWeightSum, DegenerateMean):  # no mean exists: keep the latest
-            self.fused_pose, self.fused_dims = obs.global_pose, obs.detection.dims
+        self._fused = None
 
     def alive(self, frame_id: int, max_frame_gap: int) -> bool:
         return frame_id - self.last_seen <= max_frame_gap
 
 
-def lift_detection(d: DetectionRecord, P: ProjectionMatrix, cam: Pose) -> Observation:
-    """Lift a detection to 3D: back-project its center at the reported depth,
-    build the local yaw rotation, then convert to the global frame.
+def refresh_fused(tracks: Sequence[Track]) -> None:
+    """Recompute the fused pose and dims of the stale tracks, with one fuse_rows call."""
+    stale = [t for t in tracks if t._fused is None]
+    multi = [t for t in stale if len(t.observations) > 1]
+    for t, fused in zip(multi, fuse_rows(np.array([t._sums for t in multi]).reshape(-1, 16))):
+        if isinstance(fused, Exception):  # no mean exists: keep the latest
+            fused = t.observations[-1].global_pose, t.observations[-1].detection.dims
+        t._fused = fused
+    for t in stale:
+        if len(t.observations) == 1:  # a single observation passes through exactly
+            pose, dims = t.observations[0].global_pose, t.observations[0].detection.dims
+            t._fused = yaw_only_pose(pose.rotation, pose.translation), dims
 
-    The depth is positive: read_detections rejects any other.
+
+def lift_detections(dets: Sequence[DetectionRecord], P: ProjectionMatrix,
+                    cams: Sequence[Pose]) -> list[Observation]:
+    """Lift detections to 3D, detection i seen from camera pose cams[i].
+
+    One broadcast solve back-projects every center at its depth, which
+    read_detections keeps positive, and stacked matmuls compose the local
+    yaw poses with the cameras.
     """
-    translation = back_project(d.center2d[0], d.center2d[1], d.depth, P)
-    local = Pose(yaw_to_rotation(d.yaw), translation)
-    return Observation(detection=d, global_pose=compose(cam, local))
+    if not dets:
+        return []
+    rhs = np.array([d.depth for d in dets])[:, None] * np.array(
+        [(d.center2d[0], d.center2d[1], 1.0) for d in dets]) - P.P[:, 3]
+    try:
+        local_t = np.linalg.solve(P.P[:, :3], rhs[..., None])
+    except np.linalg.LinAlgError as e:
+        raise DegenerateProjection(f"intrinsics block is singular: {e}") from e
+    cam_r = np.array([c.rotation for c in cams])
+    rotation = cam_r @ np.array([yaw_to_rotation(d.yaw) for d in dets])
+    translation = (cam_r @ local_t)[..., 0] + np.array([c.translation for c in cams])
+    return [Observation(d, Pose(r, t)) for d, r, t in zip(dets, rotation, translation)]
+
+
+def lift_detection(d: DetectionRecord, P: ProjectionMatrix, cam: Pose) -> Observation:
+    """Lift one detection to 3D: the one-row case of lift_detections."""
+    return lift_detections([d], P, [cam])[0]
 
 
 def _descriptor_rows(descriptors: list[np.ndarray | None]) -> tuple[np.ndarray, np.ndarray]:
@@ -275,38 +301,38 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
 
 def associate_frame(
     tracks: list[Track],
-    frame_detections: list[DetectionRecord],
+    observations: list[Observation],
     P: ProjectionMatrix,
     cam: Pose,
     cfg: AssociationConfig,
 ) -> tuple[list[Track], list[Track]]:
-    """Assign one frame's detections to live tracks, spawning tracks for the rest.
+    """Assign one frame's lifted observations to live tracks, spawning tracks for the rest.
 
     Matching minimizes total cost over the feasible pairs (optimal
     assignment).  Returns (all tracks, newly created tracks); matched
-    tracks are updated in place.
+    tracks are updated in place, then every track the frame touched is refreshed.
     """
-    if not frame_detections:
+    if not observations:
         return tracks, []
-    frame_id = frame_detections[0].frame_id
-    observations = [lift_detection(d, P, cam) for d in frame_detections]
+    frame_id = observations[0].frame_id
 
     live = [t for t in tracks if t.alive(frame_id, cfg.max_frame_gap)]
-    matched_obs = set()
+    matched = {}
     if live:
         for i, j in solve_assignment(cost_matrix(live, observations, P, cam, cfg)):
             live[i].add(observations[j])
-            matched_obs.add(j)
+            matched[j] = live[i]
 
     next_id = max((t.track_id for t in tracks), default=-1) + 1
     new_tracks = []
     for j, obs in enumerate(observations):
-        if j not in matched_obs:
+        if j not in matched:
             track = Track(track_id=next_id)
             track.add(obs)
             new_tracks.append(track)
             next_id += 1
     tracks.extend(new_tracks)
+    refresh_fused([*matched.values(), *new_tracks])
     return tracks, new_tracks
 
 
@@ -321,11 +347,12 @@ def run_association(
     Detections below score_threshold are dropped before matching; every
     retained detection ends up in exactly one track.
     """
+    retained = {f: [d for d in detections_by_frame[f] if d.score >= cfg.score_threshold]
+                for f in sorted(detections_by_frame)}
+    frames = [(trajectory.pose(f), ds) for f, ds in retained.items() if ds]
+    lifted = iter(lift_detections([d for _, ds in frames for d in ds], P,
+                                  [cam for cam, ds in frames for _ in ds]))
     tracks: list[Track] = []
-    for frame_id in sorted(detections_by_frame):
-        retained = [d for d in detections_by_frame[frame_id] if d.score >= cfg.score_threshold]
-        if not retained:
-            continue
-        cam = trajectory.pose(frame_id)
-        associate_frame(tracks, retained, P, cam, cfg)
+    for cam, ds in frames:
+        associate_frame(tracks, [next(lifted) for _ in ds], P, cam, cfg)
     return tracks

@@ -205,12 +205,13 @@ def _detection_from_json(obj: dict, lineno: int, descriptor_len: list) -> Detect
     if not isinstance(category, str):
         raise SchemaError(lineno, "field 'category' must be a string")
 
-    box = _require(obj, "box2d", lineno)
-    dims = _require(obj, "dims", lineno)
-    center = _require(obj, "center2d", lineno)
-    for name, d, keys in (("box2d", box, "ltrb"), ("dims", dims, "hwl"), ("center2d", center, "uv")):
+    parts = {}
+    for name, keys in (("box2d", "ltrb"), ("dims", "hwl"), ("center2d", "uv")):
+        d = _require(obj, name, lineno)
         if not isinstance(d, dict) or set(d) != set(keys):
             raise SchemaError(lineno, f"field {name!r} must be an object with keys {list(keys)}")
+        paths = {f"{name}.{k}": d[k] for k in keys}  # so that _number names e.g. box2d.l
+        parts[name] = [_number(paths, p, lineno) for p in paths]
 
     depth = _number(obj, "depth", lineno)
     if not depth > 0:
@@ -246,11 +247,11 @@ def _detection_from_json(obj: dict, lineno: int, descriptor_len: list) -> Detect
         return DetectionRecord(
             frame_id=frame_id,
             category=category,
-            box2d=Box2D(float(box["l"]), float(box["t"]), float(box["r"]), float(box["b"])),
+            box2d=Box2D(*parts["box2d"]),
             depth=depth,
             yaw=wrap_angle(_number(obj, "yaw", lineno)),
-            dims=Dimensions3D(float(dims["h"]), float(dims["w"]), float(dims["l"])),
-            center2d=(float(center["u"]), float(center["v"])),
+            dims=Dimensions3D(*parts["dims"]),
+            center2d=tuple(parts["center2d"]),
             score=score,
             sigma=sigma,
             descriptor=descriptor,

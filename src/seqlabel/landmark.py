@@ -157,20 +157,26 @@ def fusion_row(obs: "Observation") -> np.ndarray:
     )
 
 
-def fuse_rows(sums: np.ndarray) -> tuple[Pose, Dimensions3D]:
-    """Fused pose and dims from sum(w * fusion_row) over the observations.
+def fuse_rows(sums: np.ndarray) -> list[tuple[Pose, Dimensions3D] | ZeroWeightSum | DegenerateMean]:
+    """Fused (pose, dims) of each row of sums, an (n, 16) stack of sum(w * fusion_row).
 
     Translation and dims are the weighted means; the rotation is the SVD
-    projection of the weighted rotation mean, rebuilt from its yaw alone.
-    Raises ZeroWeightSum when sum(w) <= 0 and DegenerateMean when the
-    rotation mean has no direction.
+    projection of the weighted rotation mean (nearest_rotation's, stacked),
+    rebuilt from its yaw alone.  A row with no mean gives its error instead:
+    ZeroWeightSum when sum(w) <= 0, DegenerateMean when the rotation mean
+    has no direction.
     """
-    total = sums[0]
-    if total <= 0.0:
-        raise ZeroWeightSum("weights sum to zero")
-    mean = sums / total
-    pose = yaw_only_pose(nearest_rotation(mean[4:13].reshape(3, 3)), mean[1:4])
-    return pose, Dimensions3D(*mean[13:16])
+    total = sums[:, :1]
+    mean = sums / np.where(total > 0.0, total, 1.0)  # a row without weight is reported below
+    u, s, vt = np.linalg.svd(mean[:, 4:13].reshape(-1, 3, 3))
+    flip = np.zeros_like(u)
+    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
+    flip[:, 2, 2] = np.sign(np.linalg.det(u @ vt))
+    return [ZeroWeightSum("weights sum to zero") if w <= 0.0
+            else DegenerateMean(f"rotation mean collapsed (singular values {sv})")
+            if sv[0] < 1e-9 and sv[1] < 1e-9
+            else (yaw_only_pose(r, m[1:4]), Dimensions3D(*m[13:16]))
+            for w, m, sv, r in zip(total[:, 0], mean, s, u @ flip @ vt)]
 
 
 def fuse_pose(observations: Sequence["Observation"],
@@ -178,13 +184,16 @@ def fuse_pose(observations: Sequence["Observation"],
     """Fused global pose and dims of the observations under the weights.
 
     A single observation passes through exactly: its pose rebuilt from its
-    yaw, and its dims.
+    yaw, and its dims.  Raises fuse_rows' error when no mean exists.
     """
     if len(observations) == 1:
         pose = observations[0].global_pose
         return yaw_only_pose(pose.rotation, pose.translation), observations[0].detection.dims
     rows = np.array([fusion_row(o) for o in observations])
-    return fuse_rows(np.asarray(weights, dtype=float) @ rows)
+    (fused,) = fuse_rows((np.asarray(weights, dtype=float) @ rows)[None])
+    if isinstance(fused, Exception):
+        raise fused
+    return fused
 
 
 def yaw_only_pose(rotation: np.ndarray, translation: np.ndarray) -> Pose:
@@ -281,7 +290,12 @@ def parse_landmarks(text: str) -> list[Landmark]:
     for lineno, line in _data_lines(text):
         obj = _json_record(line, lineno)
         try:
-            m = np.array(_require(obj, "pose", lineno), dtype=float).reshape(3, 4)
+            # Arrays are keyed by their paths, so that _number and _integer name a bad entry.
+            pose = _require(obj, "pose", lineno)
+            if not isinstance(pose, list) or len(pose) != 12:
+                raise TypeError("field 'pose' must be an array of 12 numbers")
+            pose = {f"pose[{i}]": v for i, v in enumerate(pose)}
+            m = np.array([_number(pose, k, lineno) for k in pose]).reshape(3, 4)
             _check_rotation(m[:, :3], lineno, MAP_ROTATION_TOL)
             category = _require(obj, "category", lineno)
             if not isinstance(category, str):
@@ -290,7 +304,6 @@ def parse_landmarks(text: str) -> list[Landmark]:
             frames = obj.get("observed_frames", [])
             if not isinstance(frames, list):
                 raise TypeError("field 'observed_frames' must be an array of integers")
-            # Keyed by their path, so that _integer names a bad entry.
             frames = {f"observed_frames[{i}]": f for i, f in enumerate(frames)}
             out.append(
                 Landmark(

@@ -1,8 +1,10 @@
 """Shared helpers: a simple projection matrix, detection/observation builders,
-the fusion oracle, the scalar projection and annotation oracles, the numpy
-metric oracles and the all-pairs matcher."""
+the fusion oracle, the per-observation lift and running-fusion oracles, the
+scalar projection and annotation oracles, the numpy metric oracles and the
+all-pairs matcher."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,17 +18,20 @@ from seqlabel.annotate import (
 )
 from seqlabel.association import Observation, Track, lift_detection
 from seqlabel.dataio import DetectionRecord
-from seqlabel.errors import ZeroWeightSum
+from seqlabel.errors import DegenerateMean, ZeroWeightSum
 from seqlabel.geometry import (
     CORNER_SIGNS,
     Pose,
     ProjectionMatrix,
+    back_project,
     compose,
     inverse,
+    nearest_rotation,
     yaw_from_rotation,
     yaw_to_rotation,
 )
 from seqlabel.labels import Box2D, Dimensions3D, FrameAnnotation, iou_2d, wrap_angle
+from seqlabel.landmark import fusion_row
 from seqlabel.metrics import DepthReport, MatchedPair, ViewpointReport
 
 P_SIMPLE = ProjectionMatrix(
@@ -110,6 +115,54 @@ def oracle_fuse(observations, weights):
     w = np.asarray(weights)
     pose = Pose(yaw_to_rotation(yaw_from_rotation(rotation)), w @ ts / total)
     return pose, Dimensions3D(*(w @ hwl / total))
+
+
+def oracle_lift_detection(d: DetectionRecord, P: ProjectionMatrix, cam: Pose) -> Observation:
+    """One detection lifted on its own: back_project its center, build the local
+    yaw pose, compose with the camera.  association.lift_detections must
+    reproduce it bit for bit."""
+    translation = back_project(d.center2d[0], d.center2d[1], d.depth, P)
+    local = Pose(yaw_to_rotation(d.yaw), translation)
+    return Observation(detection=d, global_pose=compose(cam, local))
+
+
+@dataclass
+class OracleTrack:
+    """The running fusion state that oracle_track_add updates."""
+
+    observations: list = field(default_factory=list)
+    sums: np.ndarray = field(default_factory=lambda: np.zeros(16))
+    fused_pose: Pose | None = None
+    fused_dims: Dimensions3D | None = None
+
+
+def oracle_track_add(track: OracleTrack, obs: Observation) -> None:
+    """Add one observation and refit that track alone, with one nearest_rotation.
+
+    The score-weighted sums and their refit, one observation at a time:
+    association.Track.add followed by refresh_fused must reproduce the
+    fused pose and dims bit for bit.  A single observation passes through,
+    its pose rebuilt from its yaw; sums with no mean keep the latest
+    observation as is.
+    """
+    track.observations.append(obs)
+    track.sums += obs.detection.score * fusion_row(obs)
+    if len(track.observations) == 1:
+        pose = obs.global_pose
+        track.fused_pose = Pose(yaw_to_rotation(yaw_from_rotation(pose.rotation)),
+                                pose.translation)
+        track.fused_dims = obs.detection.dims
+        return
+    track.fused_pose, track.fused_dims = obs.global_pose, obs.detection.dims
+    if track.sums[0] <= 0.0:
+        return
+    mean = track.sums / track.sums[0]
+    try:
+        rotation = nearest_rotation(mean[4:13].reshape(3, 3))
+    except DegenerateMean:
+        return
+    track.fused_pose = Pose(yaw_to_rotation(yaw_from_rotation(rotation)), mean[1:4])
+    track.fused_dims = Dimensions3D(*mean[13:16])
 
 
 def oracle_box3d_corners(pose: Pose, dims: Dimensions3D) -> np.ndarray:

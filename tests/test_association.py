@@ -12,12 +12,15 @@ from scipy.optimize import linear_sum_assignment
 from conftest import (
     P_OFFSET,
     P_SIMPLE,
+    OracleTrack,
     make_detection,
     make_observation,
     make_track,
     oracle_box3d_corners,
     oracle_fuse,
+    oracle_lift_detection,
     oracle_project_box,
+    oracle_track_add,
 )
 from seqlabel.association import (
     _BIG,
@@ -305,20 +308,24 @@ class TestAssignmentOracle:
         assert min_cost_assignment(np.ones((4, 3))) == ([0, 1, 2], [0, 1, 2])
 
 
+def _lift(dets):
+    return [lift_detection(d, P_SIMPLE, Pose.identity()) for d in dets]
+
+
 class TestAssociateFrame:
     CFG = AssociationConfig(w_iou=0.5, w_dist=0.5, w_desc=0.0)
 
     def test_single_track_single_detection(self):
         tracks = [make_track([make_observation(frame_id=0, depth=20.0)])]
         dets = [make_detection(frame_id=1, depth=20.0, box=_track_box(tracks[0]))]
-        all_tracks, new = associate_frame(tracks, dets, P_SIMPLE, Pose.identity(), self.CFG)
+        all_tracks, new = associate_frame(tracks, _lift(dets), P_SIMPLE, Pose.identity(), self.CFG)
         assert not new
         assert len(all_tracks) == 1
         assert all_tracks[0].frames == [0, 1]
 
     def test_no_tracks_spawns_all(self):
         dets = [make_detection(frame_id=0, u=300.0 + 200 * i, depth=20.0) for i in range(3)]
-        tracks, new = associate_frame([], dets, P_SIMPLE, Pose.identity(), self.CFG)
+        tracks, new = associate_frame([], _lift(dets), P_SIMPLE, Pose.identity(), self.CFG)
         assert len(tracks) == len(new) == 3
         assert [t.track_id for t in new] == [0, 1, 2]
 
@@ -342,7 +349,8 @@ class TestAssociateFrame:
         assert c[(0, 30.3)] < min(c[(0, 29.1)], c[(1, 30.3)], c[(1, 29.1)])
         assert optimal_total < greedy_total  # fixture really is crossed
 
-        associate_frame([track_a, track_b], [d1, d2], P_SIMPLE, Pose.identity(), self.CFG)
+        associate_frame([track_a, track_b], [obs[30.3], obs[29.1]], P_SIMPLE, Pose.identity(),
+                        self.CFG)
         assert track_a.observations[-1].detection.depth == 29.1
         assert track_b.observations[-1].detection.depth == 30.3
 
@@ -350,7 +358,7 @@ class TestAssociateFrame:
         cfg = AssociationConfig(max_frame_gap=5, w_iou=0.5, w_dist=0.5, w_desc=0.0)
         tracks = [make_track([make_observation(frame_id=0, depth=20.0)])]
         det = make_detection(frame_id=10, depth=20.0, box=_track_box(tracks[0]))
-        all_tracks, new = associate_frame(tracks, [det], P_SIMPLE, Pose.identity(), cfg)
+        all_tracks, new = associate_frame(tracks, _lift([det]), P_SIMPLE, Pose.identity(), cfg)
         assert len(new) == 1
         assert len(all_tracks) == 2
 
@@ -607,6 +615,79 @@ class TestRunningFusion:
                              (track.fused_dims.width, fused_dims.width),
                              (track.fused_dims.length, fused_dims.length)):
                     assert abs(a - b) <= 1e-12
+
+
+def _axis_rotation(axis, angle):
+    """Rotation by angle about the x (pitch) or z (roll) axis."""
+    c, s = math.cos(angle), math.sin(angle)
+    if axis == "x":
+        return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+@st.composite
+def drives(draw):
+    """A short drive past parked objects: a trajectory, detections by frame, and P.
+
+    The camera yaws, and may pitch and roll; it moves forward and turns a
+    little each frame.  Each object keeps its image position, depth and yaw
+    up to a jitter, so that tracks grow over frames.  Each frame detects a
+    drawn subset of the objects: none, one or all of them.  A zero-weight
+    object scores 0 in every frame.
+    """
+    P = draw(st.sampled_from([P_SIMPLE, P_OFFSET]))
+    tilt = _axis_rotation("x", draw(st.one_of(st.just(0.0), _finite(-0.3, 0.3)))) @ \
+        _axis_rotation("z", draw(st.one_of(st.just(0.0), _finite(-0.3, 0.3))))
+    yaw, turn = draw(_finite(-math.pi, math.pi)), draw(_finite(-0.05, 0.05))
+    n_frames = draw(st.integers(1, 6))
+    poses = [Pose(yaw_to_rotation(yaw + turn * k) @ tilt, [0.0, 0.0, 0.8 * k])
+             for k in range(n_frames)]
+    objects = [(draw(_finite(50, 1200)), draw(_finite(120, 260)), draw(_finite(4, 60)),
+                draw(_finite(-math.pi, math.pi)), draw(dimensions),
+                draw(st.sampled_from([False, False, True])))
+               for _ in range(draw(st.integers(1, 5)))]
+    detections = {}
+    every = list(range(len(objects)))
+    for k in range(n_frames):
+        seen = draw(st.one_of(st.just(every), st.lists(st.sampled_from(every), unique=True)))
+        detections[k] = [
+            make_detection(frame_id=k, u=u + draw(_finite(-3, 3)), v=v + draw(_finite(-3, 3)),
+                           depth=depth + draw(_finite(-0.5, 0.5)),
+                           yaw=heading + draw(_finite(-0.2, 0.2)), dims=dims,
+                           score=0.0 if zero_weight else draw(_finite(0.05, 1)))
+            for u, v, depth, heading, dims, zero_weight in (objects[i] for i in seen)]
+    return TrajectoryFile(poses), detections, P
+
+
+def _same_bits(a: Pose, b: Pose) -> bool:
+    return (a.rotation.tobytes() == b.rotation.tobytes()
+            and a.translation.tobytes() == b.translation.tobytes())
+
+
+class TestBatchedAssociationOracle:
+    """run_association lifts once per sequence and refits once per frame; the
+    per-observation lift and running fusion are the reference."""
+
+    CFG = AssociationConfig(score_threshold=0.0, w_iou=0.5, w_dist=0.5, w_desc=0.0)
+
+    @given(drives())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_observation_oracles_after_every_frame(self, drive):
+        trajectory, detections, P = drive
+        for n in range(1, len(detections) + 1):
+            tracks = run_association({k: detections[k] for k in range(n)}, trajectory, P,
+                                     self.CFG)
+            for track in tracks:
+                oracle = OracleTrack()
+                for obs in track.observations:
+                    want = oracle_lift_detection(obs.detection, P, trajectory.pose(obs.frame_id))
+                    assert _same_bits(obs.global_pose, want.global_pose)
+                    oracle_track_add(oracle, want)
+                assert _same_bits(track.fused_pose, oracle.fused_pose)
+                assert track.fused_dims == oracle.fused_dims
+                if oracle.fused_pose is oracle.observations[-1].global_pose:  # no mean exists
+                    assert track.fused_pose is track.observations[-1].global_pose
+                    assert track.fused_dims is track.observations[-1].detection.dims
 
 
 class TestRunningFusionWeights:

@@ -310,6 +310,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 2" in err and "descriptor" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("field, key, value", [
+        ("box2d", "l", True), ("box2d", "t", "10"), ("dims", "l", "3.9"), ("center2d", "u", False),
+    ])
+    def test_non_number_box_dims_or_center_exit_2_with_file_and_line(self, tmp_path, capsys,
+                                                                     field, key, value):
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        det = tmp_path / "sim" / "detections.jsonl"
+        lines = det.read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj[field][key] = value
+        lines[2] = json.dumps(obj)
+        det.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["build-map", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(det) in err and "line 3" in err and f"{field}.{key}" in err
+
     @pytest.mark.parametrize("corrupt", [
         lambda obj: {**obj, "pose": [1.1 * v for v in obj["pose"]]},
         lambda obj: {**obj, "pose": [-v if i in (0, 4, 8) else v
@@ -325,9 +344,14 @@ class TestExitCodes:
         lambda obj: {**obj, "observed_frames": [3.7]},
         lambda obj: {**obj, "support": True},
         lambda obj: {**obj, "dims": {**obj["dims"], "h": True}},
+        # An identity rotation written with true or "1.0" on its diagonal.
+        lambda obj: {**obj, "pose": [True, 0, 0, obj["pose"][3], 0, True, 0, obj["pose"][7],
+                                     0, 0, True, obj["pose"][11]]},
+        lambda obj: {**obj, "pose": ["1.0", 0, 0, obj["pose"][3], 0, "1.0", 0, obj["pose"][7],
+                                     0, 0, "1.0", obj["pose"][11]]},
     ], ids=["scaled_rotation", "reflection", "nan", "truncated", "missing_dims",
             "negative_dims", "float_id", "float_first_frame", "float_observed_frame",
-            "bool_support", "bool_dims"])
+            "bool_support", "bool_dims", "bool_pose", "quoted_pose"])
     def test_malformed_map_exit_2_with_file_and_line(self, tmp_path, capsys, corrupt):
         config = write_config(tmp_path)
         simulate(tmp_path, config)

@@ -201,6 +201,22 @@ class TestDetections:
             read_detections(self._record(descriptor=descriptor))
         assert "descriptor" in str(exc.value) and exc.value.line == 1
 
+    @pytest.mark.parametrize("field, key, value", [
+        ("box2d", "l", True), ("box2d", "t", "10"), ("dims", "h", True), ("dims", "l", "3.9"),
+        ("center2d", "u", False), ("center2d", "v", None), ("box2d", "r", [10]),
+    ])
+    def test_nested_entries_must_be_numbers(self, field, key, value):
+        rec = json.loads(self._record())
+        rec[field][key] = value
+        with pytest.raises(SchemaError) as exc:
+            read_detections(self._record() + json.dumps(rec) + "\n")
+        assert f"'{field}.{key}' must be a number" in str(exc.value) and exc.value.line == 2
+
+    def test_nested_integers_load_as_floats(self):
+        (d,) = read_detections(self._record())[0]
+        assert d.box2d == Box2D(0.0, 0.0, 10.0, 10.0) and d.center2d == (5.0, 5.0)
+        assert all(type(v) is float for v in (d.box2d.left, d.center2d[0], d.dims.height))
+
     def test_round_trip(self):
         text = (DATA / "detections_good.jsonl").read_text()
         groups = read_detections(text)

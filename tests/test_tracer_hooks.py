@@ -5,7 +5,8 @@ drops its metrics instead of failing, so a refactor that renames a hooked
 function would silently thin the benchmark.  This runs the tracer on a
 small simulated scene and requires every hook to be present.  The
 annotate.* metrics count calls of cli.annotate_frame, so annotate must
-still call it once per frame.
+still call it once per frame; association.track_updates counts calls of
+Track.add, so build-map must still add each observation through it.
 """
 
 import json
@@ -35,6 +36,10 @@ def test_traced_commands_have_no_absent_hook(tmp_path):
         assert record["rc"] == 0
         assert record["absent"] == []
         counts[command] = record["counts"]
+    # Every observation of every track entered through the hooked Track.add exactly once.
+    assert counts["build-map"]["landmark.observations"] > 0
+    assert counts["build-map"]["association.track_updates"] == counts["build-map"][
+        "landmark.observations"]
     # Both stages project through the hooked name, once per frame.
     assert counts["build-map"]["geometry.project_box_calls"] > 0
     assert counts["annotate"]["geometry.project_box_calls"] > 0
