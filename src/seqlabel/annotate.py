@@ -115,7 +115,6 @@ def _pair_annotations(frame_ids: Sequence[int], bounds: Sequence[int], objects: 
             elif not visible[p]:
                 annotation.exclusions.append((objects.ids[i], CAUSE_OFF_IMAGE))
             else:
-                # Box2D.clip keeps an int image size as given, so the written bytes do too.
                 raw = Box2D(*hulls[p])
                 annotation.entries.append(AnnotationEntry(
                     landmark_id=objects.ids[i],
@@ -232,8 +231,8 @@ def annotation_from_detections(
         observed=[(frame_id,)] * n,  # each detection is observed in its own frame
     )
     rotation = np.array([yaw_to_rotation(det.yaw) for det in detections]).reshape(n, 3, 3)
-    translation = np.array([back_project(det.center2d[0], det.center2d[1], det.depth, P)
-                            for det in detections]).reshape(n, 3)
+    u, v = np.array([det.center2d for det in detections]).reshape(n, 2).T
+    translation = back_project(u, v, np.array([det.depth for det in detections]), P)
     return _pair_annotations([frame_id], [0, n], objects, np.arange(n), rotation, translation,
                              P, cfg)[0]
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .config import AssociationConfig
 from .dataio import DetectionRecord, TrajectoryFile
-from .errors import DegenerateProjection
-from .geometry import Pose, ProjectionMatrix, half_extents, project_box, yaw_to_rotation
+from .geometry import (Pose, ProjectionMatrix, back_project, half_extents, project_box,
+                       yaw_to_rotation)
 from .labels import Dimensions3D
 from .landmark import fuse_rows, fusion_row, yaw_only_pose
 
@@ -125,21 +125,17 @@ def lift_detections(dets: Sequence[DetectionRecord], P: ProjectionMatrix,
                     cams: Sequence[Pose]) -> list[Observation]:
     """Lift detections to 3D, detection i seen from camera pose cams[i].
 
-    One broadcast solve back-projects every center at its depth, which
+    One back_project call lifts every center at its depth, which
     read_detections keeps positive, and stacked matmuls compose the local
     yaw poses with the cameras.
     """
     if not dets:
         return []
-    rhs = np.array([d.depth for d in dets])[:, None] * np.array(
-        [(d.center2d[0], d.center2d[1], 1.0) for d in dets]) - P.P[:, 3]
-    try:
-        local_t = np.linalg.solve(P.P[:, :3], rhs[..., None])
-    except np.linalg.LinAlgError as e:
-        raise DegenerateProjection(f"intrinsics block is singular: {e}") from e
+    u, v = np.array([d.center2d for d in dets]).T
+    local_t = back_project(u, v, np.array([d.depth for d in dets]), P)
     cam_r = np.array([c.rotation for c in cams])
     rotation = cam_r @ np.array([yaw_to_rotation(d.yaw) for d in dets])
-    translation = (cam_r @ local_t)[..., 0] + np.array([c.translation for c in cams])
+    translation = (cam_r @ local_t[..., None])[..., 0] + np.array([c.translation for c in cams])
     return [Observation(d, Pose(r, t)) for d, r, t in zip(dets, rotation, translation)]
 
 

@@ -106,15 +106,16 @@ def _check_rotation(r: np.ndarray, lineno: int, tol: float) -> None:
 
 def parse_trajectory(text: str) -> TrajectoryFile:
     """Parse camera poses; frame k is the k-th data line."""
-    poses = []
+    rows = []
     for lineno, line in _data_lines(text):
         fields = line.split()
         if len(fields) != 12:
             raise ParseError(lineno, f"expected 12 fields, got {len(fields)}")
-        m = np.array(_parse_floats(fields, lineno)).reshape(3, 4)
-        _check_rotation(m[:, :3], lineno, ROTATION_INPUT_TOL)
-        poses.append(Pose(nearest_rotation(m[:, :3]), m[:, 3]))
-    return TrajectoryFile(poses)
+        rows.append(np.array(_parse_floats(fields, lineno)).reshape(3, 4))
+        _check_rotation(rows[-1][:, :3], lineno, ROTATION_INPUT_TOL)
+    # Every rotation passed _check_rotation, so none collapses.
+    rotations, _ = nearest_rotation(np.array(rows).reshape(-1, 3, 4)[..., :3])
+    return TrajectoryFile([Pose(r, m[:, 3]) for r, m in zip(rotations, rows)])
 
 
 def serialize_trajectory(trajectory: TrajectoryFile) -> str:

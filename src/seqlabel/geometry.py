@@ -4,8 +4,9 @@ Conventions (KITTI camera frame): x right, y down, z forward, all in
 meters.  An object pose places the bottom-face center of its cuboid at
 the pose translation; yaw is the rotation about the y axis.
 
-project_box is the one cuboid-to-box projection; association and
-annotation both call it once per frame.  The numpy-free box types, 2D
+project_box, nearest_rotation and back_project are the one stacked kernel
+of their operation (cuboid to image box, matrix to rotation, pixel to 3D
+point), and every caller goes through them.  The numpy-free box types, 2D
 IoU and wrap_angle live in seqlabel.labels.
 """
 
@@ -87,18 +88,22 @@ def project_point(p, P: ProjectionMatrix) -> tuple[float, float, float]:
     return (row[0] / w, row[1] / w, w)
 
 
-def back_project(u: float, v: float, depth: float, P: ProjectionMatrix) -> np.ndarray:
-    """Invert project_point: the 3D point projecting to (u, v) at the given depth.
+def back_project(u, v, depth, P: ProjectionMatrix) -> np.ndarray:
+    """Invert project_point: the 3D points projecting to (u, v) at depth, (3,) or (n, 3).
 
-    Solves M x = depth * [u, v, 1] - p4 where P = [M | p4].
+    u, v and depth are scalars or equal-length arrays; one broadcast solve of
+    M x = depth * [u, v, 1] - p4 where P = [M | p4].  Raises
+    DegenerateProjection when M is singular or a point is not finite.
     """
-    m = P.P[:, :3]
-    p4 = P.P[:, 3]
-    rhs = depth * np.array([u, v, 1.0]) - p4
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite point raises below
+        rhs = np.stack(np.broadcast_arrays(u, v, 1.0), -1) * np.expand_dims(depth, -1) - P.P[:, 3]
     try:
-        return np.linalg.solve(m, rhs)
+        points = np.linalg.solve(P.P[:, :3], rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as e:
         raise DegenerateProjection(f"intrinsics block is singular: {e}") from e
+    if not np.isfinite(points).all():
+        raise DegenerateProjection("back-projected point is not finite")
+    return points
 
 
 def compose(a: Pose, b: Pose) -> Pose:
@@ -112,19 +117,21 @@ def inverse(a: Pose) -> Pose:
     return Pose(rt, -(rt @ a.translation))
 
 
-def nearest_rotation(m: np.ndarray) -> np.ndarray:
-    """Project an arbitrary 3x3 matrix onto the closest proper rotation.
+def nearest_rotation(m: np.ndarray) -> tuple[np.ndarray, list[DegenerateMean | None]]:
+    """Project each 3x3 matrix of a (..., 3, 3) stack onto the closest proper rotation.
 
     SVD projection with the sign of the smallest singular direction fixed
-    so the determinant is always +1 (never a reflection).  Raises
-    DegenerateMean when the two largest singular values vanish, since m
-    then has no direction (a collapsed weighted rotation mean).
+    so the determinant is always +1 (never a reflection).  Also returns, per
+    matrix in C order, a DegenerateMean when its two largest singular values
+    vanish (a collapsed weighted rotation mean has no direction), else None.
     """
     u, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    if s[0] < 1e-9 and s[1] < 1e-9:
-        raise DegenerateMean(f"rotation mean collapsed (singular values {s})")
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    flip = np.zeros_like(u)
+    flip[..., 0, 0] = flip[..., 1, 1] = 1.0
+    flip[..., 2, 2] = np.sign(np.linalg.det(u @ vt))
+    collapsed = [DegenerateMean(f"rotation mean collapsed (singular values {sv})")
+                 if sv[0] < 1e-9 and sv[1] < 1e-9 else None for sv in s.reshape(-1, 3)]
+    return u @ flip @ vt, collapsed
 
 
 def _is_yaw_only(r: np.ndarray) -> bool:

@@ -49,7 +49,7 @@ class Box2D:
         return (self.right - self.left) * (self.bottom - self.top)
 
     def clip(self, width: float, height: float) -> "Box2D | None":
-        """Intersect with the image rectangle [0, width] x [0, height].
+        """Intersect with the image rectangle [0, width] x [0, height], as float edges.
 
         Returns None when the box lies entirely outside the image.
         """
@@ -59,7 +59,7 @@ class Box2D:
         b = min(self.bottom, height)
         if l > r or t > b:
             return None
-        return Box2D(l, t, r, b)
+        return Box2D(float(l), float(t), float(r), float(b))
 
 
 @dataclass(frozen=True)

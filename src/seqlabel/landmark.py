@@ -81,7 +81,10 @@ def rotation_average(rotations: Sequence[np.ndarray], weights: Sequence[float]) 
     if total <= 0.0:
         raise ZeroWeightSum("weights sum to zero")
     m = np.tensordot(np.asarray(weights, dtype=float), np.asarray(rotations, dtype=float), axes=1)
-    return nearest_rotation(m / total)
+    rotation, (collapsed,) = nearest_rotation(m / total)
+    if collapsed is not None:
+        raise collapsed
+    return rotation
 
 
 def weighted_median(values: Sequence[float], weights: Sequence[float],
@@ -160,23 +163,17 @@ def fusion_row(obs: "Observation") -> np.ndarray:
 def fuse_rows(sums: np.ndarray) -> list[tuple[Pose, Dimensions3D] | ZeroWeightSum | DegenerateMean]:
     """Fused (pose, dims) of each row of sums, an (n, 16) stack of sum(w * fusion_row).
 
-    Translation and dims are the weighted means; the rotation is the SVD
-    projection of the weighted rotation mean (nearest_rotation's, stacked),
-    rebuilt from its yaw alone.  A row with no mean gives its error instead:
-    ZeroWeightSum when sum(w) <= 0, DegenerateMean when the rotation mean
-    has no direction.
+    Translation and dims are the weighted means; the rotation is
+    nearest_rotation of the weighted rotation mean, rebuilt from its yaw
+    alone.  A row with no mean gives its error instead: ZeroWeightSum when
+    sum(w) <= 0, else nearest_rotation's DegenerateMean.
     """
     total = sums[:, :1]
     mean = sums / np.where(total > 0.0, total, 1.0)  # a row without weight is reported below
-    u, s, vt = np.linalg.svd(mean[:, 4:13].reshape(-1, 3, 3))
-    flip = np.zeros_like(u)
-    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
-    flip[:, 2, 2] = np.sign(np.linalg.det(u @ vt))
-    return [ZeroWeightSum("weights sum to zero") if w <= 0.0
-            else DegenerateMean(f"rotation mean collapsed (singular values {sv})")
-            if sv[0] < 1e-9 and sv[1] < 1e-9
+    rotations, collapsed = nearest_rotation(mean[:, 4:13].reshape(-1, 3, 3))
+    return [ZeroWeightSum("weights sum to zero") if w <= 0.0 else c if c is not None
             else (yaw_only_pose(r, m[1:4]), Dimensions3D(*m[13:16]))
-            for w, m, sv, r in zip(total[:, 0], mean, s, u @ flip @ vt)]
+            for w, m, c, r in zip(total[:, 0], mean, collapsed, rotations)]
 
 
 def fuse_pose(observations: Sequence["Observation"],

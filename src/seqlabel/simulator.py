@@ -19,7 +19,7 @@ from .association import Track
 from .config import SimConfig, VisibilityConfig
 from .dataio import DetectionRecord, TrajectoryFile
 from .errors import InfeasibleScene
-from .geometry import Pose, ProjectionMatrix, project_point, yaw_to_rotation
+from .geometry import Pose, ProjectionMatrix, project_point, yaw_from_rotation, yaw_to_rotation
 from .labels import Box2D, Dimensions3D, wrap_angle
 from .landmark import Landmark
 
@@ -76,10 +76,6 @@ def make_trajectory(cfg: SimConfig) -> TrajectoryFile:
     return TrajectoryFile(poses)
 
 
-def _camera_yaw(pose: Pose) -> float:
-    return math.atan2(pose.rotation[0, 2], pose.rotation[0, 0])
-
-
 def _place_objects(cfg: SimConfig, trajectory: TrajectoryFile) -> list[tuple[Pose, Dimensions3D]]:
     placements = []
     if cfg.objects:
@@ -98,7 +94,7 @@ def _place_objects(cfg: SimConfig, trajectory: TrajectoryFile) -> list[tuple[Pos
         local = np.array([rng.uniform(*cfg.lateral_range), 0.0, rng.uniform(*cfg.depth_range)])
         t = cam.apply(local)
         t[1] = cfg.ground_y  # objects sit on the ground plane
-        yaw = wrap_angle(_camera_yaw(cam) + rng.uniform(-math.pi, math.pi))
+        yaw = wrap_angle(yaw_from_rotation(cam.rotation) + rng.uniform(-math.pi, math.pi))
         dims = Dimensions3D(
             1.5 + rng.uniform(-0.1, 0.1),
             1.7 + rng.uniform(-0.1, 0.1),

@@ -1,5 +1,6 @@
 """Shared helpers: a simple projection matrix, detection/observation builders,
-the fusion oracle, the per-observation lift and running-fusion oracles, the
+the per-matrix rotation projection and per-point back-projection oracles, the
+fusion oracle, the per-observation lift and running-fusion oracles, the
 scalar projection and annotation oracles, the numpy metric oracles and the
 all-pairs matcher."""
 
@@ -18,15 +19,13 @@ from seqlabel.annotate import (
 )
 from seqlabel.association import Observation, Track, lift_detection
 from seqlabel.dataio import DetectionRecord
-from seqlabel.errors import DegenerateMean, ZeroWeightSum
+from seqlabel.errors import DegenerateMean, DegenerateProjection, ZeroWeightSum
 from seqlabel.geometry import (
     CORNER_SIGNS,
     Pose,
     ProjectionMatrix,
-    back_project,
     compose,
     inverse,
-    nearest_rotation,
     yaw_from_rotation,
     yaw_to_rotation,
 )
@@ -90,6 +89,28 @@ def make_track(observations, track_id=0) -> Track:
     return track
 
 
+def oracle_nearest_rotation(m: np.ndarray) -> np.ndarray:
+    """One 3x3 matrix projected onto the closest proper rotation by SVD, the
+    determinant's sign fixed; DegenerateMean when its two largest singular
+    values vanish.  geometry.nearest_rotation must reproduce it bit for bit,
+    matrix by matrix, with the same message."""
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    if s[0] < 1e-9 and s[1] < 1e-9:
+        raise DegenerateMean(f"rotation mean collapsed (singular values {s})")
+    d = np.sign(np.linalg.det(u @ vt))
+    return u @ np.diag([1.0, 1.0, d]) @ vt
+
+
+def oracle_back_project(u: float, v: float, depth: float, P: ProjectionMatrix) -> np.ndarray:
+    """One pixel lifted on its own: solve M x = depth * [u, v, 1] - p4 where
+    P = [M | p4].  geometry.back_project must reproduce it bit for bit."""
+    rhs = depth * np.array([u, v, 1.0]) - P.P[:, 3]
+    try:
+        return np.linalg.solve(P.P[:, :3], rhs)
+    except np.linalg.LinAlgError as e:
+        raise DegenerateProjection(f"intrinsics block is singular: {e}") from e
+
+
 def oracle_fuse(observations, weights):
     """Fused (pose, dims) as a plain refit, independent of landmark.fuse_rows.
 
@@ -118,10 +139,10 @@ def oracle_fuse(observations, weights):
 
 
 def oracle_lift_detection(d: DetectionRecord, P: ProjectionMatrix, cam: Pose) -> Observation:
-    """One detection lifted on its own: back_project its center, build the local
-    yaw pose, compose with the camera.  association.lift_detections must
+    """One detection lifted on its own: oracle_back_project its center, build the
+    local yaw pose, compose with the camera.  association.lift_detections must
     reproduce it bit for bit."""
-    translation = back_project(d.center2d[0], d.center2d[1], d.depth, P)
+    translation = oracle_back_project(d.center2d[0], d.center2d[1], d.depth, P)
     local = Pose(yaw_to_rotation(d.yaw), translation)
     return Observation(detection=d, global_pose=compose(cam, local))
 
@@ -137,7 +158,7 @@ class OracleTrack:
 
 
 def oracle_track_add(track: OracleTrack, obs: Observation) -> None:
-    """Add one observation and refit that track alone, with one nearest_rotation.
+    """Add one observation and refit that track alone, with one oracle_nearest_rotation.
 
     The score-weighted sums and their refit, one observation at a time:
     association.Track.add followed by refresh_fused must reproduce the
@@ -158,7 +179,7 @@ def oracle_track_add(track: OracleTrack, obs: Observation) -> None:
         return
     mean = track.sums / track.sums[0]
     try:
-        rotation = nearest_rotation(mean[4:13].reshape(3, 3))
+        rotation = oracle_nearest_rotation(mean[4:13].reshape(3, 3))
     except DegenerateMean:
         return
     track.fused_pose = Pose(yaw_to_rotation(yaw_from_rotation(rotation)), mean[1:4])

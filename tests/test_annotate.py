@@ -256,6 +256,14 @@ class TestDump:
                 assert ea.depth == eb.depth
             assert a.exclusions == b.exclusions
 
+    def test_clipped_edge_written_as_float(self):
+        # VIS gives the image size as ints; the clipped edge is still a float.
+        lm = make_landmark(x=9.0, z=10.0)  # partially off the right edge
+        ann = annotate_frame([lm], 0, Pose.identity(), P_SIMPLE, VIS)
+        (entry,) = ann.entries
+        assert entry.box2d_raw.right > 1242.0 and entry.box2d.right == 1242.0
+        assert '"r": 1242.0,' in write_annotation_dump([ann])
+
 
 def _finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)

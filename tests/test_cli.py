@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from seqlabel.cli import main
-from seqlabel.config import load_config
+from seqlabel.config import AssociationConfig, load_config
 
 BASE_CONFIG = {
     "paths": {},
@@ -261,6 +261,29 @@ class TestExitCodes:
         assert main(["build-map", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "line 3" in err and "depth" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("corrupt", ["center2d", "calib"])
+    def test_non_finite_lift_exit_3(self, tmp_path, capsys, corrupt):
+        # Finite inputs whose back-projection is not: a center at 1e308 pixels
+        # on two consecutive frames, or intrinsics of 1e-320.
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        capsys.readouterr()
+        if corrupt == "center2d":
+            det = tmp_path / "sim" / "detections.jsonl"
+            records = [json.loads(line) for line in det.read_text().splitlines()]
+            kept = [r for r in records if r["score"] >= AssociationConfig().score_threshold]
+            first = kept[0]
+            second = next(r for r in kept if r["frame_id"] == first["frame_id"] + 1)
+            for r in (first, second):
+                r["center2d"] = {"u": 1e308, "v": 1e308}
+            det.write_text("".join(json.dumps(r) + "\n" for r in records))
+        else:
+            calib = tmp_path / "sim" / "calib.txt"
+            calib.write_text("P2: 1e-320 0 0 0 0 1e-320 0 0 0 0 1 0\n")
+        assert main(["build-map", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert "DegenerateProjection" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("section, key, value", [
         *(pytest.param(section, key, float("nan"), id=f"{section}-{key}")

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import P_OFFSET, make_observation, oracle_box3d_corners, oracle_project_box
+from conftest import (
+    P_OFFSET,
+    make_observation,
+    oracle_back_project,
+    oracle_box3d_corners,
+    oracle_nearest_rotation,
+    oracle_project_box,
+)
 from seqlabel.annotate import annotate_frame
 from seqlabel.config import VisibilityConfig
 from seqlabel.association import Track
@@ -31,7 +38,8 @@ from seqlabel.geometry import (
     yaw_to_rotation,
 )
 from seqlabel.labels import Box2D, Dimensions3D, iou_2d, wrap_angle
-from seqlabel.landmark import Landmark, WeightPolicy, fuse_pose, observation_weight
+from seqlabel.landmark import (Landmark, WeightPolicy, fuse_pose, observation_weight,
+                               rotation_average)
 from seqlabel.simulator import SimConfig, make_trajectory
 
 P_SIMPLE = ProjectionMatrix(np.array([[700.0, 0, 600, 0], [0, 700, 180, 0], [0, 0, 1, 0]]))
@@ -47,7 +55,7 @@ def random_pose(rng):
     q = q @ np.diag(np.sign(np.diag(r)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
-    return Pose(nearest_rotation(q), rng.uniform(-20, 20, size=3))
+    return Pose(nearest_rotation(q)[0], rng.uniform(-20, 20, size=3))
 
 
 class TestProjectPoint:
@@ -82,6 +90,49 @@ class TestProjectPoint:
         p = np.array([3.0, 1.5, 25.0])
         u, v, z = project_point(p, P)
         assert np.allclose(back_project(u, v, z, P), p, atol=1e-9)
+
+
+pixels = st.floats(-5000, 5000, allow_nan=False)
+depths = st.floats(0.01, 500)
+# Two rows alike: the intrinsics block is singular, though P[2][2] is not zero.
+P_SINGULAR = ProjectionMatrix(np.array([[700.0, 0, 600, 0], [700, 0, 600, 0], [0, 0, 1, 0]]))
+
+
+class TestBackProjectOracle:
+    """back_project, on scalars or arrays, gives oracle_back_project's bits point by point."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(pixels, pixels, depths), max_size=12),
+           st.sampled_from([P_SIMPLE, P_OFFSET]))
+    def test_scalar_and_array_forms_match_oracle(self, points, P):
+        u, v, z = np.array(points, dtype=float).reshape(-1, 3).T
+        stacked = back_project(u, v, z, P)
+        assert stacked.shape == (len(points), 3)
+        for (pu, pv, pz), row in zip(points, stacked):
+            expected = oracle_back_project(pu, pv, pz, P).tobytes()
+            assert row.tobytes() == expected
+            assert back_project(pu, pv, pz, P).tobytes() == expected
+
+    def test_singular_intrinsics_raise_in_both_forms(self):
+        with pytest.raises(DegenerateProjection, match="singular"):
+            oracle_back_project(600.0, 180.0, 10.0, P_SINGULAR)
+        with pytest.raises(DegenerateProjection, match="singular"):
+            back_project(600.0, 180.0, 10.0, P_SINGULAR)
+        with pytest.raises(DegenerateProjection, match="singular"):
+            back_project(np.array([600.0, 610.0]), np.array([180.0, 190.0]),
+                         np.array([10.0, 20.0]), P_SINGULAR)
+
+    @pytest.mark.parametrize("u, P", [
+        (1e308, P_SIMPLE),
+        (600.0, ProjectionMatrix(np.array([[1e-320, 0, 0, 0], [0, 1e-320, 0, 0], [0, 0, 1, 0]]))),
+    ], ids=["overflowing-center", "denormal-intrinsics"])
+    def test_non_finite_point_raises_in_both_forms(self, u, P):
+        # Under error::RuntimeWarning, an overflow warning would fail this too.
+        with pytest.raises(DegenerateProjection, match="not finite"):
+            back_project(u, 180.0, 10.0, P)
+        with pytest.raises(DegenerateProjection, match="not finite"):
+            back_project(np.array([600.0, u]), np.array([180.0, 180.0]),
+                         np.array([10.0, 10.0]), P)
 
 
 class TestPoseAlgebra:
@@ -130,13 +181,19 @@ coords = st.floats(-50, 50, allow_nan=False)
 
 
 @st.composite
-def cameras(draw):
-    """A camera pose with yaw, pitch and roll anywhere."""
+def rotations(draw):
+    """A rotation with yaw, pitch and roll anywhere."""
     yaw, pitch, roll = draw(angles), draw(angles), draw(angles)
     cp, sp, cr, sr = math.cos(pitch), math.sin(pitch), math.cos(roll), math.sin(roll)
     pitch_m = np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
     roll_m = np.array([[cr, -sr, 0.0], [sr, cr, 0.0], [0.0, 0.0, 1.0]])
-    return Pose(yaw_to_rotation(yaw) @ pitch_m @ roll_m, [draw(coords) for _ in range(3)])
+    return yaw_to_rotation(yaw) @ pitch_m @ roll_m
+
+
+@st.composite
+def cameras(draw):
+    """A camera pose with yaw, pitch and roll anywhere."""
+    return Pose(draw(rotations()), [draw(coords) for _ in range(3)])
 
 
 class TestInternalPosesStayProper:
@@ -192,13 +249,61 @@ class TestInternalPosesStayProper:
             assert_proper_rotation(inverse(pose))
 
 
+def _weighted_mean(pairs):
+    weights = [w for _, w in pairs]
+    return np.tensordot(weights, [r for r, _ in pairs], axes=1) / float(np.sum(weights))
+
+
+unit = st.floats(-1.0, 1.0)
+# Matrices a rotation mean or an input file can present: near-rotations,
+# weighted means of yaw, pitch and roll rotations, reflections, rank-1
+# matrices at scales that do and do not collapse, and the zero matrix.
+matrices = st.one_of(
+    st.builds(lambda r, e: r + np.reshape(e, (3, 3)), rotations(),
+              st.lists(st.floats(-3e-4, 3e-4), min_size=9, max_size=9)),
+    st.lists(st.tuples(rotations(), st.floats(0.01, 1.0)), min_size=1, max_size=6)
+    .map(_weighted_mean),
+    rotations().map(lambda r: r @ np.diag([1.0, 1.0, -1.0])),
+    st.builds(lambda a, b, scale: scale * np.outer(a, b),
+              st.tuples(unit, unit, unit), st.tuples(unit, unit, unit),
+              st.sampled_from([1e-12, 1e-9, 1e-6, 1.0])),
+    st.just(np.zeros((3, 3))),
+)
+
+
 class TestNearestRotation:
     @pytest.mark.parametrize("m", [np.zeros((3, 3)), np.diag([0.0, 0.0, 1e-10])])
     def test_collapsed_mean_raises_degenerate_mean(self, m):
         # A weighted rotation mean whose two largest singular values vanish
-        # has no direction to project onto.
-        with pytest.raises(DegenerateMean):
-            nearest_rotation(m)
+        # has no direction to project onto: the kernel reports it with the
+        # oracle's message, and rotation_average raises it.
+        with pytest.raises(DegenerateMean) as expected:
+            oracle_nearest_rotation(m)
+        (report,) = nearest_rotation(m)[1]
+        assert isinstance(report, DegenerateMean) and str(report) == str(expected.value)
+        with pytest.raises(DegenerateMean, match="rotation mean collapsed"):
+            rotation_average([m, m], [1.0, 1.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(matrices, max_size=8))
+    def test_stack_matches_oracle_bit_for_bit(self, ms):
+        stack = np.array(ms).reshape(-1, 3, 3)
+        projected, reports = nearest_rotation(stack)
+        assert projected.shape == stack.shape and len(reports) == len(stack)
+        for m, r, report in zip(stack, projected, reports):
+            (single,), (single_report,) = nearest_rotation(m[None])
+            try:
+                expected = oracle_nearest_rotation(m)
+            except DegenerateMean as e:
+                assert str(report) == str(single_report) == str(e)
+            else:
+                assert report is None and single_report is None
+                assert r.tobytes() == single.tobytes() == expected.tobytes()
+                assert nearest_rotation(m)[0].tobytes() == expected.tobytes()
+
+    def test_empty_stack(self):
+        projected, reports = nearest_rotation(np.zeros((0, 3, 3)))
+        assert projected.shape == (0, 3, 3) and reports == []
 
 
 class TestYaw:
@@ -240,7 +345,7 @@ class TestYaw:
 
     def test_folded_range_for_tilted_rotation(self):
         # With pitch mixed in, the base formula stays in [-pi/2, pi/2].
-        tilt = nearest_rotation(
+        tilt, _ = nearest_rotation(
             yaw_to_rotation(math.radians(140))
             @ np.array([[1, 0, 0], [0, 0.9998, -0.02], [0, 0.02, 0.9998]])
         )
