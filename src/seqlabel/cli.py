@@ -41,8 +41,8 @@ _STAGES = {
                "serialize_calib", "serialize_trajectory", "write_detections",
                "write_kitti_labels"),
     "landmark": ("fuse_tracks", "parse_landmarks", "serialize_landmarks"),
-    "metrics": ("depth_metrics", "depth_report_to_json", "format_report_table",
-                "match_annotations", "viewpoint_metrics", "viewpoint_report_to_json"),
+    "metrics": ("depth_metrics", "format_report_table", "match_annotations", "report_to_json",
+                "viewpoint_metrics"),
     "simulator": ("generate",),
 }
 _MODULE_OF = {name: module for module, names in _STAGES.items() for name in names}
@@ -189,8 +189,8 @@ def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> in
 
 def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
                  gt_dir: str | None) -> int:
-    _load("match_annotations", "depth_metrics", "viewpoint_metrics", "depth_report_to_json",
-          "viewpoint_report_to_json", "format_report_table")
+    _load("match_annotations", "depth_metrics", "viewpoint_metrics", "report_to_json",
+          "format_report_table")
     pred = Path(pred_dir) if pred_dir else out_dir / "labels"
     if gt_dir is None:
         raise ConfigError("evaluate needs --gt DIR with ground-truth label files")
@@ -231,8 +231,8 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
     meta = _meta(cfg, {})
     report = {
         "meta": meta,
-        "depth": depth_report_to_json(depth),
-        "viewpoint": viewpoint_report_to_json(viewpoint),
+        "depth": report_to_json(depth),
+        "viewpoint": report_to_json(viewpoint),
         "matching": sidebar,
     }
     out_dir.mkdir(parents=True, exist_ok=True)

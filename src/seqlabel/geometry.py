@@ -199,12 +199,15 @@ def project_box(rotation: np.ndarray, translation: np.ndarray, half: np.ndarray,
     covers the corners in front of the camera; with none in front it is
     empty: (+inf, +inf, -inf, -inf).
     """
-    corners = (CORNER_SIGNS * half[:, None, :]) @ rotation.transpose(0, 2, 1)
-    rows = (corners + translation[:, None, :]) @ P.P[:, :3].T + P.P[:, 3]
-    front = rows[..., 2] > 0
-    depth = np.where(front, rows[..., 2], 1.0)
-    u = rows[..., 0] / depth
-    v = rows[..., 1] / depth
+    # Extreme but finite sizes or poses overflow to inf or nan corners; such a
+    # hull is empty or nan, which annotation excludes and association scores as IoU 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = (CORNER_SIGNS * half[:, None, :]) @ rotation.transpose(0, 2, 1)
+        rows = (corners + translation[:, None, :]) @ P.P[:, :3].T + P.P[:, 3]
+        front = rows[..., 2] > 0
+        depth = np.where(front, rows[..., 2], 1.0)
+        u = rows[..., 0] / depth
+        v = rows[..., 1] / depth
     return np.stack([
         np.where(front, u, np.inf).min(axis=1), np.where(front, v, np.inf).min(axis=1),
         np.where(front, u, -np.inf).max(axis=1), np.where(front, v, -np.inf).max(axis=1),

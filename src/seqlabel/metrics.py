@@ -4,6 +4,9 @@ Depth: the delta < 1.25 accuracy, Abs Rel, Sqr Rel, RMSE and RMSE_log.
 Viewpoint: Acc at pi/4 and pi/6 plus the median absolute yaw error in
 degrees.  Everything is reported overall and per ground-truth depth
 interval {[0,10), [10,20), [20,30), [30,40), [40,50), [50,inf)}.
+Both families share one report shape: _by_interval builds the overall
+report and its interval sub-reports, format_report_table writes both
+tables through one loop, and report_to_json writes either report.
 
 Pure Python, so that evaluate never loads numpy, with numpy's results
 bit for bit: every mean is numpy's pairwise float64 sum (_pairwise_sum)
@@ -16,8 +19,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Sequence, TypeVar
 
 from .errors import EmptyInput, FrameMismatch
 from .labels import FrameAnnotation, iou_2d, wrap_angle
@@ -67,6 +70,9 @@ class ViewpointReport:
     mederr: float  # degrees
     count: int
     intervals: dict = field(default_factory=dict)
+
+
+Report = TypeVar("Report", DepthReport, ViewpointReport)
 
 
 def match_annotations(
@@ -185,15 +191,19 @@ def _depth_stats(pairs: Sequence[MatchedPair]) -> DepthReport:
     )
 
 
-def depth_metrics(pairs: Sequence[MatchedPair]) -> DepthReport:
-    """Depth report over all pairs, with per-interval sub-reports."""
+def _by_interval(stats: Callable[[Sequence[MatchedPair]], Report],
+                 pairs: Sequence[MatchedPair]) -> Report:
+    """stats over all pairs, with stats of each non-empty depth interval as sub-reports."""
     if not pairs:
         raise EmptyInput("no matched pairs")
-    overall = _depth_stats(pairs)
-    intervals = {
-        label: _depth_stats(group) for label, group in interval_breakdown(pairs).items()
-    }
-    return replace(overall, intervals=intervals)
+    return replace(stats(pairs), intervals={
+        label: stats(group) for label, group in interval_breakdown(pairs).items()
+    })
+
+
+def depth_metrics(pairs: Sequence[MatchedPair]) -> DepthReport:
+    """Depth report over all pairs, with per-interval sub-reports."""
+    return _by_interval(_depth_stats, pairs)
 
 
 def _viewpoint_stats(pairs: Sequence[MatchedPair]) -> ViewpointReport:
@@ -208,13 +218,7 @@ def _viewpoint_stats(pairs: Sequence[MatchedPair]) -> ViewpointReport:
 
 def viewpoint_metrics(pairs: Sequence[MatchedPair]) -> ViewpointReport:
     """Viewpoint report over all pairs, with per-interval sub-reports."""
-    if not pairs:
-        raise EmptyInput("no matched pairs")
-    overall = _viewpoint_stats(pairs)
-    intervals = {
-        label: _viewpoint_stats(group) for label, group in interval_breakdown(pairs).items()
-    }
-    return replace(overall, intervals=intervals)
+    return _by_interval(_viewpoint_stats, pairs)
 
 
 def _depth_row(r: DepthReport) -> str:
@@ -232,50 +236,25 @@ def _viewpoint_row(r: ViewpointReport) -> str:
 def format_report_table(depth: DepthReport, viewpoint: ViewpointReport,
                         method: str = "annotated") -> str:
     """Aligned text tables: metric columns across, one row per method/interval."""
-    lines = []
-    lines.append("Depth estimation")
-    lines.append(f"{'method':<12} {'d<1.25':>10} {'AbsRel':>8} {'SqrRel':>8} "
-                 f"{'RMSE':>8} {'RMSElog':>8} {'N':>6}")
-    lines.append(f"{method:<12} " + _depth_row(depth))
-    lines.append("")
-    lines.append("Depth estimation by interval (m)")
-    for label in BUCKETS:
-        if label in depth.intervals:
-            lines.append(f"{label:<12} " + _depth_row(depth.intervals[label]))
-    lines.append("")
-    lines.append("Viewpoint estimation")
-    lines.append(f"{'method':<12} {'Acc_pi/4':>10} {'Acc_pi/6':>8} {'MedErr':>8} {'N':>6}")
-    lines.append(f"{method:<12} " + _viewpoint_row(viewpoint))
-    lines.append("")
-    lines.append("Viewpoint estimation by interval (m)")
-    for label in BUCKETS:
-        if label in viewpoint.intervals:
-            lines.append(f"{label:<12} " + _viewpoint_row(viewpoint.intervals[label]))
-    return "".join(line + "\n" for line in lines)
+    sections = []
+    for title, columns, row, report in (
+        ("Depth estimation",
+         f"{'d<1.25':>10} {'AbsRel':>8} {'SqrRel':>8} {'RMSE':>8} {'RMSElog':>8}",
+         _depth_row, depth),
+        ("Viewpoint estimation", f"{'Acc_pi/4':>10} {'Acc_pi/6':>8} {'MedErr':>8}",
+         _viewpoint_row, viewpoint),
+    ):
+        lines = [title, f"{'method':<12} {columns} {'N':>6}", f"{method:<12} {row(report)}",
+                 "", f"{title} by interval (m)"]
+        lines += [f"{label:<12} {row(report.intervals[label])}"
+                  for label in BUCKETS if label in report.intervals]
+        sections.append("".join(line + "\n" for line in lines))
+    return "\n".join(sections)
 
 
-def depth_report_to_json(r: DepthReport) -> dict:
-    out = {
-        "delta_125": r.delta_125,
-        "abs_rel": r.abs_rel,
-        "sqr_rel": r.sqr_rel,
-        "rmse": r.rmse,
-        "rmse_log": r.rmse_log,
-        "count": r.count,
-        "log_excluded": r.log_excluded,
-    }
+def report_to_json(r: Report) -> dict:
+    """The report's fields in declaration order, with intervals only when there are any."""
+    out = {f.name: getattr(r, f.name) for f in fields(r) if f.name != "intervals"}
     if r.intervals:
-        out["intervals"] = {k: depth_report_to_json(v) for k, v in r.intervals.items()}
-    return out
-
-
-def viewpoint_report_to_json(r: ViewpointReport) -> dict:
-    out = {
-        "acc_pi4": r.acc_pi4,
-        "acc_pi6": r.acc_pi6,
-        "mederr": r.mederr,
-        "count": r.count,
-    }
-    if r.intervals:
-        out["intervals"] = {k: viewpoint_report_to_json(v) for k, v in r.intervals.items()}
+        out["intervals"] = {k: report_to_json(v) for k, v in r.intervals.items()}
     return out

@@ -200,6 +200,18 @@ class TestAnnotateSequence:
         anns = annotate_sequence([lm], straight_trajectory(10), P_SIMPLE, VIS, frames=[2, 7])
         assert [a.frame_id for a in anns] == [2, 7]
 
+    def test_overflowing_dims_only_excluded(self):
+        # Finite sizes whose corners overflow in the projection: the landmark
+        # is excluded in every frame, without a RuntimeWarning, and its
+        # neighbour in the same batch keeps its entries.
+        huge = make_landmark(landmark_id=0, dims=(1e308, 1e308, 1e308))
+        lm = make_landmark(landmark_id=1, x=2.0)
+        anns = annotate_sequence([huge, lm], straight_trajectory(12), P_SIMPLE, VIS)
+        assert all([e.landmark_id for e in a.entries] == [1] for a in anns)
+        for a in anns:
+            (cause,) = [c for lid, c in a.exclusions if lid == 0]
+            assert cause in (CAUSE_BEHIND, CAUSE_OFF_IMAGE)
+
 class TestRecallOverDetections:
     def test_every_inlier_frame_annotated_or_explained(self):
         rng = np.random.default_rng(2)

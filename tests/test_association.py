@@ -560,6 +560,22 @@ class TestCostMatrix:
         got = cost_matrix([track], [obs], P_SIMPLE, Pose.identity(), cfg)
         assert got[0, 0] == pytest.approx(0.5 * 1.0 + 0.5 * 2.0 / 3.0, abs=1e-12)
 
+    def test_overflowing_track_dims_give_finite_costs(self):
+        # A track of finite but extreme size projects to a nan hull: IoU 0 with
+        # every box, so only the distance gate admits a pair, and no cost is
+        # nan or inf.
+        track = make_track([_observation(0, Pose(np.eye(3), [0.0, 1.65, 20.0]),
+                                         dims=(1e308, 1e308, 1e308))])
+        observations = [
+            _observation(1, Pose(np.eye(3), [0.0, 1.65, 21.0]), box=Box2D(500, 100, 700, 300)),
+            _observation(1, Pose(np.eye(3), [0.0, 1.65, 60.0]), box=Box2D(0, 0, 1242, 375)),
+        ]
+        cfg = AssociationConfig(w_iou=0.5, w_dist=0.5, w_desc=0.0)
+        got = cost_matrix([track], observations, P_SIMPLE, Pose.identity(), cfg)
+        assert np.isfinite(got).all()
+        assert got[0, 0] == pytest.approx(0.5 * 1.0 + 0.5 * 1.0 / 3.0, abs=1e-12)
+        assert got[0, 1] >= _BIG
+
     def test_track_straddling_depth_zero_matches_oracle(self):
         # Corners at depths -0.35 to 1.35: only those in front span the hull.
         cam = Pose(yaw_to_rotation(0.4), [3.0, 0.0, -2.0])

@@ -11,6 +11,7 @@ import yaml
 
 from seqlabel.cli import main
 from seqlabel.config import AssociationConfig, load_config
+from seqlabel.metrics import BUCKETS
 
 BASE_CONFIG = {
     "paths": {},
@@ -284,6 +285,25 @@ class TestExitCodes:
         assert main(["build-map", "--config", str(config)]) == 3
         err = capsys.readouterr().err
         assert "DegenerateProjection" in err and len(err.splitlines()) == 1
+
+    def test_overflowing_map_dims_exit_0(self, tmp_path, capsys):
+        # Finite landmark sizes whose projected corners overflow: the landmark
+        # is excluded in every frame and the run prints nothing to stderr.
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        map_file = tmp_path / "sim" / "gt_map.jsonl"
+        lines = map_file.read_text().splitlines()
+        huge = json.loads(lines[-1])
+        huge["dims"] = {"h": 1e308, "w": 1e308, "l": 1e308}
+        lines[-1] = json.dumps(huge)
+        map_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["annotate", "--config", str(config), "--map", str(map_file)]) == 0
+        assert capsys.readouterr().err == ""
+        dump = [json.loads(line) for line in
+                (tmp_path / "out" / "annotations.jsonl").read_text().splitlines()[1:]]
+        assert all(e["landmark_id"] != huge["id"] for frame in dump for e in frame["entries"])
+        assert all(huge["id"] in [lid for lid, _ in frame["exclusions"]] for frame in dump)
 
     @pytest.mark.parametrize("section, key, value", [
         *(pytest.param(section, key, float("nan"), id=f"{section}-{key}")
@@ -611,6 +631,17 @@ class TestEvaluateFixture:
         assert report["matching"] == {
             "n_pred": 10, "n_gt": 10, "n_matched": 10, "precision": 1.0, "recall": 1.0,
         }
+        # Key order is part of the file format.
+        depth_keys = ["delta_125", "abs_rel", "sqr_rel", "rmse", "rmse_log", "count",
+                      "log_excluded"]
+        viewpoint_keys = ["acc_pi4", "acc_pi6", "mederr", "count"]
+        assert list(report) == ["meta", "depth", "viewpoint", "matching"]
+        assert list(report["depth"]) == depth_keys + ["intervals"]
+        assert list(report["viewpoint"]) == viewpoint_keys + ["intervals"]
+        assert list(report["depth"]["intervals"]["0-10"]) == depth_keys
+        for family in ("depth", "viewpoint"):
+            assert list(report[family]["intervals"]) == list(BUCKETS)
+            assert all("intervals" not in sub for sub in report[family]["intervals"].values())
 
 
 class TestSequenceFilter:

@@ -332,6 +332,56 @@ class TestNumpyOracle:
             for name in ("acc_pi4", "acc_pi6", "mederr", "count"):
                 assert getattr(got, name) == getattr(want, name), name
 
+# The full report tables, byte for byte: the fixture pairs, and pairs whose
+# predictions are all non-positive, which leave RMSElog as "-".
+FIXTURE_TABLE = """\
+Depth estimation
+method           d<1.25   AbsRel   SqrRel     RMSE  RMSElog      N
+annotated        0.8000   0.1253   0.6884   4.8220   0.1452     10
+
+Depth estimation by interval (m)
+0-10             1.0000   0.0513   0.0232   0.4528   0.0515      2
+10-20            0.5000   0.2486   0.9382   3.8451   0.2221      2
+20-30            0.5000   0.1459   0.9388   5.2101   0.1614      2
+30-40            1.0000   0.0000   0.0000   0.0000   0.0000      1
+40-50            1.0000   0.1353   1.3147   7.8502   0.1510      2
+50+              1.0000   0.0909   0.4545   5.0000   0.0953      1
+
+Viewpoint estimation
+method         Acc_pi/4 Acc_pi/6   MedErr      N
+annotated        0.8000   0.6000  10.9775     10
+
+Viewpoint estimation by interval (m)
+0-10             1.0000   1.0000   1.4324      2
+10-20            0.5000   0.0000  42.9718      2
+20-30            1.0000   1.0000  10.9775      2
+30-40            1.0000   1.0000   0.0000      1
+40-50            0.5000   0.0000  40.1070      2
+50+              1.0000   1.0000   2.8648      1
+"""
+NON_POSITIVE_PAIRS = [MatchedPair(8.0, -1.0, 0.1, 0.2), MatchedPair(25.0, 0.0, -1.0, 2.5),
+                      MatchedPair(55.0, -3.0, 3.0, -3.0)]
+NON_POSITIVE_TABLE = """\
+Depth estimation
+method           d<1.25   AbsRel   SqrRel     RMSE  RMSElog      N
+annotated        0.0000   1.0598  32.0962  36.8330        -      3
+
+Depth estimation by interval (m)
+0-10             0.0000   1.1250  10.1250   9.0000        -      1
+20-30            0.0000   1.0000  25.0000  25.0000        -      1
+50+              0.0000   1.0545  61.1636  58.0000        -      1
+
+Viewpoint estimation
+method         Acc_pi/4 Acc_pi/6   MedErr      N
+annotated        0.6667   0.6667  16.2253      3
+
+Viewpoint estimation by interval (m)
+0-10             1.0000   1.0000   5.7296      1
+20-30            0.0000   0.0000 159.4648      1
+50+              1.0000   1.0000  16.2253      1
+"""
+
+
 def test_report_table_layout():
     d = depth_metrics(fixture_pairs())
     v = viewpoint_metrics(fixture_pairs())
@@ -341,3 +391,7 @@ def test_report_table_layout():
     # One interval row per non-empty bucket, for both metric families.
     for label in BUCKETS:
         assert table.count(label) == 2
+    assert table == FIXTURE_TABLE
+    pairs = NON_POSITIVE_PAIRS
+    assert format_report_table(depth_metrics(pairs), viewpoint_metrics(pairs)) \
+        == NON_POSITIVE_TABLE
