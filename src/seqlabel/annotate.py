@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .config import VisibilityConfig
-from .dataio import DetectionRecord, TrajectoryFile
+from .dataio import DetectionRecord, TrajectoryFile, _entries, _field, _json_record, _read
 from .geometry import (
     Pose,
     ProjectionMatrix,
@@ -39,7 +39,7 @@ from .geometry import (
     yaw_from_rotation,
     yaw_to_rotation,
 )
-from .labels import Box2D, Dimensions3D, FrameAnnotation
+from .labels import Box2D, Dimensions3D, FrameAnnotation, _data_lines
 from .landmark import Landmark
 
 PROVENANCE_OBSERVED = "observed_in_frame"
@@ -95,9 +95,9 @@ def _pair_annotations(frame_ids: Sequence[int], bounds: Sequence[int], objects: 
     left, top, right, bottom = hull
     # No corner in front of the camera leaves the hull empty (left > right).
     behind = (translation[:, 2] <= 0.0) | (left > right)
-    # Empty hulls give inf - inf and zero-area raw boxes x / 0 here.  The clipped box
-    # lies inside the raw one, so area >= min_box_area > 0 implies a positive raw area.
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # Empty hulls give inf - inf, huge ones overflow and zero-area raw boxes x / 0.  The clipped
+    # box lies inside the raw one, so area >= min_box_area > 0 implies a positive raw area.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         width = np.minimum(right, cfg.image_width) - np.maximum(left, 0.0)
         height = np.minimum(bottom, cfg.image_height) - np.maximum(top, 0.0)
         area = width * height
@@ -241,10 +241,6 @@ def _box_json(b: Box2D) -> dict:
     return {"l": b.left, "t": b.top, "r": b.right, "b": b.bottom}
 
 
-def _box_from_json(obj: dict) -> Box2D:
-    return Box2D(obj["l"], obj["t"], obj["r"], obj["b"])
-
-
 def annotation_to_json(ann: FrameAnnotation) -> dict:
     return {
         "frame_id": ann.frame_id,
@@ -273,28 +269,26 @@ def write_annotation_dump(annotations: Iterable[FrameAnnotation]) -> str:
 
 
 def read_annotation_dump(text: str) -> list[FrameAnnotation]:
+    """Read write_annotation_dump's lines, each field as read_detections reads it."""
     out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        obj = json.loads(line)
-        ann = FrameAnnotation(frame_id=int(obj["frame_id"]))
-        for e in obj["entries"]:
-            m = np.array(e["pose"], dtype=float).reshape(3, 4)
+    for lineno, line in _data_lines(text):
+        obj = _json_record(line, lineno)
+        ann = FrameAnnotation(frame_id=_read(obj, "frame_id", lineno, int))
+        for e in _field(obj, "entries", lineno):
+            m = np.array(_entries(e, "pose", lineno, 12)).reshape(3, 4)
             ann.entries.append(
                 AnnotationEntry(
-                    landmark_id=int(e["landmark_id"]),
-                    category=e["category"],
+                    landmark_id=_read(e, "landmark_id", lineno, int),
+                    category=_read(e, "category", lineno, str),
                     local_pose=Pose(m[:, :3], m[:, 3]),
-                    box2d=_box_from_json(e["box2d"]),
-                    box2d_raw=_box_from_json(e["box2d_raw"]),
-                    depth=float(e["depth"]),
-                    yaw_local=float(e["yaw_local"]),
-                    dims=Dimensions3D(e["dims"]["h"], e["dims"]["w"], e["dims"]["l"]),
-                    provenance=e["provenance"],
-                    score=float(e["score"]),
-                    visible_fraction=float(e["visible_fraction"]),
+                    box2d=Box2D(*_entries(e, "box2d", lineno, "ltrb")),
+                    box2d_raw=Box2D(*_entries(e, "box2d_raw", lineno, "ltrb")),
+                    depth=_read(e, "depth", lineno),
+                    yaw_local=_read(e, "yaw_local", lineno),
+                    dims=Dimensions3D(*_entries(e, "dims", lineno, "hwl")),
+                    provenance=_read(e, "provenance", lineno, str),
+                    score=_read(e, "score", lineno),
+                    visible_fraction=_read(e, "visible_fraction", lineno),
                 )
             )
         ann.exclusions = [(int(lid), cause) for lid, cause in obj.get("exclusions", [])]

@@ -100,7 +100,8 @@ class Track:
         self.last_seen = obs.frame_id
         if obs.detection.descriptor is not None:
             self.descriptor = obs.detection.descriptor
-        self._sums += obs.detection.score * fusion_row(obs)
+        with np.errstate(over="ignore"):  # an overflowed sum makes fuse_rows report the mean
+            self._sums += obs.detection.score * fusion_row(obs)
         self._fused = None
 
     def alive(self, frame_id: int, max_frame_gap: int) -> bool:
@@ -186,7 +187,8 @@ def cost_matrix(
     ih = np.minimum(tb, db) - np.maximum(tt, dt)
     overlap = (iw > 0.0) & (ih > 0.0)
     inter = np.where(overlap, iw * ih, 0.0)
-    union = (tr - tl) * (tb - tt) + (dr - dl) * (db - dt) - inter
+    with np.errstate(over="ignore", invalid="ignore"):  # edges near 1e308: an inf union, IoU 0
+        union = (tr - tl) * (tb - tt) + (dr - dl) * (db - dt) - inter
     iou = np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
 
     obs_trans = np.stack([o.global_pose.translation for o in observations])

@@ -3,8 +3,8 @@
 This module owns the config dataclass of every stage (AssociationConfig,
 WeightPolicy, FusionConfig, VisibilityConfig, SimConfig) and imports no
 stage: the stages import their configs from here.  So loading a config
-costs PyYAML and the standard library only, and a command that needs no
-numpy stage, such as evaluate, never loads numpy.
+costs PyYAML, the standard library and seqlabel.labels only, and a
+command that needs no numpy stage, such as evaluate, never loads numpy.
 
 Each dataclass is the schema of its section, read by _section: the keys
 are its fields, and each value has the kind of the field's default.  An
@@ -24,6 +24,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+from .labels import dims_error
 
 WEIGHT_MODES = ("score", "inverse_variance")
 TRAJECTORY_KINDS = ("straight", "arc", "waypoints")
@@ -246,9 +247,13 @@ def _points(value, where: str, sizes: tuple[int, ...]) -> tuple:
 
 
 def _objects(value, where: str) -> tuple:
-    """((x, y, z, yaw[, h, w, l]), ...) with yaw written in degrees."""
-    return tuple((x, y, z, math.radians(yaw), *dims)
-                 for x, y, z, yaw, *dims in _points(value, where, (4, 7)))
+    """((x, y, z, yaw[, h, w, l]), ...) with yaw written in degrees and positive dims."""
+    objects = _points(value, where, (4, 7))
+    for i, spec in enumerate(objects):
+        error = len(spec) == 7 and dims_error(*spec[4:])
+        if error:
+            raise ValueError(f"{where}[{i}]: {error}")
+    return tuple((x, y, z, math.radians(yaw), *dims) for x, y, z, yaw, *dims in objects)
 
 
 def _sigma_model(value, where: str) -> tuple | None:

@@ -12,7 +12,10 @@ Formats:
               reader and formatter live in seqlabel.labels
 
 Blank lines and lines starting with '#' are skipped everywhere; reported
-line numbers are 1-based positions in the raw file.
+line numbers are 1-based positions in the raw file.  Each value is
+checked once, where it is read: every field of a detection or map line
+goes through _read and _entries, which apply seqlabel.labels' box and
+dims rules; the records built from the values check nothing again.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from .labels import (
     KittiLabelLine,
     _data_lines,
     _parse_floats,
+    box_error,
+    dims_error,
     format_label_line,
     parse_kitti_labels,  # re-exported: the acceptance suite reads labels through dataio
     wrap_angle,
@@ -97,7 +102,8 @@ class DetectionRecord:
 
 def _check_rotation(r: np.ndarray, lineno: int, tol: float) -> None:
     """OrthonormalityError unless max |R^T R - I| <= tol and det R > 0; NaN fails both."""
-    dev = np.abs(r.T @ r - np.eye(3)).max()
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308 give inf or NaN
+        dev = np.abs(r.T @ r - np.eye(3)).max()
     if not dev <= tol:
         raise OrthonormalityError(lineno, f"rotation deviates from orthonormal by {dev:.3e}")
     if not np.linalg.det(r) > 0:
@@ -126,7 +132,7 @@ def serialize_trajectory(trajectory: TrajectoryFile) -> str:
 
 
 def parse_calib(text: str) -> CalibFile:
-    """Parse "KEY: 12 reals" lines into named projection matrices."""
+    """Parse "KEY: 12 reals" lines into named projection matrices; P[2][2] must not be 0."""
     matrices = {}
     for lineno, line in _data_lines(text):
         key, sep, rest = line.partition(":")
@@ -136,10 +142,9 @@ def parse_calib(text: str) -> CalibFile:
         if len(fields) != 12:
             raise ParseError(lineno, f"expected 12 matrix values, got {len(fields)}")
         values = _parse_floats(fields, lineno)
-        try:
-            matrices[key.strip()] = ProjectionMatrix(np.array(values).reshape(3, 4))
-        except ValueError as e:
-            raise ParseError(lineno, str(e)) from None
+        if values[10] == 0.0:
+            raise ParseError(lineno, "P[2][2] is zero; depth along the optical axis undefined")
+        matrices[key.strip()] = ProjectionMatrix(np.array(values).reshape(3, 4))
     return CalibFile(matrices)
 
 
@@ -180,86 +185,51 @@ def _json_record(line: str, lineno: int) -> dict:
     return obj
 
 
-def _require(obj: dict, name: str, lineno: int):
-    if name not in obj:
-        raise SchemaError(lineno, f"missing field {name!r}")
-    return obj[name]
-
-
-def _number(obj: dict, name: str, lineno: int) -> float:
-    v = _require(obj, name, lineno)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(lineno, f"field {name!r} must be a number, got {type(v).__name__}")
-    return float(v)
-
-
-def _integer(obj: dict, name: str, lineno: int) -> int:
-    v = _require(obj, name, lineno)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(lineno, f"field {name!r} must be an integer")
-    return v
-
-
-def _detection_from_json(obj: dict, lineno: int, descriptor_len: list) -> DetectionRecord:
-    frame_id = _integer(obj, "frame_id", lineno)
-    category = _require(obj, "category", lineno)
-    if not isinstance(category, str):
-        raise SchemaError(lineno, "field 'category' must be a string")
-
-    parts = {}
-    for name, keys in (("box2d", "ltrb"), ("dims", "hwl"), ("center2d", "uv")):
-        d = _require(obj, name, lineno)
-        if not isinstance(d, dict) or set(d) != set(keys):
-            raise SchemaError(lineno, f"field {name!r} must be an object with keys {list(keys)}")
-        paths = {f"{name}.{k}": d[k] for k in keys}  # so that _number names e.g. box2d.l
-        parts[name] = [_number(paths, p, lineno) for p in paths]
-
-    depth = _number(obj, "depth", lineno)
-    if not depth > 0:
-        raise SchemaError(lineno, f"field 'depth' must be positive, got {depth}")
-    score = _number(obj, "score", lineno)
-    if not 0.0 <= score <= 1.0:
-        raise SchemaError(lineno, f"field 'score' must be in [0, 1], got {score}")
-
-    sigma = None
-    if obj.get("sigma") is not None:
-        sigma = _number(obj, "sigma", lineno)
-        if not (sigma > 0):
-            raise SchemaError(lineno, f"field 'sigma' must be positive, got {sigma}")
-
-    descriptor = None
-    if obj.get("descriptor") is not None:
-        raw = obj["descriptor"]
-        if (not isinstance(raw, list) or not raw
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
-            raise SchemaError(lineno, "field 'descriptor' must be a non-empty array of numbers")
-        if descriptor_len[0] is None:
-            descriptor_len[0] = len(raw)
-        elif len(raw) != descriptor_len[0]:
-            raise SchemaError(
-                lineno,
-                f"field 'descriptor' length {len(raw)} != {descriptor_len[0]} seen earlier",
-            )
-        descriptor = np.asarray(raw, dtype=float)
-
-    gt_id = _integer(obj, "gt_id", lineno) if obj.get("gt_id") is not None else None
-
+def _field(obj, key, lineno: int):
+    """obj[key]; a record without the field is a SchemaError."""
     try:
-        return DetectionRecord(
-            frame_id=frame_id,
-            category=category,
-            box2d=Box2D(*parts["box2d"]),
-            depth=depth,
-            yaw=wrap_angle(_number(obj, "yaw", lineno)),
-            dims=Dimensions3D(*parts["dims"]),
-            center2d=tuple(parts["center2d"]),
-            score=score,
-            sigma=sigma,
-            descriptor=descriptor,
-            gt_id=gt_id,
-        )
-    except (TypeError, ValueError) as e:
-        raise SchemaError(lineno, str(e)) from None
+        return obj[key]
+    except KeyError:
+        raise SchemaError(lineno, f"missing field {key!r}") from None
+
+
+# Per kind of value: the JSON types it takes (never a boolean), and what errors say it must be.
+_KINDS = {float: ((int, float), "a number, got {}"), int: (int, "an integer"),
+          str: (str, "a string")}
+
+
+def _read(obj, key, lineno: int, kind: type = float, parent: str | None = None):
+    """obj[key] as kind, named key, or parent.key in an object and parent[key] in an array."""
+    v = _field(obj, key, lineno)
+    types, must_be = _KINDS[kind]
+    if isinstance(v, bool) or not isinstance(v, types):
+        if parent is not None:
+            key = f"{parent}.{key}" if isinstance(key, str) else f"{parent}[{key}]"
+        raise SchemaError(lineno, f"field {key!r} must be " + must_be.format(type(v).__name__))
+    return kind(v)
+
+
+def _entries(obj: dict, key: str, lineno: int, shape: str | int | None, kind=float,
+             rule=None) -> list:
+    """Field key as the list of its entries, each read as kind, checked by rule if given.
+
+    shape is an object's keys in order, such as "hwl" (entries named dims.h),
+    or an array's length (entries named pose[3]), None for any length.
+    """
+    v = _field(obj, key, lineno)
+    if isinstance(shape, str):
+        if not isinstance(v, dict) or v.keys() != set(shape):
+            raise SchemaError(lineno, f"field {key!r} must be an object with keys {list(shape)}")
+    elif not isinstance(v, list) or shape not in (None, len(v)):
+        count = "" if shape is None else f"{shape} "
+        plural = "numbers" if kind is float else "integers"
+        raise SchemaError(lineno, f"field {key!r} must be an array of {count}{plural}")
+    keys = shape if isinstance(shape, str) else range(len(v))
+    values = [_read(v, k, lineno, kind, key) for k in keys]
+    error = rule and rule(*values)
+    if error:
+        raise SchemaError(lineno, error)
+    return values
 
 
 def read_detections(text: str) -> dict[int, list[DetectionRecord]]:
@@ -269,10 +239,50 @@ def read_detections(text: str) -> dict[int, list[DetectionRecord]]:
     the input order is preserved.
     """
     groups: dict[int, list[DetectionRecord]] = {}
-    descriptor_len = [None]
+    descriptor_len = None  # one length per file, set by the first descriptor
     for lineno, line in _data_lines(text):
-        rec = _detection_from_json(_json_record(line, lineno), lineno, descriptor_len)
-        groups.setdefault(rec.frame_id, []).append(rec)
+        obj = _json_record(line, lineno)
+        frame_id = _read(obj, "frame_id", lineno, int)
+        category = _read(obj, "category", lineno, str)
+        box = _entries(obj, "box2d", lineno, "ltrb", rule=box_error)
+        dims = _entries(obj, "dims", lineno, "hwl", rule=dims_error)
+        center = _entries(obj, "center2d", lineno, "uv")
+
+        depth = _read(obj, "depth", lineno)
+        if not depth > 0:
+            raise SchemaError(lineno, f"field 'depth' must be positive, got {depth}")
+        score = _read(obj, "score", lineno)
+        if not 0.0 <= score <= 1.0:
+            raise SchemaError(lineno, f"field 'score' must be in [0, 1], got {score}")
+
+        sigma = None
+        if obj.get("sigma") is not None:
+            sigma = _read(obj, "sigma", lineno)
+            if not (sigma > 0):
+                raise SchemaError(lineno, f"field 'sigma' must be positive, got {sigma}")
+
+        descriptor = None
+        if obj.get("descriptor") is not None:
+            descriptor = _entries(obj, "descriptor", lineno, descriptor_len)
+            if not descriptor:
+                raise SchemaError(lineno,
+                                  "field 'descriptor' must be a non-empty array of numbers")
+            descriptor_len = len(descriptor)
+            descriptor = np.array(descriptor)
+
+        groups.setdefault(frame_id, []).append(DetectionRecord(
+            frame_id=frame_id,
+            category=category,
+            box2d=Box2D(*box),
+            depth=depth,
+            yaw=wrap_angle(_read(obj, "yaw", lineno)),
+            dims=Dimensions3D(*dims),
+            center2d=tuple(center),
+            score=score,
+            sigma=sigma,
+            descriptor=descriptor,
+            gt_id=_read(obj, "gt_id", lineno, int) if obj.get("gt_id") is not None else None,
+        ))
     return {k: groups[k] for k in sorted(groups)}
 
 

@@ -58,18 +58,12 @@ class Pose:
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    """3x4 pinhole projection matrix (intrinsics times extrinsics)."""
+    """3x4 pinhole projection matrix (intrinsics times extrinsics); parse_calib checks a file's."""
 
     P: np.ndarray
 
     def __post_init__(self):
         p = np.array(self.P, dtype=float)
-        if p.shape != (3, 4):
-            raise ValueError(f"projection matrix must be 3x4, got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("projection matrix has non-finite entries")
-        if p[2, 2] == 0.0:
-            raise ValueError("P[2][2] is zero; depth along the optical axis undefined")
         p.flags.writeable = False
         object.__setattr__(self, "P", p)
 

@@ -5,7 +5,10 @@ the pixel box and cuboid extents, 2D IoU, angle wrapping, the KITTI
 label line with its parser and formatter, the per-frame annotation, and
 the text-input helpers the other readers share.  It imports nothing but
 the standard library and seqlabel.errors, so `seqlabel evaluate`, which
-needs only this module and seqlabel.metrics, never loads numpy.
+needs only this module and seqlabel.metrics, never loads numpy.  Box2D
+and Dimensions3D check nothing: the readers that take them in (dataio's
+detections and map readers, the label reader below and config's
+simulate.objects) apply box_error and dims_error, each rule stated once.
 
 Label format: KITTI object labels, 15 whitespace-separated fields per
 line (a 16th score field is tolerated on input), floats rendered with 2
@@ -39,12 +42,6 @@ class Box2D:
     right: float
     bottom: float
 
-    def __post_init__(self):
-        if self.left > self.right or self.top > self.bottom:
-            raise ValueError(
-                f"invalid box: ({self.left}, {self.top}, {self.right}, {self.bottom})"
-            )
-
     def area(self) -> float:
         return (self.right - self.left) * (self.bottom - self.top)
 
@@ -70,12 +67,19 @@ class Dimensions3D:
     width: float
     length: float
 
-    def __post_init__(self):
-        if not (self.height > 0 and self.width > 0 and self.length > 0):
-            raise ValueError(
-                f"dimensions must be strictly positive, got "
-                f"({self.height}, {self.width}, {self.length})"
-            )
+
+def box_error(left: float, top: float, right: float, bottom: float) -> str | None:
+    """Why the edges make no box (left <= right and top <= bottom), or None."""
+    if left > right or top > bottom:
+        return f"invalid box: ({left}, {top}, {right}, {bottom})"
+    return None
+
+
+def dims_error(height: float, width: float, length: float) -> str | None:
+    """Why the extents make no cuboid (each strictly positive; NaN is not), or None."""
+    if not (height > 0 and width > 0 and length > 0):
+        return f"dimensions must be strictly positive, got ({height}, {width}, {length})"
+    return None
 
 
 def iou_2d(a: Box2D, b: Box2D) -> float:
@@ -179,28 +183,28 @@ def format_label_line(lab: KittiLabelLine) -> str:
 
 
 def parse_kitti_labels(text: str) -> list[KittiLabelLine]:
-    """Parse KITTI object labels (a trailing 16th score field is tolerated)."""
+    """Parse KITTI labels: a 16th score field is tolerated, box order checked, dims kept."""
     out = []
     for lineno, line in _data_lines(text):
         fields = line.split()
         if len(fields) not in (15, 16):
             raise ParseError(lineno, f"expected 15 label fields, got {len(fields)}")
         vals = _parse_floats(fields[1:15], lineno)
-        try:
-            out.append(
-                KittiLabelLine(
-                    type=fields[0],
-                    truncated=vals[0],
-                    occluded=int(vals[1]),
-                    alpha=vals[2],
-                    bbox=Box2D(vals[3], vals[4], vals[5], vals[6]),
-                    dims=Dimensions3D(vals[7], vals[8], vals[9]),
-                    location=(vals[10], vals[11], vals[12]),
-                    rotation_y=vals[13],
-                )
+        error = box_error(*vals[3:7])
+        if error:
+            raise ParseError(lineno, error)
+        out.append(
+            KittiLabelLine(
+                type=fields[0],
+                truncated=vals[0],
+                occluded=int(vals[1]),
+                alpha=vals[2],
+                bbox=Box2D(vals[3], vals[4], vals[5], vals[6]),
+                dims=Dimensions3D(vals[7], vals[8], vals[9]),
+                location=(vals[10], vals[11], vals[12]),
+                rotation_y=vals[13],
             )
-        except ValueError as e:
-            raise ParseError(lineno, str(e)) from None
+        )
     return out
 
 

@@ -19,10 +19,10 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .config import FusionConfig, WeightPolicy
-from .dataio import _check_rotation, _integer, _json_record, _number, _require
-from .errors import DegenerateMean, EmptyInput, MissingSigma, ParseError, ZeroWeightSum
+from .dataio import _check_rotation, _entries, _json_record, _read
+from .errors import DegenerateMean, EmptyInput, MissingSigma, ZeroWeightSum
 from .geometry import Pose, nearest_rotation, yaw_from_rotation, yaw_to_rotation
-from .labels import Dimensions3D, _data_lines, wrap_angle
+from .labels import Dimensions3D, _data_lines, dims_error, wrap_angle
 
 if TYPE_CHECKING:
     from .association import Observation, Track
@@ -166,14 +166,18 @@ def fuse_rows(sums: np.ndarray) -> list[tuple[Pose, Dimensions3D] | ZeroWeightSu
     Translation and dims are the weighted means; the rotation is
     nearest_rotation of the weighted rotation mean, rebuilt from its yaw
     alone.  A row with no mean gives its error instead: ZeroWeightSum when
-    sum(w) <= 0, else nearest_rotation's DegenerateMean.
+    sum(w) <= 0, else a DegenerateMean (not finite, dims <= 0 or a collapsed rotation).
     """
     total = sums[:, :1]
     mean = sums / np.where(total > 0.0, total, 1.0)  # a row without weight is reported below
+    usable = np.isfinite(mean).all(axis=1) & (mean[:, 13:] > 0.0).all(axis=1)
+    mean[~usable, 4:13] = 0.0  # an SVD of a non-finite matrix never returns
     rotations, collapsed = nearest_rotation(mean[:, 4:13].reshape(-1, 3, 3))
-    return [ZeroWeightSum("weights sum to zero") if w <= 0.0 else c if c is not None
+    return [ZeroWeightSum("weights sum to zero") if w <= 0.0
+            else DegenerateMean(f"fused mean not finite or dims <= 0 (dims {m[13:].tolist()})")
+            if not ok else c if c is not None
             else (yaw_only_pose(r, m[1:4]), Dimensions3D(*m[13:16]))
-            for w, m, c, r in zip(total[:, 0], mean, collapsed, rotations)]
+            for w, m, c, r, ok in zip(total[:, 0], mean, collapsed, rotations, usable)]
 
 
 def fuse_pose(observations: Sequence["Observation"],
@@ -187,7 +191,8 @@ def fuse_pose(observations: Sequence["Observation"],
         pose = observations[0].global_pose
         return yaw_only_pose(pose.rotation, pose.translation), observations[0].detection.dims
     rows = np.array([fusion_row(o) for o in observations])
-    (fused,) = fuse_rows((np.asarray(weights, dtype=float) @ rows)[None])
+    with np.errstate(over="ignore", invalid="ignore"):  # fuse_rows reports a non-finite sum
+        (fused,) = fuse_rows((np.asarray(weights, dtype=float) @ rows)[None])
     if isinstance(fused, Exception):
         raise fused
     return fused
@@ -281,40 +286,25 @@ def serialize_landmarks(landmarks: Iterable[Landmark]) -> str:
 def parse_landmarks(text: str) -> list[Landmark]:
     """Read a map; rotations are used exactly as read, so they must pass MAP_ROTATION_TOL.
 
-    Integer and number fields follow read_detections' rules (no booleans).
+    Every field is read, and checked, as read_detections reads it.
     """
     out = []
     for lineno, line in _data_lines(text):
         obj = _json_record(line, lineno)
-        try:
-            # Arrays are keyed by their paths, so that _number and _integer name a bad entry.
-            pose = _require(obj, "pose", lineno)
-            if not isinstance(pose, list) or len(pose) != 12:
-                raise TypeError("field 'pose' must be an array of 12 numbers")
-            pose = {f"pose[{i}]": v for i, v in enumerate(pose)}
-            m = np.array([_number(pose, k, lineno) for k in pose]).reshape(3, 4)
-            _check_rotation(m[:, :3], lineno, MAP_ROTATION_TOL)
-            category = _require(obj, "category", lineno)
-            if not isinstance(category, str):
-                raise TypeError("field 'category' must be a string")
-            dims = _require(obj, "dims", lineno)
-            frames = obj.get("observed_frames", [])
-            if not isinstance(frames, list):
-                raise TypeError("field 'observed_frames' must be an array of integers")
-            frames = {f"observed_frames[{i}]": f for i, f in enumerate(frames)}
-            out.append(
-                Landmark(
-                    landmark_id=_integer(obj, "id", lineno),
-                    global_pose=Pose(m[:, :3], m[:, 3]),
-                    dims=Dimensions3D(*(_number(dims, k, lineno) for k in "hwl")),
-                    support=_integer(obj, "support", lineno),
-                    first_frame=_integer(obj, "first_frame", lineno),
-                    last_frame=_integer(obj, "last_frame", lineno),
-                    category=category,
-                    mean_score=_number(obj, "mean_score", lineno),
-                    observed_frames=tuple(_integer(frames, k, lineno) for k in frames),
-                )
+        m = np.array(_entries(obj, "pose", lineno, 12)).reshape(3, 4)
+        _check_rotation(m[:, :3], lineno, MAP_ROTATION_TOL)
+        out.append(
+            Landmark(
+                landmark_id=_read(obj, "id", lineno, int),
+                global_pose=Pose(m[:, :3], m[:, 3]),
+                dims=Dimensions3D(*_entries(obj, "dims", lineno, "hwl", rule=dims_error)),
+                support=_read(obj, "support", lineno, int),
+                first_frame=_read(obj, "first_frame", lineno, int),
+                last_frame=_read(obj, "last_frame", lineno, int),
+                category=_read(obj, "category", lineno, str),
+                mean_score=_read(obj, "mean_score", lineno),
+                observed_frames=tuple(_entries(obj, "observed_frames", lineno, None, int)
+                                      if "observed_frames" in obj else ()),
             )
-        except (TypeError, ValueError) as e:
-            raise ParseError(lineno, str(e)) from None
+        )
     return out

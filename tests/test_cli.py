@@ -66,6 +66,33 @@ def simulate(tmp_path, config):
                  "--output", str(tmp_path / "sim")]) == 0
 
 
+SYNTHETIC = Path(__file__).resolve().parent.parent / "configs" / "synthetic.yaml"
+
+
+def simulate_synthetic(tmp_path: Path, **sections) -> Path:
+    """configs/synthetic.yaml, its sections updated, writing under tmp_path; simulated."""
+    raw = yaml.safe_load(SYNTHETIC.read_text())
+    for section, values in sections.items():
+        raw[section].update(values)
+    sim = tmp_path / "sim"
+    raw["paths"] = {"trajectory": str(sim / "trajectory.txt"), "calib": str(sim / "calib.txt"),
+                    "detections": str(sim / "detections.jsonl"), "output": str(tmp_path / "out")}
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    simulate(tmp_path, config)
+    return config
+
+
+def edit_object_detections(tmp_path: Path, gt_id: int, edit) -> None:
+    """Apply edit to every simulated detection record of object gt_id."""
+    det = tmp_path / "sim" / "detections.jsonl"
+    records = [json.loads(line) for line in det.read_text().splitlines()]
+    for r in records:
+        if r["gt_id"] == gt_id:
+            edit(r)
+    det.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
 class TestSimulate:
     def test_writes_dataset(self, tmp_path):
         config = write_config(tmp_path)
@@ -426,6 +453,94 @@ class TestExitCodes:
         matching = json.loads((tmp_path / "out" / "report.json").read_text())["matching"]
         assert matching["n_matched"] == matching["n_gt"] - 1
 
+    def test_kitti_dontcare_row_counts_but_never_matches(self, tmp_path, capsys):
+        # KITTI writes DontCare regions with dims of -1; evaluation never reads dims.
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        assert main(["build-map", "--config", str(config)]) == 0
+        assert main(["annotate", "--config", str(config)]) == 0
+        gt_dir = tmp_path / "sim" / "gt_labels"
+        argv = ["evaluate", "--config", str(config), "--gt", str(gt_dir)]
+        report = tmp_path / "out" / "report.json"
+        assert main(argv) == 0
+        before = json.loads(report.read_text())["matching"]
+        label = next(p for p in sorted(gt_dir.glob("*.txt")) if p.read_text())
+        label.write_text(label.read_text() + "DontCare -1 -1 -10 503.89 169.71 590.61 190.13 "
+                         "-1 -1 -1 -1000 -1000 -1000 -10\n")
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        after = json.loads(report.read_text())["matching"]
+        assert after["n_gt"] == before["n_gt"] + 1
+        assert after["n_matched"] == before["n_matched"]
+
+    def test_label_box_out_of_order_exit_2_naming_file_and_line(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        gt_dir = tmp_path / "sim" / "gt_labels"
+        label = next(p for p in sorted(gt_dir.glob("*.txt")) if p.read_text())
+        lines = label.read_text().splitlines()
+        fields = lines[-1].split()
+        fields[4], fields[6] = fields[6], fields[4]  # left > right
+        lines[-1] = " ".join(fields)
+        label.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config),
+                     "--pred", str(gt_dir), "--gt", str(gt_dir)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(label) in err and f"line {len(lines)}" in err and "invalid box" in err
+
+    @pytest.mark.parametrize("dims, record, association", [
+        ({"l": 1e308}, {}, {}),  # the fused length overflows to inf
+        # 0.4 * 5e-324 underflows to 0, and so does the fused height.
+        ({"h": 5e-324}, {"score": 0.4}, {"score_threshold": 0.3}),
+    ], ids=["overflow", "underflow"])
+    def test_extreme_dims_reject_the_track_and_annotate_reads_the_map(
+            self, tmp_path, capsys, dims, record, association):
+        config = simulate_synthetic(tmp_path, association=association)
+        edit_object_detections(tmp_path, 0,
+                               lambda r: r.update(record, dims={**r["dims"], **dims}))
+        capsys.readouterr()
+        assert main(["build-map", "--config", str(config)]) == 0
+        assert main(["annotate", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+        diagnostics = json.loads((tmp_path / "out" / "track_diagnostics.json").read_text())
+        assert "degenerate_mean" in {t["reason"] for t in diagnostics["tracks"]}
+
+    @pytest.mark.parametrize("key, value", [("l", -1e308), ("r", 1e308)])
+    def test_box_edge_near_float_max_exit_0(self, tmp_path, capsys, key, value):
+        config = simulate_synthetic(tmp_path)
+        edit_object_detections(tmp_path, 0, lambda r: r["box2d"].update({key: value}))
+        capsys.readouterr()
+        assert main(["build-map", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("entry", [0, 3])
+    def test_projection_entry_near_float_max_exit_0(self, tmp_path, capsys, entry):
+        config = simulate_synthetic(tmp_path)
+        assert main(["build-map", "--config", str(config)]) == 0
+        calib = tmp_path / "sim" / "calib.txt"
+        key, values = calib.read_text().split(":")
+        values = values.split()
+        values[entry] = "1e308"
+        calib.write_text(f"{key}: {' '.join(values)}\n")
+        capsys.readouterr()
+        assert main(["annotate", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_rotation_entry_near_float_max_exit_2_with_line(self, tmp_path, capsys):
+        config = simulate_synthetic(tmp_path)
+        trajectory = tmp_path / "sim" / "trajectory.txt"
+        lines = trajectory.read_text().splitlines()
+        lines[4] = " ".join(["1e308", *lines[4].split()[1:]])
+        trajectory.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["build-map", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(trajectory) in err and "line 5" in err
+
     @pytest.mark.parametrize("command, target", [
         ("build-map", "detections"), ("annotate", "map"), ("evaluate", "labels"),
     ])
@@ -486,6 +601,7 @@ class TestExitCodes:
         ("depth_range", [5.0]),
         ("depth_range", [45.0, 12.0]),
         ("lateral_range", [1.0, 2.0, 3.0]),
+        ("objects", [[0, 1.65, 20, 0, -1.5, 1.7, 4.2]]),
     ])
     def test_malformed_simulate_shape_exit_3(self, tmp_path, capsys, key, value):
         sim = {**BASE_CONFIG["simulate"], key: value}

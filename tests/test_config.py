@@ -114,6 +114,15 @@ class TestSectionReader:
         else:
             assert _has_kind(read(cfg), default), (section, key, read(cfg))
 
+    def test_non_positive_object_dims_name_the_object(self, tmp_path):
+        raw = yaml.safe_load(SYNTHETIC.read_text())
+        raw["simulate"]["objects"] = [[0, 1.65, 20, 0, -1.5, 1.7, 4.2]]
+        path = tmp_path / "pipeline.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match=r"simulate\.objects\[0\]: dimensions must be "
+                                              r"strictly positive, got \(-1\.5, 1\.7, 4\.2\)"):
+            load_config(path)
+
     @pytest.mark.parametrize("raw", [{1: 2, "bogus": 3}, {"association": {2: 0.5, "x": 1}}])
     def test_mixed_type_unknown_keys_are_a_config_error(self, tmp_path, raw):
         # Listing unknown keys of mixed types must not compare an int with a str.

@@ -107,6 +107,11 @@ class TestCalib:
         with pytest.raises(ParseError):
             parse_calib("P2: a b c d e f g h i j k l\n")
 
+    def test_zero_depth_row_entry(self):
+        with pytest.raises(ParseError, match=r"P\[2\]\[2\] is zero") as exc:
+            parse_calib("P2: 700 0 600 0 0 700 180 0 0 0 1 0\nP3: 700 0 600 0 0 700 180 0 0 0 0 1\n")
+        assert exc.value.line == 2
+
     def test_golden_round_trip(self):
         text = (DATA / "calib_golden.txt").read_text()
         assert serialize_calib(parse_calib(text)) == text

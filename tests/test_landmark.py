@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import make_observation, make_track, oracle_fuse
 from seqlabel.association import Observation
-from seqlabel.errors import EmptyInput, MissingSigma, OrthonormalityError, ParseError
+from seqlabel.errors import (DegenerateMean, EmptyInput, MissingSigma, OrthonormalityError,
+                             ParseError)
 from seqlabel.geometry import Pose, yaw_from_rotation, yaw_to_rotation
 from seqlabel.labels import wrap_angle
 from seqlabel.landmark import (
@@ -330,6 +331,14 @@ class TestFusePoseOracle:
             [dims.height, dims.width, dims.length],
             [want_dims.height, want_dims.width, want_dims.length], rtol=0, atol=1e-12)
 
+    def test_non_finite_sum_is_a_degenerate_mean(self):
+        # An infinite weight (inverse variance, sigma near 1e-154 and a lower floor)
+        # makes the sums inf and NaN; they never reach the SVD, which raises or hangs on them.
+        observations = [_global_observation(k, 0.3, [1.0, 1.65, 20.0], (1.5, 1.7, 4.2), 0.9, 0.5)
+                        for k in range(2)]
+        with pytest.raises(DegenerateMean, match="not finite"):
+            fuse_pose(observations, [math.inf, 1.0])
+
 
 class TestErrorReduction:
     def test_monotonic_in_observation_count(self):
@@ -434,11 +443,16 @@ class TestParseLandmarks:
         ("pose", ["a"] * 12),
         ("id", "seven"),
         ("category", 3),
+        ("dims", 5),
+        ("dims", {"h": 1.5, "w": 1.7, "l": 4.2, "x": 2}),
     ])
     def test_bad_field(self, field, value):
         with pytest.raises(ParseError) as exc:
             parse_landmarks(self._line(**{field: value}))
         assert exc.value.line == 1
+        if field == "dims" and (not isinstance(value, dict) or set(value) != set("hwl")):
+            # The detections' object rule, message included.
+            assert "field 'dims' must be an object with keys ['h', 'w', 'l']" in str(exc.value)
 
     def test_missing_field_is_named(self):
         line = json.loads(self._line())
