@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -213,6 +213,12 @@ class TestInternalPosesStayProper:
     @settings(max_examples=60, deadline=None)
     @given(cameras(), st.lists(st.tuples(angles, st.floats(1, 80)), min_size=1, max_size=8),
            st.sampled_from(["score", "inverse_variance"]))
+    # Seen from cam itself, this map box (1 m ahead, tilted by the camera's
+    # pitch) misses the image, so only the view camera below annotates it.
+    @example(Pose(np.array([[1.0, 0.0, 0.0],
+                            [0.0, math.cos(0.5), math.sin(0.5)],
+                            [0.0, -math.sin(0.5), math.cos(0.5)]]), [0.0, 0.0, 0.0]),
+             [(0.0, 1.0), (3.0, 1.0)], "score")
     def test_lift_fuse_and_reproject(self, cam, dets, mode):
         observations = [make_observation(cam=cam, frame_id=k, yaw=yaw, depth=depth, sigma=0.5)
                         for k, (yaw, depth) in enumerate(dets)]
@@ -231,9 +237,13 @@ class TestInternalPosesStayProper:
         assert_proper_rotation(pose)
         lm = Landmark(0, pose, dims, len(observations), 0, len(observations) - 1, "Car", 0.9,
                       tuple(range(len(observations))))
-        # The batched annotation pass builds the camera-local pose of each entry.
+        # The batched annotation pass builds the camera-local pose of each entry.  A tilted
+        # box close to cam can miss the image, so it is viewed from 20 m further back along
+        # cam's optical axis: every corner is then in front, and the hull holds the principal
+        # point the detections were lifted from.
+        view = compose(cam, Pose(np.eye(3), [0.0, 0.0, -20.0]))
         vis = VisibilityConfig(min_box_area=1e-9, min_visible_fraction=1e-9)
-        (entry,) = annotate_frame([lm], 0, cam, P_SIMPLE, vis).entries
+        (entry,) = annotate_frame([lm], 0, view, P_SIMPLE, vis).entries
         assert_proper_rotation(entry.local_pose)
 
     @pytest.mark.parametrize("sim", [
