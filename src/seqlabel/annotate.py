@@ -30,6 +30,7 @@ import numpy as np
 
 from .config import VisibilityConfig
 from .dataio import DetectionRecord, TrajectoryFile, _entries, _field, _json_record, _read
+from .errors import SchemaError
 from .geometry import (
     Pose,
     ProjectionMatrix,
@@ -39,7 +40,7 @@ from .geometry import (
     yaw_from_rotation,
     yaw_to_rotation,
 )
-from .labels import Box2D, Dimensions3D, FrameAnnotation, _data_lines
+from .labels import Box2D, Dimensions3D, FrameAnnotation, _data_lines, box_error, dims_error
 from .landmark import Landmark
 
 PROVENANCE_OBSERVED = "observed_in_frame"
@@ -281,16 +282,21 @@ def read_annotation_dump(text: str) -> list[FrameAnnotation]:
                     landmark_id=_read(e, "landmark_id", lineno, int),
                     category=_read(e, "category", lineno, str),
                     local_pose=Pose(m[:, :3], m[:, 3]),
-                    box2d=Box2D(*_entries(e, "box2d", lineno, "ltrb")),
-                    box2d_raw=Box2D(*_entries(e, "box2d_raw", lineno, "ltrb")),
+                    box2d=Box2D(*_entries(e, "box2d", lineno, "ltrb", rule=box_error)),
+                    box2d_raw=Box2D(*_entries(e, "box2d_raw", lineno, "ltrb", rule=box_error)),
                     depth=_read(e, "depth", lineno),
                     yaw_local=_read(e, "yaw_local", lineno),
-                    dims=Dimensions3D(*_entries(e, "dims", lineno, "hwl")),
+                    dims=Dimensions3D(*_entries(e, "dims", lineno, "hwl", rule=dims_error)),
                     provenance=_read(e, "provenance", lineno, str),
                     score=_read(e, "score", lineno),
                     visible_fraction=_read(e, "visible_fraction", lineno),
                 )
             )
-        ann.exclusions = [(int(lid), cause) for lid, cause in obj.get("exclusions", [])]
+        pairs = _field(obj, "exclusions", lineno)
+        if not isinstance(pairs, list) or any(type(p) is not list or len(p) != 2 for p in pairs):
+            raise SchemaError(lineno, "field 'exclusions' must be an array of [id, cause] pairs")
+        ann.exclusions = [(_read(p, 0, lineno, int, f"exclusions[{i}]"),
+                           _read(p, 1, lineno, str, f"exclusions[{i}]"))
+                          for i, p in enumerate(pairs)]
         out.append(ann)
     return out

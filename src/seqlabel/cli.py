@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import PipelineConfig, config_fingerprint, file_digest, load_config
+from .config import PipelineConfig, config_fingerprint, file_digest, load_config, read_value
 from .errors import ConfigError, ParseError, SeqLabelError
 from .labels import FrameAnnotation, frame_file_name, parse_kitti_labels
 
@@ -253,9 +253,9 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, seed: int | None) -> int:
     sim = cfg.simulate
     if seed is not None:
         try:
-            sim = dataclasses.replace(sim, seed=seed)
+            sim = dataclasses.replace(sim, seed=read_value("seed", sim.seed, seed, "--seed"))
         except ValueError as e:
-            raise ConfigError(f"--seed: {e}") from None
+            raise ConfigError(str(e)) from None
 
     gt, detections = generate(sim)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,10 @@ command that needs no numpy stage, such as evaluate, never loads numpy.
 
 Each dataclass is the schema of its section, read by _section: the keys
 are its fields, and each value has the kind of the field's default.  An
-angle field x is written x_deg, in degrees.  Anything else fails with one
+angle field x is written x_deg, in degrees.  The dataclasses are plain
+records that check nothing: read_value checks each value once, as it is
+read, against its field's range rule in _RULES, and _section checks the
+rules over several fields in _SECTION_RULES.  Anything else fails with one
 line naming section.key.
 """
 
@@ -33,9 +36,9 @@ TRAJECTORY_KINDS = ("straight", "arc", "waypoints")
 def _is_number(value) -> bool:
     """A YAML int or float that fits a finite float; a boolean is not a number here.
 
-    The range checks of the config classes compare with < and <=, which a
-    NaN passes, and an int beyond the float range overflows where a stage
-    converts it; the input parsers apply the same finite-number rule.
+    The range rules compare with < and <=, which a NaN passes, and an int
+    beyond the float range overflows where a stage converts it; the input
+    parsers apply the same finite-number rule.
     """
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
@@ -57,22 +60,6 @@ class AssociationConfig:
     w_dist: float = 0.4
     w_desc: float = 0.1
 
-    def __post_init__(self):
-        for name in ("score_threshold", "iou_gate", "descriptor_gate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.dist_gate <= 0:
-            raise ValueError("dist_gate must be positive")
-        if self.max_frame_gap < 0:
-            raise ValueError("max_frame_gap must be >= 0")
-        if min(self.w_iou, self.w_dist, self.w_desc) < 0:
-            raise ValueError("w_iou, w_dist and w_desc must be non-negative")
-        if abs(self.w_iou + self.w_dist + self.w_desc - 1.0) > 1e-12:
-            raise ValueError("w_iou + w_dist + w_desc must sum to 1")
-        if self.w_iou + self.w_dist == 0:
-            raise ValueError("w_iou + w_dist must be positive (descriptors are optional)")
-
 
 @dataclass(frozen=True)
 class WeightPolicy:
@@ -80,12 +67,6 @@ class WeightPolicy:
 
     mode: str = "score"
     sigma_floor: float = 1e-3
-
-    def __post_init__(self):
-        if self.mode not in WEIGHT_MODES:
-            raise ValueError(f"mode must be one of {WEIGHT_MODES}, got {self.mode!r}")
-        if not self.sigma_floor > 0:
-            raise ValueError("sigma_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,13 +76,6 @@ class FusionConfig:
     min_support: int = 2
     var_gate: float = 1.0             # m^2 per axis; beyond this the track is dynamic
 
-    def __post_init__(self):
-        for name in ("depth_tol", "yaw_tol", "var_gate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.min_support < 1:
-            raise ValueError("min_support must be >= 1")
-
 
 @dataclass(frozen=True)
 class VisibilityConfig:
@@ -110,15 +84,6 @@ class VisibilityConfig:
     min_box_area: float = 100.0        # px^2 after clipping
     frame_window: int = 10             # frames beyond the observed span
     min_visible_fraction: float = 0.25  # clipped / unclipped area
-
-    def __post_init__(self):
-        for name in ("image_width", "image_height", "min_box_area"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.frame_window < 0:
-            raise ValueError("frame_window must be >= 0")
-        if not 0.0 < self.min_visible_fraction <= 1.0:
-            raise ValueError("min_visible_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -149,27 +114,6 @@ class SimConfig:
     depth_range: tuple = (12.0, 45.0)
     lateral_range: tuple = (-8.0, 8.0)
 
-    def __post_init__(self):
-        for name, low in (("seed", 0), ("n_objects", 0), ("frames", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
-        for name in ("dropout_prob", "outlier_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("sigma_z", "sigma_yaw", "sigma_px"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.trajectory not in TRAJECTORY_KINDS:
-            raise ValueError(f"trajectory must be one of {TRAJECTORY_KINDS}")
-        if self.trajectory == "waypoints" and len(self.waypoints) < 2:
-            raise ValueError("waypoints must hold at least 2 points for a waypoints trajectory")
-        if self.trajectory == "arc" and self.arc_radius <= 0:
-            raise ValueError("arc_radius must be positive")
-        for name in ("depth_range", "lateral_range"):
-            low, high = getattr(self, name)
-            if not low <= high:
-                raise ValueError(f"{name} must be [low, high] with low <= high")
-
 
 @dataclass
 class PipelineConfig:
@@ -193,17 +137,14 @@ class PipelineConfig:
         return not any(a <= frame_id <= b for a, b in self.exclude)
 
 
-# The paths section: YAML key -> PipelineConfig field.
-_PATHS = {"trajectory": "trajectory_path", "calib": "calib_path",
-          "detections": "detections_path", "output": "output_dir"}
-
-
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(map(str, unknown))} in {where}")
-
-
+# The sections read into a config dataclass: section -> the dataclass (and PipelineConfig field).
+_SECTIONS = {"association": AssociationConfig, "weighting": WeightPolicy, "fusion": FusionConfig,
+             "visibility": VisibilityConfig, "simulate": SimConfig}
+# The other sections: section -> {YAML key: PipelineConfig field}.
+_OWN = {"paths": {"trajectory": "trajectory_path", "calib": "calib_path",
+                  "detections": "detections_path", "output": "output_dir"},
+        "metrics": {"iou_min": "metrics_iou_min"},
+        "sequence": {"include": "include", "exclude": "exclude"}}
 # The kind of a field's default -> (its name, the test a YAML value must pass).
 _KINDS = {
     float: ("a finite number", _is_number),
@@ -214,21 +155,15 @@ _KINDS = {
 _DEGREES = ("yaw_tol", "sigma_yaw", "outlier_dyaw")
 
 
-def _of_kind(value, default, where: str):
-    """value if it has the kind of default, else ValueError naming where."""
-    kind, ok = _KINDS[type(default)]
-    if not ok(value):
-        raise ValueError(f"{where} must be {kind}, got {value!r}")
-    return value
-
-
 def _mapping(value, allowed: set, where: str) -> dict:
     """A config section: a mapping (null reads as empty) with no key outside allowed."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be a mapping, got {value!r}")
-    _check_keys(value, allowed, where)
+    unknown = set(value) - allowed
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(map(str, unknown))} in {where}")
     return value
 
 
@@ -266,42 +201,6 @@ def _sigma_model(value, where: str) -> tuple | None:
     return float(value["offset"]), float(value["slope"])
 
 
-# Fields whose YAML value has a shape of its own: field -> converter(value, where).
-_SHAPED = {
-    "waypoints": lambda value, where: _points(value, where, (3,)),
-    "objects": _objects,
-    "sigma_model": _sigma_model,
-    "depth_range": lambda value, where: _numbers(value, where, (2,)),
-    "lateral_range": lambda value, where: _numbers(value, where, (2,)),
-}
-
-
-def _section(cls, raw, where: str):
-    """Build the config dataclass cls from its YAML section raw.
-
-    The keys are the fields of cls (an angle field x as x_deg, converted to
-    radians); a shaped field goes through its _SHAPED converter, and every
-    other value must have the kind of the field's default and is kept as
-    given.  The range checks of cls start their messages with the field
-    name, so prefixing the section names the key path.
-    """
-    by_key = {f"{f.name}_deg" if f.name in _DEGREES else f.name: f for f in fields(cls)}
-    kwargs = {}
-    for key, value in _mapping(raw, set(by_key), where).items():
-        f = by_key[key]
-        if f.name in _SHAPED:
-            value = _SHAPED[f.name](value, f"{where}.{key}")
-        else:
-            value = _of_kind(value, f.default, f"{where}.{key}")
-            if f.name in _DEGREES:
-                value = math.radians(value)
-        kwargs[f.name] = value
-    try:
-        return cls(**kwargs)
-    except ValueError as e:
-        raise ValueError(f"{where}.{e}") from None
-
-
 def _ranges(raw, where: str) -> tuple:
     """((start, end), ...) from a list of [start, end] pairs of YAML ints."""
     if raw is None:
@@ -313,6 +212,92 @@ def _ranges(raw, where: str) -> tuple:
             raise ValueError(f"{where} entries must be [start, end] pairs of integers, "
                              f"got {item!r}")
     return tuple(tuple(item) for item in raw)
+
+
+# Fields whose YAML value has a shape of its own: field -> converter(value, where).
+_SHAPED = {
+    "waypoints": lambda value, where: _points(value, where, (3,)),
+    "objects": _objects,
+    "sigma_model": _sigma_model,
+    "depth_range": lambda value, where: _numbers(value, where, (2,)),
+    "lateral_range": lambda value, where: _numbers(value, where, (2,)),
+    "include": _ranges,
+    "exclude": _ranges,
+}
+# The range rule of each field: field -> (what its value must be, the test of its value as
+# read).  Fields of the same name share one rule, as image_width and image_height do in
+# visibility and simulate.
+_RULES = {
+    **dict.fromkeys(("score_threshold", "iou_gate", "descriptor_gate", "dropout_prob",
+                     "outlier_prob"), ("in [0, 1]", lambda v: 0 <= v <= 1)),
+    **dict.fromkeys(("min_visible_fraction", "metrics_iou_min"),
+                    ("in (0, 1]", lambda v: 0 < v <= 1)),
+    **dict.fromkeys(("dist_gate", "depth_tol", "yaw_tol", "var_gate", "image_width",
+                     "image_height", "min_box_area"), ("positive", lambda v: v > 0)),
+    **dict.fromkeys(("max_frame_gap", "w_iou", "w_dist", "w_desc", "frame_window", "seed",
+                     "n_objects", "sigma_z", "sigma_yaw", "sigma_px"), (">= 0", lambda v: v >= 0)),
+    **dict.fromkeys(("min_support", "frames"), (">= 1", lambda v: v >= 1)),
+    **dict.fromkeys(("depth_range", "lateral_range"),
+                    ("[low, high] with low <= high", lambda v: v[0] <= v[1])),
+    # The floor caps every inverse-variance weight at 1e200, so sums of weights stay finite.
+    "sigma_floor": (">= 1e-100", lambda v: v >= 1e-100),
+    "mode": (f"one of {WEIGHT_MODES}", WEIGHT_MODES.__contains__),
+    "trajectory": (f"one of {TRAJECTORY_KINDS}", TRAJECTORY_KINDS.__contains__),
+}
+# Rules over several fields of a section, checked once it is built:
+# section -> ((message, starting with the key it names; test of the section), ...).
+_SECTION_RULES = {
+    "association": (
+        ("w_iou + w_dist + w_desc must sum to 1",
+         lambda c: abs(c.w_iou + c.w_dist + c.w_desc - 1.0) <= 1e-12),
+        ("w_iou + w_dist must be positive (descriptors are optional)",
+         lambda c: c.w_iou + c.w_dist > 0),
+    ),
+    "simulate": (
+        ("waypoints must hold at least 2 points for a waypoints trajectory",
+         lambda c: c.trajectory != "waypoints" or len(c.waypoints) >= 2),
+        ("arc_radius must be positive for an arc trajectory",
+         lambda c: c.trajectory != "arc" or c.arc_radius > 0),
+    ),
+}
+
+
+def read_value(name: str, default, raw, where: str):
+    """The YAML value raw of field name, as read; ValueError naming where if it is not valid.
+
+    A shaped field goes through its _SHAPED converter.  Any other value must
+    have the kind of default and is kept as given, an angle field converted
+    from degrees to radians.  Then the value must pass name's rule in _RULES.
+    """
+    if name in _SHAPED:
+        value = _SHAPED[name](raw, where)
+    else:
+        kind, of_kind = _KINDS[type(default)]
+        if not of_kind(raw):
+            raise ValueError(f"{where} must be {kind}, got {raw!r}")
+        value = math.radians(raw) if name in _DEGREES else raw
+    must, ok = _RULES.get(name, (None, None))
+    if ok is not None and not ok(value):
+        raise ValueError(f"{where} must be {must}, got {raw!r}")
+    return value
+
+
+def _section(cls, raw, where: str):
+    """Build the config dataclass cls from its YAML section raw.
+
+    The keys are the fields of cls (an angle field x as x_deg), each value
+    read by read_value; then the built section must pass its _SECTION_RULES.
+    """
+    by_key = {f"{f.name}_deg" if f.name in _DEGREES else f.name: f for f in fields(cls)}
+    kwargs = {}
+    for key, value in _mapping(raw, set(by_key), where).items():
+        f = by_key[key]
+        kwargs[f.name] = read_value(f.name, f.default, value, f"{where}.{key}")
+    section = cls(**kwargs)
+    for message, ok in _SECTION_RULES.get(where, ()):
+        if not ok(section):
+            raise ValueError(f"{where}.{message}")
+    return section
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -331,31 +316,19 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 
-    _check_keys(raw, {"paths", "camera", "association", "weighting", "fusion",
-                      "visibility", "metrics", "sequence", "simulate"}, str(path))
+    _mapping(raw, {"camera", *_SECTIONS, *_OWN}, str(path))
     try:
         cfg = PipelineConfig()
-        for key, value in _mapping(raw.get("paths"), set(_PATHS), "paths").items():
-            setattr(cfg, _PATHS[key], _of_kind(value, "", f"paths.{key}"))
-        cfg.camera = _of_kind(raw.get("camera", cfg.camera), "", "camera")
-
-        cfg.association = _section(AssociationConfig, raw.get("association"), "association")
-        cfg.weighting = _section(WeightPolicy, raw.get("weighting"), "weighting")
-        cfg.fusion = _section(FusionConfig, raw.get("fusion"), "fusion")
-        cfg.visibility = _section(VisibilityConfig, raw.get("visibility"), "visibility")
-        if raw.get("simulate") is not None:
-            cfg.simulate = _section(SimConfig, raw["simulate"], "simulate")
-
-        metrics = _mapping(raw.get("metrics"), {"iou_min"}, "metrics")
-        iou_min = metrics.get("iou_min", cfg.metrics_iou_min)
-        if not _is_number(iou_min) or not 0 < iou_min <= 1:
-            raise ValueError(f"metrics.iou_min must be a number in (0, 1], got {iou_min!r}")
-        cfg.metrics_iou_min = float(iou_min)
-
-        sequence = _mapping(raw.get("sequence"), {"include", "exclude"}, "sequence")
-        cfg.include = _ranges(sequence.get("include"), "sequence.include")
-        cfg.exclude = _ranges(sequence.get("exclude"), "sequence.exclude")
-    except (TypeError, ValueError) as e:
+        for section, names in _OWN.items():
+            for key, value in _mapping(raw.get(section), set(names), section).items():
+                name = names[key]
+                setattr(cfg, name, read_value(name, getattr(cfg, name), value, f"{section}.{key}"))
+        cfg.metrics_iou_min = float(cfg.metrics_iou_min)  # a YAML 1 hashes as 1.0, as before
+        cfg.camera = read_value("camera", cfg.camera, raw.get("camera", cfg.camera), "camera")
+        for section, cls in _SECTIONS.items():
+            if section != "simulate" or raw.get(section) is not None:  # simulate is optional
+                setattr(cfg, section, _section(cls, raw.get(section), section))
+    except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
     return cfg
 
@@ -366,7 +339,7 @@ def config_fingerprint(cfg: PipelineConfig) -> str:
     Paths are machine-specific and excluded; input content is covered by
     the per-file digests written next to this hash.
     """
-    payload = {k: v for k, v in asdict(cfg).items() if k not in _PATHS.values()}
+    payload = {k: v for k, v in asdict(cfg).items() if k not in _OWN["paths"].values()}
     blob = json.dumps(payload, sort_keys=True, default=list)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

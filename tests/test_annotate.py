@@ -1,5 +1,6 @@
 """Map reprojection: local poses, visibility rules, provenance, dumps."""
 
+import json
 import math
 from unittest import mock
 
@@ -36,6 +37,7 @@ from seqlabel.annotate import (
     write_annotation_dump,
 )
 from seqlabel.dataio import TrajectoryFile, write_kitti_labels
+from seqlabel.errors import SchemaError
 from seqlabel.geometry import Pose, back_project, compose, yaw_to_rotation
 from seqlabel.labels import Dimensions3D
 from seqlabel.landmark import FusionConfig, Landmark, WeightPolicy, fuse_tracks
@@ -267,6 +269,26 @@ class TestDump:
                 assert np.array_equal(ea.local_pose.translation, eb.local_pose.translation)
                 assert ea.depth == eb.depth
             assert a.exclusions == b.exclusions
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a["entries"][0]["box2d"].update(l=50.0, r=5.0), "invalid box"),
+        (lambda a: a["entries"][0]["box2d_raw"].update(l=50.0, r=5.0), "invalid box"),
+        (lambda a: a["entries"][0]["dims"].update(h=-1.5), "dimensions must be strictly positive"),
+        (lambda a: a.update(exclusions=5), "field 'exclusions' must be an array of"),
+        (lambda a: a.update(exclusions=[[1]]), "field 'exclusions' must be an array of"),
+        (lambda a: a.update(exclusions=[["a", "b"]]), "field 'exclusions[0][0]' must be an integer"),
+        (lambda a: a.update(exclusions=[[1, 2]]), "field 'exclusions[0][1]' must be a string"),
+    ], ids=["box2d", "box2d_raw", "dims", "exclusions", "pair", "landmark_id", "cause"])
+    def test_broken_rule_is_a_schema_error_naming_the_line(self, edit, message):
+        lm = make_landmark(x=1.0, z=35.0, yaw=0.2, observed=(0, 2, 3))
+        lines = write_annotation_dump(
+            annotate_sequence([lm], straight_trajectory(4), P_SIMPLE, VIS)).splitlines()
+        record = json.loads(lines[1])
+        edit(record)
+        lines[1] = json.dumps(record)
+        with pytest.raises(SchemaError) as exc:
+            read_annotation_dump("\n".join(lines) + "\n")
+        assert exc.value.line == 2 and message in exc.value.reason
 
     def test_clipped_edge_written_as_float(self):
         # VIS gives the image size as ints; the clipped edge is still a float.

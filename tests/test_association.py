@@ -36,8 +36,9 @@ from seqlabel.association import (
     run_association,
     solve_assignment,
 )
+from seqlabel.config import load_config
 from seqlabel.dataio import TrajectoryFile
-from seqlabel.errors import DegenerateProjection, MissingCameraPose, ZeroArea
+from seqlabel.errors import ConfigError, DegenerateProjection, MissingCameraPose, ZeroArea
 from seqlabel.geometry import (
     Pose,
     back_project,
@@ -220,9 +221,11 @@ class TestAssociationCost:
         assert association_cost(track, obs, P_SIMPLE, Pose.identity(), cfg) == pytest.approx(
             want, abs=1e-9)
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            AssociationConfig(w_iou=0.5, w_dist=0.4, w_desc=0.2)
+    def test_weights_must_sum_to_one(self, tmp_path):
+        config = tmp_path / "pipeline.yaml"
+        config.write_text("association: {w_iou: 0.5, w_dist: 0.4, w_desc: 0.2}\n")
+        with pytest.raises(ConfigError, match=r"association\.w_iou \+ w_dist \+ w_desc must sum"):
+            load_config(config)
 
 class TestSolveAssignment:
     def test_matches_brute_force(self):

@@ -508,6 +508,26 @@ class TestExitCodes:
         diagnostics = json.loads((tmp_path / "out" / "track_diagnostics.json").read_text())
         assert "degenerate_mean" in {t["reason"] for t in diagnostics["tracks"]}
 
+    @pytest.mark.parametrize("sigma_floor, code", [(1e-200, 3), (1e-100, 0)])
+    def test_sigma_floor_keeps_inverse_variance_weights_finite(self, tmp_path, capsys,
+                                                               sigma_floor, code):
+        # Under a floor of 1e-200, sigma 1e-160 gave weights of inf, a NaN circular median
+        # and a track rejected with 0 inliers; the floor's bound caps each weight at 1e200.
+        config = simulate_synthetic(tmp_path,
+                                    simulate={"sigma_model": {"offset": 0.1, "slope": 0.01}})
+        edit_object_detections(tmp_path, 0, lambda r: r.update(sigma=1e-160))
+        raw = yaml.safe_load(config.read_text())
+        raw["weighting"] = {"mode": "inverse_variance", "sigma_floor": sigma_floor}
+        config.write_text(yaml.safe_dump(raw))
+        capsys.readouterr()
+        assert main(["build-map", "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        if code == 3:
+            assert len(err.splitlines()) == 1 and "weighting.sigma_floor" in err
+        else:
+            diagnostics = json.loads((tmp_path / "out" / "track_diagnostics.json").read_text())
+            assert err == "" and diagnostics["n_landmarks"] == 3
+
     @pytest.mark.parametrize("key, value", [("l", -1e308), ("r", 1e308)])
     def test_box_edge_near_float_max_exit_0(self, tmp_path, capsys, key, value):
         config = simulate_synthetic(tmp_path)
@@ -829,3 +849,11 @@ def test_evaluate_never_loads_numpy(tmp_path):
     out = _python(script, str(config), str(tmp_path / "sim" / "gt_labels"))
     assert out.splitlines()[-1] == "0 False"
     assert json.loads((tmp_path / "out" / "report.json").read_text())["matching"]["n_matched"] > 0
+
+
+def test_no_source_line_longer_than_100():
+    # Keeps line counts of the package comparable: no statement is packed into a long line.
+    src = Path(__file__).resolve().parent.parent / "src" / "seqlabel"
+    long = [f"{path.name}:{n}" for path in sorted(src.rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert long == []

@@ -1,7 +1,8 @@
 """Config loading: each section's dataclass is its schema, and a value of the
-wrong kind fails with one line naming its key path."""
+wrong kind or out of its range fails with one line naming its key path."""
 
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from seqlabel import config
 from seqlabel.config import (
     AssociationConfig,
     FusionConfig,
@@ -48,6 +50,43 @@ def _keys():
 
 
 KEYS = _keys()
+
+# One out-of-range value per key with a range rule: (section.key, value, what it must be).
+RANGE_CASES = [
+    ("association.score_threshold", 1.5, "in [0, 1]"),
+    ("association.iou_gate", -0.1, "in [0, 1]"),
+    ("association.descriptor_gate", 2, "in [0, 1]"),
+    ("association.dist_gate", 0, "positive"),
+    ("association.max_frame_gap", -1, ">= 0"),
+    ("association.w_iou", -0.1, ">= 0"),
+    ("association.w_dist", -0.5, ">= 0"),
+    ("association.w_desc", -0.1, ">= 0"),
+    ("weighting.mode", "magic", "one of ('score', 'inverse_variance')"),
+    ("weighting.sigma_floor", 1e-200, ">= 1e-100"),
+    ("fusion.depth_tol", 0.0, "positive"),
+    ("fusion.yaw_tol_deg", -5.0, "positive"),
+    ("fusion.min_support", 0, ">= 1"),
+    ("fusion.var_gate", -1.0, "positive"),
+    ("visibility.image_width", 0, "positive"),
+    ("visibility.image_height", -1, "positive"),
+    ("visibility.min_box_area", 0, "positive"),
+    ("visibility.frame_window", -1, ">= 0"),
+    ("visibility.min_visible_fraction", 0.0, "in (0, 1]"),
+    ("metrics.iou_min", 0, "in (0, 1]"),
+    ("simulate.seed", -1, ">= 0"),
+    ("simulate.n_objects", -1, ">= 0"),
+    ("simulate.frames", 0, ">= 1"),
+    ("simulate.trajectory", "loop", "one of ('straight', 'arc', 'waypoints')"),
+    ("simulate.sigma_z", -0.1, ">= 0"),
+    ("simulate.sigma_yaw_deg", -1.0, ">= 0"),
+    ("simulate.sigma_px", -1.0, ">= 0"),
+    ("simulate.dropout_prob", 1.5, "in [0, 1]"),
+    ("simulate.outlier_prob", -0.5, "in [0, 1]"),
+    ("simulate.image_width", 0, "positive"),  # exited 1 with a traceback from simulate
+    ("simulate.image_height", -1, "positive"),
+    ("simulate.depth_range", [45.0, 12.0], "[low, high] with low <= high"),
+    ("simulate.lateral_range", [1.0, -1.0], "[low, high] with low <= high"),
+]
 
 
 def _leaves(value):
@@ -122,6 +161,52 @@ class TestSectionReader:
         with pytest.raises(ConfigError, match=r"simulate\.objects\[0\]: dimensions must be "
                                               r"strictly positive, got \(-1\.5, 1\.7, 4\.2\)"):
             load_config(path)
+
+    @pytest.mark.parametrize("key, value, must", RANGE_CASES)
+    def test_value_out_of_range_fails_naming_key_rule_and_value(self, tmp_path, key, value,
+                                                                 must):
+        section, name = key.split(".")
+        raw = yaml.safe_load(SYNTHETIC.read_text())
+        raw.setdefault(section, {})[name] = value
+        path = tmp_path / "pipeline.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}: {key} must be {must}, got {value!r}"
+
+    def test_every_range_rule_has_a_case(self):
+        names = {key.split(".")[1].removesuffix("_deg") for key, _, _ in RANGE_CASES}
+        fields = {{"iou_min": "metrics_iou_min"}.get(name, name) for name in names}
+        assert fields == set(config._RULES)
+
+    @pytest.mark.parametrize("section, values, message", [
+        ("association", {"w_iou": 0.6}, "association.w_iou + w_dist + w_desc must sum to 1"),
+        ("association", {"w_iou": 0.0, "w_dist": 0.0, "w_desc": 1.0},
+         "association.w_iou + w_dist must be positive"),
+        ("simulate", {"trajectory": "waypoints", "waypoints": [[0, 0, 0]]},
+         "simulate.waypoints must hold at least 2 points"),
+        ("simulate", {"trajectory": "arc", "arc_radius": 0.0},
+         "simulate.arc_radius must be positive for an arc trajectory"),
+    ])
+    def test_section_rule_fails_naming_its_key(self, tmp_path, section, values, message):
+        raw = yaml.safe_load(SYNTHETIC.read_text())
+        raw[section].update(values)
+        path = tmp_path / "pipeline.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+
+    def test_readme_option_set_loads_and_names_every_key(self, tmp_path):
+        readme = (SYNTHETIC.parent.parent / "README.md").read_text()
+        block = readme.split("The full option set:", 1)[1].split("```yaml\n", 1)[1]
+        block = block.split("```", 1)[0]
+        path = tmp_path / "pipeline.yaml"
+        path.write_text(block)
+        load_config(path)
+        raw = yaml.safe_load(block)
+        named = {(section, key) for section, values in raw.items() if isinstance(values, dict)
+                 for key in values}
+        assert "camera" in raw and named == {(section, key) for section, key, *_ in KEYS}
 
     @pytest.mark.parametrize("raw", [{1: 2, "bogus": 3}, {"association": {2: 0.5, "x": 1}}])
     def test_mixed_type_unknown_keys_are_a_config_error(self, tmp_path, raw):

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import make_observation, make_track, oracle_fuse
 from seqlabel.association import Observation
-from seqlabel.errors import (DegenerateMean, EmptyInput, MissingSigma, OrthonormalityError,
-                             ParseError)
+from seqlabel.config import load_config
+from seqlabel.errors import (ConfigError, DegenerateMean, EmptyInput, MissingSigma,
+                             OrthonormalityError, ParseError)
 from seqlabel.geometry import Pose, yaw_from_rotation, yaw_to_rotation
 from seqlabel.labels import wrap_angle
 from seqlabel.landmark import (
@@ -74,9 +75,11 @@ class TestObservationWeight:
         with pytest.raises(MissingSigma):
             observation_weight(obs, WeightPolicy("inverse_variance"))
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            WeightPolicy("magic")
+    def test_unknown_mode_rejected(self, tmp_path):
+        config = tmp_path / "pipeline.yaml"
+        config.write_text("weighting: {mode: magic}\n")
+        with pytest.raises(ConfigError, match=r"weighting\.mode must be one of .*, got 'magic'"):
+            load_config(config)
 
 
 class TestRotationAverage:
