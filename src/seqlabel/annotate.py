@@ -275,7 +275,10 @@ def read_annotation_dump(text: str) -> list[FrameAnnotation]:
     for lineno, line in _data_lines(text):
         obj = _json_record(line, lineno)
         ann = FrameAnnotation(frame_id=_read(obj, "frame_id", lineno, int))
-        for e in _field(obj, "entries", lineno):
+        entries = _field(obj, "entries", lineno)
+        if not isinstance(entries, list) or any(type(e) is not dict for e in entries):
+            raise SchemaError(lineno, "field 'entries' must be an array of objects")
+        for e in entries:
             m = np.array(_entries(e, "pose", lineno, 12)).reshape(3, 4)
             ann.entries.append(
                 AnnotationEntry(

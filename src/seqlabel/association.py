@@ -104,9 +104,6 @@ class Track:
             self._sums += obs.detection.score * fusion_row(obs)
         self._fused = None
 
-    def alive(self, frame_id: int, max_frame_gap: int) -> bool:
-        return frame_id - self.last_seen <= max_frame_gap
-
 
 def refresh_fused(tracks: Sequence[Track]) -> None:
     """Recompute the fused pose and dims of the stale tracks, with one fuse_rows call."""
@@ -187,12 +184,12 @@ def cost_matrix(
     ih = np.minimum(tb, db) - np.maximum(tt, dt)
     overlap = (iw > 0.0) & (ih > 0.0)
     inter = np.where(overlap, iw * ih, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # edges near 1e308: an inf union, IoU 0
-        union = (tr - tl) * (tb - tt) + (dr - dl) * (db - dt) - inter
-    iou = np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
-
     obs_trans = np.stack([o.global_pose.translation for o in observations])
-    dist = np.linalg.norm(trans[:, None, :] - obs_trans[None, :, :], axis=2)
+    # Edges near 1e308 give an inf union (IoU 0); translations near it, an inf distance.
+    with np.errstate(over="ignore", invalid="ignore"):
+        union = (tr - tl) * (tb - tt) + (dr - dl) * (db - dt) - inter
+        dist = np.linalg.norm(trans[:, None, :] - obs_trans[None, :, :], axis=2)
+    iou = np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
     same_category = (np.array([t.category for t in live])[:, None]
                      == np.array([d.category for d in dets])[None, :])
     feasible = same_category & ~((iou < cfg.iou_gate) & (dist > cfg.dist_gate))
@@ -314,7 +311,7 @@ def associate_frame(
         return tracks, []
     frame_id = observations[0].frame_id
 
-    live = [t for t in tracks if t.alive(frame_id, cfg.max_frame_gap)]
+    live = [t for t in tracks if frame_id - t.last_seen <= cfg.max_frame_gap]
     matched = {}
     if live:
         for i, j in solve_assignment(cost_matrix(live, observations, P, cam, cfg)):

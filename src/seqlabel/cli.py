@@ -11,11 +11,13 @@ Each command imports only what it runs.  This module imports only the
 numpy-free config and labels modules at the top; the stage functions are
 imported on first use.  So `--version` loads no stage, `evaluate` loads
 metrics but never numpy, and build-map and annotate never load metrics.
-The module __getattr__ (PEP 562) imports a stage function and keeps it
-as a module global; each cmd_* first calls _load with the names it uses
-and then calls them as module globals.  They are globals, not local
-imports, because the benchmark tracer hooks a command by patching these
-names on this module, and a local import would bypass its wrappers.
+The module __getattr__ (PEP 562) imports a stage function on first
+access and keeps it as a module global, and each cmd_* calls every stage
+function through the module, as _stage.run_association(...); only
+parse_kitti_labels, from the labels module imported at the top, is a
+plain global.  They are module attributes, not local imports, because
+the benchmark tracer hooks a command by patching these names on this
+module, and a local import would bypass its wrappers.
 """
 
 from __future__ import annotations
@@ -57,18 +59,8 @@ def __getattr__(name: str):
     return value
 
 
-def _load(*names: str) -> None:
-    """Make names module globals, keeping any a tracer has patched in already."""
-    for name in names:
-        if name not in globals():
-            __getattr__(name)
-
-
+_stage = sys.modules[__name__]  # stage functions are looked up here, where a tracer patches them
 OUTPUT_ENV = "SEQLABEL_OUTPUT"
-
-
-def _warn(msg: str) -> None:
-    print(f"seqlabel: warning: {msg}", file=sys.stderr)
 
 
 def _read_text(path: str, what: str) -> str:
@@ -107,38 +99,44 @@ def _header(meta: dict) -> str:
     return f"# {meta['tool']} config={meta['config']} {digests}".rstrip() + "\n"
 
 
+def _frame_files(directory: Path) -> set[str]:
+    """The names of the frame label files in directory: *.txt with an all-digit stem."""
+    return {p.name for p in directory.glob("*.txt") if p.stem.isdigit()}
+
+
 def _write_labels(directory: Path, annotations) -> None:
-    """One KITTI label file per frame annotation."""
+    """One KITTI label file per frame annotation, and no other frame file in directory."""
     directory.mkdir(parents=True, exist_ok=True)
+    for name in _frame_files(directory):
+        (directory / name).unlink()
     for ann in annotations:
-        (directory / frame_file_name(ann.frame_id)).write_text(write_kitti_labels(ann))
+        (directory / frame_file_name(ann.frame_id)).write_text(_stage.write_kitti_labels(ann))
 
 
 def _load_inputs(cfg: PipelineConfig):
-    _load("parse_trajectory", "parse_calib")
-    trajectory = _parse_with_context(parse_trajectory, cfg.trajectory_path, "trajectory")
-    calib = _parse_with_context(parse_calib, cfg.calib_path, "calib")
+    trajectory = _parse_with_context(_stage.parse_trajectory, cfg.trajectory_path, "trajectory")
+    calib = _parse_with_context(_stage.parse_calib, cfg.calib_path, "calib")
     P = calib.get(cfg.camera)
     return trajectory, P
 
 
 def cmd_build_map(cfg: PipelineConfig, out_dir: Path) -> int:
-    _load("read_detections", "run_association", "fuse_tracks", "serialize_landmarks")
     trajectory, P = _load_inputs(cfg)
-    detections = _parse_with_context(read_detections, cfg.detections_path, "detections")
+    detections = _parse_with_context(_stage.read_detections, cfg.detections_path, "detections")
     detections = {k: v for k, v in detections.items() if cfg.frame_allowed(k)}
     if not detections:
-        _warn("no detections after filtering; writing an empty map")
+        print("seqlabel: warning: no detections after filtering; writing an empty map",
+              file=sys.stderr)
 
-    tracks = run_association(detections, trajectory, P, cfg.association)
-    landmarks, rejected, track_of = fuse_tracks(tracks, cfg.weighting, cfg.fusion)
+    tracks = _stage.run_association(detections, trajectory, P, cfg.association)
+    landmarks, rejected, track_of = _stage.fuse_tracks(tracks, cfg.weighting, cfg.fusion)
     landmark_of_track = {tid: lid for lid, tid in track_of.items()}
 
     inputs = {"trajectory": cfg.trajectory_path, "calib": cfg.calib_path,
               "detections": cfg.detections_path}
     meta = _meta(cfg, inputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "map.jsonl").write_text(_header(meta) + serialize_landmarks(landmarks))
+    (out_dir / "map.jsonl").write_text(_header(meta) + _stage.serialize_landmarks(landmarks))
 
     diagnostics = {
         "meta": meta,
@@ -165,13 +163,12 @@ def cmd_build_map(cfg: PipelineConfig, out_dir: Path) -> int:
 
 
 def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> int:
-    _load("parse_landmarks", "annotate_frame", "write_kitti_labels", "write_annotation_dump")
     trajectory, P = _load_inputs(cfg)
     map_file = Path(map_path) if map_path else out_dir / "map.jsonl"
-    landmarks = _parse_with_context(parse_landmarks, str(map_file), "landmark map")
+    landmarks = _parse_with_context(_stage.parse_landmarks, str(map_file), "landmark map")
 
     annotations = [
-        annotate_frame(landmarks, k, trajectory.pose(k), P, cfg.visibility)
+        _stage.annotate_frame(landmarks, k, trajectory.pose(k), P, cfg.visibility)
         for k in range(len(trajectory)) if cfg.frame_allowed(k)
     ]
 
@@ -180,7 +177,7 @@ def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> in
     inputs = {"trajectory": cfg.trajectory_path, "calib": cfg.calib_path,
               "map": str(map_file)}
     (out_dir / "annotations.jsonl").write_text(
-        _header(_meta(cfg, inputs)) + write_annotation_dump(annotations)
+        _header(_meta(cfg, inputs)) + _stage.write_annotation_dump(annotations)
     )
     n_entries = sum(len(a.entries) for a in annotations)
     print(f"annotate: {n_entries} entries over {len(annotations)} frames -> {labels_dir}")
@@ -189,8 +186,6 @@ def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> in
 
 def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
                  gt_dir: str | None) -> int:
-    _load("match_annotations", "depth_metrics", "viewpoint_metrics", "report_to_json",
-          "format_report_table")
     pred = Path(pred_dir) if pred_dir else out_dir / "labels"
     if gt_dir is None:
         raise ConfigError("evaluate needs --gt DIR with ground-truth label files")
@@ -199,10 +194,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
         if not d.is_dir():
             raise ConfigError(f"{what} label directory not found: {d}")
 
-    def frame_files(d: Path) -> set[str]:
-        return {p.name for p in d.glob("*.txt") if p.stem.isdigit()}
-
-    common = sorted(frame_files(pred) & frame_files(gt))
+    common = sorted(_frame_files(pred) & _frame_files(gt))
     if not common:
         print("evaluate: no common label files between the two directories", file=sys.stderr)
         return 4
@@ -212,15 +204,15 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
         frame_id = int(name.split(".")[0])
         pred_ann, gt_ann = (FrameAnnotation(frame_id, _parse_with_context(
             parse_kitti_labels, str(d / name), "labels")) for d in (pred, gt))
-        pairs += match_annotations(pred_ann, gt_ann, cfg.metrics_iou_min)
+        pairs += _stage.match_annotations(pred_ann, gt_ann, cfg.metrics_iou_min)
         n_pred += len(pred_ann.entries)
         n_gt += len(gt_ann.entries)
     if not pairs:
         print("evaluate: zero matched pairs", file=sys.stderr)
         return 4
 
-    depth = depth_metrics(pairs)
-    viewpoint = viewpoint_metrics(pairs)
+    depth = _stage.depth_metrics(pairs)
+    viewpoint = _stage.viewpoint_metrics(pairs)
     sidebar = {
         "n_pred": n_pred,
         "n_gt": n_gt,
@@ -231,13 +223,13 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
     meta = _meta(cfg, {})
     report = {
         "meta": meta,
-        "depth": report_to_json(depth),
-        "viewpoint": report_to_json(viewpoint),
+        "depth": _stage.report_to_json(depth),
+        "viewpoint": _stage.report_to_json(viewpoint),
         "matching": sidebar,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    table = format_report_table(depth, viewpoint)
+    table = _stage.format_report_table(depth, viewpoint)
     (out_dir / "report.txt").write_text(_header(meta) + table)
     print(table, end="")
     print(f"matching: {sidebar['n_matched']}/{n_gt} gt matched "
@@ -246,8 +238,6 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
 
 
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path, seed: int | None) -> int:
-    _load("generate", "serialize_trajectory", "serialize_calib", "CalibFile", "write_detections",
-          "serialize_landmarks", "annotate_sequence", "write_kitti_labels")
     if cfg.simulate is None:
         raise ConfigError("config has no simulate section")
     sim = cfg.simulate
@@ -257,15 +247,15 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, seed: int | None) -> int:
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
-    gt, detections = generate(sim)
+    gt, detections = _stage.generate(sim)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trajectory.txt").write_text(serialize_trajectory(gt.trajectory))
-    (out_dir / "calib.txt").write_text(serialize_calib(CalibFile({cfg.camera: gt.P})))
-    (out_dir / "detections.jsonl").write_text(write_detections(detections))
+    (out_dir / "trajectory.txt").write_text(_stage.serialize_trajectory(gt.trajectory))
+    (out_dir / "calib.txt").write_text(_stage.serialize_calib(_stage.CalibFile({cfg.camera: gt.P})))
+    (out_dir / "detections.jsonl").write_text(_stage.write_detections(detections))
     (out_dir / "gt_map.jsonl").write_text(
-        _header(_meta(cfg, {})) + serialize_landmarks(gt.landmarks))
+        _header(_meta(cfg, {})) + _stage.serialize_landmarks(gt.landmarks))
     _write_labels(out_dir / "gt_labels",
-                  annotate_sequence(gt.landmarks, gt.trajectory, gt.P, cfg.visibility))
+                  _stage.annotate_sequence(gt.landmarks, gt.trajectory, gt.P, cfg.visibility))
     print(f"simulate: {len(gt.landmarks)} objects, {len(gt.trajectory)} frames, "
           f"{len(detections)} detections -> {out_dir}")
     return 0

@@ -20,33 +20,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError
-from .labels import dims_error
+from .labels import KINDS, dims_error, is_int, is_number
 
 WEIGHT_MODES = ("score", "inverse_variance")
 TRAJECTORY_KINDS = ("straight", "arc", "waypoints")
-
-
-def _is_number(value) -> bool:
-    """A YAML int or float that fits a finite float; a boolean is not a number here.
-
-    The range rules compare with < and <=, which a NaN passes, and an int
-    beyond the float range overflows where a stage converts it; the input
-    parsers apply the same finite-number rule.
-    """
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def _is_int(value) -> bool:
-    """A YAML int; a boolean is not an int here."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -145,12 +128,6 @@ _OWN = {"paths": {"trajectory": "trajectory_path", "calib": "calib_path",
                   "detections": "detections_path", "output": "output_dir"},
         "metrics": {"iou_min": "metrics_iou_min"},
         "sequence": {"include": "include", "exclude": "exclude"}}
-# The kind of a field's default -> (its name, the test a YAML value must pass).
-_KINDS = {
-    float: ("a finite number", _is_number),
-    int: ("an integer", _is_int),
-    str: ("a string", lambda value: isinstance(value, str)),
-}
 # Angle fields, written in degrees as <name>_deg.
 _DEGREES = ("yaw_tol", "sigma_yaw", "outlier_dyaw")
 
@@ -169,7 +146,7 @@ def _mapping(value, allowed: set, where: str) -> dict:
 
 def _numbers(value, where: str, sizes: tuple[int, ...]) -> tuple[float, ...]:
     """A list of YAML numbers whose length is one of sizes, as floats."""
-    if not isinstance(value, list) or len(value) not in sizes or not all(map(_is_number, value)):
+    if not isinstance(value, list) or len(value) not in sizes or not all(map(is_number, value)):
         raise ValueError(f"{where} must be a list of {' or '.join(map(str, sizes))} numbers, "
                          f"got {value!r}")
     return tuple(float(v) for v in value)
@@ -195,7 +172,7 @@ def _sigma_model(value, where: str) -> tuple | None:
     if value is None:
         return None
     if (not isinstance(value, dict) or set(value) != {"offset", "slope"}
-            or not all(map(_is_number, value.values()))):
+            or not all(map(is_number, value.values()))):
         raise ValueError(f"{where} must be a mapping of the numbers offset and slope, "
                          f"got {value!r}")
     return float(value["offset"]), float(value["slope"])
@@ -208,7 +185,7 @@ def _ranges(raw, where: str) -> tuple:
     if not isinstance(raw, list):
         raise ValueError(f"{where} must be a list of [start, end] pairs, got {raw!r}")
     for item in raw:
-        if not isinstance(item, list) or len(item) != 2 or not all(map(_is_int, item)):
+        if not isinstance(item, list) or len(item) != 2 or not all(map(is_int, item)):
             raise ValueError(f"{where} entries must be [start, end] pairs of integers, "
                              f"got {item!r}")
     return tuple(tuple(item) for item in raw)
@@ -266,13 +243,14 @@ def read_value(name: str, default, raw, where: str):
     """The YAML value raw of field name, as read; ValueError naming where if it is not valid.
 
     A shaped field goes through its _SHAPED converter.  Any other value must
-    have the kind of default and is kept as given, an angle field converted
-    from degrees to radians.  Then the value must pass name's rule in _RULES.
+    have the kind of default (labels.KINDS) and is kept as given, an angle
+    field converted from degrees to radians.  Then the value must pass
+    name's rule in _RULES.
     """
     if name in _SHAPED:
         value = _SHAPED[name](raw, where)
     else:
-        kind, of_kind = _KINDS[type(default)]
+        kind, of_kind = KINDS[type(default)]
         if not of_kind(raw):
             raise ValueError(f"{where} must be {kind}, got {raw!r}")
         value = math.radians(raw) if name in _DEGREES else raw
@@ -309,8 +287,11 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not valid UTF-8 ({e.reason})") from None
-    except yaml.YAMLError as e:
-        raise ConfigError(f"{path}: invalid YAML: {e}") from None
+    except yaml.YAMLError as e:  # one line: the problem at its position, else PyYAML's text
+        mark, problem = getattr(e, "problem_mark", None), getattr(e, "problem", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark and problem else ""
+        text = problem if where else str(e)
+        raise ConfigError(f"{path}: invalid YAML{where}: {' '.join(text.split())}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -39,12 +39,14 @@ from .labels import (
     Box2D,
     Dimensions3D,
     FrameAnnotation,
+    KINDS,
     KittiLabelLine,
     _data_lines,
     _parse_floats,
     box_error,
     dims_error,
     format_label_line,
+    is_number,
     parse_kitti_labels,  # re-exported: the acceptance suite reads labels through dataio
     wrap_angle,
 )
@@ -156,16 +158,12 @@ def serialize_calib(calib: CalibFile) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _json_float(text: str) -> float:
-    v = float(text)
-    if not math.isfinite(v):
+def _json_number(text: str) -> int | float:
+    """json.loads' hook for every number and constant: each must pass labels.is_number."""
+    v = float(text)  # an integer beyond the float range is not finite either
+    if not is_number(v):
         raise ValueError(f"non-finite number {text}")
-    return v
-
-
-def _json_int(text: str) -> int:
-    _json_float(text)  # an integer beyond the float range is not finite either
-    return int(text)
+    return int(text) if v.is_integer() and text.lstrip("-").isdigit() else v
 
 
 def _json_record(line: str, lineno: int) -> dict:
@@ -174,8 +172,8 @@ def _json_record(line: str, lineno: int) -> dict:
     The same finite-number rule _parse_floats applies to text inputs.
     """
     try:
-        obj = json.loads(line, parse_float=_json_float, parse_int=_json_int,
-                         parse_constant=_json_float)
+        obj = json.loads(line, parse_float=_json_number, parse_int=_json_number,
+                         parse_constant=_json_number)
     except json.JSONDecodeError as e:
         raise SchemaError(lineno, f"invalid JSON: {e.msg}") from None
     except ValueError as e:
@@ -193,19 +191,14 @@ def _field(obj, key, lineno: int):
         raise SchemaError(lineno, f"missing field {key!r}") from None
 
 
-# Per kind of value: the JSON types it takes (never a boolean), and what errors say it must be.
-_KINDS = {float: ((int, float), "a number, got {}"), int: (int, "an integer"),
-          str: (str, "a string")}
-
-
 def _read(obj, key, lineno: int, kind: type = float, parent: str | None = None):
     """obj[key] as kind, named key, or parent.key in an object and parent[key] in an array."""
     v = _field(obj, key, lineno)
-    types, must_be = _KINDS[kind]
-    if isinstance(v, bool) or not isinstance(v, types):
+    must_be, of_kind = KINDS[kind]
+    if not of_kind(v):
         if parent is not None:
             key = f"{parent}.{key}" if isinstance(key, str) else f"{parent}[{key}]"
-        raise SchemaError(lineno, f"field {key!r} must be " + must_be.format(type(v).__name__))
+        raise SchemaError(lineno, f"field {key!r} must be {must_be}, got {type(v).__name__}")
     return kind(v)
 
 

@@ -3,12 +3,14 @@
 This module holds what a label file carries and what evaluation reads:
 the pixel box and cuboid extents, 2D IoU, angle wrapping, the KITTI
 label line with its parser and formatter, the per-frame annotation, and
-the text-input helpers the other readers share.  It imports nothing but
-the standard library and seqlabel.errors, so `seqlabel evaluate`, which
-needs only this module and seqlabel.metrics, never loads numpy.  Box2D
-and Dimensions3D check nothing: the readers that take them in (dataio's
-detections and map readers, the label reader below and config's
-simulate.objects) apply box_error and dims_error, each rule stated once.
+the input rules the other readers share: is_number, is_int and KINDS say
+what a number, an integer and a string are in a YAML, JSON or text
+input.  It imports nothing but the standard library and seqlabel.errors,
+so `seqlabel evaluate`, which needs only this module and
+seqlabel.metrics, never loads numpy.  Box2D and Dimensions3D check
+nothing: the readers that take them in (dataio's detections and map
+readers, the label reader below and config's simulate.objects) apply
+box_error and dims_error, each rule stated once.
 
 Label format: KITTI object labels, 15 whitespace-separated fields per
 line (a 16th score field is tolerated on input), floats rendered with 2
@@ -19,10 +21,33 @@ line numbers are 1-based positions in the raw file.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ParseError, ZeroArea
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_number(value) -> bool:
+    """An int or float that fits a finite float; a boolean is not a number here.
+
+    The one finite-number rule of every input.  The range rules compare with
+    < and <=, which a NaN passes, and an int beyond the float range
+    overflows where a stage converts it.
+    """
+    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def is_int(value) -> bool:
+    """An int; a boolean is not an int here."""
+    return type(value) is int
+
+
+# The kind of an input value -> (what a value of the kind is called, the test it must pass).
+KINDS = {float: ("a number", is_number), int: ("an integer", is_int),
+         str: ("a string", lambda value: isinstance(value, str))}
 
 
 def wrap_angle(theta: float) -> float:
@@ -151,7 +176,7 @@ def _parse_floats(fields: list[str], lineno: int) -> list[float]:
         values = [float(f) for f in fields]
     except ValueError:
         raise ParseError(lineno, f"non-numeric field in {fields!r}") from None
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(is_number, values)):
         raise ParseError(lineno, "non-finite value")
     return values
 

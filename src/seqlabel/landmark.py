@@ -218,7 +218,8 @@ def fuse_track(track: "Track", policy: WeightPolicy, cfg: FusionConfig) -> Landm
     # masquerade as motion, only consistent drift should.
     if len(inliers) > 1:
         ts = np.array([o.global_pose.translation for o in inliers])
-        var = ts.var(axis=0, ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # translations near 1e308 overflow
+            var = ts.var(axis=0, ddof=1)
         if np.any(var > cfg.var_gate):
             return Rejected("dynamic", track.track_id,
                             f"translation variance {var.round(3).tolist()} m^2")

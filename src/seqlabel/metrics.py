@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence, TypeVar
 
@@ -31,10 +32,7 @@ _BUCKET_EDGES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
 
 def bucket_of(z_gt: float) -> str:
     """Left-closed depth bucket label for a ground-truth depth."""
-    for label, lo in zip(reversed(BUCKETS), reversed(_BUCKET_EDGES)):
-        if z_gt >= lo:
-            return label
-    return BUCKETS[0]
+    return BUCKETS[max(bisect_right(_BUCKET_EDGES, z_gt) - 1, 0)]
 
 
 @dataclass(frozen=True)
@@ -45,10 +43,6 @@ class MatchedPair:
     z_pred: float
     yaw_gt: float
     yaw_pred: float
-
-    @property
-    def depth_bucket(self) -> str:
-        return bucket_of(self.z_gt)
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ def interval_breakdown(pairs: Sequence[MatchedPair]) -> dict[str, list[MatchedPa
     """Pairs grouped by ground-truth depth bucket; empty buckets are absent."""
     grouped: dict[str, list[MatchedPair]] = {}
     for pair in pairs:
-        grouped.setdefault(pair.depth_bucket, []).append(pair)
+        grouped.setdefault(bucket_of(pair.z_gt), []).append(pair)
     return {label: grouped[label] for label in BUCKETS if label in grouped}
 
 

@@ -10,18 +10,20 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .annotate import annotate_sequence
-from .association import Track
 from .config import SimConfig, VisibilityConfig
 from .dataio import DetectionRecord, TrajectoryFile
 from .errors import InfeasibleScene
 from .geometry import Pose, ProjectionMatrix, project_point, yaw_from_rotation, yaw_to_rotation
 from .labels import Box2D, Dimensions3D, wrap_angle
 from .landmark import Landmark
+
+if TYPE_CHECKING:
+    from .association import Track
 
 # Draw kinds for the stream keying.
 _PLACEMENT, _DROPOUT, _OUTLIER, _NOISE_Z, _NOISE_YAW, _NOISE_PX = range(6)

@@ -278,7 +278,10 @@ class TestDump:
         (lambda a: a.update(exclusions=[[1]]), "field 'exclusions' must be an array of"),
         (lambda a: a.update(exclusions=[["a", "b"]]), "field 'exclusions[0][0]' must be an integer"),
         (lambda a: a.update(exclusions=[[1, 2]]), "field 'exclusions[0][1]' must be a string"),
-    ], ids=["box2d", "box2d_raw", "dims", "exclusions", "pair", "landmark_id", "cause"])
+        (lambda a: a.update(entries=5), "field 'entries' must be an array of objects"),
+        (lambda a: a.update(entries=[5]), "field 'entries' must be an array of objects"),
+    ], ids=["box2d", "box2d_raw", "dims", "exclusions", "pair", "landmark_id", "cause",
+            "entries", "entry"])
     def test_broken_rule_is_a_schema_error_naming_the_line(self, edit, message):
         lm = make_landmark(x=1.0, z=35.0, yaw=0.2, observed=(0, 2, 3))
         lines = write_annotation_dump(

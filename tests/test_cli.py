@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: subcommand composition, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqlabel.cli import main
 from seqlabel.config import AssociationConfig, load_config
@@ -590,6 +595,20 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert str(config) in err and "UTF-8" in err
 
+    @pytest.mark.parametrize("text, where", [
+        ("association:\n  iou_gate: [1, 2\n", " at line 3, column 1: expected ',' or ']'"),
+        ("camera: *nowhere\n", " at line 1, column 9: found undefined alias 'nowhere'"),
+        ("camera: P2\x00\n", ": unacceptable character #x0000"),
+    ], ids=["unclosed-flow-sequence", "undefined-alias", "nul-byte"])
+    def test_malformed_yaml_exit_3_with_one_line(self, tmp_path, capsys, text, where):
+        # PyYAML's own message spans several lines: an excerpt with a caret under it.
+        config = tmp_path / "pipeline.yaml"
+        config.write_text(text)
+        assert main(["build-map", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"{config}: invalid YAML{where}" in err
+
     @pytest.mark.parametrize("key, value", [
         ("paths.trajectory", 5),
         ("paths.calib", [1]),
@@ -790,6 +809,26 @@ class TestSequenceFilter:
         assert len(labels) == 30
         assert labels[0].name == "000030.txt"
 
+    def test_annotate_leaves_only_this_runs_frame_files(self, tmp_path, capsys):
+        # A narrower run into the same output replaces the frame files of the wider one,
+        # which evaluate would otherwise read as this run's predictions.
+        config = simulate_synthetic(tmp_path, simulate={"frames": 20})
+        assert main(["build-map", "--config", str(config)]) == 0
+        assert main(["annotate", "--config", str(config)]) == 0
+        labels = tmp_path / "out" / "labels"
+        assert len(list(labels.glob("*.txt"))) == 20
+        (labels / "notes.txt").write_text("not a frame file\n")
+        raw = yaml.safe_load(config.read_text())
+        raw["sequence"] = {"include": [[0, 4]]}
+        config.write_text(yaml.safe_dump(raw))
+        assert main(["annotate", "--config", str(config)]) == 0
+        assert sorted(p.name for p in labels.glob("*.txt")) == [
+            "000000.txt", "000001.txt", "000002.txt", "000003.txt", "000004.txt", "notes.txt"]
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config),
+                     "--gt", str(tmp_path / "sim" / "gt_labels")]) == 0
+        assert "matching: 15/15 gt matched" in capsys.readouterr().out
+
 
 def _python(script: str, *args: str) -> str:
     """stdout of a fresh interpreter running script with this checkout's sources."""
@@ -818,6 +857,12 @@ def test_build_map_never_loads_scipy(tmp_path):
               "print(rc, 'scipy' in sys.modules)\n")
     assert _python(script, str(config)).splitlines()[-1] == "0 False"
     assert (tmp_path / "out" / "map.jsonl").exists()
+
+
+def test_simulator_import_leaves_association_unloaded():
+    # simulate never associates; score_association names Track only as a type hint.
+    out = _python("import sys, seqlabel.simulator; print('seqlabel.association' in sys.modules)")
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("script", [
@@ -857,3 +902,113 @@ def test_no_source_line_longer_than_100():
     long = [f"{path.name}:{n}" for path in sorted(src.rglob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
     assert long == []
+
+
+# --- input fuzzing: one field of one line of a 20-frame scene's input ----------------------
+
+# What a mutation writes into the field: (its text in a trajectory or calib line, its JSON
+# value in a detections or map line); None drops the field.
+FUZZ_VALUES = [("1e308", 1e308), ("-1e308", -1e308), ("1e200", 1e200), ("5e-324", 5e-324),
+               ("0", 0), ("-1", -1), ("nan", math.nan), ("inf", math.inf), ("x", "x"),
+               ("true", True), ("null", None), ("[]", []), ("{}", {}), None]
+# (command, the input it reads that is mutated).
+FUZZ_TARGETS = [("build-map", "trajectory"), ("build-map", "calib"), ("build-map", "detections"),
+                ("annotate", "trajectory"), ("annotate", "calib"), ("annotate", "map")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_scene(tmp_path_factory):
+    """configs/synthetic.yaml at 20 frames, simulated and mapped: (config, {input: path})."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    config = simulate_synthetic(tmp_path, simulate={"frames": 20})
+    assert main(["build-map", "--config", str(config), "--output", str(tmp_path / "map")]) == 0
+    sim = tmp_path / "sim"
+    return config, {"trajectory": sim / "trajectory.txt", "calib": sim / "calib.txt",
+                    "detections": sim / "detections.jsonl", "map": tmp_path / "map" / "map.jsonl"}
+
+
+def _leaves(value, path=()):
+    """The paths of the leaves of a JSON value, an empty array or object counted as a leaf."""
+    children = list(value.items() if isinstance(value, dict)
+                    else enumerate(value) if isinstance(value, list) else ())
+    if not children:
+        yield path
+    for key, child in children:
+        yield from _leaves(child, path + (key,))
+
+
+def mutate(text: str, json_lines: bool, line: int, field: int, value) -> str:
+    """text with one field of data line `line` replaced by value, or dropped for None.
+
+    A field is a whitespace-separated word of a text line (a calib line's key is
+    word 0) or a leaf of a JSON line; line and field wrap around their counts.
+    """
+    lines = text.splitlines()
+    data = [i for i, s in enumerate(lines) if s.strip() and not s.startswith("#")]
+    i = data[line % len(data)]
+    if json_lines:
+        record = json.loads(lines[i])
+        leaves = list(_leaves(record))
+        *parents, key = leaves[field % len(leaves)]
+        owner = record
+        for k in parents:
+            owner = owner[k]
+        if value is None:
+            del owner[key]
+        else:
+            owner[key] = value[1]
+        lines[i] = json.dumps(record)
+    else:
+        words = lines[i].split()
+        k = field % len(words)
+        words[k:k + 1] = [] if value is None else [value[0]]
+        lines[i] = " ".join(words)
+    return "".join(s + "\n" for s in lines)
+
+
+def run_mutated(fuzz_scene, target, line, field, value) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of target's command in process on its mutated input."""
+    config, inputs = fuzz_scene
+    command, name = target
+    path = inputs[name]
+    original = path.read_text()
+    path.write_text(mutate(original, name in ("detections", "map"), line, field, value))
+    argv = [command, "--config", str(config), "--output", str(config.parent / "fuzz")]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv + (["--map", str(inputs["map"])] if command == "annotate" else []))
+    finally:
+        path.write_text(original)
+    return rc, out.getvalue(), err.getvalue()
+
+
+# Translations and a projection entry near the float limit, where the association distance
+# and the fusion variance gate overflow: (target, line, field, value, build-map's stdout).
+EXTREME_POSES = [
+    (("build-map", "trajectory"), 5, 3, ("1e308", 1e308), "3 landmarks from 6 tracks"),
+    (("build-map", "calib"), 0, 2, ("1e200", 1e200), "0 landmarks from 54 tracks"),
+    (("build-map", "calib"), 0, 8, ("1e308", 1e308), "15 landmarks from 18 tracks"),
+]
+
+
+@pytest.mark.parametrize("target, line, field, value, stdout", EXTREME_POSES,
+                         ids=["trajectory-t_x", "calib-P2[1]", "calib-P2[7]"])
+def test_extreme_pose_builds_map_without_warnings(fuzz_scene, target, line, field, value,
+                                                  stdout):
+    # Under tier-1's filterwarnings an overflow warning fails the run instead of printing.
+    rc, out, err = run_mutated(fuzz_scene, target, line, field, value)
+    assert (rc, err) == (0, "")
+    assert stdout in out
+
+
+@settings(max_examples=150, deadline=None)
+@given(target=st.sampled_from(FUZZ_TARGETS), line=st.integers(0, 99), field=st.integers(0, 99),
+       value=st.sampled_from(FUZZ_VALUES))
+@example(*EXTREME_POSES[0][:4])
+@example(*EXTREME_POSES[1][:4])
+@example(*EXTREME_POSES[2][:4])
+def test_mutated_input_exits_with_at_most_one_line(fuzz_scene, target, line, field, value):
+    rc, _, err = run_mutated(fuzz_scene, target, line, field, value)
+    assert rc in (0, 2, 3, 4)
+    assert len(err.splitlines()) <= 1, err
