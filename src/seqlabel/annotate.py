@@ -29,7 +29,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .config import VisibilityConfig
-from .dataio import DetectionRecord, TrajectoryFile, _entries, _field, _json_record, _read
+from .dataio import (DetectionRecord, TrajectoryFile, _check_rotation, _entries, _field,
+                     _json_record, _read)
 from .errors import SchemaError
 from .geometry import (
     Pose,
@@ -41,7 +42,7 @@ from .geometry import (
     yaw_to_rotation,
 )
 from .labels import Box2D, Dimensions3D, FrameAnnotation, _data_lines, box_error, dims_error
-from .landmark import Landmark
+from .landmark import MAP_ROTATION_TOL, Landmark
 
 PROVENANCE_OBSERVED = "observed_in_frame"
 PROVENANCE_PROJECTED = "map_projected"
@@ -270,7 +271,7 @@ def write_annotation_dump(annotations: Iterable[FrameAnnotation]) -> str:
 
 
 def read_annotation_dump(text: str) -> list[FrameAnnotation]:
-    """Read write_annotation_dump's lines, each field as read_detections reads it."""
+    """Read write_annotation_dump's lines: fields as read_detections, poses as a map's."""
     out = []
     for lineno, line in _data_lines(text):
         obj = _json_record(line, lineno)
@@ -280,6 +281,7 @@ def read_annotation_dump(text: str) -> list[FrameAnnotation]:
             raise SchemaError(lineno, "field 'entries' must be an array of objects")
         for e in entries:
             m = np.array(_entries(e, "pose", lineno, 12)).reshape(3, 4)
+            _check_rotation(m[:, :3], lineno, MAP_ROTATION_TOL)
             ann.entries.append(
                 AnnotationEntry(
                     landmark_id=_read(e, "landmark_id", lineno, int),

@@ -5,7 +5,9 @@ win, then the SEQLABEL_OUTPUT environment variable, then the file).
 Exit codes: 0 ok, 2 input parse error, 3 config error, 4 empty
 evaluation.  Output files we own start with a provenance comment line
 (tool version, config hash, input digests); KITTI-format files stay
-comment-free for ecosystem compatibility.
+comment-free for ecosystem compatibility.  A label directory's frame
+files are the names labels.frame_id_of accepts: evaluate reads those both
+directories hold, annotate and simulate replace them, other files stay.
 
 Each command imports only what it runs.  This module imports only the
 numpy-free config and labels modules at the top; the stage functions are
@@ -33,7 +35,7 @@ from pathlib import Path
 from . import __version__
 from .config import PipelineConfig, config_fingerprint, file_digest, load_config, read_value
 from .errors import ConfigError, ParseError, SeqLabelError
-from .labels import FrameAnnotation, frame_file_name, parse_kitti_labels
+from .labels import FrameAnnotation, frame_file_name, frame_id_of, parse_kitti_labels
 
 # The stage functions each stage module provides to the commands.
 _STAGES = {
@@ -100,8 +102,8 @@ def _header(meta: dict) -> str:
 
 
 def _frame_files(directory: Path) -> set[str]:
-    """The names of the frame label files in directory: *.txt with an all-digit stem."""
-    return {p.name for p in directory.glob("*.txt") if p.stem.isdigit()}
+    """The names of the frame label files in directory (labels.frame_id_of)."""
+    return {p.name for p in directory.iterdir() if frame_id_of(p.name) is not None}
 
 
 def _write_labels(directory: Path, annotations) -> None:
@@ -201,8 +203,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
 
     pairs, n_pred, n_gt = [], 0, 0
     for name in common:
-        frame_id = int(name.split(".")[0])
-        pred_ann, gt_ann = (FrameAnnotation(frame_id, _parse_with_context(
+        pred_ann, gt_ann = (FrameAnnotation(frame_id_of(name), _parse_with_context(
             parse_kitti_labels, str(d / name), "labels")) for d in (pred, gt))
         pairs += _stage.match_annotations(pred_ann, gt_ann, cfg.metrics_iou_min)
         n_pred += len(pred_ann.entries)

@@ -292,6 +292,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark and problem else ""
         text = problem if where else str(e)
         raise ConfigError(f"{path}: invalid YAML{where}: {' '.join(text.split())}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid YAML: nested too deeply") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -178,6 +178,8 @@ def _json_record(line: str, lineno: int) -> dict:
         raise SchemaError(lineno, f"invalid JSON: {e.msg}") from None
     except ValueError as e:
         raise SchemaError(lineno, str(e)) from None
+    except RecursionError:
+        raise SchemaError(lineno, "invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise SchemaError(lineno, "record must be a JSON object")
     return obj
@@ -314,14 +316,14 @@ def write_kitti_labels(annotation: FrameAnnotation) -> str:
     for entry in sorted(annotation.entries, key=lambda e: e.landmark_id):
         x, y, z = entry.local_pose.translation
         lab = KittiLabelLine(
-            type=entry.category,
+            category=entry.category,
             truncated=1.0 - entry.visible_fraction,
             occluded=0,
             alpha=wrap_angle(entry.yaw_local - math.atan2(x, z)),
-            bbox=entry.box2d,
+            box2d=entry.box2d,
             dims=entry.dims,
             location=(x, y, z),
-            rotation_y=entry.yaw_local,
+            yaw_local=entry.yaw_local,
         )
         lines.append(format_label_line(lab))
     return "".join(line + "\n" for line in lines)

@@ -9,10 +9,6 @@ class DegenerateProjection(SeqLabelError):
     """Projection denominator is (numerically) zero, or the intrinsics block is singular."""
 
 
-class ZeroArea(SeqLabelError):
-    """Both boxes in an IoU computation have zero area."""
-
-
 class ParseError(SeqLabelError):
     """A text input failed to parse. Carries the 1-based line number."""
 

@@ -12,6 +12,10 @@ nothing: the readers that take them in (dataio's detections and map
 readers, the label reader below and config's simulate.objects) apply
 box_error and dims_error, each rule stated once.
 
+It states the label-file contract between annotate and evaluate once: a
+label line has AnnotationEntry's field names, iou_2d is the overlap rule
+and frame_id_of, frame_file_name's inverse, is the frame-file rule.
+
 Label format: KITTI object labels, 15 whitespace-separated fields per
 line (a 16th score field is tolerated on input), floats rendered with 2
 decimals.  Blank lines and lines starting with '#' are skipped; reported
@@ -25,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import ParseError, ZeroArea
+from .errors import ParseError
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -108,49 +112,35 @@ def dims_error(height: float, width: float, length: float) -> str | None:
 
 
 def iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    area_a = a.area()
-    area_b = b.area()
-    if area_a == 0.0 and area_b == 0.0:
-        raise ZeroArea("both boxes have zero area")
+    """Intersection over union of two boxes, in [0, 1]; 0 without positive overlap."""
     iw = min(a.right, b.right) - max(a.left, b.left)
     ih = min(a.bottom, b.bottom) - max(a.top, b.top)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    return inter / (area_a + area_b - inter)
+    return inter / (a.area() + b.area() - inter)
 
 
 @dataclass
 class KittiLabelLine:
-    """One KITTI object label: exactly 15 whitespace-separated fields."""
+    """One KITTI object label: 15 fields, those evaluation reads named as in AnnotationEntry.
 
-    type: str
+    KITTI's columns type, bbox and rotation_y are category, box2d and yaw_local here;
+    depth is location z.
+    """
+
+    category: str
     truncated: float
     occluded: int
     alpha: float
-    bbox: Box2D
+    box2d: Box2D
     dims: Dimensions3D
     location: tuple[float, float, float]
-    rotation_y: float
-
-    # The fields metrics.match_annotations reads, under their annotate.AnnotationEntry
-    # names, so that evaluation matches parsed label lines directly.
-    @property
-    def category(self) -> str:
-        return self.type
-
-    @property
-    def box2d(self) -> Box2D:
-        return self.bbox
+    yaw_local: float
 
     @property
     def depth(self) -> float:
         return self.location[2]
-
-    @property
-    def yaw_local(self) -> float:
-        return self.rotation_y
 
 
 @dataclass
@@ -188,21 +178,21 @@ def _fmt2(v: float) -> str:
 
 def format_label_line(lab: KittiLabelLine) -> str:
     fields = [
-        lab.type,
+        lab.category,
         _fmt2(lab.truncated),
         str(int(lab.occluded)),
         _fmt2(lab.alpha),
-        _fmt2(lab.bbox.left),
-        _fmt2(lab.bbox.top),
-        _fmt2(lab.bbox.right),
-        _fmt2(lab.bbox.bottom),
+        _fmt2(lab.box2d.left),
+        _fmt2(lab.box2d.top),
+        _fmt2(lab.box2d.right),
+        _fmt2(lab.box2d.bottom),
         _fmt2(lab.dims.height),
         _fmt2(lab.dims.width),
         _fmt2(lab.dims.length),
         _fmt2(lab.location[0]),
         _fmt2(lab.location[1]),
         _fmt2(lab.location[2]),
-        _fmt2(lab.rotation_y),
+        _fmt2(lab.yaw_local),
     ]
     return " ".join(fields)
 
@@ -220,14 +210,14 @@ def parse_kitti_labels(text: str) -> list[KittiLabelLine]:
             raise ParseError(lineno, error)
         out.append(
             KittiLabelLine(
-                type=fields[0],
+                category=fields[0],
                 truncated=vals[0],
                 occluded=int(vals[1]),
                 alpha=vals[2],
-                bbox=Box2D(vals[3], vals[4], vals[5], vals[6]),
+                box2d=Box2D(vals[3], vals[4], vals[5], vals[6]),
                 dims=Dimensions3D(vals[7], vals[8], vals[9]),
                 location=(vals[10], vals[11], vals[12]),
-                rotation_y=vals[13],
+                yaw_local=vals[13],
             )
         )
     return out
@@ -235,3 +225,9 @@ def parse_kitti_labels(text: str) -> list[KittiLabelLine]:
 
 def frame_file_name(frame_id: int) -> str:
     return "%06d.txt" % frame_id
+
+
+def frame_id_of(name: str) -> int | None:
+    """The frame id of a file name of ASCII digits and ".txt"; None for any other name."""
+    stem = name.removesuffix(".txt")
+    return int(stem) if stem != name and stem.isascii() and stem.isdigit() else None

@@ -6,7 +6,9 @@ degrees.  Everything is reported overall and per ground-truth depth
 interval {[0,10), [10,20), [20,30), [30,40), [40,50), [50,inf)}.
 Both families share one report shape: _by_interval builds the overall
 report and its interval sub-reports, format_report_table writes both
-tables through one loop, and report_to_json writes either report.
+tables through one loop, and report_to_json writes either report.  A depth
+metric that overflows is None, like rmse_log without a positive prediction:
+null in report.json and - in report.txt.
 
 Pure Python, so that evaluate never loads numpy, with numpy's results
 bit for bit: every mean is numpy's pairwise float64 sum (_pairwise_sum)
@@ -48,9 +50,9 @@ class MatchedPair:
 @dataclass(frozen=True)
 class DepthReport:
     delta_125: float
-    abs_rel: float
-    sqr_rel: float
-    rmse: float
+    abs_rel: float | None  # None when not finite
+    sqr_rel: float | None
+    rmse: float | None
     rmse_log: float | None  # None when every prediction was non-positive
     count: int
     log_excluded: int = 0
@@ -74,8 +76,7 @@ def match_annotations(
 ) -> list[MatchedPair]:
     """Greedy highest-IoU-first one-to-one matching of same-category entries.
 
-    Entries are read through category, box2d, depth and yaw_local, which
-    annotate.AnnotationEntry and labels.KittiLabelLine both provide.
+    Entries are annotate.AnnotationEntry or labels.KittiLabelLine rows: same field names.
 
     Pairs below iou_min, which is in (0, 1], never match, nor do
     ground-truth entries at depth <= 0 (such as KITTI DontCare rows), since
@@ -85,16 +86,14 @@ def match_annotations(
     if pred.frame_id != gt.frame_id:
         raise FrameMismatch(f"pred frame {pred.frame_id} vs gt frame {gt.frame_id}")
     # Each entry's fields are read once, not once per pair.
-    gts = [(j, g.category, g.box2d, g.box2d.area() == 0.0)
-           for j, g in enumerate(gt.entries) if not g.depth <= 0]
+    gts = [(j, g.category, g.box2d) for j, g in enumerate(gt.entries) if not g.depth <= 0]
     candidates = []
     for i, p in enumerate(pred.entries):
         category, box = p.category, p.box2d
-        empty = box.area() == 0.0
-        for j, g_category, g_box, g_empty in gts:
-            if category != g_category or (empty and g_empty):
+        for j, g_category, g_box in gts:
+            if category != g_category:
                 continue
-            # Boxes that do not overlap have IoU 0, below any iou_min.
+            # Boxes that do not overlap have IoU 0, below any iou_min: skip the iou_2d call.
             if (box.right <= g_box.left or g_box.right <= box.left
                     or box.bottom <= g_box.top or g_box.bottom <= box.top):
                 continue
@@ -174,11 +173,15 @@ def _depth_stats(pairs: Sequence[MatchedPair]) -> DepthReport:
     for p in positive:
         d = math.log(p.z_gt) - math.log(p.z_pred)
         log_sq.append(d * d)
+    abs_rel, sqr_rel, rmse = (v if math.isfinite(v) else None for v in (
+        _mean([abs(e) / p.z_gt for e, p in zip(err, pairs)]),
+        _mean([e * e / p.z_gt for e, p in zip(err, pairs)]),
+        math.sqrt(_mean([e * e for e in err]))))
     return DepthReport(
         delta_125=within / len(pairs),
-        abs_rel=_mean([abs(e) / p.z_gt for e, p in zip(err, pairs)]),
-        sqr_rel=_mean([e * e / p.z_gt for e, p in zip(err, pairs)]),
-        rmse=math.sqrt(_mean([e * e for e in err])),
+        abs_rel=abs_rel,
+        sqr_rel=sqr_rel,
+        rmse=rmse,
         rmse_log=math.sqrt(_mean(log_sq)) if log_sq else None,
         count=len(pairs),
         log_excluded=len(pairs) - len(positive),
@@ -216,11 +219,9 @@ def viewpoint_metrics(pairs: Sequence[MatchedPair]) -> ViewpointReport:
 
 
 def _depth_row(r: DepthReport) -> str:
-    rmse_log = f"{r.rmse_log:8.4f}" if r.rmse_log is not None else "       -"
-    return (
-        f"{r.delta_125:10.4f} {r.abs_rel:8.4f} {r.sqr_rel:8.4f} "
-        f"{r.rmse:8.4f} {rmse_log} {r.count:6d}"
-    )
+    cells = [f"{v:8.4f}" if v is not None else "       -"
+             for v in (r.abs_rel, r.sqr_rel, r.rmse, r.rmse_log)]
+    return f"{r.delta_125:10.4f} {' '.join(cells)} {r.count:6d}"
 
 
 def _viewpoint_row(r: ViewpointReport) -> str:

@@ -275,8 +275,6 @@ def oracle_match_annotations(pred, gt, iou_min):
         for j, g in enumerate(gt.entries):
             if p.category != g.category or g.depth <= 0:
                 continue
-            if p.box2d.area() == 0.0 and g.box2d.area() == 0.0:
-                continue
             iou = iou_2d(p.box2d, g.box2d)
             if iou >= iou_min:
                 candidates.append((-iou, i, j))

@@ -37,7 +37,7 @@ from seqlabel.annotate import (
     write_annotation_dump,
 )
 from seqlabel.dataio import TrajectoryFile, write_kitti_labels
-from seqlabel.errors import SchemaError
+from seqlabel.errors import OrthonormalityError, SchemaError
 from seqlabel.geometry import Pose, back_project, compose, yaw_to_rotation
 from seqlabel.labels import Dimensions3D
 from seqlabel.landmark import FusionConfig, Landmark, WeightPolicy, fuse_tracks
@@ -290,6 +290,23 @@ class TestDump:
         edit(record)
         lines[1] = json.dumps(record)
         with pytest.raises(SchemaError) as exc:
+            read_annotation_dump("\n".join(lines) + "\n")
+        assert exc.value.line == 2 and message in exc.value.reason
+
+    @pytest.mark.parametrize("scale, message", [
+        (1.1, "rotation deviates from orthonormal"), (-1.0, "reflection"),
+    ], ids=["scaled", "reflection"])
+    def test_pose_follows_the_map_rotation_rule(self, scale, message):
+        # parse_landmarks rejects these rotations (determinant 1.331 and -1); so does the dump.
+        lm = make_landmark(x=1.0, z=35.0, yaw=0.2, observed=(0, 2, 3))
+        lines = write_annotation_dump(
+            annotate_sequence([lm], straight_trajectory(4), P_SIMPLE, VIS)).splitlines()
+        record = json.loads(lines[1])
+        pose = record["entries"][0]["pose"]
+        for k in (0, 1, 2, 4, 5, 6, 8, 9, 10):  # the rotation block of the row-major 3x4
+            pose[k] *= scale
+        lines[1] = json.dumps(record)
+        with pytest.raises(OrthonormalityError) as exc:
             read_annotation_dump("\n".join(lines) + "\n")
         assert exc.value.line == 2 and message in exc.value.reason
 

@@ -38,7 +38,7 @@ from seqlabel.association import (
 )
 from seqlabel.config import load_config
 from seqlabel.dataio import TrajectoryFile
-from seqlabel.errors import ConfigError, DegenerateProjection, MissingCameraPose, ZeroArea
+from seqlabel.errors import ConfigError, DegenerateProjection, MissingCameraPose
 from seqlabel.geometry import (
     Pose,
     back_project,
@@ -76,7 +76,7 @@ def oracle_cost(track, obs, P, cam, cfg):
     box = oracle_project_box(oracle_box3d_corners(local, track.fused_dims), P)
     try:
         iou = 0.0 if box is None else iou_2d(box, obs.detection.box2d)
-    except (DegenerateProjection, ZeroArea):
+    except DegenerateProjection:
         iou = 0.0
 
     dist = float(np.linalg.norm(track.fused_pose.translation - obs.global_pose.translation))

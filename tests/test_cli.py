@@ -98,6 +98,11 @@ def edit_object_detections(tmp_path: Path, gt_id: int, edit) -> None:
     det.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
+def reject_constant(name):
+    """json.loads' parse_constant hook: Infinity, -Infinity and NaN are not strict JSON."""
+    raise ValueError(f"report.json holds {name}")
+
+
 class TestSimulate:
     def test_writes_dataset(self, tmp_path):
         config = write_config(tmp_path)
@@ -496,6 +501,57 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert str(label) in err and f"line {len(lines)}" in err and "invalid box" in err
 
+    @pytest.mark.parametrize("command, target", [("build-map", "detections"), ("annotate", "map")])
+    def test_deeply_nested_json_line_exit_2_naming_file_and_line(self, tmp_path, capsys,
+                                                                 command, target):
+        # json.loads raises RecursionError on arrays nested past the recursion limit.
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        assert main(["build-map", "--config", str(config)]) == 0
+        bad = {"detections": tmp_path / "sim" / "detections.jsonl",
+               "map": tmp_path / "out" / "map.jsonl"}[target]
+        lines = bad.read_text().splitlines()
+        lines.append('{"frame_id": 0, "x": ' + "[" * 3000 + "]" * 3000 + "}")
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"line {len(lines)}: {bad}: invalid JSON: nested too deeply" in err
+
+    def test_deeply_nested_config_exit_3_with_one_line(self, tmp_path, capsys):
+        # PyYAML composes nested nodes recursively, and raises RecursionError past the limit.
+        config = write_config(tmp_path)
+        text = config.read_text()
+        assert "camera: P2\n" in text
+        config.write_text(text.replace("camera: P2\n", "camera: " + "[" * 3000 + "]" * 3000 + "\n"))
+        assert main(["build-map", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"{config}: invalid YAML: nested too deeply" in err
+
+    def test_overflowing_depth_metric_is_null_in_report(self, tmp_path, capsys):
+        # A predicted z of 1e308 overflows sqr_rel and rmse, which report.json held as
+        # Infinity, a constant that strict JSON parsers reject.
+        config = simulate_synthetic(tmp_path)
+        assert main(["build-map", "--config", str(config)]) == 0
+        assert main(["annotate", "--config", str(config)]) == 0
+        label = tmp_path / "out" / "labels" / "000010.txt"
+        label.write_text(mutate(label.read_text(), False, 0, 13, ("1e308", 1e308)))  # z of line 1
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config),
+                     "--gt", str(tmp_path / "sim" / "gt_labels")]) == 0
+        assert capsys.readouterr().err == ""
+        depth = json.loads((tmp_path / "out" / "report.json").read_text(),
+                           parse_constant=reject_constant)["depth"]
+        for report in (depth, depth["intervals"]["50+"]):
+            assert report["sqr_rel"] is None and report["rmse"] is None
+            assert math.isfinite(report["abs_rel"]) and math.isfinite(report["rmse_log"])
+        rows = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        overall = rows[rows.index("Depth estimation") + 2].split()
+        assert overall[3:5] == ["-", "-"]
+        assert next(row for row in rows if row.startswith("50+")).split()[3:5] == ["-", "-"]
+
     @pytest.mark.parametrize("dims, record, association", [
         ({"l": 1e308}, {}, {}),  # the fused length overflows to inf
         # 0.4 * 5e-324 underflows to 0, and so does the fused height.
@@ -830,6 +886,25 @@ class TestSequenceFilter:
         assert "matching: 15/15 gt matched" in capsys.readouterr().out
 
 
+    def test_names_other_than_ascii_digits_are_neither_read_nor_deleted(self, tmp_path, capsys):
+        # "²".isdigit() holds, but int("²") fails: such a name is not a frame file.
+        config = simulate_synthetic(tmp_path, simulate={"frames": 20})
+        assert main(["build-map", "--config", str(config)]) == 0
+        assert main(["annotate", "--config", str(config)]) == 0
+        argv = ["evaluate", "--config", str(config), "--gt", str(tmp_path / "sim" / "gt_labels")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+        odd = [tmp_path / "out" / "labels" / "².txt", tmp_path / "sim" / "gt_labels" / "².txt"]
+        for path in odd:
+            path.write_text(path.with_name("000010.txt").read_text())
+        assert main(["annotate", "--config", str(config)]) == 0
+        assert all(path.exists() for path in odd)
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == (before, "")
+
+
 def _python(script: str, *args: str) -> str:
     """stdout of a fresh interpreter running script with this checkout's sources."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -911,20 +986,31 @@ def test_no_source_line_longer_than_100():
 FUZZ_VALUES = [("1e308", 1e308), ("-1e308", -1e308), ("1e200", 1e200), ("5e-324", 5e-324),
                ("0", 0), ("-1", -1), ("nan", math.nan), ("inf", math.inf), ("x", "x"),
                ("true", True), ("null", None), ("[]", []), ("{}", {}), None]
-# (command, the input it reads that is mutated).
+# Edits of the whole file instead of one field: its bytes from its text.  "².txt" leaves the
+# input as it is and adds a copy of both label files under a name of a non-ASCII digit.
+FILE_EDITS = {"empty": lambda text: b"",
+              "CRLF": lambda text: text.replace("\n", "\r\n").encode(),
+              "invalid UTF-8": lambda text: b"\xff" + text.encode(),
+              "².txt": str.encode}
+# (command, the input it reads that is mutated); evaluate reads labels against gt_labels.
 FUZZ_TARGETS = [("build-map", "trajectory"), ("build-map", "calib"), ("build-map", "detections"),
-                ("annotate", "trajectory"), ("annotate", "calib"), ("annotate", "map")]
+                ("annotate", "trajectory"), ("annotate", "calib"), ("annotate", "map"),
+                ("evaluate", "labels"), ("evaluate", "gt_labels")]
 
 
 @pytest.fixture(scope="module")
 def fuzz_scene(tmp_path_factory):
-    """configs/synthetic.yaml at 20 frames, simulated and mapped: (config, {input: path})."""
+    """configs/synthetic.yaml at 20 frames, simulated, mapped and annotated:
+    (config, {input: path})."""
     tmp_path = tmp_path_factory.mktemp("fuzz")
     config = simulate_synthetic(tmp_path, simulate={"frames": 20})
-    assert main(["build-map", "--config", str(config), "--output", str(tmp_path / "map")]) == 0
+    for command in ("build-map", "annotate"):
+        assert main([command, "--config", str(config), "--output", str(tmp_path / "map")]) == 0
     sim = tmp_path / "sim"
     return config, {"trajectory": sim / "trajectory.txt", "calib": sim / "calib.txt",
-                    "detections": sim / "detections.jsonl", "map": tmp_path / "map" / "map.jsonl"}
+                    "detections": sim / "detections.jsonl", "map": tmp_path / "map" / "map.jsonl",
+                    "labels": tmp_path / "map" / "labels" / "000010.txt",
+                    "gt_labels": sim / "gt_labels" / "000010.txt"}
 
 
 def _leaves(value, path=()):
@@ -967,19 +1053,38 @@ def mutate(text: str, json_lines: bool, line: int, field: int, value) -> str:
 
 
 def run_mutated(fuzz_scene, target, line, field, value) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of target's command in process on its mutated input."""
+    """(exit code, stdout, stderr) of target's command in process on its mutated input.
+
+    value is a FUZZ_VALUES entry, or a FILE_EDITS key.
+    """
     config, inputs = fuzz_scene
     command, name = target
     path = inputs[name]
     original = path.read_text()
-    path.write_text(mutate(original, name in ("detections", "map"), line, field, value))
-    argv = [command, "--config", str(config), "--output", str(config.parent / "fuzz")]
+    if isinstance(value, str):
+        path.write_bytes(FILE_EDITS[value](original))
+    else:
+        path.write_text(mutate(original, name in ("detections", "map"), line, field, value))
+    copies = ([inputs[k].with_name("².txt") for k in ("labels", "gt_labels")]
+              if value == "².txt" else [])
+    for copy in copies:
+        copy.write_text(copy.with_name("000010.txt").read_text())
+    out_dir = config.parent / "fuzz"
+    argv = [command, "--config", str(config), "--output", str(out_dir)]
+    if command == "annotate":
+        argv += ["--map", str(inputs["map"])]
+    if command == "evaluate":
+        argv += ["--pred", str(inputs["labels"].parent), "--gt", str(inputs["gt_labels"].parent)]
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv + (["--map", str(inputs["map"])] if command == "annotate" else []))
+            rc = main(argv)
     finally:
         path.write_text(original)
+        for copy in copies:
+            copy.unlink()
+    if rc == 0 and command == "evaluate":
+        json.loads((out_dir / "report.json").read_text(), parse_constant=reject_constant)
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -1004,11 +1109,17 @@ def test_extreme_pose_builds_map_without_warnings(fuzz_scene, target, line, fiel
 
 @settings(max_examples=150, deadline=None)
 @given(target=st.sampled_from(FUZZ_TARGETS), line=st.integers(0, 99), field=st.integers(0, 99),
-       value=st.sampled_from(FUZZ_VALUES))
+       value=st.sampled_from(FUZZ_VALUES + list(FILE_EDITS)))
 @example(*EXTREME_POSES[0][:4])
 @example(*EXTREME_POSES[1][:4])
 @example(*EXTREME_POSES[2][:4])
+@example(("evaluate", "labels"), 0, 0, "empty")
+@example(("evaluate", "gt_labels"), 0, 0, "CRLF")
+@example(("evaluate", "labels"), 0, 0, "invalid UTF-8")
+@example(("evaluate", "gt_labels"), 0, 0, "².txt")
+@example(("evaluate", "labels"), 0, 13, ("1e308", 1e308))  # z: sqr_rel and rmse overflow
 def test_mutated_input_exits_with_at_most_one_line(fuzz_scene, target, line, field, value):
+    # run_mutated also parses every report.json that evaluate writes as strict JSON.
     rc, _, err = run_mutated(fuzz_scene, target, line, field, value)
     assert rc in (0, 2, 3, 4)
     assert len(err.splitlines()) <= 1, err

@@ -28,7 +28,7 @@ from seqlabel.errors import (
     SchemaError,
 )
 from seqlabel.geometry import Pose, yaw_to_rotation
-from seqlabel.labels import Box2D, Dimensions3D, frame_file_name
+from seqlabel.labels import Box2D, Dimensions3D, frame_file_name, frame_id_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -270,9 +270,9 @@ class TestKittiLabels:
 
     def test_parse_golden(self):
         labels = parse_kitti_labels((DATA / "labels_golden.txt").read_text())
-        assert [lab.type for lab in labels] == ["Car", "Van"]
+        assert [lab.category for lab in labels] == ["Car", "Van"]
         assert labels[0].location == (2.0, 1.65, 20.0)
-        assert labels[1].rotation_y == -1.17
+        assert labels[1].yaw_local == -1.17
         assert labels[1].truncated == 0.25
 
     def test_parse_format_round_trip(self):
@@ -311,3 +311,15 @@ class TestKittiLabels:
 def test_frame_file_name():
     assert frame_file_name(0) == "000000.txt"
     assert frame_file_name(1234) == "001234.txt"
+
+
+@pytest.mark.parametrize("frame_id", [0, 7, 1234, 999999, 1234567])
+def test_frame_id_of_inverts_frame_file_name(frame_id):
+    assert frame_id_of(frame_file_name(frame_id)) == frame_id
+
+
+@pytest.mark.parametrize("name", ["².txt", "١٢.txt", ".txt", "notes.txt", "-1.txt", "+1.txt",
+                                  " 1.txt", "1_0.txt", "000010.TXT", "000010.txt.txt", "000010"])
+def test_frame_id_of_is_none_for_other_names(name):
+    # "²" and "١٢" pass str.isdigit, but are not ASCII digits.
+    assert frame_id_of(name) is None

@@ -23,7 +23,7 @@ from conftest import (
 from seqlabel.annotate import annotate_frame
 from seqlabel.config import VisibilityConfig
 from seqlabel.association import Track
-from seqlabel.errors import DegenerateMean, DegenerateProjection, ZeroArea
+from seqlabel.errors import DegenerateMean, DegenerateProjection
 from seqlabel.geometry import (
     Pose,
     ProjectionMatrix,
@@ -494,10 +494,10 @@ class TestIoU:
         got = iou_2d(Box2D(0, 0, 10, 10), Box2D(5, 0, 15, 10))
         assert got == pytest.approx(50 / 150)
 
-    def test_zero_area_error(self):
+    def test_two_empty_boxes_are_zero(self):
+        # As association.cost_matrix scores them: no positive overlap, IoU 0.
         z = Box2D(5, 5, 5, 5)
-        with pytest.raises(ZeroArea):
-            iou_2d(z, z)
+        assert iou_2d(z, z) == 0.0
 
     def test_one_degenerate_box_is_zero(self):
         assert iou_2d(Box2D(5, 5, 5, 5), Box2D(0, 0, 10, 10)) == 0.0

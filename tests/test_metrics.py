@@ -26,9 +26,9 @@ from conftest import oracle_depth_stats, oracle_match_annotations, oracle_viewpo
 
 def _label(category="Car", box=(0, 0, 100, 100), z=20.0, ry=0.0):
     return KittiLabelLine(
-        type=category, truncated=0.0, occluded=0, alpha=0.0,
-        bbox=Box2D(*box), dims=Dimensions3D(1.5, 1.7, 4.2),
-        location=(0.0, 1.6, z), rotation_y=ry,
+        category=category, truncated=0.0, occluded=0, alpha=0.0,
+        box2d=Box2D(*box), dims=Dimensions3D(1.5, 1.7, 4.2),
+        location=(0.0, 1.6, z), yaw_local=ry,
     )
 
 
