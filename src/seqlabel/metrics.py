@@ -204,7 +204,8 @@ def depth_metrics(pairs: Sequence[MatchedPair]) -> DepthReport:
 
 
 def _viewpoint_stats(pairs: Sequence[MatchedPair]) -> ViewpointReport:
-    err = [abs(wrap_angle(p.yaw_pred - p.yaw_gt)) for p in pairs]
+    # Each yaw is wrapped first, so opposite huge yaws do not overflow their difference.
+    err = [abs(wrap_angle(wrap_angle(p.yaw_pred) - wrap_angle(p.yaw_gt))) for p in pairs]
     return ViewpointReport(
         acc_pi4=sum(e < math.pi / 4 for e in err) / len(err),
         acc_pi6=sum(e < math.pi / 6 for e in err) / len(err),
@@ -219,7 +220,8 @@ def viewpoint_metrics(pairs: Sequence[MatchedPair]) -> ViewpointReport:
 
 
 def _depth_row(r: DepthReport) -> str:
-    cells = [f"{v:8.4f}" if v is not None else "       -"
+    # 8 characters a cell: 4 decimals, or one and an exponent where those need more.
+    cells = ["       -" if v is None else c if len(c := f"{v:8.4f}") == 8 else f"{v:8.1e}"
              for v in (r.abs_rel, r.sqr_rel, r.rmse, r.rmse_log)]
     return f"{r.delta_125:10.4f} {' '.join(cells)} {r.count:6d}"
 

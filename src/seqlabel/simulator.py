@@ -1,12 +1,17 @@
 """Deterministic synthetic scenes: camera trajectory, landmarks, noisy detections.
 
-Every random draw comes from its own generator keyed by (seed, frame,
-object, draw kind), so adding an object or turning a noise term on never
-perturbs the other streams and golden outputs stay stable.
+Every random draw comes from its own stream keyed by (seed, frame, object,
+draw kind), so adding an object or turning a noise term on never perturbs
+the other streams and golden outputs stay stable.  A stream draws what
+``default_rng(SeedSequence(key))`` draws.  The keys of a batch (the
+placements, then the noise kinds of every visible pair) are seeded in one
+vectorised pass, and one generator is set to each key's state in turn.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -28,9 +33,62 @@ if TYPE_CHECKING:
 # Draw kinds for the stream keying.
 _PLACEMENT, _DROPOUT, _OUTLIER, _NOISE_Z, _NOISE_YAW, _NOISE_PX = range(6)
 
+# numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_PCG_MULT, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
-def _rng(seed: int, frame: int, obj: int, kind: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, frame, obj, kind)))
+
+def _hasher(c: int, mult: int):
+    """SeedSequence's hash of a uint32 array; its constant c runs on from call to call."""
+    def step(v):
+        nonlocal c
+        v, c = v ^ c, c * mult & _M32
+        v = v * c
+        return v ^ v >> 16
+    return step
+
+
+def _pcg64_states(keys: list[tuple[int, int, int, int]]) -> dict:
+    """key -> default_rng(SeedSequence(key)).bit_generator.state, for ints >= 0.
+
+    SeedSequence's pool mix and generate_state(4, uint64) run on uint32 arrays, one lane
+    per key, over keys with as many 32-bit words; PCG64's seed step runs on 128-bit ints."""
+    words = {v: [v >> s & _M32 for s in range(0, max(v.bit_length(), 1), 32)]
+             for v in {v for key in keys for v in key}}
+    entropy = [words[a] + words[b] + words[c] + words[d] for a, b, c, d in keys]
+    states = {}
+    for n in set(map(len, entropy)):
+        rows = [i for i, e in enumerate(entropy) if len(e) == n]
+        ent = np.array([entropy[i] for i in rows], dtype=np.uint32).T
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(e) for e in ent[:4]]
+        # Each pool word into the others, then each word past the fourth into all four.
+        for src, dst in [*itertools.permutations(range(4), 2),
+                         *itertools.product(range(4, n), range(4))]:
+            r = pool[dst] * _MIX_L - hashmix(pool[src] if src < 4 else ent[src]) * _MIX_R
+            pool[dst] = r ^ r >> 16
+        hashout = _hasher(_INIT_B, _MULT_B)
+        half = [hashout(pool[i % 4]).astype(np.uint64) for i in range(8)]
+        w0, w1, w2, w3 = ((half[k] | half[k + 1] << 32).astype(object) for k in (0, 2, 4, 6))
+        inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
+        for i, s, q in zip(rows, state.tolist(), inc.tolist()):
+            states[keys[i]] = {"bit_generator": "PCG64", "state": {"state": s, "inc": q},
+                               "has_uint32": 0, "uinteger": 0}
+    return states
+
+
+def _streams(keys: list[tuple[int, int, int, int]]):
+    """open(*key): one generator, set to draw as default_rng(SeedSequence(key)) draws.
+
+    Each open re-seeds it, so a stream is used up before the next one opens."""
+    states, rng = _pcg64_states(keys), np.random.Generator(np.random.PCG64())
+
+    def open_stream(*key: int) -> np.random.Generator:
+        rng.bit_generator.state = states[key]
+        return rng
+    return open_stream
 
 
 @dataclass
@@ -87,8 +145,9 @@ def _place_objects(cfg: SimConfig, trajectory: TrajectoryFile) -> list[tuple[Pos
                 else Dimensions3D(1.5, 1.7, 4.2)
             placements.append((Pose(yaw_to_rotation(wrap_angle(yaw)), [x, y, z]), dims))
         return placements
+    streams = _streams([(cfg.seed, 0, j, _PLACEMENT) for j in range(cfg.n_objects)])
     for j in range(cfg.n_objects):
-        rng = _rng(cfg.seed, 0, j, _PLACEMENT)
+        rng = streams(cfg.seed, 0, j, _PLACEMENT)
         # Anchor drawn from the object's own stream: placements never move
         # when n_objects changes.
         anchor = int(rng.integers(0, cfg.frames))
@@ -97,11 +156,8 @@ def _place_objects(cfg: SimConfig, trajectory: TrajectoryFile) -> list[tuple[Pos
         t = cam.apply(local)
         t[1] = cfg.ground_y  # objects sit on the ground plane
         yaw = wrap_angle(yaw_from_rotation(cam.rotation) + rng.uniform(-math.pi, math.pi))
-        dims = Dimensions3D(
-            1.5 + rng.uniform(-0.1, 0.1),
-            1.7 + rng.uniform(-0.1, 0.1),
-            4.2 + rng.uniform(-0.4, 0.4),
-        )
+        dims = Dimensions3D(1.5 + rng.uniform(-0.1, 0.1), 1.7 + rng.uniform(-0.1, 0.1),
+                            4.2 + rng.uniform(-0.4, 0.4))
         placements.append((Pose(yaw_to_rotation(yaw), t), dims))
     return placements
 
@@ -116,20 +172,14 @@ def generate(cfg: SimConfig) -> tuple[GroundTruth, list[DetectionRecord]]:
     """
     trajectory = make_trajectory(cfg)
     P = projection_matrix(cfg)
-    vis = VisibilityConfig(
-        image_width=cfg.image_width, image_height=cfg.image_height, frame_window=0,
-    )
+    vis = VisibilityConfig(image_width=cfg.image_width, image_height=cfg.image_height,
+                           frame_window=0)
     placements = _place_objects(cfg, trajectory)
 
     # Visibility discovery: annotate provisional landmarks spanning all frames.
-    provisional = [
-        Landmark(
-            landmark_id=j, global_pose=pose, dims=dims, support=0,
-            first_frame=0, last_frame=cfg.frames - 1, category=cfg.category,
-            mean_score=1.0, observed_frames=(),
-        )
-        for j, (pose, dims) in enumerate(placements)
-    ]
+    provisional = [Landmark(landmark_id=j, global_pose=pose, dims=dims, support=0, first_frame=0,
+                            last_frame=cfg.frames - 1, category=cfg.category, mean_score=1.0,
+                            observed_frames=()) for j, (pose, dims) in enumerate(placements)]
     sightings = annotate_sequence(provisional, trajectory, P, vis)
     visible_frames: dict[int, list] = {j: [] for j in range(len(placements))}
     for ann in sightings:
@@ -143,22 +193,21 @@ def generate(cfg: SimConfig) -> tuple[GroundTruth, list[DetectionRecord]]:
     # Ground-truth landmark ids follow the pipeline convention:
     # ordered by (first visible frame, placement index).
     order = sorted(visible_frames, key=lambda j: (visible_frames[j][0][0], j))
+    streams = _streams([(cfg.seed, k, j, kind) for j in order for k, _ in visible_frames[j]
+                        for kind in range(_DROPOUT, _NOISE_PX + 1)])
     landmarks = []
     detections = []
     for new_id, j in enumerate(order):
         pose, dims = placements[j]
         frames = [k for k, _ in visible_frames[j]]
         scores = [_score(cfg, entry.depth) for _, entry in visible_frames[j]]
-        landmarks.append(
-            Landmark(
-                landmark_id=new_id, global_pose=pose, dims=dims,
-                support=len(frames), first_frame=min(frames), last_frame=max(frames),
-                category=cfg.category, mean_score=float(np.mean(scores)),
-                observed_frames=tuple(frames),
-            )
-        )
+        landmarks.append(Landmark(
+            landmark_id=new_id, global_pose=pose, dims=dims, support=len(frames),
+            first_frame=min(frames), last_frame=max(frames), category=cfg.category,
+            mean_score=float(np.mean(scores)), observed_frames=tuple(frames)))
         for (k, entry), score in zip(visible_frames[j], scores):
-            det = _emit_detection(cfg, P, new_id, j, k, entry, score)
+            det = _emit_detection(cfg, P, new_id, k, entry, score,
+                                  functools.partial(streams, cfg.seed, k, j))
             if det is not None:
                 detections.append(det)
 
@@ -170,18 +219,18 @@ def _score(cfg: SimConfig, depth: float) -> float:
     return min(max(cfg.score_base * math.exp(-cfg.score_decay * depth), 0.0), 1.0)
 
 
-def _emit_detection(cfg, P, gt_id, obj_index, frame_id, entry, score) -> DetectionRecord | None:
-    if _rng(cfg.seed, frame_id, obj_index, _DROPOUT).random() < cfg.dropout_prob:
+def _emit_detection(cfg, P, gt_id, frame_id, entry, score, rng) -> DetectionRecord | None:
+    """The pair's detection, or None; rng(kind) opens the pair's stream of that kind."""
+    if rng(_DROPOUT).random() < cfg.dropout_prob:
         return None
 
-    depth = entry.depth
-    yaw = entry.yaw_local
+    depth, yaw = entry.depth, entry.yaw_local
     if cfg.sigma_z > 0:
-        depth += float(_rng(cfg.seed, frame_id, obj_index, _NOISE_Z).normal(0.0, cfg.sigma_z))
+        depth += float(rng(_NOISE_Z).normal(0.0, cfg.sigma_z))
     if cfg.sigma_yaw > 0:
-        yaw += float(_rng(cfg.seed, frame_id, obj_index, _NOISE_YAW).normal(0.0, cfg.sigma_yaw))
+        yaw += float(rng(_NOISE_YAW).normal(0.0, cfg.sigma_yaw))
 
-    out_rng = _rng(cfg.seed, frame_id, obj_index, _OUTLIER)
+    out_rng = rng(_OUTLIER)
     if out_rng.random() < cfg.outlier_prob:
         depth += float(out_rng.choice([-1.0, 1.0])) * cfg.outlier_dz
         yaw += float(out_rng.choice([-1.0, 1.0])) * cfg.outlier_dyaw
@@ -190,7 +239,7 @@ def _emit_detection(cfg, P, gt_id, obj_index, frame_id, entry, score) -> Detecti
 
     box = entry.box2d_raw
     if cfg.sigma_px > 0:
-        jitter = _rng(cfg.seed, frame_id, obj_index, _NOISE_PX).normal(0.0, cfg.sigma_px, size=4)
+        jitter = rng(_NOISE_PX).normal(0.0, cfg.sigma_px, size=4)
         l, r = sorted((box.left + jitter[0], box.right + jitter[2]))
         t, b = sorted((box.top + jitter[1], box.bottom + jitter[3]))
         box = Box2D(l, t, r, b)
@@ -203,18 +252,9 @@ def _emit_detection(cfg, P, gt_id, obj_index, frame_id, entry, score) -> Detecti
     if cfg.sigma_model is not None:
         offset, slope = cfg.sigma_model
         sigma = max(offset + slope * depth, 1e-6)
-    return DetectionRecord(
-        frame_id=frame_id,
-        category=cfg.category,
-        box2d=box,
-        depth=depth,
-        yaw=wrap_angle(yaw),
-        dims=entry.dims,
-        center2d=(u, v),
-        score=score,
-        sigma=sigma,
-        gt_id=gt_id,
-    )
+    return DetectionRecord(frame_id=frame_id, category=cfg.category, box2d=box, depth=depth,
+                           yaw=wrap_angle(yaw), dims=entry.dims, center2d=(u, v), score=score,
+                           sigma=sigma, gt_id=gt_id)
 
 
 def score_association(tracks: Sequence[Track], n_objects: int) -> dict[str, float]:
@@ -237,7 +277,5 @@ def score_association(tracks: Sequence[Track], n_objects: int) -> dict[str, floa
         purities.append(counts[modal] / len(track.observations))
         covered.add(modal)
     purity = float(np.mean(purities)) if purities else 1.0
-    coverage = (
-        len(covered & set(range(n_objects))) / n_objects if n_objects > 0 else 1.0
-    )
+    coverage = len(covered & set(range(n_objects))) / n_objects if n_objects > 0 else 1.0
     return {"purity": purity, "coverage": coverage}

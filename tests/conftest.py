@@ -314,8 +314,9 @@ def oracle_depth_stats(pairs) -> DepthReport:
 
 
 def oracle_viewpoint_stats(pairs) -> ViewpointReport:
-    """The viewpoint report of pairs in numpy, which metrics._viewpoint_stats must reproduce."""
-    err = np.array([abs(wrap_angle(p.yaw_pred - p.yaw_gt)) for p in pairs])
+    """The viewpoint report of pairs in numpy, which metrics._viewpoint_stats must reproduce;
+    each yaw is wrapped before the difference."""
+    err = np.array([abs(wrap_angle(wrap_angle(p.yaw_pred) - wrap_angle(p.yaw_gt))) for p in pairs])
     return ViewpointReport(
         acc_pi4=float(np.mean(err < math.pi / 4)),
         acc_pi6=float(np.mean(err < math.pi / 6)),

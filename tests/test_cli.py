@@ -530,6 +530,24 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert f"{config}: invalid YAML: nested too deeply" in err
 
+    def test_opposite_huge_yaws_evaluate_in_range(self, tmp_path, capsys):
+        # rotation_y of 1e308 in every ground-truth line of a frame and -1e308 in every
+        # predicted one: their difference overflowed to -inf, which wrap_angle rejected.
+        config = simulate_synthetic(tmp_path)
+        assert main(["build-map", "--config", str(config)]) == 0
+        assert main(["annotate", "--config", str(config)]) == 0
+        for path, value in ((tmp_path / "sim" / "gt_labels" / "000011.txt", "1e308"),
+                            (tmp_path / "out" / "labels" / "000011.txt", "-1e308")):
+            lines = [line.split() for line in path.read_text().splitlines()]
+            assert lines
+            path.write_text("".join(" ".join(w[:14] + [value] + w[15:]) + "\n" for w in lines))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config),
+                     "--gt", str(tmp_path / "sim" / "gt_labels")]) == 0
+        assert capsys.readouterr().err == ""
+        viewpoint = json.loads((tmp_path / "out" / "report.json").read_text())["viewpoint"]
+        assert 0.0 <= viewpoint["mederr"] <= 180.0
+
     def test_overflowing_depth_metric_is_null_in_report(self, tmp_path, capsys):
         # A predicted z of 1e308 overflows sqr_rel and rmse, which report.json held as
         # Infinity, a constant that strict JSON parsers reject.
@@ -985,7 +1003,8 @@ def test_no_source_line_longer_than_100():
 # value in a detections or map line); None drops the field.
 FUZZ_VALUES = [("1e308", 1e308), ("-1e308", -1e308), ("1e200", 1e200), ("5e-324", 5e-324),
                ("0", 0), ("-1", -1), ("nan", math.nan), ("inf", math.inf), ("x", "x"),
-               ("true", True), ("null", None), ("[]", []), ("{}", {}), None]
+               ("true", True), ("null", None), ("[]", []), ("{}", {}), ('"12.5"', "12.5"),
+               ("5000", 5000), ("-3", -3), None]
 # Edits of the whole file instead of one field: its bytes from its text.  "².txt" leaves the
 # input as it is and adds a copy of both label files under a name of a non-ASCII digit.
 FILE_EDITS = {"empty": lambda text: b"",
@@ -1118,6 +1137,10 @@ def test_extreme_pose_builds_map_without_warnings(fuzz_scene, target, line, fiel
 @example(("evaluate", "labels"), 0, 0, "invalid UTF-8")
 @example(("evaluate", "gt_labels"), 0, 0, "².txt")
 @example(("evaluate", "labels"), 0, 13, ("1e308", 1e308))  # z: sqr_rel and rmse overflow
+@example(("build-map", "detections"), 0, 6, ('"12.5"', "12.5"))  # a quoted depth
+@example(("build-map", "detections"), 0, 2, ("5000", 5000))  # a reversed box: l > r
+@example(("build-map", "detections"), 0, 0, ("5000", 5000))  # frame_id past the trajectory
+@example(("build-map", "detections"), 0, 0, ("-3", -3))  # frame_id before it
 def test_mutated_input_exits_with_at_most_one_line(fuzz_scene, target, line, field, value):
     # run_mutated also parses every report.json that evaluate writes as strict JSON.
     rc, _, err = run_mutated(fuzz_scene, target, line, field, value)

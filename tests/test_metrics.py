@@ -11,7 +11,9 @@ from seqlabel.errors import EmptyInput, FrameMismatch
 from seqlabel.labels import Box2D, Dimensions3D, FrameAnnotation, KittiLabelLine
 from seqlabel.metrics import (
     BUCKETS,
+    DepthReport,
     MatchedPair,
+    ViewpointReport,
     _pairwise_sum,
     bucket_of,
     depth_metrics,
@@ -395,3 +397,23 @@ def test_report_table_layout():
     pairs = NON_POSITIVE_PAIRS
     assert format_report_table(depth_metrics(pairs), viewpoint_metrics(pairs)) \
         == NON_POSITIVE_TABLE
+
+
+def test_report_rows_keep_their_header_width():
+    # A metric whose 4 decimals need more than 8 characters prints with an exponent;
+    # 999.99996 rounds to 1000.0000, which is one too many.
+    depth = DepthReport(delta_125=0.5, abs_rel=999.9999, sqr_rel=999.99996, rmse=4e306,
+                        rmse_log=None, count=1)
+    viewpoint = ViewpointReport(acc_pi4=1.0, acc_pi6=0.0, mederr=180.0, count=1)
+    huge = [MatchedPair(1.0, 1e308, 0.0, 0.0), MatchedPair(20.0, 21.0, 3.0, -3.0)]
+    for table in (format_report_table(depth, viewpoint),
+                  format_report_table(depth_metrics(huge), viewpoint_metrics(huge))):
+        rows = [line for line in table.splitlines()
+                if line.startswith(("method", "annotated", *BUCKETS))]
+        assert [row.split()[0] for row in rows].count("method") == 2
+        width = None
+        for row in rows:
+            width = len(row) if row.startswith("method") else width
+            assert len(row) == width, row
+    assert format_report_table(depth, viewpoint).splitlines()[2].split() == [
+        "annotated", "0.5000", "999.9999", "1.0e+03", "4.0e+306", "-", "1"]

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from seqlabel import simulator
 from seqlabel.annotate import annotate_sequence
 from seqlabel.association import AssociationConfig, run_association
 from seqlabel.dataio import write_detections
@@ -13,12 +16,20 @@ from seqlabel.landmark import FusionConfig, WeightPolicy, fuse_tracks
 from seqlabel.simulator import (
     GroundTruth,
     SimConfig,
+    _pcg64_states,
+    _streams,
     generate,
     make_trajectory,
     score_association,
 )
 
 NOISELESS = SimConfig(seed=7, n_objects=3, frames=60)
+
+
+def oracle_rng(seed, frame, obj, kind) -> np.random.Generator:
+    """numpy's own generator for one stream key, built on its own: every stream
+    that simulator._streams opens must draw as this one does."""
+    return np.random.default_rng(np.random.SeedSequence((seed, frame, obj, kind)))
 
 
 def group_by_frame(detections):
@@ -139,6 +150,47 @@ class TestGenerate:
         n_outliers = int(np.sum(errors > 10.0))
         assert n_outliers > 0
         assert np.all((errors < 5.0) | (errors > 15.0))  # bimodal by construction
+
+
+def _draws(rng):
+    """The first draws of every kind the simulator makes, in one order."""
+    return [rng.random(), rng.normal(0.0, 0.3), *rng.normal(0.0, 1.0, size=4),
+            rng.choice([-1.0, 1.0]), rng.choice([-1.0, 1.0]), rng.integers(0, 80),
+            rng.uniform(-0.1, 0.1)]
+
+
+# Seeds of one, two, three and four 32-bit entropy words; frames past 2**32 add a word too.
+_SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                   st.integers(2**64, 2**100))
+_KEYS = st.tuples(_SEEDS, st.one_of(st.integers(0, 500), st.integers(0, 2**40)),
+                  st.integers(0, 100), st.integers(0, 5))
+
+
+class TestStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_KEYS, min_size=1, max_size=12))
+    @example([(0, 0, 0, 0), (7919, 79, 19, 5), (2**40 + 3, 1, 2, 3), (2**70 + 5, 2**33, 0, 1),
+              (7919, 79, 19, 5)])
+    def test_port_seeds_and_draws_as_numpy(self, keys):
+        # One batch mixes keys of different word counts, and may repeat a key.
+        states = _pcg64_states(keys)
+        open_stream = _streams(keys)
+        for key in keys:
+            want = oracle_rng(*key)
+            assert states[key] == want.bit_generator.state
+            assert _draws(open_stream(*key)) == _draws(want)
+
+    def test_generate_draws_the_oracle_streams(self, monkeypatch):
+        # Placement and every noise kind on, at a seed of two words: the scene is the one
+        # that numpy's own generator per key gives, draw for draw.
+        cfg = SimConfig(seed=2**40 + 3, n_objects=4, frames=40, sigma_z=0.3, sigma_yaw=0.1,
+                        sigma_px=1.0, dropout_prob=0.2, outlier_prob=0.3)
+        gt, detections = generate(cfg)
+        monkeypatch.setattr(simulator, "_streams", lambda keys: oracle_rng)
+        want_gt, want = generate(cfg)
+        assert write_detections(detections) == write_detections(want)
+        assert [lm.global_pose.translation.tolist() for lm in gt.landmarks] == [
+            lm.global_pose.translation.tolist() for lm in want_gt.landmarks]
 
 
 class TestNoiselessFixedPoint:
