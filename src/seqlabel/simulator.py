@@ -2,10 +2,10 @@
 
 Every random draw comes from its own stream keyed by (seed, frame, object,
 draw kind), so adding an object or turning a noise term on never perturbs
-the other streams and golden outputs stay stable.  A stream draws what
-``default_rng(SeedSequence(key))`` draws.  The keys of a batch (the
-placements, then the noise kinds of every visible pair) are seeded in one
-vectorised pass, and one generator is set to each key's state in turn.
+the other streams and golden outputs stay stable.  A stream draws as numpy's
+PCG64 seeded from the key does.  The keys of a batch (the placements, then
+the noise kinds of every visible pair) are seeded in one vectorised pass,
+and one generator is set to each key's state in turn.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _hasher(c: int, mult: int):
 
 
 def _pcg64_states(keys: list[tuple[int, int, int, int]]) -> dict:
-    """key -> default_rng(SeedSequence(key)).bit_generator.state, for ints >= 0.
+    """key -> the PCG64 bit_generator.state numpy seeds from the key, for ints >= 0.
 
     SeedSequence's pool mix and generate_state(4, uint64) run on uint32 arrays, one lane
     per key, over keys with as many 32-bit words; PCG64's seed step runs on 128-bit ints."""
@@ -80,7 +80,7 @@ def _pcg64_states(keys: list[tuple[int, int, int, int]]) -> dict:
 
 
 def _streams(keys: list[tuple[int, int, int, int]]):
-    """open(*key): one generator, set to draw as default_rng(SeedSequence(key)) draws.
+    """open(*key): one generator, set to draw as numpy's PCG64 seeded from the key draws.
 
     Each open re-seeds it, so a stream is used up before the next one opens."""
     states, rng = _pcg64_states(keys), np.random.Generator(np.random.PCG64())
