@@ -183,13 +183,15 @@ def cost_matrix(
     iw = np.minimum(tr, dr) - np.maximum(tl, dl)
     ih = np.minimum(tb, db) - np.maximum(tt, dt)
     overlap = (iw > 0.0) & (ih > 0.0)
-    inter = np.where(overlap, iw * ih, 0.0)
     obs_trans = np.stack([o.global_pose.translation for o in observations])
-    # Edges near 1e308 give an inf union (IoU 0); translations near it, an inf distance.
+    # Edges near 1e308 give an inf or nan union (IoU 0); translations near it, an inf
+    # distance.  Only overlapping pairs multiply: a hull with inf edges can meet a box
+    # edge-on, an inf width times a 0 height.
     with np.errstate(over="ignore", invalid="ignore"):
+        inter = np.multiply(iw, ih, out=np.zeros_like(iw), where=overlap)
         union = (tr - tl) * (tb - tt) + (dr - dl) * (db - dt) - inter
         dist = np.linalg.norm(trans[:, None, :] - obs_trans[None, :, :], axis=2)
-    iou = np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
+    iou = np.divide(inter, union, out=np.zeros_like(inter), where=overlap & np.isfinite(union))
     same_category = (np.array([t.category for t in live])[:, None]
                      == np.array([d.category for d in dets])[None, :])
     feasible = same_category & ~((iou < cfg.iou_gate) & (dist > cfg.dist_gate))

@@ -1141,6 +1141,7 @@ def test_extreme_pose_builds_map_without_warnings(fuzz_scene, target, line, fiel
 @example(("build-map", "detections"), 0, 2, ("5000", 5000))  # a reversed box: l > r
 @example(("build-map", "detections"), 0, 0, ("5000", 5000))  # frame_id past the trajectory
 @example(("build-map", "detections"), 0, 0, ("-3", -3))  # frame_id before it
+@example(("build-map", "detections"), 20, 84, ("1e308", 1e308))  # a box edge-on to a hull with inf edges
 def test_mutated_input_exits_with_at_most_one_line(fuzz_scene, target, line, field, value):
     # run_mutated also parses every report.json that evaluate writes as strict JSON.
     rc, _, err = run_mutated(fuzz_scene, target, line, field, value)
