@@ -38,8 +38,8 @@ from .geometry import (
     back_project,
     half_extents,
     project_box,
-    yaw_from_rotation,
-    yaw_to_rotation,
+    yaw_from_rotations,
+    yaw_to_rotations,
 )
 from .labels import Box2D, Dimensions3D, FrameAnnotation, _data_lines, box_error, dims_error
 from .landmark import MAP_ROTATION_TOL, Landmark
@@ -76,7 +76,7 @@ class _Objects(NamedTuple):
     ids: Sequence[int]
     categories: Sequence[str]
     dims: Sequence[Dimensions3D]
-    half: np.ndarray  # half_extents(dims)
+    half: np.ndarray  # geometry.half_extents of dims
     scores: Sequence[float]
     observed: Sequence  # supports `frame_id in observed[i]`
 
@@ -109,6 +109,7 @@ def _pair_annotations(frame_ids: Sequence[int], bounds: Sequence[int], objects: 
     # Python floats and bools, read once per array instead of once per entry.
     behind, visible, fraction = behind.tolist(), visible.tolist(), fraction.tolist()
     hulls, depths, obj = hull.T.tolist(), translation[:, 2].tolist(), obj.tolist()
+    yaws = yaw_from_rotations(rotation)
     for f, annotation in enumerate(annotations):
         for p in range(bounds[f], bounds[f + 1]):
             i = obj[p]
@@ -125,7 +126,7 @@ def _pair_annotations(frame_ids: Sequence[int], bounds: Sequence[int], objects: 
                     box2d=raw.clip(cfg.image_width, cfg.image_height),
                     box2d_raw=raw,
                     depth=depths[p],
-                    yaw_local=yaw_from_rotation(rotation[p]),
+                    yaw_local=yaws[p],
                     dims=objects.dims[i],
                     provenance=(PROVENANCE_OBSERVED if annotation.frame_id in objects.observed[i]
                                 else PROVENANCE_PROJECTED),
@@ -172,7 +173,7 @@ def _annotate(landmarks: Sequence[Landmark], frames: list[int], cams: list[Pose]
         ids=[lm.landmark_id for lm in ordered],
         categories=[lm.category for lm in ordered],
         dims=[lm.dims for lm in ordered],
-        half=half_extents(lm.dims for lm in ordered),
+        half=half_extents([(lm.dims.height, lm.dims.width, lm.dims.length) for lm in ordered]),
         scores=[lm.mean_score for lm in ordered],
         # A set pays for itself only when it is looked up for several frames.
         observed=[lm.observed_frames if len(frames) == 1 else frozenset(lm.observed_frames)
@@ -228,11 +229,11 @@ def annotation_from_detections(
         ids=range(n),
         categories=[det.category for det in detections],
         dims=[det.dims for det in detections],
-        half=half_extents(det.dims for det in detections),
+        half=half_extents([(d.dims.height, d.dims.width, d.dims.length) for d in detections]),
         scores=[det.score for det in detections],
         observed=[(frame_id,)] * n,  # each detection is observed in its own frame
     )
-    rotation = np.array([yaw_to_rotation(det.yaw) for det in detections]).reshape(n, 3, 3)
+    rotation = yaw_to_rotations([det.yaw for det in detections])
     u, v = np.array([det.center2d for det in detections]).reshape(n, 2).T
     translation = back_project(u, v, np.array([det.depth for det in detections]), P)
     return _pair_annotations([frame_id], [0, n], objects, np.arange(n), rotation, translation,
@@ -281,7 +282,7 @@ def read_annotation_dump(text: str) -> list[FrameAnnotation]:
             raise SchemaError(lineno, "field 'entries' must be an array of objects")
         for e in entries:
             m = np.array(_entries(e, "pose", lineno, 12)).reshape(3, 4)
-            _check_rotation(m[:, :3], lineno, MAP_ROTATION_TOL)
+            _check_rotation(m[None, :, :3], [lineno], MAP_ROTATION_TOL)
             ann.entries.append(
                 AnnotationEntry(
                     landmark_id=_read(e, "landmark_id", lineno, int),

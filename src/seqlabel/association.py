@@ -5,22 +5,27 @@ track's map-predicted box, distance between global positions, and cosine
 similarity of appearance descriptors when both sides carry one.  Costs
 are combined convexly and resolved per frame with an optimal one-to-one
 assignment, never greedily.
+
+run_association lifts the retained detections of a sequence once into one
+table of stacked rows (_Rows), and each frame is a slice of it.  The fused
+estimates of its tracks are rows it owns: each frame's costs gather the
+live ones, and refresh_fused rewrites those the frame touched.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import AssociationConfig
 from .dataio import DetectionRecord, TrajectoryFile
-from .geometry import (Pose, ProjectionMatrix, back_project, half_extents, project_box,
-                       yaw_to_rotation)
+from .geometry import (Pose, ProjectionMatrix, back_project, half_extents, project_box, yaw_only,
+                       yaw_to_rotations)
 from .labels import Dimensions3D
-from .landmark import fuse_rows, fusion_row, yaw_only_pose
+from .landmark import fuse_rows, fusion_row
 
 INFEASIBLE = math.inf
 
@@ -45,18 +50,21 @@ class Observation:
 class Track:
     """An associated sequence of observations of one physical object.
 
-    fused_pose and fused_dims are running weighted-fusion estimates over
+    fused_pose and fused_dims are the running weighted-fusion estimate over
     all observations so far; the predicted box for gating comes from
-    reprojecting them, not from the last raw detection.  add only adds to
-    running sums of weighted fusion rows; refresh_fused refits every track a
-    frame touched with one landmark.fuse_rows call.  They weight
-    by detection score whatever the WeightPolicy; only the final fusion
-    (landmark.fuse_track) follows the policy.  The score is always present
-    and bounded in [0, 1], while 1/sigma^2 needs a sigma on every detection
-    and reaches 1/sigma_floor^2, so one overconfident detection would steer
-    the gate before outlier rejection has seen the track.  Association, and
-    so the set of tracks, also stays the same whichever policy final fusion
-    uses.
+    reprojecting it, not from the last raw detection.  It is
+    landmark.fuse_rows of the sum of w * landmark.fusion_row, summed in
+    observation order; one observation passes through, its pose rebuilt
+    from its yaw, and sums with no mean keep the latest observation's pose
+    and dims.  add does no numpy work: run_association leaves each track
+    the estimate its rows hold, and a track built by hand is refit when
+    read.  w is the detection score whatever the WeightPolicy; only the
+    final fusion (landmark.fuse_track) follows the policy.  The score is
+    always present and bounded in [0, 1], while 1/sigma^2 needs a sigma on
+    every detection and reaches 1/sigma_floor^2, so one overconfident
+    detection would steer the gate before outlier rejection has seen the
+    track.  Association, and so the set of tracks, also stays the same
+    whichever policy final fusion uses.
     """
 
     track_id: int
@@ -64,9 +72,6 @@ class Track:
     last_seen: int = -1
     # Most recent appearance descriptor, if any observation carried one.
     descriptor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # sum(w * landmark.fusion_row) over the observations, w the detection score.
-    _sums: np.ndarray = field(default_factory=lambda: np.zeros(16), init=False, repr=False,
-                              compare=False)
     # (fused_pose, fused_dims), or None while stale.
     _fused: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -80,15 +85,27 @@ class Track:
 
     @property
     def fused_pose(self) -> Pose:
-        if self._fused is None:
-            refresh_fused([self])
-        return self._fused[0]
+        return self._refit()[0]
 
     @property
     def fused_dims(self) -> Dimensions3D:
+        return self._refit()[1]
+
+    def _refit(self) -> tuple:
         if self._fused is None:
-            refresh_fused([self])
-        return self._fused[1]
+            last = self.observations[-1]
+            pose, dims = last.global_pose, last.detection.dims
+            if len(self.observations) == 1:
+                self._fused = Pose(yaw_only(pose.rotation)[0], pose.translation), dims
+                return self._fused
+            sums = np.zeros(16)
+            with np.errstate(over="ignore"):  # an overflowed sum makes fuse_rows report the mean
+                for o in self.observations:
+                    sums += o.detection.score * fusion_row(o)
+            rotation, translation, hwl, (error,) = fuse_rows(sums[None])
+            self._fused = ((pose, dims) if error is not None else
+                           (Pose(rotation[0], translation[0]), Dimensions3D(*hwl[0])))
+        return self._fused
 
     def add(self, obs: Observation) -> None:
         if self.observations and obs.frame_id <= self.last_seen:
@@ -100,53 +117,63 @@ class Track:
         self.last_seen = obs.frame_id
         if obs.detection.descriptor is not None:
             self.descriptor = obs.detection.descriptor
-        with np.errstate(over="ignore"):  # an overflowed sum makes fuse_rows report the mean
-            self._sums += obs.detection.score * fusion_row(obs)
         self._fused = None
 
 
-def refresh_fused(tracks: Sequence[Track]) -> None:
-    """Recompute the fused pose and dims of the stale tracks, with one fuse_rows call."""
-    stale = [t for t in tracks if t._fused is None]
-    multi = [t for t in stale if len(t.observations) > 1]
-    for t, fused in zip(multi, fuse_rows(np.array([t._sums for t in multi]).reshape(-1, 16))):
-        if isinstance(fused, Exception):  # no mean exists: keep the latest
-            fused = t.observations[-1].global_pose, t.observations[-1].detection.dims
-        t._fused = fused
-    for t in stale:
-        if len(t.observations) == 1:  # a single observation passes through exactly
-            pose, dims = t.observations[0].global_pose, t.observations[0].detection.dims
-            t._fused = yaw_only_pose(pose.rotation, pose.translation), dims
+class _Rows(NamedTuple):
+    """Stacked rows of detections or tracks: rotation (n, 3, 3), translation (n, 3), dims
+    (n, 3) as (h, w, l), category codes, descriptors (zeros where absent, None when no row
+    has one) and, of detections, boxes as (left, top, right, bottom)."""
+
+    rotation: np.ndarray
+    translation: np.ndarray
+    dims: np.ndarray
+    category: np.ndarray
+    descriptor: np.ndarray | None
+    box: np.ndarray | None = None
+
+    def take(self, index) -> "_Rows":
+        return _Rows(*(None if a is None else a[index] for a in self))
+
+
+def _rows(poses: tuple, dims: Sequence[Dimensions3D], categories: Sequence[str],
+          descriptors: Sequence, codes: dict, boxes: Sequence | None = None) -> _Rows:
+    """Rows of these (rotations, translations) stacks, dims, categories and descriptors
+    (None where absent); codes maps each category to its code and grows with new ones."""
+    k = next((len(d) for d in descriptors if d is not None), None)
+    # np.fromiter holds one row's tuple at a time, where a list would hold them all.
+    return _Rows(*poses, np.fromiter(((d.height, d.width, d.length) for d in dims), (float, 3)),
+                 np.array([codes.setdefault(c, len(codes)) for c in categories]),
+                 None if k is None else
+                 np.array([np.zeros(k) if d is None else d for d in descriptors]),
+                 None if boxes is None else
+                 np.fromiter(((b.left, b.top, b.right, b.bottom) for b in boxes), (float, 4)))
+
+
+def _stack(poses: Sequence[Pose]) -> tuple:
+    """The rotation and translation stacks of poses."""
+    return np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses])
 
 
 def lift_detections(dets: Sequence[DetectionRecord], P: ProjectionMatrix,
-                    cams: Sequence[Pose]) -> list[Observation]:
-    """Lift detections to 3D, detection i seen from camera pose cams[i].
+                    cams: Sequence[Pose]) -> tuple[np.ndarray, np.ndarray]:
+    """Global rotations (n, 3, 3) and translations (n, 3) of detections, detection i
+    seen from camera pose cams[i].
 
     One back_project call lifts every center at its depth, which
     read_detections keeps positive, and stacked matmuls compose the local
     yaw poses with the cameras.
     """
-    if not dets:
-        return []
     u, v = np.array([d.center2d for d in dets]).T
     local_t = back_project(u, v, np.array([d.depth for d in dets]), P)
     cam_r = np.array([c.rotation for c in cams])
-    rotation = cam_r @ np.array([yaw_to_rotation(d.yaw) for d in dets])
-    translation = (cam_r @ local_t[..., None])[..., 0] + np.array([c.translation for c in cams])
-    return [Observation(d, Pose(r, t)) for d, r, t in zip(dets, rotation, translation)]
+    rotation = cam_r @ yaw_to_rotations([d.yaw for d in dets])
+    return rotation, (cam_r @ local_t[..., None])[..., 0] + np.array([c.translation for c in cams])
 
 
 def lift_detection(d: DetectionRecord, P: ProjectionMatrix, cam: Pose) -> Observation:
     """Lift one detection to 3D: the one-row case of lift_detections."""
-    return lift_detections([d], P, [cam])[0]
-
-
-def _descriptor_rows(descriptors: list[np.ndarray | None]) -> tuple[np.ndarray, np.ndarray]:
-    """Descriptors stacked as rows, a missing one as zeros, and the row norms."""
-    k = next(len(d) for d in descriptors if d is not None)
-    rows = np.array([np.zeros(k) if d is None else d for d in descriptors])
-    return rows, np.linalg.norm(rows, axis=1)
+    return Observation(d, Pose(*(a[0] for a in lift_detections([d], P, [cam]))))
 
 
 def cost_matrix(
@@ -167,34 +194,39 @@ def cost_matrix(
     gating the pair out; without a non-zero descriptor on both sides the
     IoU and distance weights are renormalized to sum to 1.
     """
-    rot = np.stack([t.fused_pose.rotation for t in live])
-    trans = np.stack([t.fused_pose.translation for t in live])
+    codes: dict = {}
+    tracks = _rows(_stack([t.fused_pose for t in live]), [t.fused_dims for t in live],
+                   [t.category for t in live], [t.descriptor for t in live], codes)
+    dets = [o.detection for o in observations]
+    return _costs(tracks, _rows(_stack([o.global_pose for o in observations]),
+                                [d.dims for d in dets], [d.category for d in dets],
+                                [d.descriptor for d in dets], codes, [d.box2d for d in dets]),
+                  P, cam, cfg)
 
+
+def _costs(tracks: _Rows, dets: _Rows, P: ProjectionMatrix, cam: Pose,
+           cfg: AssociationConfig) -> np.ndarray:
+    """cost_matrix of rows: the tracks' fused estimates against the detections."""
     # Predicted boxes: each track's cuboid in the camera frame, projected.
     cam_rt = cam.rotation.T
-    local_rot = cam_rt @ rot
-    local_trans = trans @ cam_rt.T - cam_rt @ cam.translation
-    half = half_extents(t.fused_dims for t in live)
-    tl, tt, tr, tb = project_box(local_rot, local_trans, half, P)[:, :, None]
+    local_rot = cam_rt @ tracks.rotation
+    local_trans = tracks.translation @ cam_rt.T - cam_rt @ cam.translation
+    tl, tt, tr, tb = project_box(local_rot, local_trans, half_extents(tracks.dims), P)[:, :, None]
 
-    dets = [o.detection for o in observations]
-    dl, dt, dr, db = np.array([(d.box2d.left, d.box2d.top, d.box2d.right, d.box2d.bottom)
-                               for d in dets]).T[:, None, :]
+    dl, dt, dr, db = dets.box.T[:, None, :]
     iw = np.minimum(tr, dr) - np.maximum(tl, dl)
     ih = np.minimum(tb, db) - np.maximum(tt, dt)
     overlap = (iw > 0.0) & (ih > 0.0)
-    obs_trans = np.stack([o.global_pose.translation for o in observations])
     # Edges near 1e308 give an inf or nan union (IoU 0); translations near it, an inf
     # distance.  Only overlapping pairs multiply: a hull with inf edges can meet a box
     # edge-on, an inf width times a 0 height.
     with np.errstate(over="ignore", invalid="ignore"):
         inter = np.multiply(iw, ih, out=np.zeros_like(iw), where=overlap)
         union = (tr - tl) * (tb - tt) + (dr - dl) * (db - dt) - inter
-        dist = np.linalg.norm(trans[:, None, :] - obs_trans[None, :, :], axis=2)
+        dist = np.linalg.norm(tracks.translation[:, None, :] - dets.translation[None, :, :], axis=2)
     iou = np.divide(inter, union, out=np.zeros_like(inter), where=overlap & np.isfinite(union))
-    same_category = (np.array([t.category for t in live])[:, None]
-                     == np.array([d.category for d in dets])[None, :])
-    feasible = same_category & ~((iou < cfg.iou_gate) & (dist > cfg.dist_gate))
+    feasible = ((tracks.category[:, None] == dets.category[None, :])
+                & ~((iou < cfg.iou_gate) & (dist > cfg.dist_gate)))
 
     iou_term = 1.0 - iou
     dist_term = np.minimum(1.0, dist / cfg.dist_gate)
@@ -202,11 +234,9 @@ def cost_matrix(
     wd = cfg.w_dist / (cfg.w_iou + cfg.w_dist)
     cost = wi * iou_term + wd * dist_term
 
-    track_desc = [t.descriptor for t in live]
-    det_desc = [d.descriptor for d in dets]
-    if any(d is not None for d in track_desc) and any(d is not None for d in det_desc):
-        a, na = _descriptor_rows(track_desc)
-        b, nb = _descriptor_rows(det_desc)
+    if tracks.descriptor is not None and dets.descriptor is not None:
+        a, b = tracks.descriptor, dets.descriptor
+        na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
         both = (na[:, None] != 0.0) & (nb[None, :] != 0.0)
         cos = np.divide(a @ b.T, na[:, None] * nb[None, :], out=np.zeros(both.shape), where=both)
         desc_term = np.where(cos >= cfg.descriptor_gate, 1.0 - np.clip(cos, 0.0, 1.0), 1.0)
@@ -296,41 +326,25 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     return [(i, j) for i, j in zip(rows, cols) if cost[i, j] < _BIG]
 
 
-def associate_frame(
-    tracks: list[Track],
-    observations: list[Observation],
-    P: ProjectionMatrix,
-    cam: Pose,
-    cfg: AssociationConfig,
-) -> tuple[list[Track], list[Track]]:
-    """Assign one frame's lifted observations to live tracks, spawning tracks for the rest.
+def refresh_fused(fused: _Rows, kept: np.ndarray, ks: np.ndarray, seq: _Rows, js: slice,
+                  sums: np.ndarray, single: np.ndarray) -> None:
+    """Rewrite fused rows ks, of the tracks that took the detections js, with one fuse_rows call.
 
-    Matching minimizes total cost over the feasible pairs (optimal
-    assignment).  Returns (all tracks, newly created tracks); matched
-    tracks are updated in place, then every track the frame touched is refreshed.
+    sums holds each track's sum of w * fusion_row.  A track of a single
+    observation passes through, its rotation rebuilt from its yaw; one
+    whose sums have no mean keeps its latest detection's row, and kept says so.
     """
-    if not observations:
-        return tracks, []
-    frame_id = observations[0].frame_id
-
-    live = [t for t in tracks if frame_id - t.last_seen <= cfg.max_frame_gap]
-    matched = {}
-    if live:
-        for i, j in solve_assignment(cost_matrix(live, observations, P, cam, cfg)):
-            live[i].add(observations[j])
-            matched[j] = live[i]
-
-    next_id = max((t.track_id for t in tracks), default=-1) + 1
-    new_tracks = []
-    for j, obs in enumerate(observations):
-        if j not in matched:
-            track = Track(track_id=next_id)
-            track.add(obs)
-            new_tracks.append(track)
-            next_id += 1
-    tracks.extend(new_tracks)
-    refresh_fused([*matched.values(), *new_tracks])
-    return tracks, new_tracks
+    fused.rotation[ks], fused.translation[ks], fused.dims[ks] = (
+        seq.rotation[js], seq.translation[js], seq.dims[js])
+    if single.any():
+        fused.rotation[ks[single]] = yaw_only(seq.rotation[js][single])
+    if not single.all():
+        multi = ks[~single]
+        rotation, translation, dims, errors = fuse_rows(sums[multi])
+        kept[multi] = [e is not None for e in errors]
+        mean = slice(None) if not kept[multi].any() else ~kept[multi]  # no mask when all have one
+        fused.rotation[multi[mean]], fused.translation[multi[mean]], fused.dims[multi[mean]] = (
+            rotation[mean], translation[mean], dims[mean])
 
 
 def run_association(
@@ -342,14 +356,51 @@ def run_association(
     """Associate a whole sequence, frame by frame in ascending order.
 
     Detections below score_threshold are dropped before matching; every
-    retained detection ends up in exactly one track.
+    retained detection ends up in exactly one track.  Each frame matches
+    its detections to the tracks seen within max_frame_gap frames at the
+    least total cost, and a detection left over starts a track.
     """
     retained = {f: [d for d in detections_by_frame[f] if d.score >= cfg.score_threshold]
                 for f in sorted(detections_by_frame)}
-    frames = [(trajectory.pose(f), ds) for f, ds in retained.items() if ds]
-    lifted = iter(lift_detections([d for _, ds in frames for d in ds], P,
-                                  [cam for cam, ds in frames for _ in ds]))
+    frames = [(f, trajectory.pose(f), len(ds)) for f, ds in retained.items() if ds]
+    dets = [d for ds in retained.values() for d in ds]
+    if not dets:
+        return []
+    poses = lift_detections(dets, P, [cam for _, cam, n in frames for _ in range(n)])
+    observations = [Observation(d, Pose(r, t)) for d, r, t in zip(dets, *poses)]
+    seq = _rows(poses, [d.dims for d in dets], [d.category for d in dets],
+                [d.descriptor for d in dets], {}, [d.box2d for d in dets])
+    described = np.array([d.descriptor is not None for d in dets])
+    scores = np.array([d.score for d in dets])
+    # One row per track, untouched until it starts: fused estimate, sums of w * fusion_row.
+    fused = _Rows(*(None if a is None else np.zeros(a.shape, a.dtype) for a in seq[:5]))
+    sums, kept = np.zeros((len(dets), 16)), np.zeros(len(dets), bool)
+    last_seen = np.zeros(len(dets), int)
     tracks: list[Track] = []
-    for cam, ds in frames:
-        associate_frame(tracks, [next(lifted) for _ in ds], P, cam, cfg)
+    start = 0
+    for f, cam, n in frames:
+        js, start = slice(start, start + n), start + n
+        live = np.flatnonzero(f - last_seen[:len(tracks)] <= cfg.max_frame_gap)
+        matched = {j: live[i] for i, j in solve_assignment(
+            _costs(fused.take(live), seq.take(js), P, cam, cfg))} if live.size else {}
+        single = np.array([j not in matched for j in range(n)])
+        for j in range(n):
+            if j not in matched:
+                matched[j] = len(tracks)
+                tracks.append(Track(track_id=len(tracks)))
+            tracks[matched[j]].add(observations[js.start + j])
+        ks = np.array([matched[j] for j in range(n)])
+        with np.errstate(over="ignore"):  # an overflowed sum makes fuse_rows report the mean
+            sums[ks] += scores[js, None] * np.concatenate(  # landmark.fusion_row of each
+                (np.ones((n, 1)), seq.translation[js], seq.rotation[js].reshape(n, 9),
+                 seq.dims[js]), axis=1)
+        last_seen[ks], fused.category[ks] = f, seq.category[js]  # a match keeps its category
+        if fused.descriptor is not None:
+            fused.descriptor[ks[described[js]]] = seq.descriptor[js][described[js]]
+        refresh_fused(fused, kept, ks, seq, js, sums, single)
+    for k, track in enumerate(tracks):  # each track's estimate of its last frame, as refit
+        last = track.observations[-1]
+        dims = last.detection.dims if len(track.observations) == 1 else Dimensions3D(*fused.dims[k])
+        track._fused = ((last.global_pose, last.detection.dims) if kept[k] else
+                        (Pose(fused.rotation[k], fused.translation[k]), dims))
     return tracks

@@ -13,9 +13,12 @@ Formats:
 
 Blank lines and lines starting with '#' are skipped everywhere; reported
 line numbers are 1-based positions in the raw file.  Each value is
-checked once, where it is read: every field of a detection or map line
-goes through _read and _entries, which apply seqlabel.labels' box and
-dims rules; the records built from the values check nothing again.
+checked once, where it is read; the records built from the values check
+nothing again.  A detection line that keeps every rule is read in one
+pass (_plain_detection).  Any other line, and every map line, is read
+field by field by _read and _entries, which apply seqlabel.labels' box and
+dims rules and name the field that breaks one, after json.loads' hook has
+rejected a number beyond the float range anywhere in the line.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -100,30 +103,44 @@ class DetectionRecord:
     sigma: float | None = None
     descriptor: np.ndarray | None = None
     gt_id: int | None = None  # simulator diagnostic, not produced by detectors
+    line: int | None = field(default=None, compare=False)  # of the file read_detections read
 
 
-def _check_rotation(r: np.ndarray, lineno: int, tol: float) -> None:
-    """OrthonormalityError unless max |R^T R - I| <= tol and det R > 0; NaN fails both."""
+_FIELDS = DetectionRecord.__dataclass_fields__.keys() - {"line"}  # the keys of a detection line
+_NUMBER = frozenset((int, float))  # the types of a JSON number
+
+
+def _check_rotation(r: np.ndarray, lines: Sequence[int], tol: float) -> None:
+    """OrthonormalityError at the first of the (n, 3, 3) blocks r, read from lines, unless
+    each has max |R^T R - I| <= tol and det R > 0; NaN fails both."""
     with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308 give inf or NaN
-        dev = np.abs(r.T @ r - np.eye(3)).max()
-    if not dev <= tol:
-        raise OrthonormalityError(lineno, f"rotation deviates from orthonormal by {dev:.3e}")
-    if not np.linalg.det(r) > 0:
-        raise OrthonormalityError(lineno, "rotation block is a reflection (det < 0)")
+        dev = np.abs(r.transpose(0, 2, 1) @ r - np.eye(3)).max(axis=(1, 2))
+        det = np.linalg.det(r)
+    bad = np.flatnonzero(~((dev <= tol) & (det > 0)))
+    if bad.size:
+        k = bad[0]
+        if not dev[k] <= tol:
+            raise OrthonormalityError(lines[k],
+                                      f"rotation deviates from orthonormal by {dev[k]:.3e}")
+        raise OrthonormalityError(lines[k], "rotation block is a reflection (det < 0)")
 
 
 def parse_trajectory(text: str) -> TrajectoryFile:
-    """Parse camera poses; frame k is the k-th data line."""
-    rows = []
-    for lineno, line in _data_lines(text):
-        fields = line.split()
-        if len(fields) != 12:
-            raise ParseError(lineno, f"expected 12 fields, got {len(fields)}")
-        rows.append(np.array(_parse_floats(fields, lineno)).reshape(3, 4))
-        _check_rotation(rows[-1][:, :3], lineno, ROTATION_INPUT_TOL)
-    # Every rotation passed _check_rotation, so none collapses.
-    rotations, _ = nearest_rotation(np.array(rows).reshape(-1, 3, 4)[..., :3])
-    return TrajectoryFile([Pose(r, m[:, 3]) for r, m in zip(rotations, rows)])
+    """Parse camera poses; frame k is the k-th data line.  One _check_rotation call tests
+    every block, and one that fails above a line that does not parse is the error."""
+    rows, lines = [], []
+    try:
+        for lineno, line in _data_lines(text):
+            fields = line.split()
+            if len(fields) != 12:
+                raise ParseError(lineno, f"expected 12 fields, got {len(fields)}")
+            rows.append(np.array(_parse_floats(fields, lineno)))
+            lines.append(lineno)
+    finally:
+        m = np.array(rows).reshape(-1, 3, 4)
+        _check_rotation(m[..., :3], lines, ROTATION_INPUT_TOL)
+    rotations, _ = nearest_rotation(m[..., :3])  # every block passed, so none collapses
+    return TrajectoryFile([Pose(r, t) for r, t in zip(rotations, m[..., 3])])
 
 
 def serialize_trajectory(trajectory: TrajectoryFile) -> str:
@@ -164,6 +181,9 @@ def _json_number(text: str) -> int | float:
     if not is_number(v):
         raise ValueError(f"non-finite number {text}")
     return int(text) if v.is_integer() and text.lstrip("-").isdigit() else v
+
+
+_PLAIN = json.JSONDecoder(parse_constant=_json_number)  # no hook on numbers; NaN, Infinity fail
 
 
 def _json_record(line: str, lineno: int) -> dict:
@@ -227,57 +247,81 @@ def _entries(obj: dict, key: str, lineno: int, shape: str | int | None, kind=flo
     return values
 
 
+def _plain_detection(line: str, descriptor_len: int | None) -> DetectionRecord | None:
+    """The record of a data line that keeps every rule, or None; no hook on numbers: each
+    value's kind is its type, and the line's numbers are finite if their sum is.  None
+    for anything else, such as a key the format does not name: _detection reads those."""
+    try:
+        obj = _PLAIN.decode(line)
+        box, dims, center = obj["box2d"], obj["dims"], obj["center2d"]
+        sigma, descriptor, gt_id = obj.get("sigma"), obj.get("descriptor"), obj.get("gt_id")
+        values = [box["l"], box["t"], box["r"], box["b"], dims["h"], dims["w"], dims["l"],
+                  center["u"], center["v"], obj["depth"], obj["score"], obj["yaw"],
+                  *(() if sigma is None else (sigma,)), *(descriptor or ())]
+        if not (obj.keys() <= _FIELDS and box.keys() == set("ltrb") and dims.keys() == set("hwl")
+                and center.keys() == set("uv") and _NUMBER.issuperset(map(type, values))
+                and math.isfinite(sum(values, obj["frame_id"] + (gt_id or 0)))
+                and type(obj["frame_id"]) is int
+                and type(obj["category"]) is str and (gt_id is None or type(gt_id) is int)
+                and (descriptor is None or type(descriptor) is list
+                     and 0 < len(descriptor) == (descriptor_len or len(descriptor)))):
+            return None
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError):
+        return None
+    left, top, right, bottom, h, w, length, u, v, depth, score, yaw, *rest = map(float, values)
+    if not (left <= right and top <= bottom and h > 0 and w > 0 and length > 0 and depth > 0
+            and 0.0 <= score <= 1.0 and (sigma is None or rest[0] > 0)):
+        return None
+    return DetectionRecord(obj["frame_id"], obj["category"], Box2D(left, top, right, bottom), depth,
+                           wrap_angle(yaw), Dimensions3D(h, w, length), (u, v), score,
+                           None if sigma is None else rest[0],
+                           None if descriptor is None else np.array(rest[sigma is not None:]),
+                           gt_id)
+
+
+def _detection(obj: dict, lineno: int, descriptor_len: int | None) -> DetectionRecord:
+    """The record of one decoded line, each field read by _read or _entries in the
+    format's order; the first that breaks a rule is a SchemaError that names it."""
+    frame_id, category = _read(obj, "frame_id", lineno, int), _read(obj, "category", lineno, str)
+    box = _entries(obj, "box2d", lineno, "ltrb", rule=box_error)
+    dims = _entries(obj, "dims", lineno, "hwl", rule=dims_error)
+    center = _entries(obj, "center2d", lineno, "uv")
+    depth = _read(obj, "depth", lineno)
+    if not depth > 0:
+        raise SchemaError(lineno, f"field 'depth' must be positive, got {depth}")
+    score = _read(obj, "score", lineno)
+    if not 0.0 <= score <= 1.0:
+        raise SchemaError(lineno, f"field 'score' must be in [0, 1], got {score}")
+    sigma = _read(obj, "sigma", lineno) if obj.get("sigma") is not None else None
+    if sigma is not None and not sigma > 0:
+        raise SchemaError(lineno, f"field 'sigma' must be positive, got {sigma}")
+    descriptor = None
+    if obj.get("descriptor") is not None:
+        descriptor = _entries(obj, "descriptor", lineno, descriptor_len)
+        if not descriptor:
+            raise SchemaError(lineno, "field 'descriptor' must be a non-empty array of numbers")
+    return DetectionRecord(
+        frame_id, category, Box2D(*box), depth, wrap_angle(_read(obj, "yaw", lineno)),
+        Dimensions3D(*dims), tuple(center), score, sigma,
+        None if descriptor is None else np.array(descriptor),
+        _read(obj, "gt_id", lineno, int) if obj.get("gt_id") is not None else None)
+
+
 def read_detections(text: str) -> dict[int, list[DetectionRecord]]:
     """Read detection JSONL grouped by frame id.
 
     Returns a dict whose keys are ascending frame ids; within each frame
-    the input order is preserved.
+    the input order is preserved.  Each record keeps its line number.
     """
     groups: dict[int, list[DetectionRecord]] = {}
     descriptor_len = None  # one length per file, set by the first descriptor
     for lineno, line in _data_lines(text):
-        obj = _json_record(line, lineno)
-        frame_id = _read(obj, "frame_id", lineno, int)
-        category = _read(obj, "category", lineno, str)
-        box = _entries(obj, "box2d", lineno, "ltrb", rule=box_error)
-        dims = _entries(obj, "dims", lineno, "hwl", rule=dims_error)
-        center = _entries(obj, "center2d", lineno, "uv")
-
-        depth = _read(obj, "depth", lineno)
-        if not depth > 0:
-            raise SchemaError(lineno, f"field 'depth' must be positive, got {depth}")
-        score = _read(obj, "score", lineno)
-        if not 0.0 <= score <= 1.0:
-            raise SchemaError(lineno, f"field 'score' must be in [0, 1], got {score}")
-
-        sigma = None
-        if obj.get("sigma") is not None:
-            sigma = _read(obj, "sigma", lineno)
-            if not (sigma > 0):
-                raise SchemaError(lineno, f"field 'sigma' must be positive, got {sigma}")
-
-        descriptor = None
-        if obj.get("descriptor") is not None:
-            descriptor = _entries(obj, "descriptor", lineno, descriptor_len)
-            if not descriptor:
-                raise SchemaError(lineno,
-                                  "field 'descriptor' must be a non-empty array of numbers")
-            descriptor_len = len(descriptor)
-            descriptor = np.array(descriptor)
-
-        groups.setdefault(frame_id, []).append(DetectionRecord(
-            frame_id=frame_id,
-            category=category,
-            box2d=Box2D(*box),
-            depth=depth,
-            yaw=wrap_angle(_read(obj, "yaw", lineno)),
-            dims=Dimensions3D(*dims),
-            center2d=tuple(center),
-            score=score,
-            sigma=sigma,
-            descriptor=descriptor,
-            gt_id=_read(obj, "gt_id", lineno, int) if obj.get("gt_id") is not None else None,
-        ))
+        record = (_plain_detection(line, descriptor_len)
+                  or _detection(_json_record(line, lineno), lineno, descriptor_len))
+        record.line = lineno
+        if record.descriptor is not None:
+            descriptor_len = len(record.descriptor)
+        groups.setdefault(record.frame_id, []).append(record)
     return {k: groups[k] for k in sorted(groups)}
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -123,41 +123,54 @@ def nearest_rotation(m: np.ndarray) -> tuple[np.ndarray, list[DegenerateMean | N
     flip = np.zeros_like(u)
     flip[..., 0, 0] = flip[..., 1, 1] = 1.0
     flip[..., 2, 2] = np.sign(np.linalg.det(u @ vt))
-    collapsed = [DegenerateMean(f"rotation mean collapsed (singular values {sv})")
-                 if sv[0] < 1e-9 and sv[1] < 1e-9 else None for sv in s.reshape(-1, 3)]
+    s = s.reshape(-1, 3)
+    collapsed = [DegenerateMean(f"rotation mean collapsed (singular values {s[i]})") if c else None
+                 for i, c in enumerate(((s[:, 0] < 1e-9) & (s[:, 1] < 1e-9)).tolist())]
     return u @ flip @ vt, collapsed
 
 
-def _is_yaw_only(r: np.ndarray) -> bool:
-    return (
-        abs(r[0, 1]) < _YAW_ONLY_TOL
-        and abs(r[1, 0]) < _YAW_ONLY_TOL
-        and abs(r[1, 2]) < _YAW_ONLY_TOL
-        and abs(r[2, 1]) < _YAW_ONLY_TOL
-        and abs(r[1, 1] - 1.0) < _YAW_ONLY_TOL
-    )
-
-
 def yaw_from_rotation(R: np.ndarray) -> float:
-    """Yaw angle of a rotation matrix.
+    """Yaw angle of a rotation matrix: the one-matrix case of yaw_from_rotations."""
+    return yaw_from_rotations(R)[0]
+
+
+def yaw_to_rotation(yaw: float) -> np.ndarray:
+    """Rotation about the y axis by the given angle: the one-angle case of yaw_to_rotations."""
+    return yaw_to_rotations([yaw])[0]
+
+
+def yaw_from_rotations(rotations: np.ndarray) -> list[float]:
+    """Yaw angle of each matrix of an (n, 3, 3) stack, or of one matrix.
 
     The base formula atan2(-R[2,0], sqrt(R[0,0]^2 + R[1,0]^2)) has a
     non-negative second argument, so it folds yaw into [-pi/2, pi/2] and
     cannot tell theta from pi - theta.  When the matrix is a verified pure
     y rotation we instead recover the full (-pi, pi] range from the
-    (sin, cos) pattern directly.
+    (sin, cos) pattern directly.  The test is stacked; the angles stay on
+    math.atan2, which numpy's arctan2 does not match bit for bit.
     """
-    r = np.asarray(R, dtype=float)
-    if _is_yaw_only(r):
-        return math.atan2(r[0, 2], r[0, 0])
-    return math.atan2(-r[2, 0], math.hypot(r[0, 0], r[1, 0]))
+    r = np.asarray(rotations, dtype=float).reshape(-1, 9)  # row-major: r[:, 3 * i + j] is R[i, j]
+    pure = ((np.abs(r[:, 1::2]) < _YAW_ONLY_TOL).all(axis=1)
+            & (np.abs(r[:, 4] - 1.0) < _YAW_ONLY_TOL))
+    c = r.T.tolist()
+    return [math.atan2(r02, r00) if p else math.atan2(-r20, math.hypot(r00, r10))
+            for p, r02, r00, r20, r10 in zip(pure.tolist(), c[2], c[0], c[6], c[3])]
 
 
-def yaw_to_rotation(yaw: float) -> np.ndarray:
-    """Rotation about the y axis by the given angle."""
-    c = math.cos(yaw)
-    s = math.sin(yaw)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def yaw_to_rotations(yaws: Sequence[float]) -> np.ndarray:
+    """Rotations about the y axis by each angle, an (n, 3, 3) stack, on math's cos and sin."""
+    out = np.zeros((len(yaws), 3, 3))
+    out[:, 0, 0] = out[:, 2, 2] = [math.cos(y) for y in yaws]
+    out[:, 0, 2] = [math.sin(y) for y in yaws]
+    out[:, 2, 0] = -out[:, 0, 2]
+    out[:, 1, 1] = 1.0
+    return out
+
+
+def yaw_only(rotations: np.ndarray) -> np.ndarray:
+    """Each matrix of an (n, 3, 3) stack, or one matrix as a stack of one, rebuilt from its
+    yaw alone."""
+    return yaw_to_rotations(yaw_from_rotations(rotations))
 
 
 # Corner offsets in the object frame, bottom-centered origin, as multiples
@@ -179,9 +192,9 @@ CORNER_SIGNS = np.array(
 CORNER_SIGNS.flags.writeable = False
 
 
-def half_extents(dims: Iterable) -> np.ndarray:
-    """(N, 3) half sizes for project_box: (length / 2, height, width / 2) per Dimensions3D."""
-    return np.array([(d.length / 2.0, d.height, d.width / 2.0) for d in dims])
+def half_extents(hwl) -> np.ndarray:
+    """(N, 3) half sizes for project_box, (length / 2, height, width / 2), of N (h, w, l) rows."""
+    return np.asarray(hwl, dtype=float).reshape(-1, 3)[:, [2, 0, 1]] * (0.5, 1.0, 0.5)
 
 
 def project_box(rotation: np.ndarray, translation: np.ndarray, half: np.ndarray,

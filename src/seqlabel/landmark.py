@@ -21,7 +21,7 @@ import numpy as np
 from .config import FusionConfig, WeightPolicy
 from .dataio import _check_rotation, _entries, _json_record, _read
 from .errors import DegenerateMean, EmptyInput, MissingSigma, ZeroWeightSum
-from .geometry import Pose, nearest_rotation, yaw_from_rotation, yaw_to_rotation
+from .geometry import Pose, nearest_rotation, yaw_from_rotations, yaw_only
 from .labels import Dimensions3D, _data_lines, dims_error, wrap_angle
 
 if TYPE_CHECKING:
@@ -113,15 +113,12 @@ def weighted_circular_median(angles: Sequence[float], weights: Sequence[float],
     """
     values = np.asarray(angles, dtype=float)
     w = np.asarray(weights, dtype=float)
-    best = None
-    for j, theta in enumerate(angles):
-        d = np.abs(theta - values)
-        # Summed left to right, so the costs and the ties match a plain loop.
-        cost = np.cumsum(w * np.minimum(d, math.tau - d))[-1]
-        key = (cost, order_keys[j])
-        if best is None or key < best[0]:
-            best = (key, theta)
-    return float(best[1])
+    costs = []
+    for k in range(0, len(values), 32):  # candidates in blocks of 32 bound the memory
+        d = np.abs(values[k:k + 32, None] - values)
+        # Each row summed left to right, so the costs and the ties match a plain loop.
+        costs += np.cumsum(w * np.minimum(d, math.tau - d), axis=1)[:, -1].tolist()
+    return float(angles[min(range(len(costs)), key=lambda j: (costs[j], order_keys[j]))])
 
 
 def reject_outliers(
@@ -138,7 +135,7 @@ def reject_outliers(
         raise EmptyInput("no observations")
     frames = [o.detection.frame_id for o in observations]
     zs = [float(o.global_pose.translation[2]) for o in observations]
-    yaws = [yaw_from_rotation(o.global_pose.rotation) for o in observations]
+    yaws = yaw_from_rotations(np.array([o.global_pose.rotation for o in observations]))
 
     z_med = weighted_median(zs, weights, frames)
     yaw_med = weighted_circular_median(yaws, weights, frames)
@@ -160,24 +157,27 @@ def fusion_row(obs: "Observation") -> np.ndarray:
     )
 
 
-def fuse_rows(sums: np.ndarray) -> list[tuple[Pose, Dimensions3D] | ZeroWeightSum | DegenerateMean]:
-    """Fused (pose, dims) of each row of sums, an (n, 16) stack of sum(w * fusion_row).
+def fuse_rows(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Fused rotation, translation and dims of each row of sums, an (n, 16) stack of
+    sum(w * fusion_row): (n, 3, 3), (n, 3) and (n, 3) arrays, dims as (h, w, l), and
+    each row's error, None where the row has a mean.
 
     Translation and dims are the weighted means; the rotation is
     nearest_rotation of the weighted rotation mean, rebuilt from its yaw
-    alone.  A row with no mean gives its error instead: ZeroWeightSum when
-    sum(w) <= 0, else a DegenerateMean (not finite, dims <= 0 or a collapsed rotation).
+    alone.  A row with no mean has ZeroWeightSum when sum(w) <= 0, else a
+    DegenerateMean (not finite, dims <= 0 or a collapsed rotation); its values mean nothing.
     """
     total = sums[:, :1]
     mean = sums / np.where(total > 0.0, total, 1.0)  # a row without weight is reported below
     usable = np.isfinite(mean).all(axis=1) & (mean[:, 13:] > 0.0).all(axis=1)
-    mean[~usable, 4:13] = 0.0  # an SVD of a non-finite matrix never returns
+    if not usable.all():
+        mean[~usable, 4:13] = 0.0  # an SVD of a non-finite matrix never returns
     rotations, collapsed = nearest_rotation(mean[:, 4:13].reshape(-1, 3, 3))
-    return [ZeroWeightSum("weights sum to zero") if w <= 0.0
-            else DegenerateMean(f"fused mean not finite or dims <= 0 (dims {m[13:].tolist()})")
-            if not ok else c if c is not None
-            else (yaw_only_pose(r, m[1:4]), Dimensions3D(*m[13:16]))
-            for w, m, c, r, ok in zip(total[:, 0], mean, collapsed, rotations, usable)]
+    errors = [ZeroWeightSum("weights sum to zero") if w <= 0.0
+              else DegenerateMean(f"fused mean not finite or dims <= 0 "
+                                  f"(dims {mean[i, 13:].tolist()})") if not ok else c
+              for i, (w, ok, c) in enumerate(zip(total[:, 0].tolist(), usable.tolist(), collapsed))]
+    return yaw_only(rotations), mean[:, 1:4], mean[:, 13:], errors
 
 
 def fuse_pose(observations: Sequence["Observation"],
@@ -189,18 +189,14 @@ def fuse_pose(observations: Sequence["Observation"],
     """
     if len(observations) == 1:
         pose = observations[0].global_pose
-        return yaw_only_pose(pose.rotation, pose.translation), observations[0].detection.dims
+        return Pose(yaw_only(pose.rotation)[0], pose.translation), observations[0].detection.dims
     rows = np.array([fusion_row(o) for o in observations])
     with np.errstate(over="ignore", invalid="ignore"):  # fuse_rows reports a non-finite sum
-        (fused,) = fuse_rows((np.asarray(weights, dtype=float) @ rows)[None])
-    if isinstance(fused, Exception):
-        raise fused
-    return fused
-
-
-def yaw_only_pose(rotation: np.ndarray, translation: np.ndarray) -> Pose:
-    """The pose with the given translation and only the yaw of rotation."""
-    return Pose(yaw_to_rotation(yaw_from_rotation(rotation)), translation)
+        rotation, translation, dims, (error,) = fuse_rows(
+            (np.asarray(weights, dtype=float) @ rows)[None])
+    if error is not None:
+        raise error
+    return Pose(rotation[0], translation[0]), Dimensions3D(*dims[0])
 
 
 def fuse_track(track: "Track", policy: WeightPolicy, cfg: FusionConfig) -> Landmark | Rejected:
@@ -293,7 +289,7 @@ def parse_landmarks(text: str) -> list[Landmark]:
     for lineno, line in _data_lines(text):
         obj = _json_record(line, lineno)
         m = np.array(_entries(obj, "pose", lineno, 12)).reshape(3, 4)
-        _check_rotation(m[:, :3], lineno, MAP_ROTATION_TOL)
+        _check_rotation(m[None, :, :3], [lineno], MAP_ROTATION_TOL)
         out.append(
             Landmark(
                 landmark_id=_read(obj, "id", lineno, int),

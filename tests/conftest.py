@@ -1,8 +1,8 @@
 """Shared helpers: a simple projection matrix, detection/observation builders,
 the per-matrix rotation projection and per-point back-projection oracles, the
-fusion oracle, the per-observation lift and running-fusion oracles, the
-scalar projection and annotation oracles, the numpy metric oracles and the
-all-pairs matcher."""
+fusion oracle, the per-observation lift, running-fusion and association
+oracles, the scalar projection and annotation oracles, the numpy metric
+oracles and the all-pairs matcher."""
 
 import math
 from dataclasses import dataclass, field
@@ -17,7 +17,7 @@ from seqlabel.annotate import (
     PROVENANCE_PROJECTED,
     AnnotationEntry,
 )
-from seqlabel.association import Observation, Track, lift_detection
+from seqlabel.association import Observation, Track, cost_matrix, lift_detection, solve_assignment
 from seqlabel.dataio import DetectionRecord
 from seqlabel.errors import DegenerateMean, DegenerateProjection, ZeroWeightSum
 from seqlabel.geometry import (
@@ -140,8 +140,8 @@ def oracle_fuse(observations, weights):
 
 def oracle_lift_detection(d: DetectionRecord, P: ProjectionMatrix, cam: Pose) -> Observation:
     """One detection lifted on its own: oracle_back_project its center, build the
-    local yaw pose, compose with the camera.  association.lift_detections must
-    reproduce it bit for bit."""
+    local yaw pose, compose with the camera.  association.lift_detections, and
+    so run_association's observations, must reproduce it bit for bit."""
     translation = oracle_back_project(d.center2d[0], d.center2d[1], d.depth, P)
     local = Pose(yaw_to_rotation(d.yaw), translation)
     return Observation(detection=d, global_pose=compose(cam, local))
@@ -160,11 +160,11 @@ class OracleTrack:
 def oracle_track_add(track: OracleTrack, obs: Observation) -> None:
     """Add one observation and refit that track alone, with one oracle_nearest_rotation.
 
-    The score-weighted sums and their refit, one observation at a time:
-    association.Track.add followed by refresh_fused must reproduce the
-    fused pose and dims bit for bit.  A single observation passes through,
-    its pose rebuilt from its yaw; sums with no mean keep the latest
-    observation as is.
+    The score-weighted sums and their refit, one observation at a time: the
+    fused pose and dims of an association.Track, whether run_association's
+    rows hold them or a track built by hand refits them, must reproduce it
+    bit for bit.  A single observation passes through, its pose rebuilt from
+    its yaw; sums with no mean keep the latest observation as is.
     """
     track.observations.append(obs)
     track.sums += obs.detection.score * fusion_row(obs)
@@ -184,6 +184,34 @@ def oracle_track_add(track: OracleTrack, obs: Observation) -> None:
         return
     track.fused_pose = Pose(yaw_to_rotation(yaw_from_rotation(rotation)), mean[1:4])
     track.fused_dims = Dimensions3D(*mean[13:16])
+
+
+def oracle_run_association(detections_by_frame, trajectory, P, cfg):
+    """association.run_association one object at a time: the reference it must reproduce.
+
+    Frame by frame, each retained detection is lifted on its own
+    (oracle_lift_detection), cost_matrix scores the live Track objects, whose
+    fused estimate each refits from its own observations, and every
+    detection left unmatched starts a track.
+    """
+    tracks = []
+    for f in sorted(detections_by_frame):
+        retained = [d for d in detections_by_frame[f] if d.score >= cfg.score_threshold]
+        if not retained:
+            continue
+        cam = trajectory.pose(f)
+        observations = [oracle_lift_detection(d, P, cam) for d in retained]
+        live = [t for t in tracks if f - t.last_seen <= cfg.max_frame_gap]
+        matched = {}
+        if live:
+            for i, j in solve_assignment(cost_matrix(live, observations, P, cam, cfg)):
+                live[i].add(observations[j])
+                matched[j] = live[i]
+        for j, obs in enumerate(observations):
+            if j not in matched:
+                tracks.append(Track(track_id=len(tracks)))
+                tracks[-1].add(obs)
+    return tracks
 
 
 def oracle_box3d_corners(pose: Pose, dims: Dimensions3D) -> np.ndarray:

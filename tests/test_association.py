@@ -20,6 +20,7 @@ from conftest import (
     oracle_fuse,
     oracle_lift_detection,
     oracle_project_box,
+    oracle_run_association,
     oracle_track_add,
 )
 from seqlabel.association import (
@@ -29,7 +30,6 @@ from seqlabel.association import (
     Observation,
     Track,
     association_cost,
-    associate_frame,
     cost_matrix,
     lift_detection,
     min_cost_assignment,
@@ -311,32 +311,36 @@ class TestAssignmentOracle:
         assert min_cost_assignment(np.ones((4, 3))) == ([0, 1, 2], [0, 1, 2])
 
 
-def _lift(dets):
-    return [lift_detection(d, P_SIMPLE, Pose.identity()) for d in dets]
+def _frames(*frames):
+    """Detections by frame id, from (frame id, detections), and an identity-camera trajectory."""
+    return dict(frames), TrajectoryFile([Pose.identity()] * (max(f for f, _ in frames) + 1))
 
 
 class TestAssociateFrame:
+    """One frame's matching, through run_association on a sequence that sets it up."""
+
     CFG = AssociationConfig(w_iou=0.5, w_dist=0.5, w_desc=0.0)
 
     def test_single_track_single_detection(self):
-        tracks = [make_track([make_observation(frame_id=0, depth=20.0)])]
-        dets = [make_detection(frame_id=1, depth=20.0, box=_track_box(tracks[0]))]
-        all_tracks, new = associate_frame(tracks, _lift(dets), P_SIMPLE, Pose.identity(), self.CFG)
-        assert not new
-        assert len(all_tracks) == 1
-        assert all_tracks[0].frames == [0, 1]
+        first = make_detection(frame_id=0, depth=20.0)
+        box = _track_box(make_track([lift_detection(first, P_SIMPLE, Pose.identity())]))
+        second = make_detection(frame_id=1, depth=20.0, box=box)
+        tracks = run_association(*_frames((0, [first]), (1, [second])), P_SIMPLE, self.CFG)
+        assert len(tracks) == 1
+        assert tracks[0].frames == [0, 1]
 
     def test_no_tracks_spawns_all(self):
         dets = [make_detection(frame_id=0, u=300.0 + 200 * i, depth=20.0) for i in range(3)]
-        tracks, new = associate_frame([], _lift(dets), P_SIMPLE, Pose.identity(), self.CFG)
-        assert len(tracks) == len(new) == 3
-        assert [t.track_id for t in new] == [0, 1, 2]
+        tracks = run_association(*_frames((0, dets)), P_SIMPLE, self.CFG)
+        assert [t.track_id for t in tracks] == [0, 1, 2]
+        assert [t.observations[0].detection for t in tracks] == dets
 
     def test_global_optimum_beats_greedy(self):
         # Two tracks and two detections arranged so the globally optimal
         # assignment differs from greedy lowest-cost-first.
-        track_a = make_track([make_observation(frame_id=0, depth=30.0)], track_id=0)
-        track_b = make_track([make_observation(frame_id=0, depth=30.9)], track_id=1)
+        a, b = (make_detection(frame_id=0, depth=depth) for depth in (30.0, 30.9))
+        track_a = make_track([lift_detection(a, P_SIMPLE, Pose.identity())], track_id=0)
+        track_b = make_track([lift_detection(b, P_SIMPLE, Pose.identity())], track_id=1)
         d1 = make_detection(frame_id=1, depth=30.3, box=_track_box(track_a))
         d2 = make_detection(frame_id=1, depth=29.1, box=_track_box(track_a))
         obs = {
@@ -352,18 +356,19 @@ class TestAssociateFrame:
         assert c[(0, 30.3)] < min(c[(0, 29.1)], c[(1, 30.3)], c[(1, 29.1)])
         assert optimal_total < greedy_total  # fixture really is crossed
 
-        associate_frame([track_a, track_b], [obs[30.3], obs[29.1]], P_SIMPLE, Pose.identity(),
-                        self.CFG)
-        assert track_a.observations[-1].detection.depth == 29.1
-        assert track_b.observations[-1].detection.depth == 30.3
+        tracks = run_association(*_frames((0, [a, b]), (1, [d1, d2])), P_SIMPLE, self.CFG)
+        assert [t.observations[-1].detection.depth for t in tracks] == [29.1, 30.3]
 
     def test_frozen_track_not_matchable(self):
         cfg = AssociationConfig(max_frame_gap=5, w_iou=0.5, w_dist=0.5, w_desc=0.0)
-        tracks = [make_track([make_observation(frame_id=0, depth=20.0)])]
-        det = make_detection(frame_id=10, depth=20.0, box=_track_box(tracks[0]))
-        all_tracks, new = associate_frame(tracks, _lift([det]), P_SIMPLE, Pose.identity(), cfg)
-        assert len(new) == 1
-        assert len(all_tracks) == 2
+        first = make_detection(frame_id=0, depth=20.0)
+        box = _track_box(make_track([lift_detection(first, P_SIMPLE, Pose.identity())]))
+        det = make_detection(frame_id=10, depth=20.0, box=box)
+        tracks = run_association(*_frames((0, [first]), (10, [det])), P_SIMPLE, cfg)
+        assert [t.frames for t in tracks] == [[0], [10]]
+        det = make_detection(frame_id=5, depth=20.0, box=box)
+        within_gap = run_association(*_frames((0, [first]), (5, [det])), P_SIMPLE, cfg)
+        assert [t.frames for t in within_gap] == [[0, 5]]
 
 def _simulated_sequence(n_frames=10, objects=((0.0, 30.0), (15.0, 55.0)), jitter=0.0, seed=0):
     """Camera drives +z at 1 m/frame; objects are (x, z) on the ground."""
@@ -663,7 +668,8 @@ def drives(draw):
              for k in range(n_frames)]
     objects = [(draw(_finite(50, 1200)), draw(_finite(120, 260)), draw(_finite(4, 60)),
                 draw(_finite(-math.pi, math.pi)), draw(dimensions),
-                draw(st.sampled_from([False, False, True])))
+                draw(st.sampled_from([False, False, True])),
+                draw(st.sampled_from(["Car", "Car", "Pedestrian"])))
                for _ in range(draw(st.integers(1, 5)))]
     detections = {}
     every = list(range(len(objects)))
@@ -673,8 +679,9 @@ def drives(draw):
             make_detection(frame_id=k, u=u + draw(_finite(-3, 3)), v=v + draw(_finite(-3, 3)),
                            depth=depth + draw(_finite(-0.5, 0.5)),
                            yaw=heading + draw(_finite(-0.2, 0.2)), dims=dims,
-                           score=0.0 if zero_weight else draw(_finite(0.05, 1)))
-            for u, v, depth, heading, dims, zero_weight in (objects[i] for i in seen)]
+                           score=0.0 if zero_weight else draw(_finite(0.05, 1)),
+                           category=category, descriptor=draw(descriptors))
+            for u, v, depth, heading, dims, zero_weight, category in (objects[i] for i in seen)]
     return TrajectoryFile(poses), detections, P
 
 
@@ -707,6 +714,38 @@ class TestBatchedAssociationOracle:
                 if oracle.fused_pose is oracle.observations[-1].global_pose:  # no mean exists
                     assert track.fused_pose is track.observations[-1].global_pose
                     assert track.fused_dims is track.observations[-1].detection.dims
+
+
+def _same_dims(a: Dimensions3D, b: Dimensions3D) -> bool:
+    return np.array([a.height, a.width, a.length]).tobytes() == \
+        np.array([b.height, b.width, b.length]).tobytes()
+
+
+class TestTableAssociationOracle:
+    """run_association's sequence table and track rows against oracle_run_association,
+    which lifts, scores and refits one object at a time."""
+
+    @given(drives(), st.sampled_from([0.0, 0.3]), st.integers(1, 3),
+           st.sampled_from([0.0, 0.1]))
+    @settings(max_examples=60, deadline=None)
+    def test_same_tracks_and_fused_bits(self, drive, threshold, gap, w_desc):
+        trajectory, detections, P = drive
+        cfg = AssociationConfig(score_threshold=threshold, max_frame_gap=gap, w_iou=0.5,
+                                w_dist=0.5 - w_desc, w_desc=w_desc)
+        got = run_association(detections, trajectory, P, cfg)
+        want = oracle_run_association(detections, trajectory, P, cfg)
+        assert [t.track_id for t in got] == [t.track_id for t in want]
+        for a, b in zip(got, want):
+            assert [o.detection for o in a.observations] == [o.detection for o in b.observations]
+            assert all(x.detection is y.detection and _same_bits(x.global_pose, y.global_pose)
+                       for x, y in zip(a.observations, b.observations))
+            # a's estimate is the run's row; b refits its observations when read.
+            assert _same_bits(a.fused_pose, b.fused_pose)
+            assert _same_dims(a.fused_dims, b.fused_dims)
+            last_a, last_b = a.observations[-1], b.observations[-1]
+            assert (a.fused_pose is last_a.global_pose) == (b.fused_pose is last_b.global_pose)
+            assert ((a.fused_dims is last_a.detection.dims)
+                    == (b.fused_dims is last_b.detection.dims))
 
 
 class TestRunningFusionWeights:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -519,16 +520,38 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert f"line {len(lines)}: {bad}: invalid JSON: nested too deeply" in err
 
-    def test_deeply_nested_config_exit_3_with_one_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("depth", [3000, 30000])
+    def test_deeply_nested_config_exit_3_with_one_line(self, tmp_path, capsys, depth):
         # PyYAML composes nested nodes recursively, and raises RecursionError past the limit.
+        # At 30,000 levels yaml.CSafeLoader would crash the process instead (SIGSEGV).
         config = write_config(tmp_path)
         text = config.read_text()
         assert "camera: P2\n" in text
-        config.write_text(text.replace("camera: P2\n", "camera: " + "[" * 3000 + "]" * 3000 + "\n"))
+        nested = "[" * depth + "]" * depth
+        config.write_text(text.replace("camera: P2\n", f"camera: {nested}\n"))
         assert main(["build-map", "--config", str(config)]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert f"{config}: invalid YAML: nested too deeply" in err
+
+    @pytest.mark.parametrize("frame_id", [5000, -3])
+    def test_detection_on_unknown_frame_exit_2_naming_file_and_line(self, tmp_path, capsys,
+                                                                     frame_id):
+        config = simulate_synthetic(tmp_path)
+        det = tmp_path / "sim" / "detections.jsonl"
+        records = [json.loads(line) for line in det.read_text().splitlines()]
+        assert min(r["score"] for r in records) >= 0.7  # the threshold of the config
+        records[0].update(frame_id=frame_id, score=0.5)  # dropped before matching: no error
+        for k in (7, 3):
+            records[k]["frame_id"] = frame_id
+        det.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert main(["build-map", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"seqlabel: parse error: line 4: {det}: no camera pose for frame {frame_id}\n")
+        # A frame the sequence excludes is dropped before the check.
+        excluded = write_config(tmp_path, sequence={"exclude": [[frame_id, frame_id]]})
+        assert main(["build-map", "--config", str(excluded)]) == 0
 
     def test_opposite_huge_yaws_evaluate_in_range(self, tmp_path, capsys):
         # rotation_y of 1e308 in every ground-truth line of a frame and -1e308 in every
@@ -811,6 +834,73 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert key in err
         assert not (tmp_path / "sim").exists()
+
+
+def _by_frame(text: str) -> dict[int, list[str]]:
+    """The detection lines of text grouped by frame id, in frame order of first appearance."""
+    groups: dict[int, list[str]] = {}
+    for line in text.splitlines():
+        groups.setdefault(json.loads(line)["frame_id"], []).append(line)
+    return groups
+
+
+class TestInputOrder:
+    """build-map's map does not depend on how the detection lines are laid out.
+
+    Reordering frames, line ends and blank or comment lines leave every
+    byte but the detections digest in the header; lines shuffled within a
+    frame only renumber the landmarks.
+    """
+
+    EDITS = {
+        "frames reordered": lambda text, rng: "".join(
+            line + "\n" for ds in rng.sample(list(_by_frame(text).values()), len(_by_frame(text)))
+            for line in ds),
+        "CRLF": lambda text, rng: text.replace("\n", "\r\n"),
+        "blank and comment lines": lambda text, rng: text.replace("\n", "\n\n# a comment\n"),
+    }
+
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        """A simulated scene of several objects per frame, and its map lines."""
+        tmp_path = tmp_path_factory.mktemp("order")
+        config = simulate_synthetic(tmp_path, simulate={"n_objects": 8, "frames": 40})
+        assert main(["build-map", "--config", str(config)]) == 0
+        return config, (tmp_path / "out" / "map.jsonl").read_text().splitlines(keepends=True)
+
+    def _map_of(self, scene, tmp_path, text: str) -> list[str]:
+        config, _ = scene
+        raw = yaml.safe_load(config.read_text())
+        raw["paths"]["detections"] = str(tmp_path / "detections.jsonl")
+        edited = tmp_path / "pipeline.yaml"
+        edited.write_text(yaml.safe_dump(raw))
+        (tmp_path / "detections.jsonl").write_bytes(text.encode())
+        assert main(["build-map", "--config", str(edited), "--output", str(tmp_path / "out")]) == 0
+        return (tmp_path / "out" / "map.jsonl").read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_layout_keeps_the_map_bytes(self, scene, tmp_path, edit):
+        config, want = scene
+        text = Path(load_config(config).detections_path).read_text()
+        got = self._map_of(scene, tmp_path, self.EDITS[edit](text, random.Random(0)))
+        assert len(_by_frame(text)) > 20 and max(map(len, _by_frame(text).values())) > 3
+        strip = lambda header: [w for w in header.split() if not w.startswith("detections:")]
+        assert strip(got[0]) == strip(want[0]) and got[0] != want[0]
+        assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lines_shuffled_within_frames_keep_the_map_up_to_ids(self, scene, tmp_path, seed):
+        config, want = scene
+        rng = random.Random(seed)
+        text = "".join(line + "\n" for ds in _by_frame(
+            Path(load_config(config).detections_path).read_text()).values()
+            for line in rng.sample(ds, len(ds)))
+        got = self._map_of(scene, tmp_path, text)
+
+        def landmarks(lines):
+            return sorted(json.dumps({k: v for k, v in json.loads(line).items() if k != "id"})
+                          for line in lines[1:])
+        assert landmarks(got) == landmarks(want)
 
 
 class TestOutputOverrides:

@@ -1,16 +1,25 @@
 """Format round trips, golden files and schema error reporting."""
 
+import dataclasses
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqlabel.annotate import AnnotationEntry, FrameAnnotation
 from seqlabel.dataio import (
     ROTATION_INPUT_TOL,
+    DetectionRecord,
+    TrajectoryFile,
     _check_rotation,
+    _entries,
+    _json_record,
+    _read,
     format_label_line,
     parse_calib,
     parse_kitti_labels,
@@ -27,10 +36,101 @@ from seqlabel.errors import (
     ParseError,
     SchemaError,
 )
-from seqlabel.geometry import Pose, yaw_to_rotation
-from seqlabel.labels import Box2D, Dimensions3D, frame_file_name, frame_id_of
+from seqlabel.geometry import Pose, nearest_rotation, yaw_to_rotation
+from seqlabel.labels import (Box2D, Dimensions3D, _data_lines, _parse_floats, box_error,
+                             dims_error, frame_file_name, frame_id_of, wrap_angle)
+from test_cli import FUZZ_VALUES, mutate
 
 DATA = Path(__file__).parent / "data"
+
+
+def oracle_check_rotation(r: np.ndarray, lineno: int, tol: float) -> None:
+    """One rotation block checked on its own: dataio._check_rotation must raise as it does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(r.T @ r - np.eye(3)).max()
+    if not dev <= tol:
+        raise OrthonormalityError(lineno, f"rotation deviates from orthonormal by {dev:.3e}")
+    if not np.linalg.det(r) > 0:
+        raise OrthonormalityError(lineno, "rotation block is a reflection (det < 0)")
+
+
+def oracle_parse_trajectory(text: str) -> TrajectoryFile:
+    """Camera poses read one line at a time, each rotation checked as its line is read:
+    dataio.parse_trajectory must give the same poses, bit for bit, or the same error."""
+    rows = []
+    for lineno, line in _data_lines(text):
+        fields = line.split()
+        if len(fields) != 12:
+            raise ParseError(lineno, f"expected 12 fields, got {len(fields)}")
+        rows.append(np.array(_parse_floats(fields, lineno)).reshape(3, 4))
+        oracle_check_rotation(rows[-1][:, :3], lineno, ROTATION_INPUT_TOL)
+    rotations, _ = nearest_rotation(np.array(rows).reshape(-1, 3, 4)[..., :3])
+    return TrajectoryFile([Pose(r, m[:, 3]) for r, m in zip(rotations, rows)])
+
+
+def oracle_read_detections(text: str) -> dict[int, list[DetectionRecord]]:
+    """Detection JSONL read field by field: json.loads' hook checks every number
+    as it decodes, then _read and _entries check every field.  dataio.read_detections
+    must give the same records, bit for bit, or the same error."""
+    groups = {}
+    descriptor_len = None
+    for lineno, line in _data_lines(text):
+        obj = _json_record(line, lineno)
+        frame_id = _read(obj, "frame_id", lineno, int)
+        category = _read(obj, "category", lineno, str)
+        box = _entries(obj, "box2d", lineno, "ltrb", rule=box_error)
+        dims = _entries(obj, "dims", lineno, "hwl", rule=dims_error)
+        center = _entries(obj, "center2d", lineno, "uv")
+        depth = _read(obj, "depth", lineno)
+        if not depth > 0:
+            raise SchemaError(lineno, f"field 'depth' must be positive, got {depth}")
+        score = _read(obj, "score", lineno)
+        if not 0.0 <= score <= 1.0:
+            raise SchemaError(lineno, f"field 'score' must be in [0, 1], got {score}")
+        sigma = None
+        if obj.get("sigma") is not None:
+            sigma = _read(obj, "sigma", lineno)
+            if not (sigma > 0):
+                raise SchemaError(lineno, f"field 'sigma' must be positive, got {sigma}")
+        descriptor = None
+        if obj.get("descriptor") is not None:
+            descriptor = _entries(obj, "descriptor", lineno, descriptor_len)
+            if not descriptor:
+                raise SchemaError(lineno,
+                                  "field 'descriptor' must be a non-empty array of numbers")
+            descriptor_len = len(descriptor)
+            descriptor = np.array(descriptor)
+        groups.setdefault(frame_id, []).append(DetectionRecord(
+            frame_id=frame_id, category=category, box2d=Box2D(*box), depth=depth,
+            yaw=wrap_angle(_read(obj, "yaw", lineno)), dims=Dimensions3D(*dims),
+            center2d=tuple(center), score=score, sigma=sigma, descriptor=descriptor,
+            gt_id=_read(obj, "gt_id", lineno, int) if obj.get("gt_id") is not None else None,
+        ))
+    return {k: groups[k] for k in sorted(groups)}
+
+
+def _bits(value):
+    """A value as comparable bits: arrays by dtype and bytes, others by type and repr."""
+    if isinstance(value, np.ndarray):
+        return "array", value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(_bits(getattr(value, f.name))
+                                           for f in dataclasses.fields(value) if f.compare)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return type(value).__name__, repr(value)
+
+
+def _outcome(read, text):
+    """What a reader makes of text: its poses or records as bits, or its error's kind, line
+    and text."""
+    try:
+        result = read(text)
+    except ParseError as e:
+        return type(e).__name__, e.line, str(e)
+    if isinstance(result, TrajectoryFile):
+        return [_bits(pose) for pose in result.poses]
+    return [(k, [_bits(d) for d in ds]) for k, ds in result.items()]
 
 
 class TestTrajectory:
@@ -69,7 +169,7 @@ class TestTrajectory:
 
     def test_nan_rotation_fails_the_check(self):
         with pytest.raises(OrthonormalityError):
-            _check_rotation(np.full((3, 3), np.nan), 1, ROTATION_INPUT_TOL)
+            _check_rotation(np.full((1, 3, 3), np.nan), [1], ROTATION_INPUT_TOL)
 
     def test_mild_noise_reorthonormalized(self):
         # 1e-4-level deviation passes the input tolerance and gets projected back.
@@ -83,6 +183,21 @@ class TestTrajectory:
     def test_golden_round_trip(self):
         text = (DATA / "trajectory_golden.txt").read_text()
         assert serialize_trajectory(parse_trajectory(text)) == text
+
+    LINES = ["1 0 0 0 0 1 0 0 0 0 1 5", "2 0 0 0 0 2 0 0 0 0 2 0", "1 0 0 0 0 1 0 0 0 0 -1 0",
+             "1 0 0 0 0 1 0 0 0 0 1", "1e308 0 0 0 0 1 0 0 0 0 1 0", "nan 0 0 0 0 1 0 0 0 0 1 0",
+             "x 0 0 0 0 1 0 0 0 0 1 0", "1e308 1e308 0 0 1e308 -1e308 0 0 0 0 1 0", "# c", ""]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_poses_or_error_as_the_line_by_line_oracle(self, seed):
+        # The stacked rotation test reports the same first line as one check per line.
+        rng = random.Random(seed)
+        golden = (DATA / "trajectory_golden.txt").read_text().splitlines()
+        for _ in range(200):
+            lines = golden + [rng.choice(self.LINES) for _ in range(rng.randint(0, 4))]
+            rng.shuffle(lines)
+            text = "\n".join(lines) + "\n"
+            assert _outcome(parse_trajectory, text) == _outcome(oracle_parse_trajectory, text)
 
     def test_parse_serialize_idempotent(self):
         text = (DATA / "trajectory_golden.txt").read_text()
@@ -221,6 +336,31 @@ class TestDetections:
         (d,) = read_detections(self._record())[0]
         assert d.box2d == Box2D(0.0, 0.0, 10.0, 10.0) and d.center2d == (5.0, 5.0)
         assert all(type(v) is float for v in (d.box2d.left, d.center2d[0], d.dims.height))
+
+    # Raw JSON for a mutated leaf or an added key: numbers json.dumps does not write.
+    LITERALS = ["1e999", "-1e400", "1" * 400, "-" + "9" * 309, "1e-400", "NaN", "-Infinity",
+                "[1e999]", '{"x": 1e999}', "[" * 3000 + "]" * 3000, "1e308", "0"]
+
+    @given(line=st.integers(0, 3), field=st.integers(0, 40),
+           value=st.sampled_from(FUZZ_VALUES + LITERALS), added=st.sampled_from([None] + LITERALS))
+    @settings(max_examples=300, deadline=None)
+    @example(line=0, field=0, value=None, added="1e999")  # out of range under an unknown key
+    @example(line=2, field=13, value="1e999", added=None)  # in a descriptor
+    @example(line=1, field=12, value=("0", 0), added=None)  # sigma 0
+    def test_same_records_or_error_as_the_field_by_field_oracle(self, line, field, value, added):
+        text = (DATA / "detections_good.jsonl").read_text()
+        literal = value if isinstance(value, str) else None
+        text = mutate(text, True, line, field, ("", "@LITERAL@") if literal else value)
+        lines = text.splitlines()
+        if added is not None:
+            lines[line % len(lines)] = lines[line % len(lines)][:-1] + f', "extra": {added}}}'
+        text = "\n".join(lines).replace('"@LITERAL@"', str(literal)) + "\n"
+        want = _outcome(oracle_read_detections, text)
+        assert _outcome(read_detections, text) == want
+        if isinstance(want, list):  # each record keeps the line it came from
+            got = read_detections(text)
+            assert sorted(d.line for ds in got.values() for d in ds) == \
+                [lineno for lineno, _ in _data_lines(text)]
 
     def test_round_trip(self):
         text = (DATA / "detections_good.jsonl").read_text()

@@ -35,7 +35,10 @@ from seqlabel.geometry import (
     project_box,
     project_point,
     yaw_from_rotation,
+    yaw_from_rotations,
+    yaw_only,
     yaw_to_rotation,
+    yaw_to_rotations,
 )
 from seqlabel.labels import Box2D, Dimensions3D, iou_2d, wrap_angle
 from seqlabel.landmark import (Landmark, WeightPolicy, fuse_pose, observation_weight,
@@ -43,6 +46,23 @@ from seqlabel.landmark import (Landmark, WeightPolicy, fuse_pose, observation_we
 from seqlabel.simulator import SimConfig, make_trajectory
 
 P_SIMPLE = ProjectionMatrix(np.array([[700.0, 0, 600, 0], [0, 700, 180, 0], [0, 0, 1, 0]]))
+
+
+def oracle_yaw_from_rotation(r: np.ndarray) -> float:
+    """Yaw of one matrix with scalar tests: from the (sin, cos) pattern of a verified
+    pure y rotation, else the folded base formula.  geometry.yaw_from_rotations
+    must reproduce it bit for bit."""
+    tol = 1e-9
+    if (abs(r[0, 1]) < tol and abs(r[1, 0]) < tol and abs(r[1, 2]) < tol and abs(r[2, 1]) < tol
+            and abs(r[1, 1] - 1.0) < tol):
+        return math.atan2(r[0, 2], r[0, 0])
+    return math.atan2(-r[2, 0], math.hypot(r[0, 0], r[1, 0]))
+
+
+def oracle_yaw_to_rotation(yaw: float) -> np.ndarray:
+    """One rotation about y: geometry.yaw_to_rotations must reproduce it bit for bit."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def yaw_pose(yaw, t=(0.0, 0.0, 0.0)):
@@ -230,7 +250,7 @@ class TestInternalPosesStayProper:
             assert_proper_rotation(obs.global_pose)
         track = Track(track_id=0)
         for obs in observations:
-            track.add(obs)  # fuse_rows and yaw_only_pose on the running sums
+            track.add(obs)  # the track refits its running sums when read
             assert_proper_rotation(track.fused_pose)
         policy = WeightPolicy(mode)
         pose, dims = fuse_pose(observations, [observation_weight(o, policy) for o in observations])
@@ -362,6 +382,25 @@ class TestYaw:
         got = yaw_from_rotation(tilt)
         assert -math.pi / 2 <= got <= math.pi / 2
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacks_match_the_scalar_oracles(self, seed):
+        # Proper rotations, pure yaws, and pure yaws off by less and more than the
+        # yaw-only tolerance, so that both formulas run.
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(-4.0, 4.0, 300).tolist() + [0.0, math.pi, -math.pi, math.pi / 2]
+        pure = np.array([oracle_yaw_to_rotation(a) for a in angles])
+        stacks = [nearest_rotation(rng.normal(size=(300, 3, 3)))[0], pure,
+                  pure + rng.normal(scale=1e-10, size=pure.shape),
+                  pure + rng.normal(scale=1e-8, size=pure.shape), np.zeros((0, 3, 3))]
+        for r in stacks:
+            want = [oracle_yaw_from_rotation(m) for m in r]
+            assert np.array(yaw_from_rotations(r)).tobytes() == np.array(want).tobytes()
+            assert [yaw_from_rotation(m) for m in r] == want
+            rebuilt = np.array([oracle_yaw_to_rotation(a) for a in want]).reshape(-1, 3, 3)
+            assert yaw_to_rotations(want).tobytes() == rebuilt.tobytes()
+            assert yaw_only(r).tobytes() == rebuilt.tobytes()
+        assert np.array([yaw_to_rotation(a) for a in angles]).tobytes() == pure.tobytes()
+
     def test_wrap_angle_range(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
@@ -372,7 +411,8 @@ class TestYaw:
 def hulls(poses, dims, P=P_SIMPLE):
     """project_box over a batch of (pose, dims) cuboids, as Box2D (None for an empty hull)."""
     out = project_box(np.stack([p.rotation for p in poses]),
-                      np.stack([p.translation for p in poses]), half_extents(dims), P)
+                      np.stack([p.translation for p in poses]),
+                      half_extents([(d.height, d.width, d.length) for d in dims]), P)
     return [Box2D(*(float(x) for x in col)) if col[0] <= col[2] else None for col in out.T]
 
 
@@ -449,7 +489,7 @@ class TestProjectBox:
     def test_all_behind_camera(self):
         pose = Pose(np.eye(3), [0, 0, -50])
         out = project_box(pose.rotation[None], pose.translation[None],
-                          half_extents([Dimensions3D(2, 2, 2)]), P_SIMPLE)
+                          half_extents([(2, 2, 2)]), P_SIMPLE)
         assert out[:, 0].tolist() == [math.inf, math.inf, -math.inf, -math.inf]
         assert oracle_project_box(oracle_box3d_corners(pose, Dimensions3D(2, 2, 2)),
                                   P_SIMPLE) is None
