@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import AssociationConfig
 from .dataio import DetectionRecord, TrajectoryFile
+from .errors import MissingCameraPose, ParseError
 from .geometry import (Pose, ProjectionMatrix, back_project, half_extents, project_box, yaw_only,
                        yaw_to_rotations)
 from .labels import Dimensions3D
@@ -56,15 +57,15 @@ class Track:
     landmark.fuse_rows of the sum of w * landmark.fusion_row, summed in
     observation order; one observation passes through, its pose rebuilt
     from its yaw, and sums with no mean keep the latest observation's pose
-    and dims.  add does no numpy work: run_association leaves each track
-    the estimate its rows hold, and a track built by hand is refit when
-    read.  w is the detection score whatever the WeightPolicy; only the
-    final fusion (landmark.fuse_track) follows the policy.  The score is
-    always present and bounded in [0, 1], while 1/sigma^2 needs a sigma on
-    every detection and reaches 1/sigma_floor^2, so one overconfident
-    detection would steer the gate before outlier rejection has seen the
-    track.  Association, and so the set of tracks, also stays the same
-    whichever policy final fusion uses.
+    and dims.  add does no numpy work: a track refits its observations
+    when read, and run_association matches on rows of its own that hold
+    the same estimate, bit for bit.  w is the detection score whatever the
+    WeightPolicy; only the final fusion (landmark.fuse_track) follows the
+    policy.  The score is always present and bounded in [0, 1], while
+    1/sigma^2 needs a sigma on every detection and reaches
+    1/sigma_floor^2, so one overconfident detection would steer the gate
+    before outlier rejection has seen the track.  Association, and so the
+    set of tracks, also stays the same whichever policy final fusion uses.
     """
 
     track_id: int
@@ -326,13 +327,13 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     return [(i, j) for i, j in zip(rows, cols) if cost[i, j] < _BIG]
 
 
-def refresh_fused(fused: _Rows, kept: np.ndarray, ks: np.ndarray, seq: _Rows, js: slice,
-                  sums: np.ndarray, single: np.ndarray) -> None:
+def refresh_fused(fused: _Rows, ks: np.ndarray, seq: _Rows, js: slice, sums: np.ndarray,
+                  single: np.ndarray) -> None:
     """Rewrite fused rows ks, of the tracks that took the detections js, with one fuse_rows call.
 
     sums holds each track's sum of w * fusion_row.  A track of a single
     observation passes through, its rotation rebuilt from its yaw; one
-    whose sums have no mean keeps its latest detection's row, and kept says so.
+    whose sums have no mean keeps its latest detection's row.
     """
     fused.rotation[ks], fused.translation[ks], fused.dims[ks] = (
         seq.rotation[js], seq.translation[js], seq.dims[js])
@@ -341,10 +342,21 @@ def refresh_fused(fused: _Rows, kept: np.ndarray, ks: np.ndarray, seq: _Rows, js
     if not single.all():
         multi = ks[~single]
         rotation, translation, dims, errors = fuse_rows(sums[multi])
-        kept[multi] = [e is not None for e in errors]
-        mean = slice(None) if not kept[multi].any() else ~kept[multi]  # no mask when all have one
+        kept = np.array([e is not None for e in errors])
+        mean = slice(None) if not kept.any() else ~kept  # no mask when all have one
         fused.rotation[multi[mean]], fused.translation[multi[mean]], fused.dims[multi[mean]] = (
             rotation[mean], translation[mean], dims[mean])
+
+
+def _camera(trajectory: TrajectoryFile, frame_id: int, dets: list[DetectionRecord]) -> Pose:
+    """The camera pose of the frame of dets; a frame the trajectory lacks is a ParseError
+    at the line of the first of dets, when they were read from a file."""
+    try:
+        return trajectory.pose(frame_id)
+    except MissingCameraPose as e:
+        if dets[0].line is None:
+            raise
+        raise ParseError(dets[0].line, str(e)) from None
 
 
 def run_association(
@@ -358,11 +370,12 @@ def run_association(
     Detections below score_threshold are dropped before matching; every
     retained detection ends up in exactly one track.  Each frame matches
     its detections to the tracks seen within max_frame_gap frames at the
-    least total cost, and a detection left over starts a track.
+    least total cost, and a detection left over starts a track.  A retained
+    detection on a frame the trajectory lacks is an error (_camera).
     """
     retained = {f: [d for d in detections_by_frame[f] if d.score >= cfg.score_threshold]
                 for f in sorted(detections_by_frame)}
-    frames = [(f, trajectory.pose(f), len(ds)) for f, ds in retained.items() if ds]
+    frames = [(f, _camera(trajectory, f, ds), len(ds)) for f, ds in retained.items() if ds]
     dets = [d for ds in retained.values() for d in ds]
     if not dets:
         return []
@@ -374,7 +387,7 @@ def run_association(
     scores = np.array([d.score for d in dets])
     # One row per track, untouched until it starts: fused estimate, sums of w * fusion_row.
     fused = _Rows(*(None if a is None else np.zeros(a.shape, a.dtype) for a in seq[:5]))
-    sums, kept = np.zeros((len(dets), 16)), np.zeros(len(dets), bool)
+    sums = np.zeros((len(dets), 16))
     last_seen = np.zeros(len(dets), int)
     tracks: list[Track] = []
     start = 0
@@ -397,10 +410,5 @@ def run_association(
         last_seen[ks], fused.category[ks] = f, seq.category[js]  # a match keeps its category
         if fused.descriptor is not None:
             fused.descriptor[ks[described[js]]] = seq.descriptor[js][described[js]]
-        refresh_fused(fused, kept, ks, seq, js, sums, single)
-    for k, track in enumerate(tracks):  # each track's estimate of its last frame, as refit
-        last = track.observations[-1]
-        dims = last.detection.dims if len(track.observations) == 1 else Dimensions3D(*fused.dims[k])
-        track._fused = ((last.global_pose, last.detection.dims) if kept[k] else
-                        (Pose(fused.rotation[k], fused.translation[k]), dims))
+        refresh_fused(fused, ks, seq, js, sums, single)
     return tracks

@@ -126,16 +126,14 @@ def cmd_build_map(cfg: PipelineConfig, out_dir: Path) -> int:
     trajectory, P = _load_inputs(cfg)
     detections = _parse_with_context(_stage.read_detections, cfg.detections_path, "detections")
     detections = {k: v for k, v in detections.items() if cfg.frame_allowed(k)}
-    unknown = [(d.line, k) for k, ds in detections.items() if not 0 <= k < len(trajectory)
-               for d in ds if d.score >= cfg.association.score_threshold]
-    if unknown:  # the first retained detection on a frame the trajectory does not have
-        line, frame = min(unknown)
-        raise ParseError(line, f"{cfg.detections_path}: no camera pose for frame {frame}")
     if not detections:
         print("seqlabel: warning: no detections after filtering; writing an empty map",
               file=sys.stderr)
 
-    tracks = _stage.run_association(detections, trajectory, P, cfg.association)
+    try:
+        tracks = _stage.run_association(detections, trajectory, P, cfg.association)
+    except ParseError as e:  # a detection on a frame the trajectory lacks, at its line
+        raise ParseError(e.line, f"{cfg.detections_path}: {e.reason}") from None
     landmarks, rejected, track_of = _stage.fuse_tracks(tracks, cfg.weighting, cfg.fusion)
     landmark_of_track = {tid: lid for lid, tid in track_of.items()}
 

@@ -13,12 +13,12 @@ Formats:
 
 Blank lines and lines starting with '#' are skipped everywhere; reported
 line numbers are 1-based positions in the raw file.  Each value is
-checked once, where it is read; the records built from the values check
-nothing again.  A detection line that keeps every rule is read in one
-pass (_plain_detection).  Any other line, and every map line, is read
-field by field by _read and _entries, which apply seqlabel.labels' box and
-dims rules and name the field that breaks one, after json.loads' hook has
-rejected a number beyond the float range anywhere in the line.
+checked once, where it is read: every field of a detection or map line
+goes through _read and _entries, which apply seqlabel.labels' box and
+dims rules; the records built from the values check nothing again.  A
+number beyond the float range anywhere in a line is an error before any
+field is read, although a detection line is decoded with no hook on its
+numbers first (_detection_line).
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class DetectionRecord:
 
 
 _FIELDS = DetectionRecord.__dataclass_fields__.keys() - {"line"}  # the keys of a detection line
-_NUMBER = frozenset((int, float))  # the types of a JSON number
 
 
 def _check_rotation(r: np.ndarray, lines: Sequence[int], tol: float) -> None:
@@ -247,38 +246,6 @@ def _entries(obj: dict, key: str, lineno: int, shape: str | int | None, kind=flo
     return values
 
 
-def _plain_detection(line: str, descriptor_len: int | None) -> DetectionRecord | None:
-    """The record of a data line that keeps every rule, or None; no hook on numbers: each
-    value's kind is its type, and the line's numbers are finite if their sum is.  None
-    for anything else, such as a key the format does not name: _detection reads those."""
-    try:
-        obj = _PLAIN.decode(line)
-        box, dims, center = obj["box2d"], obj["dims"], obj["center2d"]
-        sigma, descriptor, gt_id = obj.get("sigma"), obj.get("descriptor"), obj.get("gt_id")
-        values = [box["l"], box["t"], box["r"], box["b"], dims["h"], dims["w"], dims["l"],
-                  center["u"], center["v"], obj["depth"], obj["score"], obj["yaw"],
-                  *(() if sigma is None else (sigma,)), *(descriptor or ())]
-        if not (obj.keys() <= _FIELDS and box.keys() == set("ltrb") and dims.keys() == set("hwl")
-                and center.keys() == set("uv") and _NUMBER.issuperset(map(type, values))
-                and math.isfinite(sum(values, obj["frame_id"] + (gt_id or 0)))
-                and type(obj["frame_id"]) is int
-                and type(obj["category"]) is str and (gt_id is None or type(gt_id) is int)
-                and (descriptor is None or type(descriptor) is list
-                     and 0 < len(descriptor) == (descriptor_len or len(descriptor)))):
-            return None
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError):
-        return None
-    left, top, right, bottom, h, w, length, u, v, depth, score, yaw, *rest = map(float, values)
-    if not (left <= right and top <= bottom and h > 0 and w > 0 and length > 0 and depth > 0
-            and 0.0 <= score <= 1.0 and (sigma is None or rest[0] > 0)):
-        return None
-    return DetectionRecord(obj["frame_id"], obj["category"], Box2D(left, top, right, bottom), depth,
-                           wrap_angle(yaw), Dimensions3D(h, w, length), (u, v), score,
-                           None if sigma is None else rest[0],
-                           None if descriptor is None else np.array(rest[sigma is not None:]),
-                           gt_id)
-
-
 def _detection(obj: dict, lineno: int, descriptor_len: int | None) -> DetectionRecord:
     """The record of one decoded line, each field read by _read or _entries in the
     format's order; the first that breaks a rule is a SchemaError that names it."""
@@ -307,6 +274,26 @@ def _detection(obj: dict, lineno: int, descriptor_len: int | None) -> DetectionR
         _read(obj, "gt_id", lineno, int) if obj.get("gt_id") is not None else None)
 
 
+def _detection_line(line: str, lineno: int, descriptor_len: int | None) -> DetectionRecord:
+    """The record of one data line, decoded first with no hook on its numbers.
+
+    A record of the format's keys, each once (one ':' per key, its nine
+    nested ones included), whose integers fit a float, has had every number
+    of the line through _read, so none lies beyond the float range and
+    _json_record would decode the same values.  Any other line is read from
+    _json_record, whose error about a number comes before any field's.
+    """
+    try:
+        obj = _PLAIN.decode(line)
+        if obj.keys() <= _FIELDS and line.count(":") == len(obj) + 9:
+            record = _detection(obj, lineno, descriptor_len)
+            if is_number(record.frame_id) and is_number(record.gt_id or 0):
+                return record
+    except (ValueError, RecursionError, AttributeError, SchemaError):
+        pass
+    return _detection(_json_record(line, lineno), lineno, descriptor_len)
+
+
 def read_detections(text: str) -> dict[int, list[DetectionRecord]]:
     """Read detection JSONL grouped by frame id.
 
@@ -316,8 +303,7 @@ def read_detections(text: str) -> dict[int, list[DetectionRecord]]:
     groups: dict[int, list[DetectionRecord]] = {}
     descriptor_len = None  # one length per file, set by the first descriptor
     for lineno, line in _data_lines(text):
-        record = (_plain_detection(line, descriptor_len)
-                  or _detection(_json_record(line, lineno), lineno, descriptor_len))
+        record = _detection_line(line, lineno, descriptor_len)
         record.line = lineno
         if record.descriptor is not None:
             descriptor_len = len(record.descriptor)

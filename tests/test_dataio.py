@@ -341,13 +341,39 @@ class TestDetections:
     LITERALS = ["1e999", "-1e400", "1" * 400, "-" + "9" * 309, "1e-400", "NaN", "-Infinity",
                 "[1e999]", '{"x": 1e999}', "[" * 3000 + "]" * 3000, "1e308", "0"]
 
+    # Raw edits of the file's first match: numbers beyond the float range that the field
+    # rules alone would not see (an integer sum that cancels, a repeated key) and their kin.
+    WIDE = "0" * 400
+    EDITS = {
+        "box l, r cancel": ('"l": 500, "t": 150, "r": 700', f'"l": -1{WIDE}, "t": 150, "r": 1{WIDE}'),
+        "descriptor cancels": ("[0.1, 0.5, 0.2]", f"[-1{WIDE}, 1{WIDE}, 0.2]"),
+        "repeated depth": ('"depth": 15.0', '"depth": 1e999, "depth": 15.0'),
+        "repeated box l": ('"l": 500', '"l": 1e999, "l": 500'),
+        "repeated frame_id": ('"frame_id": 1,', f'"frame_id": 1{WIDE}, "frame_id": 1,'),
+        "repeated in range": ('"depth": 15.0', '"depth": 99.0, "depth": 15.0'),
+        "wide frame_id": ('"frame_id": 1,', f'"frame_id": 1{WIDE},'),
+        "wide gt_id": ('"gt_id": 2', f'"gt_id": -2{WIDE}'),
+        "past int digits": ('"depth": 15.0', '"depth": 1' + "0" * 5000),
+        "rounds to max": ('"depth": 15.0', f'"depth": {int(1.7976931348623157e308) + 1}'),
+        "nested extra": ('"b": 240}', '"b": 240, "x": 1e999}'),
+        "colon in category": ('"Car"', '"Car:1"'),
+    }
+
     @given(line=st.integers(0, 3), field=st.integers(0, 40),
-           value=st.sampled_from(FUZZ_VALUES + LITERALS), added=st.sampled_from([None] + LITERALS))
+           value=st.sampled_from(FUZZ_VALUES + LITERALS), added=st.sampled_from([None] + LITERALS),
+           edit=st.sampled_from([None, *EDITS]))
     @settings(max_examples=300, deadline=None)
-    @example(line=0, field=0, value=None, added="1e999")  # out of range under an unknown key
-    @example(line=2, field=13, value="1e999", added=None)  # in a descriptor
-    @example(line=1, field=12, value=("0", 0), added=None)  # sigma 0
-    def test_same_records_or_error_as_the_field_by_field_oracle(self, line, field, value, added):
+    @example(line=0, field=0, value=None, added="1e999", edit=None)  # under an unknown key
+    @example(line=2, field=13, value="1e999", added=None, edit=None)  # in a descriptor
+    @example(line=1, field=12, value=("0", 0), added=None, edit=None)  # sigma 0
+    @example(line=1, field=0, value=("0", 0), added=None, edit="box l, r cancel")
+    @example(line=1, field=0, value=("0", 0), added=None, edit="descriptor cancels")
+    @example(line=1, field=0, value=("0", 0), added=None, edit="repeated depth")
+    @example(line=1, field=0, value=("0", 0), added=None, edit="repeated box l")
+    @example(line=1, field=0, value=("0", 0), added=None, edit="repeated frame_id")
+    @example(line=1, field=0, value=("0", 0), added=None, edit="wide gt_id")
+    def test_same_records_or_error_as_the_field_by_field_oracle(self, line, field, value, added,
+                                                                 edit):
         text = (DATA / "detections_good.jsonl").read_text()
         literal = value if isinstance(value, str) else None
         text = mutate(text, True, line, field, ("", "@LITERAL@") if literal else value)
@@ -355,6 +381,8 @@ class TestDetections:
         if added is not None:
             lines[line % len(lines)] = lines[line % len(lines)][:-1] + f', "extra": {added}}}'
         text = "\n".join(lines).replace('"@LITERAL@"', str(literal)) + "\n"
+        if edit is not None:
+            text = text.replace(*self.EDITS[edit], 1)
         want = _outcome(oracle_read_detections, text)
         assert _outcome(read_detections, text) == want
         if isinstance(want, list):  # each record keeps the line it came from
