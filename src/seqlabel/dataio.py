@@ -285,12 +285,12 @@ def _detection_line(line: str, lineno: int, descriptor_len: int | None) -> Detec
     """
     try:
         obj = _PLAIN.decode(line)
-        if obj.keys() <= _FIELDS and line.count(":") == len(obj) + 9:
+        if isinstance(obj, dict) and obj.keys() <= _FIELDS and line.count(":") == len(obj) + 9:
             record = _detection(obj, lineno, descriptor_len)
             if is_number(record.frame_id) and is_number(record.gt_id or 0):
                 return record
-    except (ValueError, RecursionError, AttributeError, SchemaError):
-        pass
+    except (ValueError, RecursionError, SchemaError):
+        pass  # _json_record's hook, then the field reader, names the error
     return _detection(_json_record(line, lineno), lineno, descriptor_len)
 
 
