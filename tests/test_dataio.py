@@ -366,12 +366,14 @@ class TestDetections:
     @example(line=0, field=0, value=None, added="1e999", edit=None)  # under an unknown key
     @example(line=2, field=13, value="1e999", added=None, edit=None)  # in a descriptor
     @example(line=1, field=12, value=("0", 0), added=None, edit=None)  # sigma 0
+    # Line 2's frame_id is 0 already, so only the edit changes the file.
     @example(line=1, field=0, value=("0", 0), added=None, edit="box l, r cancel")
     @example(line=1, field=0, value=("0", 0), added=None, edit="descriptor cancels")
     @example(line=1, field=0, value=("0", 0), added=None, edit="repeated depth")
     @example(line=1, field=0, value=("0", 0), added=None, edit="repeated box l")
     @example(line=1, field=0, value=("0", 0), added=None, edit="repeated frame_id")
     @example(line=1, field=0, value=("0", 0), added=None, edit="wide gt_id")
+    @example(line=1, field=0, value=("0", 0), added=None, edit="rounds to max")
     def test_same_records_or_error_as_the_field_by_field_oracle(self, line, field, value, added,
                                                                  edit):
         text = (DATA / "detections_good.jsonl").read_text()
