@@ -7,9 +7,10 @@ are combined convexly and resolved per frame with an optimal one-to-one
 assignment, never greedily.
 
 run_association lifts the retained detections of a sequence once into one
-table of stacked rows (_Rows), and each frame is a slice of it.  The fused
-estimates of its tracks are rows it owns: each frame's costs gather the
-live ones, and refresh_fused rewrites those the frame touched.
+table of stacked rows (_Rows), and each frame is a slice of it.  The running
+estimate of each track lives only in rows the run owns: each frame's
+cost_matrix gathers the live ones, and refresh_fused rewrites those the
+frame touched.  A Track is the record of its observations.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import MissingCameraPose, ParseError
 from .geometry import (Pose, ProjectionMatrix, back_project, half_extents, project_box, yaw_only,
                        yaw_to_rotations)
 from .labels import Dimensions3D
-from .landmark import fuse_rows, fusion_row
+from .landmark import fuse_rows, fusion_rows
 
 INFEASIBLE = math.inf
 
@@ -49,64 +50,15 @@ class Observation:
 
 @dataclass
 class Track:
-    """An associated sequence of observations of one physical object.
-
-    fused_pose and fused_dims are the running weighted-fusion estimate over
-    all observations so far; the predicted box for gating comes from
-    reprojecting it, not from the last raw detection.  It is
-    landmark.fuse_rows of the sum of w * landmark.fusion_row, summed in
-    observation order; one observation passes through, its pose rebuilt
-    from its yaw, and sums with no mean keep the latest observation's pose
-    and dims.  add does no numpy work: a track refits its observations
-    when read, and run_association matches on rows of its own that hold
-    the same estimate, bit for bit.  w is the detection score whatever the
-    WeightPolicy; only the final fusion (landmark.fuse_track) follows the
-    policy.  The score is always present and bounded in [0, 1], while
-    1/sigma^2 needs a sigma on every detection and reaches
-    1/sigma_floor^2, so one overconfident detection would steer the gate
-    before outlier rejection has seen the track.  Association, and so the
-    set of tracks, also stays the same whichever policy final fusion uses.
-    """
+    """An associated sequence of observations of one physical object, in frame order."""
 
     track_id: int
     observations: list[Observation] = field(default_factory=list)
     last_seen: int = -1
-    # Most recent appearance descriptor, if any observation carried one.
-    descriptor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # (fused_pose, fused_dims), or None while stale.
-    _fused: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def category(self) -> str:
-        return self.observations[0].detection.category
 
     @property
     def frames(self) -> list[int]:
         return [o.frame_id for o in self.observations]
-
-    @property
-    def fused_pose(self) -> Pose:
-        return self._refit()[0]
-
-    @property
-    def fused_dims(self) -> Dimensions3D:
-        return self._refit()[1]
-
-    def _refit(self) -> tuple:
-        if self._fused is None:
-            last = self.observations[-1]
-            pose, dims = last.global_pose, last.detection.dims
-            if len(self.observations) == 1:
-                self._fused = Pose(yaw_only(pose.rotation)[0], pose.translation), dims
-                return self._fused
-            sums = np.zeros(16)
-            with np.errstate(over="ignore"):  # an overflowed sum makes fuse_rows report the mean
-                for o in self.observations:
-                    sums += o.detection.score * fusion_row(o)
-            rotation, translation, hwl, (error,) = fuse_rows(sums[None])
-            self._fused = ((pose, dims) if error is not None else
-                           (Pose(rotation[0], translation[0]), Dimensions3D(*hwl[0])))
-        return self._fused
 
     def add(self, obs: Observation) -> None:
         if self.observations and obs.frame_id <= self.last_seen:
@@ -116,9 +68,6 @@ class Track:
             )
         self.observations.append(obs)
         self.last_seen = obs.frame_id
-        if obs.detection.descriptor is not None:
-            self.descriptor = obs.detection.descriptor
-        self._fused = None
 
 
 class _Rows(NamedTuple):
@@ -151,11 +100,6 @@ def _rows(poses: tuple, dims: Sequence[Dimensions3D], categories: Sequence[str],
                  np.fromiter(((b.left, b.top, b.right, b.bottom) for b in boxes), (float, 4)))
 
 
-def _stack(poses: Sequence[Pose]) -> tuple:
-    """The rotation and translation stacks of poses."""
-    return np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses])
-
-
 def lift_detections(dets: Sequence[DetectionRecord], P: ProjectionMatrix,
                     cams: Sequence[Pose]) -> tuple[np.ndarray, np.ndarray]:
     """Global rotations (n, 3, 3) and translations (n, 3) of detections, detection i
@@ -177,14 +121,9 @@ def lift_detection(d: DetectionRecord, P: ProjectionMatrix, cam: Pose) -> Observ
     return Observation(d, Pose(*(a[0] for a in lift_detections([d], P, [cam]))))
 
 
-def cost_matrix(
-    live: Sequence[Track],
-    observations: Sequence[Observation],
-    P: ProjectionMatrix,
-    cam: Pose,
-    cfg: AssociationConfig,
-) -> np.ndarray:
-    """Matching cost of every track against every observation, shape (T, D).
+def cost_matrix(tracks: _Rows, dets: _Rows, P: ProjectionMatrix, cam: Pose,
+                cfg: AssociationConfig) -> np.ndarray:
+    """Matching cost of every track's running estimate against every detection, shape (T, D).
 
     Each cost is in [0, 1], or _BIG when the pair is infeasible.  A pair is
     infeasible only when both hard gates fail: projected-box IoU below
@@ -195,19 +134,6 @@ def cost_matrix(
     gating the pair out; without a non-zero descriptor on both sides the
     IoU and distance weights are renormalized to sum to 1.
     """
-    codes: dict = {}
-    tracks = _rows(_stack([t.fused_pose for t in live]), [t.fused_dims for t in live],
-                   [t.category for t in live], [t.descriptor for t in live], codes)
-    dets = [o.detection for o in observations]
-    return _costs(tracks, _rows(_stack([o.global_pose for o in observations]),
-                                [d.dims for d in dets], [d.category for d in dets],
-                                [d.descriptor for d in dets], codes, [d.box2d for d in dets]),
-                  P, cam, cfg)
-
-
-def _costs(tracks: _Rows, dets: _Rows, P: ProjectionMatrix, cam: Pose,
-           cfg: AssociationConfig) -> np.ndarray:
-    """cost_matrix of rows: the tracks' fused estimates against the detections."""
     # Predicted boxes: each track's cuboid in the camera frame, projected.
     cam_rt = cam.rotation.T
     local_rot = cam_rt @ tracks.rotation
@@ -246,11 +172,13 @@ def _costs(tracks: _Rows, dets: _Rows, P: ProjectionMatrix, cam: Pose,
     return np.where(feasible, cost, _BIG)
 
 
-def association_cost(
-    track: Track, obs: Observation, P: ProjectionMatrix, cam: Pose, cfg: AssociationConfig
-) -> float:
-    """Matching cost in [0, 1], or INFEASIBLE: the 1x1 case of cost_matrix."""
-    cost = float(cost_matrix([track], [obs], P, cam, cfg)[0, 0])
+# Nothing in the package calls this; it stays only for the benchmark tracer's
+# association.cost hook, until that hook is re-targeted (ROADMAP item 1).
+def association_cost(track: _Rows, det: _Rows, P: ProjectionMatrix, cam: Pose,
+                     cfg: AssociationConfig) -> float:
+    """Matching cost in [0, 1], or INFEASIBLE, of one track row and one detection row: the
+    1x1 case of cost_matrix."""
+    cost = float(cost_matrix(track, det, P, cam, cfg)[0, 0])
     return INFEASIBLE if cost >= _BIG else cost
 
 
@@ -331,9 +259,16 @@ def refresh_fused(fused: _Rows, ks: np.ndarray, seq: _Rows, js: slice, sums: np.
                   single: np.ndarray) -> None:
     """Rewrite fused rows ks, of the tracks that took the detections js, with one fuse_rows call.
 
-    sums holds each track's sum of w * fusion_row.  A track of a single
-    observation passes through, its rotation rebuilt from its yaw; one
-    whose sums have no mean keeps its latest detection's row.
+    sums holds each track's sum of w * landmark.fusion_rows, summed in
+    observation order.  A track of a single observation passes through, its
+    rotation rebuilt from its yaw; one whose sums have no mean keeps its
+    latest detection's row.  w is the detection score whatever the
+    WeightPolicy; only the final fusion (landmark.fuse_track) follows the
+    policy.  The score is always present and bounded in [0, 1], while
+    1/sigma^2 needs a sigma on every detection and reaches
+    1/sigma_floor^2, so one overconfident detection would steer the gate
+    before outlier rejection has seen the track.  Association, and so the
+    set of tracks, also stays the same whichever policy final fusion uses.
     """
     fused.rotation[ks], fused.translation[ks], fused.dims[ks] = (
         seq.rotation[js], seq.translation[js], seq.dims[js])
@@ -385,7 +320,7 @@ def run_association(
                 [d.descriptor for d in dets], {}, [d.box2d for d in dets])
     described = np.array([d.descriptor is not None for d in dets])
     scores = np.array([d.score for d in dets])
-    # One row per track, untouched until it starts: fused estimate, sums of w * fusion_row.
+    # One row per track, untouched until it starts: running estimate, sums of w * fusion_rows.
     fused = _Rows(*(None if a is None else np.zeros(a.shape, a.dtype) for a in seq[:5]))
     sums = np.zeros((len(dets), 16))
     last_seen = np.zeros(len(dets), int)
@@ -395,7 +330,7 @@ def run_association(
         js, start = slice(start, start + n), start + n
         live = np.flatnonzero(f - last_seen[:len(tracks)] <= cfg.max_frame_gap)
         matched = {j: live[i] for i, j in solve_assignment(
-            _costs(fused.take(live), seq.take(js), P, cam, cfg))} if live.size else {}
+            cost_matrix(fused.take(live), seq.take(js), P, cam, cfg))} if live.size else {}
         single = np.array([j not in matched for j in range(n)])
         for j in range(n):
             if j not in matched:
@@ -404,9 +339,8 @@ def run_association(
             tracks[matched[j]].add(observations[js.start + j])
         ks = np.array([matched[j] for j in range(n)])
         with np.errstate(over="ignore"):  # an overflowed sum makes fuse_rows report the mean
-            sums[ks] += scores[js, None] * np.concatenate(  # landmark.fusion_row of each
-                (np.ones((n, 1)), seq.translation[js], seq.rotation[js].reshape(n, 9),
-                 seq.dims[js]), axis=1)
+            sums[ks] += scores[js, None] * fusion_rows(seq.translation[js], seq.rotation[js],
+                                                       seq.dims[js])
         last_seen[ks], fused.category[ks] = f, seq.category[js]  # a match keeps its category
         if fused.descriptor is not None:
             fused.descriptor[ks[described[js]]] = seq.descriptor[js][described[js]]

@@ -5,8 +5,8 @@ medians, gate on support and on translation variance (dynamic objects),
 then average the survivors: per-axis weighted mean for translation and
 dims, the SVD projection of the weighted rotation mean for orientation,
 with the final rotation rebuilt from its yaw alone.  Every fused estimate,
-final or running (association.Track), is fuse_rows of a weighted sum of
-fusion_row vectors.
+final (fuse_pose) or running (association.refresh_fused), is fuse_rows of a
+weighted sum of fusion_rows.
 """
 
 from __future__ import annotations
@@ -149,17 +149,15 @@ def reject_outliers(
     return inliers, outliers
 
 
-def fusion_row(obs: "Observation") -> np.ndarray:
-    """One observation as a row of the fusion sums: (1, t, R row-major, h, w, l)."""
-    pose, dims = obs.global_pose, obs.detection.dims
-    return np.concatenate(
-        ([1.0], pose.translation, pose.rotation.ravel(), (dims.height, dims.width, dims.length))
-    )
+def fusion_rows(translation: np.ndarray, rotation: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """Rows of the fusion sums, (n, 16): (1, t, R row-major, h, w, l) of each pose and dims."""
+    n = len(translation)
+    return np.concatenate((np.ones((n, 1)), translation, rotation.reshape(n, 9), dims), axis=1)
 
 
 def fuse_rows(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Fused rotation, translation and dims of each row of sums, an (n, 16) stack of
-    sum(w * fusion_row): (n, 3, 3), (n, 3) and (n, 3) arrays, dims as (h, w, l), and
+    sum(w * fusion_rows): (n, 3, 3), (n, 3) and (n, 3) arrays, dims as (h, w, l), and
     each row's error, None where the row has a mean.
 
     Translation and dims are the weighted means; the rotation is
@@ -190,7 +188,10 @@ def fuse_pose(observations: Sequence["Observation"],
     if len(observations) == 1:
         pose = observations[0].global_pose
         return Pose(yaw_only(pose.rotation)[0], pose.translation), observations[0].detection.dims
-    rows = np.array([fusion_row(o) for o in observations])
+    rows = fusion_rows(np.array([o.global_pose.translation for o in observations]),
+                       np.array([o.global_pose.rotation for o in observations]),
+                       np.array([(o.detection.dims.height, o.detection.dims.width,
+                                  o.detection.dims.length) for o in observations]))
     with np.errstate(over="ignore", invalid="ignore"):  # fuse_rows reports a non-finite sum
         rotation, translation, dims, (error,) = fuse_rows(
             (np.asarray(weights, dtype=float) @ rows)[None])

@@ -1,8 +1,9 @@
 """Shared helpers: a simple projection matrix, detection/observation builders,
 the per-matrix rotation projection and per-point back-projection oracles, the
-fusion oracle, the per-observation lift, running-fusion and association
-oracles, the scalar projection and annotation oracles, the numpy metric
-oracles and the all-pairs matcher."""
+fusion oracle, the per-observation lift and running-fusion oracles, the rows
+that association.cost_matrix scores, the association oracle, the scalar
+projection and annotation oracles, the numpy metric oracles and the all-pairs
+matcher."""
 
 import math
 from dataclasses import dataclass, field
@@ -17,7 +18,8 @@ from seqlabel.annotate import (
     PROVENANCE_PROJECTED,
     AnnotationEntry,
 )
-from seqlabel.association import Observation, Track, cost_matrix, lift_detection, solve_assignment
+from seqlabel.association import (Observation, Track, _rows, cost_matrix, lift_detection,
+                                  solve_assignment)
 from seqlabel.dataio import DetectionRecord
 from seqlabel.errors import DegenerateMean, DegenerateProjection, ZeroWeightSum
 from seqlabel.geometry import (
@@ -30,7 +32,6 @@ from seqlabel.geometry import (
     yaw_to_rotation,
 )
 from seqlabel.labels import Box2D, Dimensions3D, FrameAnnotation, iou_2d, wrap_angle
-from seqlabel.landmark import fusion_row
 from seqlabel.metrics import DepthReport, MatchedPair, ViewpointReport
 
 P_SIMPLE = ProjectionMatrix(
@@ -147,6 +148,15 @@ def oracle_lift_detection(d: DetectionRecord, P: ProjectionMatrix, cam: Pose) ->
     return Observation(detection=d, global_pose=compose(cam, local))
 
 
+def oracle_fusion_row(obs: Observation) -> np.ndarray:
+    """One observation as a row of the fusion sums: (1, t, R row-major, h, w, l).
+    landmark.fusion_rows must reproduce it row by row."""
+    pose, dims = obs.global_pose, obs.detection.dims
+    return np.concatenate(
+        ([1.0], pose.translation, pose.rotation.ravel(), (dims.height, dims.width, dims.length))
+    )
+
+
 @dataclass
 class OracleTrack:
     """The running fusion state that oracle_track_add updates."""
@@ -161,13 +171,13 @@ def oracle_track_add(track: OracleTrack, obs: Observation) -> None:
     """Add one observation and refit that track alone, with one oracle_nearest_rotation.
 
     The score-weighted sums and their refit, one observation at a time: the
-    fused pose and dims of an association.Track, whether run_association's
-    rows hold them or a track built by hand refits them, must reproduce it
-    bit for bit.  A single observation passes through, its pose rebuilt from
-    its yaw; sums with no mean keep the latest observation as is.
+    running estimate that run_association's rows hold for each track
+    (association.refresh_fused) must reproduce it bit for bit.  A single
+    observation passes through, its pose rebuilt from its yaw; sums with no
+    mean keep the latest observation as is.
     """
     track.observations.append(obs)
-    track.sums += obs.detection.score * fusion_row(obs)
+    track.sums += obs.detection.score * oracle_fusion_row(obs)
     if len(track.observations) == 1:
         pose = obs.global_pose
         track.fused_pose = Pose(yaw_to_rotation(yaw_from_rotation(pose.rotation)),
@@ -186,13 +196,32 @@ def oracle_track_add(track: OracleTrack, obs: Observation) -> None:
     track.fused_dims = Dimensions3D(*mean[13:16])
 
 
+def scoring_rows(tracks, observations):
+    """The rows association.cost_matrix scores: of the running estimates of tracks
+    (OracleTrack), each with its category and latest descriptor, and of observations.
+    One codes dict gives both sides the same category codes."""
+    codes = {}
+    latest = [next((o.detection.descriptor for o in reversed(t.observations)
+                    if o.detection.descriptor is not None), None) for t in tracks]
+    track_rows = _rows((np.array([t.fused_pose.rotation for t in tracks]),
+                        np.array([t.fused_pose.translation for t in tracks])),
+                       [t.fused_dims for t in tracks],
+                       [t.observations[0].detection.category for t in tracks], latest, codes)
+    dets = [o.detection for o in observations]
+    return track_rows, _rows((np.array([o.global_pose.rotation for o in observations]),
+                              np.array([o.global_pose.translation for o in observations])),
+                             [d.dims for d in dets], [d.category for d in dets],
+                             [d.descriptor for d in dets], codes, [d.box2d for d in dets])
+
+
 def oracle_run_association(detections_by_frame, trajectory, P, cfg):
     """association.run_association one object at a time: the reference it must reproduce.
 
     Frame by frame, each retained detection is lifted on its own
-    (oracle_lift_detection), cost_matrix scores the live Track objects, whose
-    fused estimate each refits from its own observations, and every
-    detection left unmatched starts a track.
+    (oracle_lift_detection), cost_matrix scores the running estimates of the
+    live tracks, each an OracleTrack that oracle_track_add refits on every
+    add, and every detection left unmatched starts a track.  Track i of the
+    result is the run's track i.
     """
     tracks = []
     for f in sorted(detections_by_frame):
@@ -201,16 +230,17 @@ def oracle_run_association(detections_by_frame, trajectory, P, cfg):
             continue
         cam = trajectory.pose(f)
         observations = [oracle_lift_detection(d, P, cam) for d in retained]
-        live = [t for t in tracks if f - t.last_seen <= cfg.max_frame_gap]
-        matched = {}
+        live = [t for t in tracks if f - t.observations[-1].frame_id <= cfg.max_frame_gap]
+        matched = set()
         if live:
-            for i, j in solve_assignment(cost_matrix(live, observations, P, cam, cfg)):
-                live[i].add(observations[j])
-                matched[j] = live[i]
+            for i, j in solve_assignment(cost_matrix(*scoring_rows(live, observations), P, cam,
+                                                     cfg)):
+                oracle_track_add(live[i], observations[j])
+                matched.add(j)
         for j, obs in enumerate(observations):
             if j not in matched:
-                tracks.append(Track(track_id=len(tracks)))
-                tracks[-1].add(obs)
+                tracks.append(OracleTrack())
+                oracle_track_add(tracks[-1], obs)
     return tracks
 
 

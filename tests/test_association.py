@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,20 +16,20 @@ from conftest import (
     OracleTrack,
     make_detection,
     make_observation,
-    make_track,
     oracle_box3d_corners,
     oracle_fuse,
-    oracle_lift_detection,
     oracle_project_box,
     oracle_run_association,
     oracle_track_add,
+    scoring_rows,
 )
+from seqlabel import association
 from seqlabel.association import (
     _BIG,
     INFEASIBLE,
     AssociationConfig,
     Observation,
-    Track,
+    _Rows,
     association_cost,
     cost_matrix,
     lift_detection,
@@ -68,8 +69,9 @@ def _cosine(a, b):
 
 def oracle_cost(track, obs, P, cam, cfg):
     """One pair at a time, with the scalar geometry helpers: the reference
-    that cost_matrix must reproduce (INFEASIBLE where it has _BIG)."""
-    if track.category != obs.detection.category:
+    that cost_matrix must reproduce (INFEASIBLE where it has _BIG) for the
+    running estimate of track, an OracleTrack."""
+    if track.observations[0].detection.category != obs.detection.category:
         return INFEASIBLE
 
     local = compose(inverse(cam), track.fused_pose)
@@ -144,6 +146,19 @@ class TestLiftDetection:
         u, v, z = project_point(inverse(cam).apply(obs.global_pose.translation), P_SIMPLE)
         assert (u, v, z) == pytest.approx((712.0, 204.5, 18.0), abs=1e-9)
 
+def _estimate(observations):
+    """The running estimate (OracleTrack) of a track of these observations."""
+    track = OracleTrack()
+    for obs in observations:
+        oracle_track_add(track, obs)
+    return track
+
+
+def _cost(track, obs, P, cam, cfg):
+    """association_cost of one running estimate (OracleTrack) and one observation."""
+    return association_cost(*scoring_rows([track], [obs]), P, cam, cfg)
+
+
 def _track_box(track, cam=None):
     cam = cam or Pose.identity()
     local = compose(inverse(cam), track.fused_pose)
@@ -151,26 +166,26 @@ def _track_box(track, cam=None):
 
 class TestAssociationCost:
     def test_perfect_match_zero_cost(self):
-        track = make_track([make_observation(frame_id=0, depth=20.0)])
+        track = _estimate([make_observation(frame_id=0, depth=20.0)])
         tbox = _track_box(track)
         det = make_detection(frame_id=1, depth=20.0, box=tbox)
         obs = lift_detection(det, P_SIMPLE, Pose.identity())
         cfg = AssociationConfig(w_iou=0.5, w_dist=0.5, w_desc=0.0)
-        assert association_cost(track, obs, P_SIMPLE, Pose.identity(), cfg) == pytest.approx(
+        assert _cost(track, obs, P_SIMPLE, Pose.identity(), cfg) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_both_gates_fail_infeasible(self):
-        track = make_track([make_observation(frame_id=0, depth=20.0)])
+        track = _estimate([make_observation(frame_id=0, depth=20.0)])
         # Disjoint box and 6 m away with dist_gate 3.
         det = make_detection(frame_id=1, depth=26.0, u=60.0,
                              box=Box2D(0.0, 0.0, 10.0, 10.0))
         obs = lift_detection(det, P_SIMPLE, Pose.identity())
         cfg = AssociationConfig()
-        assert association_cost(track, obs, P_SIMPLE, Pose.identity(), cfg) is INFEASIBLE
+        assert _cost(track, obs, P_SIMPLE, Pose.identity(), cfg) is INFEASIBLE
 
     def test_formula_half_iou_half_gate_distance(self):
-        track = make_track([make_observation(frame_id=0, depth=20.0, u=600.0, v=180.0)])
+        track = _estimate([make_observation(frame_id=0, depth=20.0, u=600.0, v=180.0)])
         tbox = _track_box(track)
         # Shift by a third of the width: IoU exactly (2/3)/(4/3) = 0.5.
         shift = (tbox.right - tbox.left) / 3.0
@@ -179,37 +194,35 @@ class TestAssociationCost:
         det = make_detection(frame_id=1, depth=21.5, u=600.0, v=180.0, box=shifted)
         obs = lift_detection(det, P_SIMPLE, Pose.identity())
         cfg = AssociationConfig(w_iou=0.5, w_dist=0.5, w_desc=0.0)
-        cost = association_cost(track, obs, P_SIMPLE, Pose.identity(), cfg)
+        cost = _cost(track, obs, P_SIMPLE, Pose.identity(), cfg)
         assert cost == pytest.approx(0.5 * 0.5 + 0.5 * 0.5, abs=1e-9)
 
     def test_category_mismatch_infeasible(self):
-        track = make_track([make_observation(frame_id=0)])
+        track = _estimate([make_observation(frame_id=0)])
         det = make_detection(frame_id=1, category="Pedestrian")
         obs = lift_detection(det, P_SIMPLE, Pose.identity())
-        assert association_cost(track, obs, P_SIMPLE, Pose.identity(),
-                                AssociationConfig()) is INFEASIBLE
+        assert _cost(track, obs, P_SIMPLE, Pose.identity(), AssociationConfig()) is INFEASIBLE
 
     def test_descriptor_similarity_term(self):
-        track = make_track([make_observation(frame_id=0, depth=20.0,
-                                             descriptor=[1.0, 0.0])])
+        track = _estimate([make_observation(frame_id=0, depth=20.0, descriptor=[1.0, 0.0])])
         tbox = _track_box(track)
         cfg = AssociationConfig(w_iou=0.4, w_dist=0.4, w_desc=0.2)
 
         same = lift_detection(
             make_detection(frame_id=1, depth=20.0, box=tbox, descriptor=[2.0, 0.0]),
             P_SIMPLE, Pose.identity())
-        assert association_cost(track, same, P_SIMPLE, Pose.identity(), cfg) == pytest.approx(
+        assert _cost(track, same, P_SIMPLE, Pose.identity(), cfg) == pytest.approx(
             0.0, abs=1e-12)
 
         # Orthogonal descriptor: similarity 0 < gate, term saturates at 1.
         ortho = lift_detection(
             make_detection(frame_id=1, depth=20.0, box=tbox, descriptor=[0.0, 1.0]),
             P_SIMPLE, Pose.identity())
-        assert association_cost(track, ortho, P_SIMPLE, Pose.identity(), cfg) == pytest.approx(
+        assert _cost(track, ortho, P_SIMPLE, Pose.identity(), cfg) == pytest.approx(
             0.2, abs=1e-12)
 
     def test_missing_descriptor_renormalizes(self):
-        track = make_track([make_observation(frame_id=0, depth=20.0)])
+        track = _estimate([make_observation(frame_id=0, depth=20.0)])
         tbox = _track_box(track)
         shift = (tbox.right - tbox.left) / 3.0
         shifted = Box2D(tbox.left + shift, tbox.top, tbox.right + shift, tbox.bottom)
@@ -218,7 +231,7 @@ class TestAssociationCost:
         cfg = AssociationConfig(w_iou=0.5, w_dist=0.4, w_desc=0.1)
         # Track has no descriptor: weights renormalize to (5/9, 4/9).
         want = (0.5 / 0.9) * 0.5 + (0.4 / 0.9) * 0.0
-        assert association_cost(track, obs, P_SIMPLE, Pose.identity(), cfg) == pytest.approx(
+        assert _cost(track, obs, P_SIMPLE, Pose.identity(), cfg) == pytest.approx(
             want, abs=1e-9)
 
     def test_weights_must_sum_to_one(self, tmp_path):
@@ -323,7 +336,7 @@ class TestAssociateFrame:
 
     def test_single_track_single_detection(self):
         first = make_detection(frame_id=0, depth=20.0)
-        box = _track_box(make_track([lift_detection(first, P_SIMPLE, Pose.identity())]))
+        box = _track_box(_estimate([lift_detection(first, P_SIMPLE, Pose.identity())]))
         second = make_detection(frame_id=1, depth=20.0, box=box)
         tracks = run_association(*_frames((0, [first]), (1, [second])), P_SIMPLE, self.CFG)
         assert len(tracks) == 1
@@ -339,17 +352,16 @@ class TestAssociateFrame:
         # Two tracks and two detections arranged so the globally optimal
         # assignment differs from greedy lowest-cost-first.
         a, b = (make_detection(frame_id=0, depth=depth) for depth in (30.0, 30.9))
-        track_a = make_track([lift_detection(a, P_SIMPLE, Pose.identity())], track_id=0)
-        track_b = make_track([lift_detection(b, P_SIMPLE, Pose.identity())], track_id=1)
+        track_a, track_b = (_estimate([lift_detection(d, P_SIMPLE, Pose.identity())])
+                            for d in (a, b))
         d1 = make_detection(frame_id=1, depth=30.3, box=_track_box(track_a))
         d2 = make_detection(frame_id=1, depth=29.1, box=_track_box(track_a))
         obs = {
             d.depth: lift_detection(d, P_SIMPLE, Pose.identity()) for d in (d1, d2)
         }
         c = {
-            (t.track_id, d.depth): association_cost(t, obs[d.depth], P_SIMPLE,
-                                                    Pose.identity(), self.CFG)
-            for t in (track_a, track_b) for d in (d1, d2)
+            (i, d.depth): _cost(t, obs[d.depth], P_SIMPLE, Pose.identity(), self.CFG)
+            for i, t in enumerate((track_a, track_b)) for d in (d1, d2)
         }
         greedy_total = c[(0, 30.3)] + c[(1, 29.1)]   # greedy takes A->d1 first
         optimal_total = c[(0, 29.1)] + c[(1, 30.3)]
@@ -362,7 +374,7 @@ class TestAssociateFrame:
     def test_frozen_track_not_matchable(self):
         cfg = AssociationConfig(max_frame_gap=5, w_iou=0.5, w_dist=0.5, w_desc=0.0)
         first = make_detection(frame_id=0, depth=20.0)
-        box = _track_box(make_track([lift_detection(first, P_SIMPLE, Pose.identity())]))
+        box = _track_box(_estimate([lift_detection(first, P_SIMPLE, Pose.identity())]))
         det = make_detection(frame_id=10, depth=20.0, box=box)
         tracks = run_association(*_frames((0, [first]), (10, [det])), P_SIMPLE, cfg)
         assert [t.frames for t in tracks] == [[0], [10]]
@@ -493,7 +505,7 @@ dimensions = st.tuples(_finite(0.5, 3), _finite(0.5, 3), _finite(0.5, 6))
 
 @st.composite
 def scenes(draw):
-    """A camera, its live tracks and one frame's observations.
+    """A camera, the running estimates of its live tracks and one frame's observations.
 
     Track centers sit in front of the camera, straddling depth 0 or behind
     it; an observation either reuses a track's predicted box, jittered, or
@@ -503,25 +515,25 @@ def scenes(draw):
     cam = draw(cameras())
     P = draw(st.sampled_from([P_SIMPLE, P_OFFSET]))
     tracks, centers = [], []
-    for track_id in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 4))):
         x = draw(_finite(-15, 15))
         z = draw(st.one_of(_finite(3, 40), _finite(-3, 3), _finite(-30, -3)))
         yaw = draw(_finite(-math.pi, math.pi))
         category = draw(st.sampled_from(["Car", "Car", "Pedestrian"]))
-        track = Track(track_id)
+        track = OracleTrack()
         for k in range(draw(st.integers(1, 3))):
             local = Pose(yaw_to_rotation(yaw + draw(_finite(-0.2, 0.2))),
                          [x + draw(_finite(-0.5, 0.5)), 1.65, z + draw(_finite(-0.5, 0.5))])
-            track.add(_observation(k, compose(cam, local), category=category,
-                                   dims=draw(dimensions), score=draw(_finite(0.05, 1)),
-                                   descriptor=draw(descriptors)))
+            oracle_track_add(track, _observation(
+                k, compose(cam, local), category=category, dims=draw(dimensions),
+                score=draw(_finite(0.05, 1)), descriptor=draw(descriptors)))
         tracks.append(track)
         centers.append((x, z))
 
     observations = []
     for _ in range(draw(st.integers(1, 4))):
-        base = tracks[draw(st.integers(0, len(tracks) - 1))]
-        x, z = centers[base.track_id]
+        i = draw(st.integers(0, len(tracks) - 1))
+        base, (x, z) = tracks[i], centers[i]
         local = Pose(np.eye(3), [x + draw(_finite(-5, 5)), 1.65, z + draw(_finite(-5, 5))])
         tb = oracle_project_box(oracle_box3d_corners(compose(inverse(cam), base.fused_pose),
                                                      base.fused_dims), P)
@@ -550,7 +562,7 @@ class TestCostMatrix:
     @settings(max_examples=60, deadline=None)
     def test_matches_scalar_oracle(self, scene):
         tracks, observations, P, cam, cfg = scene
-        got = cost_matrix(tracks, observations, P, cam, cfg)
+        got = cost_matrix(*scoring_rows(tracks, observations), P, cam, cfg)
         assert got.shape == (len(tracks), len(observations))
         for i, track in enumerate(tracks):
             for j, obs in enumerate(observations):
@@ -562,24 +574,24 @@ class TestCostMatrix:
     def test_track_behind_camera_scores_iou_zero(self):
         # The track sits 5 m behind the camera and the detection 2 m from it:
         # only the distance gate admits the pair, with the IoU term at 1.
-        track = make_track([_observation(0, Pose(np.eye(3), [0.0, 1.65, -5.0]))])
+        track = _estimate([_observation(0, Pose(np.eye(3), [0.0, 1.65, -5.0]))])
         obs = _observation(1, Pose(np.eye(3), [0.0, 1.65, -3.0]), box=Box2D(500, 100, 700, 300))
         cfg = AssociationConfig(w_iou=0.5, w_dist=0.5, w_desc=0.0)
-        got = cost_matrix([track], [obs], P_SIMPLE, Pose.identity(), cfg)
+        got = cost_matrix(*scoring_rows([track], [obs]), P_SIMPLE, Pose.identity(), cfg)
         assert got[0, 0] == pytest.approx(0.5 * 1.0 + 0.5 * 2.0 / 3.0, abs=1e-12)
 
     def test_overflowing_track_dims_give_finite_costs(self):
         # A track of finite but extreme size projects to a nan hull: IoU 0 with
         # every box, so only the distance gate admits a pair, and no cost is
         # nan or inf.
-        track = make_track([_observation(0, Pose(np.eye(3), [0.0, 1.65, 20.0]),
-                                         dims=(1e308, 1e308, 1e308))])
+        track = _estimate([_observation(0, Pose(np.eye(3), [0.0, 1.65, 20.0]),
+                                        dims=(1e308, 1e308, 1e308))])
         observations = [
             _observation(1, Pose(np.eye(3), [0.0, 1.65, 21.0]), box=Box2D(500, 100, 700, 300)),
             _observation(1, Pose(np.eye(3), [0.0, 1.65, 60.0]), box=Box2D(0, 0, 1242, 375)),
         ]
         cfg = AssociationConfig(w_iou=0.5, w_dist=0.5, w_desc=0.0)
-        got = cost_matrix([track], observations, P_SIMPLE, Pose.identity(), cfg)
+        got = cost_matrix(*scoring_rows([track], observations), P_SIMPLE, Pose.identity(), cfg)
         assert np.isfinite(got).all()
         assert got[0, 0] == pytest.approx(0.5 * 1.0 + 0.5 * 1.0 / 3.0, abs=1e-12)
         assert got[0, 1] >= _BIG
@@ -587,58 +599,17 @@ class TestCostMatrix:
     def test_track_straddling_depth_zero_matches_oracle(self):
         # Corners at depths -0.35 to 1.35: only those in front span the hull.
         cam = Pose(yaw_to_rotation(0.4), [3.0, 0.0, -2.0])
-        track = make_track([_observation(0, compose(cam, Pose(np.eye(3), [0.5, 1.65, 0.5])))])
+        track = _estimate([_observation(0, compose(cam, Pose(np.eye(3), [0.5, 1.65, 0.5])))])
         observations = [
             _observation(1, compose(cam, Pose(np.eye(3), [0.0, 1.65, 2.0])), box=box)
             for box in (Box2D(0, 0, 1242, 375), Box2D(900, 100, 1200, 375), Box2D(0, 0, 0, 0))
         ]
         cfg = AssociationConfig(dist_gate=3.0)
-        got = cost_matrix([track], observations, P_SIMPLE, cam, cfg)
+        got = cost_matrix(*scoring_rows([track], observations), P_SIMPLE, cam, cfg)
         for j, obs in enumerate(observations):
             want = oracle_cost(track, obs, P_SIMPLE, cam, cfg)
             assert want is not INFEASIBLE
             assert got[0, j] == pytest.approx(want, abs=1e-12)
-
-
-def _refit(observations):
-    return oracle_fuse(observations, [o.detection.score for o in observations])
-
-
-class TestRunningFusion:
-    @given(
-        cameras(),
-        _finite(-math.pi, math.pi),
-        st.lists(st.tuples(_finite(-1, 1), _finite(-2, 2), _finite(-2, 2),
-                           st.one_of(st.just(0.0), _finite(0.05, 1)), dimensions),
-                 min_size=1, max_size=8),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_full_refit_after_every_add(self, cam, yaw, steps):
-        # Yaws stay within 1 rad of a common heading, so the rotation mean is
-        # well conditioned and a refit and the running sums agree to rounding.
-        track = Track(0)
-        for k, (dyaw, dx, dz, score, dims) in enumerate(steps):
-            local = Pose(yaw_to_rotation(yaw + dyaw), [10.0 + dx, 1.65, 20.0 + dz])
-            track.add(_observation(k, compose(cam, local), dims=dims, score=score))
-            obs = track.observations
-            if k == 0:
-                pose, fused_dims = _refit(obs)
-                assert np.array_equal(track.fused_pose.rotation, pose.rotation)
-                assert np.array_equal(track.fused_pose.translation, pose.translation)
-                assert track.fused_dims == fused_dims
-            elif sum(o.detection.score for o in obs) == 0.0:
-                assert track.fused_pose is obs[-1].global_pose
-                assert track.fused_dims is obs[-1].detection.dims
-            else:
-                pose, fused_dims = _refit(obs)
-                np.testing.assert_allclose(track.fused_pose.rotation, pose.rotation,
-                                           rtol=0, atol=1e-12)
-                np.testing.assert_allclose(track.fused_pose.translation, pose.translation,
-                                           rtol=0, atol=1e-12)
-                for a, b in ((track.fused_dims.height, fused_dims.height),
-                             (track.fused_dims.width, fused_dims.width),
-                             (track.fused_dims.length, fused_dims.length)):
-                    assert abs(a - b) <= 1e-12
 
 
 def _axis_rotation(axis, angle):
@@ -690,37 +661,6 @@ def _same_bits(a: Pose, b: Pose) -> bool:
             and a.translation.tobytes() == b.translation.tobytes())
 
 
-class TestBatchedAssociationOracle:
-    """run_association lifts once per sequence and refits once per frame; the
-    per-observation lift and running fusion are the reference."""
-
-    CFG = AssociationConfig(score_threshold=0.0, w_iou=0.5, w_dist=0.5, w_desc=0.0)
-
-    @given(drives())
-    @settings(max_examples=40, deadline=None)
-    def test_matches_per_observation_oracles_after_every_frame(self, drive):
-        trajectory, detections, P = drive
-        for n in range(1, len(detections) + 1):
-            tracks = run_association({k: detections[k] for k in range(n)}, trajectory, P,
-                                     self.CFG)
-            for track in tracks:
-                oracle = OracleTrack()
-                for obs in track.observations:
-                    want = oracle_lift_detection(obs.detection, P, trajectory.pose(obs.frame_id))
-                    assert _same_bits(obs.global_pose, want.global_pose)
-                    oracle_track_add(oracle, want)
-                assert _same_bits(track.fused_pose, oracle.fused_pose)
-                assert track.fused_dims == oracle.fused_dims
-                if oracle.fused_pose is oracle.observations[-1].global_pose:  # no mean exists
-                    assert track.fused_pose is track.observations[-1].global_pose
-                    assert track.fused_dims is track.observations[-1].detection.dims
-
-
-def _same_dims(a: Dimensions3D, b: Dimensions3D) -> bool:
-    return np.array([a.height, a.width, a.length]).tobytes() == \
-        np.array([b.height, b.width, b.length]).tobytes()
-
-
 class TestTableAssociationOracle:
     """run_association's sequence table and track rows against oracle_run_association,
     which lifts, scores and refits one object at a time."""
@@ -728,28 +668,88 @@ class TestTableAssociationOracle:
     @given(drives(), st.sampled_from([0.0, 0.3]), st.integers(1, 3),
            st.sampled_from([0.0, 0.1]))
     @settings(max_examples=60, deadline=None)
-    def test_same_tracks_and_fused_bits(self, drive, threshold, gap, w_desc):
+    def test_same_tracks_and_lift_bits(self, drive, threshold, gap, w_desc):
         trajectory, detections, P = drive
         cfg = AssociationConfig(score_threshold=threshold, max_frame_gap=gap, w_iou=0.5,
                                 w_dist=0.5 - w_desc, w_desc=w_desc)
         got = run_association(detections, trajectory, P, cfg)
         want = oracle_run_association(detections, trajectory, P, cfg)
-        assert [t.track_id for t in got] == [t.track_id for t in want]
+        assert [t.track_id for t in got] == list(range(len(want)))
         for a, b in zip(got, want):
             assert [o.detection for o in a.observations] == [o.detection for o in b.observations]
             assert all(x.detection is y.detection and _same_bits(x.global_pose, y.global_pose)
                        for x, y in zip(a.observations, b.observations))
-            # a's estimate is the run's row; b refits its observations when read.
-            assert _same_bits(a.fused_pose, b.fused_pose)
-            assert _same_dims(a.fused_dims, b.fused_dims)
-            last_a, last_b = a.observations[-1], b.observations[-1]
-            assert (a.fused_pose is last_a.global_pose) == (b.fused_pose is last_b.global_pose)
-            assert ((a.fused_dims is last_a.detection.dims)
-                    == (b.fused_dims is last_b.detection.dims))
 
 
-class TestRunningFusionWeights:
-    """Running fusion (gating) weights by score; final fusion follows WeightPolicy."""
+def _checked_rows(trajectory, detections, P, cfg) -> tuple[list, set[str]]:
+    """Run the association and, after every frame, check each row refresh_fused rewrote
+    against oracle_track_add over that track's observations so far; the tracks and the
+    cases seen."""
+    captured = []
+    refresh = association.refresh_fused
+
+    def capture(fused, ks, *args):
+        refresh(fused, ks, *args)
+        captured.append([(k, _Rows(*(None if a is None else a[k].copy() for a in fused)))
+                         for k in ks.tolist()])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(association, "refresh_fused", capture)
+        tracks = run_association(detections, trajectory, P, cfg)
+    oracles, cases = {}, set()
+    for frame in captured:
+        for k, row in frame:
+            oracle = oracles.setdefault(k, OracleTrack())
+            oracle_track_add(oracle, tracks[k].observations[len(oracle.observations)])
+            pose, dims = oracle.fused_pose, oracle.fused_dims
+            assert row.rotation.tobytes() == pose.rotation.tobytes()
+            assert row.translation.tobytes() == pose.translation.tobytes()
+            assert row.dims.tobytes() == np.array([dims.height, dims.width, dims.length]).tobytes()
+            latest = next((o.detection.descriptor for o in reversed(oracle.observations)
+                           if o.detection.descriptor is not None), None)
+            if row.descriptor is not None:
+                assert row.descriptor.tobytes() == (np.zeros_like(row.descriptor) if latest is None
+                                                    else latest).tobytes()
+            np.testing.assert_allclose(row.rotation @ row.rotation.T, np.eye(3), rtol=0,
+                                       atol=1e-9)
+            assert np.linalg.det(row.rotation) > 0.0
+            cases.add("single" if len(oracle.observations) == 1 else
+                      "no mean" if pose is oracle.observations[-1].global_pose else "mean")
+    # Every observation of every track went through a checked row.
+    assert Counter({k: len(o.observations) for k, o in oracles.items()}) == Counter(
+        {t.track_id: len(t.observations) for t in tracks})
+    return tracks, cases
+
+
+class TestRunningEstimateRows:
+    """The running estimate that every association decision scores lives only in
+    run_association's rows; oracle_track_add, weighted by score, is its reference."""
+
+    @given(drives(), st.sampled_from([0.0, 0.3]), st.integers(1, 3),
+           st.sampled_from([0.0, 0.1]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_touched_row_after_every_frame(self, drive, threshold, gap, w_desc):
+        cfg = AssociationConfig(score_threshold=threshold, max_frame_gap=gap, w_iou=0.5,
+                                w_dist=0.5 - w_desc, w_desc=w_desc)
+        _checked_rows(*drive, cfg)
+
+    def test_single_no_mean_and_mean_rows(self):
+        # Two parked cars over three frames.  Frame 0 starts both tracks from single
+        # observations; one car scores 0 in every frame, so its sums never have a mean.
+        trajectory = TrajectoryFile([Pose(np.eye(3), [0.0, 0.0, 0.8 * k]) for k in range(3)])
+        detections = {k: [make_detection(frame_id=k, u=400.0, depth=20.0 - 0.8 * k, score=0.0),
+                          make_detection(frame_id=k, u=800.0, depth=25.0 - 0.8 * k,
+                                         yaw=0.1 * k, score=0.5 + 0.2 * k, descriptor=[1, k])]
+                      for k in range(3)}
+        cfg = AssociationConfig(score_threshold=0.0, w_iou=0.4, w_dist=0.4, w_desc=0.2)
+        tracks, cases = _checked_rows(trajectory, detections, P_SIMPLE, cfg)
+        assert cases == {"single", "no mean", "mean"}
+        assert [t.frames for t in tracks] == [[0, 1, 2], [0, 1, 2]]
+
+
+class TestFinalFusionWeights:
+    """Final fusion follows WeightPolicy; the running estimate weights by score whatever
+    the policy (TestRunningEstimateRows)."""
 
     @pytest.mark.parametrize("seed", [1000, 1001, 1002])
     def test_inverse_variance_config_on_criterion_2_scenes(self, seed):
@@ -767,10 +767,6 @@ class TestRunningFusionWeights:
         for track in (t for t in tracks if len(t.observations) > 1):
             obs = track.observations
             by_score, _ = oracle_fuse(obs, [o.detection.score for o in obs])
-            np.testing.assert_allclose(track.fused_pose.translation, by_score.translation,
-                                       rtol=0, atol=1e-9)
-            np.testing.assert_allclose(track.fused_pose.rotation, by_score.rotation,
-                                       rtol=0, atol=1e-9)
             weights = [observation_weight(o, policy) for o in obs]
             by_variance, _ = oracle_fuse(obs, weights)
             apart = max(apart, float(np.abs(by_variance.translation
@@ -785,5 +781,5 @@ class TestRunningFusionWeights:
                                        rtol=0, atol=1e-9)
             np.testing.assert_allclose(landmark.global_pose.rotation, want.rotation,
                                        rtol=0, atol=1e-9)
-        # The two weightings really differ here, so each check above tells them apart.
+        # The two weightings really differ here, so the check above tells them apart.
         assert apart > 1e-3

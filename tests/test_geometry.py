@@ -22,7 +22,6 @@ from conftest import (
 )
 from seqlabel.annotate import annotate_frame
 from seqlabel.config import VisibilityConfig
-from seqlabel.association import Track
 from seqlabel.errors import DegenerateMean, DegenerateProjection
 from seqlabel.geometry import (
     Pose,
@@ -248,10 +247,6 @@ class TestInternalPosesStayProper:
             assert_proper_rotation(Pose(yaw_to_rotation(d.yaw),
                                         back_project(*d.center2d, d.depth, P_SIMPLE)))
             assert_proper_rotation(obs.global_pose)
-        track = Track(track_id=0)
-        for obs in observations:
-            track.add(obs)  # the track refits its running sums when read
-            assert_proper_rotation(track.fused_pose)
         policy = WeightPolicy(mode)
         pose, dims = fuse_pose(observations, [observation_weight(o, policy) for o in observations])
         assert_proper_rotation(pose)

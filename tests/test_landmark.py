@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_observation, make_track, oracle_fuse
+from conftest import make_observation, make_track, oracle_fuse, oracle_fusion_row
 from seqlabel.association import Observation
 from seqlabel.config import load_config
 from seqlabel.errors import (ConfigError, DegenerateMean, EmptyInput, MissingSigma,
@@ -27,6 +27,7 @@ from seqlabel.landmark import (
     fuse_pose,
     fuse_track,
     fuse_tracks,
+    fusion_rows,
     observation_weight,
     parse_landmarks,
     reject_outliers,
@@ -333,6 +334,16 @@ class TestFusePoseOracle:
         np.testing.assert_allclose(
             [dims.height, dims.width, dims.length],
             [want_dims.height, want_dims.width, want_dims.length], rtol=0, atol=1e-12)
+
+    def test_fusion_rows_match_the_per_observation_oracle(self):
+        observations = [_global_observation(k, 0.4 * k - 1.0, [3.0 * k, 1.65, 20.0 - k],
+                                            (1.5, 1.7 + 0.1 * k, 4.2), 0.9, 0.5)
+                        for k in range(4)]
+        got = fusion_rows(np.array([o.global_pose.translation for o in observations]),
+                          np.array([o.global_pose.rotation for o in observations]),
+                          np.array([(o.detection.dims.height, o.detection.dims.width,
+                                     o.detection.dims.length) for o in observations]))
+        assert got.tobytes() == np.array([oracle_fusion_row(o) for o in observations]).tobytes()
 
     def test_non_finite_sum_is_a_degenerate_mean(self):
         # An infinite weight (inverse variance, sigma near 1e-154 and a lower floor)
