@@ -173,7 +173,7 @@ def _annotate(landmarks: Sequence[Landmark], frames: list[int], cams: list[Pose]
         ids=[lm.landmark_id for lm in ordered],
         categories=[lm.category for lm in ordered],
         dims=[lm.dims for lm in ordered],
-        half=half_extents([(lm.dims.height, lm.dims.width, lm.dims.length) for lm in ordered]),
+        half=half_extents([lm.dims for lm in ordered]),
         scores=[lm.mean_score for lm in ordered],
         # A set pays for itself only when it is looked up for several frames.
         observed=[lm.observed_frames if len(frames) == 1 else frozenset(lm.observed_frames)
@@ -229,7 +229,7 @@ def annotation_from_detections(
         ids=range(n),
         categories=[det.category for det in detections],
         dims=[det.dims for det in detections],
-        half=half_extents([(d.dims.height, d.dims.width, d.dims.length) for d in detections]),
+        half=half_extents([d.dims for d in detections]),
         scores=[det.score for det in detections],
         observed=[(frame_id,)] * n,  # each detection is observed in its own frame
     )
@@ -240,10 +240,6 @@ def annotation_from_detections(
                              P, cfg)[0]
 
 
-def _box_json(b: Box2D) -> dict:
-    return {"l": b.left, "t": b.top, "r": b.right, "b": b.bottom}
-
-
 def annotation_to_json(ann: FrameAnnotation) -> dict:
     return {
         "frame_id": ann.frame_id,
@@ -252,11 +248,11 @@ def annotation_to_json(ann: FrameAnnotation) -> dict:
                 "landmark_id": e.landmark_id,
                 "category": e.category,
                 "pose": [float(v) for v in e.local_pose.matrix().ravel()],
-                "box2d": _box_json(e.box2d),
-                "box2d_raw": _box_json(e.box2d_raw),
+                "box2d": dict(zip("ltrb", e.box2d)),
+                "box2d_raw": dict(zip("ltrb", e.box2d_raw)),
                 "depth": e.depth,
                 "yaw_local": e.yaw_local,
-                "dims": {"h": e.dims.height, "w": e.dims.width, "l": e.dims.length},
+                "dims": dict(zip("hwl", e.dims)),
                 "provenance": e.provenance,
                 "score": e.score,
                 "visible_fraction": e.visible_fraction,

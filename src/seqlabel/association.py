@@ -54,20 +54,14 @@ class Track:
 
     track_id: int
     observations: list[Observation] = field(default_factory=list)
-    last_seen: int = -1
-
-    @property
-    def frames(self) -> list[int]:
-        return [o.frame_id for o in self.observations]
 
     def add(self, obs: Observation) -> None:
-        if self.observations and obs.frame_id <= self.last_seen:
+        if self.observations and obs.frame_id <= (last := self.observations[-1].frame_id):
             raise ValueError(
                 f"track {self.track_id}: observation for frame {obs.frame_id} "
-                f"not after frame {self.last_seen}"
+                f"not after frame {last}"
             )
         self.observations.append(obs)
-        self.last_seen = obs.frame_id
 
 
 class _Rows(NamedTuple):
@@ -91,13 +85,11 @@ def _rows(poses: tuple, dims: Sequence[Dimensions3D], categories: Sequence[str],
     """Rows of these (rotations, translations) stacks, dims, categories and descriptors
     (None where absent); codes maps each category to its code and grows with new ones."""
     k = next((len(d) for d in descriptors if d is not None), None)
-    # np.fromiter holds one row's tuple at a time, where a list would hold them all.
-    return _Rows(*poses, np.fromiter(((d.height, d.width, d.length) for d in dims), (float, 3)),
+    return _Rows(*poses, np.array(dims, float).reshape(-1, 3),
                  np.array([codes.setdefault(c, len(codes)) for c in categories]),
                  None if k is None else
                  np.array([np.zeros(k) if d is None else d for d in descriptors]),
-                 None if boxes is None else
-                 np.fromiter(((b.left, b.top, b.right, b.bottom) for b in boxes), (float, 4)))
+                 None if boxes is None else np.array(boxes, float).reshape(-1, 4))
 
 
 def lift_detections(dets: Sequence[DetectionRecord], P: ProjectionMatrix,

@@ -150,7 +150,7 @@ def cmd_build_map(cfg: PipelineConfig, out_dir: Path) -> int:
                 "track_id": t.track_id,
                 "n_observations": len(t.observations),
                 "first_frame": t.observations[0].frame_id,
-                "last_frame": t.last_seen,
+                "last_frame": t.observations[-1].frame_id,
                 "status": "rejected" if t.track_id in rejected else "landmark",
                 "reason": rejected[t.track_id].reason if t.track_id in rejected else None,
                 "detail": rejected[t.track_id].detail if t.track_id in rejected else None,
@@ -312,7 +312,6 @@ def main(argv=None) -> int:
             return cmd_evaluate(cfg, out_dir, args.pred, args.gt)
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir, args.seed)
-        raise ConfigError(f"unknown command {args.command!r}")
     except ParseError as e:
         print(f"seqlabel: parse error: {e}", file=sys.stderr)
         return 2

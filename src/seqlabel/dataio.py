@@ -315,11 +315,10 @@ def detection_to_json(rec: DetectionRecord) -> dict:
     obj = {
         "frame_id": rec.frame_id,
         "category": rec.category,
-        "box2d": {"l": rec.box2d.left, "t": rec.box2d.top,
-                  "r": rec.box2d.right, "b": rec.box2d.bottom},
+        "box2d": dict(zip("ltrb", rec.box2d)),
         "depth": rec.depth,
         "yaw": rec.yaw,
-        "dims": {"h": rec.dims.height, "w": rec.dims.width, "l": rec.dims.length},
+        "dims": dict(zip("hwl", rec.dims)),
         "center2d": {"u": rec.center2d[0], "v": rec.center2d[1]},
         "score": rec.score,
     }

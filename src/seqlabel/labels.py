@@ -7,9 +7,12 @@ the input rules the other readers share: is_number, is_int and KINDS say
 what a number, an integer and a string are in a YAML, JSON or text
 input.  It imports nothing but the standard library and seqlabel.errors,
 so `seqlabel evaluate`, which needs only this module and
-seqlabel.metrics, never loads numpy.  Box2D and Dimensions3D check
-nothing: the readers that take them in (dataio's detections and map
-readers, the label reader below and config's simulate.objects) apply
+seqlabel.metrics, never loads numpy.  Box2D and Dimensions3D are tuples
+in file order, (left, top, right, bottom) and (height, width, length): the
+order of the JSON keys, the KITTI columns and the stacked rows numpy makes
+of them.  Being tuples, each equals a plain tuple of the same numbers.
+They check nothing: the readers that take them in (dataio's detections and
+map readers, the label reader below and config's simulate.objects) apply
 box_error and dims_error, each rule stated once.
 
 It states the label-file contract between annotate and evaluate once: a
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError
 
@@ -62,8 +65,7 @@ def wrap_angle(theta: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class Box2D:
+class Box2D(NamedTuple):
     """Axis-aligned pixel box; left <= right, top <= bottom."""
 
     left: float
@@ -88,8 +90,7 @@ class Box2D:
         return Box2D(float(l), float(t), float(r), float(b))
 
 
-@dataclass(frozen=True)
-class Dimensions3D:
+class Dimensions3D(NamedTuple):
     """Cuboid extents in meters: height (y), width (z), length (x)."""
 
     height: float
@@ -171,30 +172,17 @@ def _parse_floats(fields: list[str], lineno: int) -> list[float]:
     return values
 
 
-def _fmt2(v: float) -> str:
-    out = f"{v:.2f}"
-    return "0.00" if out == "-0.00" else out
+# The 14 fields after the category: floats with 2 decimals, occluded as an integer.
+_LABEL_NUMBERS = " %.2f %d" + " %.2f" * 12
 
 
 def format_label_line(lab: KittiLabelLine) -> str:
-    fields = [
-        lab.category,
-        _fmt2(lab.truncated),
-        str(int(lab.occluded)),
-        _fmt2(lab.alpha),
-        _fmt2(lab.box2d.left),
-        _fmt2(lab.box2d.top),
-        _fmt2(lab.box2d.right),
-        _fmt2(lab.box2d.bottom),
-        _fmt2(lab.dims.height),
-        _fmt2(lab.dims.width),
-        _fmt2(lab.dims.length),
-        _fmt2(lab.location[0]),
-        _fmt2(lab.location[1]),
-        _fmt2(lab.location[2]),
-        _fmt2(lab.yaw_local),
-    ]
-    return " ".join(fields)
+    """The label as one line; a value that rounds to zero from below prints as 0.00.
+
+    Every float has two decimals, so " -0.00" is always a whole field."""
+    numbers = _LABEL_NUMBERS % (lab.truncated, lab.occluded, lab.alpha, *lab.box2d, *lab.dims,
+                                *lab.location, lab.yaw_local)
+    return lab.category + numbers.replace(" -0.00", " 0.00")
 
 
 def parse_kitti_labels(text: str) -> list[KittiLabelLine]:
@@ -214,9 +202,9 @@ def parse_kitti_labels(text: str) -> list[KittiLabelLine]:
                 truncated=vals[0],
                 occluded=int(vals[1]),
                 alpha=vals[2],
-                box2d=Box2D(vals[3], vals[4], vals[5], vals[6]),
-                dims=Dimensions3D(vals[7], vals[8], vals[9]),
-                location=(vals[10], vals[11], vals[12]),
+                box2d=Box2D(*vals[3:7]),
+                dims=Dimensions3D(*vals[7:10]),
+                location=tuple(vals[10:13]),
                 yaw_local=vals[13],
             )
         )

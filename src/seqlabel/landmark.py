@@ -190,8 +190,7 @@ def fuse_pose(observations: Sequence["Observation"],
         return Pose(yaw_only(pose.rotation)[0], pose.translation), observations[0].detection.dims
     rows = fusion_rows(np.array([o.global_pose.translation for o in observations]),
                        np.array([o.global_pose.rotation for o in observations]),
-                       np.array([(o.detection.dims.height, o.detection.dims.width,
-                                  o.detection.dims.length) for o in observations]))
+                       np.array([o.detection.dims for o in observations]))
     with np.errstate(over="ignore", invalid="ignore"):  # fuse_rows reports a non-finite sum
         rotation, translation, dims, (error,) = fuse_rows(
             (np.asarray(weights, dtype=float) @ rows)[None])
@@ -268,7 +267,7 @@ def landmark_to_json(lm: Landmark) -> dict:
         "id": lm.landmark_id,
         "category": lm.category,
         "pose": [float(v) for v in lm.global_pose.matrix().ravel()],
-        "dims": {"h": lm.dims.height, "w": lm.dims.width, "l": lm.dims.length},
+        "dims": dict(zip("hwl", lm.dims)),
         "support": lm.support,
         "first_frame": lm.first_frame,
         "last_frame": lm.last_frame,

@@ -85,17 +85,18 @@ def match_annotations(
     """
     if pred.frame_id != gt.frame_id:
         raise FrameMismatch(f"pred frame {pred.frame_id} vs gt frame {gt.frame_id}")
-    # Each entry's fields are read once, not once per pair.
-    gts = [(j, g.category, g.box2d) for j, g in enumerate(gt.entries) if not g.depth <= 0]
+    # Each entry's fields are read once, not once per pair, and each box unpacked once.
+    gts = [(j, g.category, g.box2d, *g.box2d)
+           for j, g in enumerate(gt.entries) if not g.depth <= 0]
     candidates = []
     for i, p in enumerate(pred.entries):
         category, box = p.category, p.box2d
-        for j, g_category, g_box in gts:
+        left, top, right, bottom = box
+        for j, g_category, g_box, g_left, g_top, g_right, g_bottom in gts:
             if category != g_category:
                 continue
             # Boxes that do not overlap have IoU 0, below any iou_min: skip the iou_2d call.
-            if (box.right <= g_box.left or g_box.right <= box.left
-                    or box.bottom <= g_box.top or g_box.bottom <= box.top):
+            if right <= g_left or g_right <= left or bottom <= g_top or g_bottom <= top:
                 continue
             iou = iou_2d(box, g_box)
             if iou >= iou_min:

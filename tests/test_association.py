@@ -16,6 +16,7 @@ from conftest import (
     OracleTrack,
     make_detection,
     make_observation,
+    make_track,
     oracle_box3d_corners,
     oracle_fuse,
     oracle_project_box,
@@ -329,6 +330,10 @@ def _frames(*frames):
     return dict(frames), TrajectoryFile([Pose.identity()] * (max(f for f, _ in frames) + 1))
 
 
+def _frame_ids(track):
+    return [o.frame_id for o in track.observations]
+
+
 class TestAssociateFrame:
     """One frame's matching, through run_association on a sequence that sets it up."""
 
@@ -340,7 +345,7 @@ class TestAssociateFrame:
         second = make_detection(frame_id=1, depth=20.0, box=box)
         tracks = run_association(*_frames((0, [first]), (1, [second])), P_SIMPLE, self.CFG)
         assert len(tracks) == 1
-        assert tracks[0].frames == [0, 1]
+        assert _frame_ids(tracks[0]) == [0, 1]
 
     def test_no_tracks_spawns_all(self):
         dets = [make_detection(frame_id=0, u=300.0 + 200 * i, depth=20.0) for i in range(3)]
@@ -377,10 +382,10 @@ class TestAssociateFrame:
         box = _track_box(_estimate([lift_detection(first, P_SIMPLE, Pose.identity())]))
         det = make_detection(frame_id=10, depth=20.0, box=box)
         tracks = run_association(*_frames((0, [first]), (10, [det])), P_SIMPLE, cfg)
-        assert [t.frames for t in tracks] == [[0], [10]]
+        assert [_frame_ids(t) for t in tracks] == [[0], [10]]
         det = make_detection(frame_id=5, depth=20.0, box=box)
         within_gap = run_association(*_frames((0, [first]), (5, [det])), P_SIMPLE, cfg)
-        assert [t.frames for t in within_gap] == [[0, 5]]
+        assert [_frame_ids(t) for t in within_gap] == [[0, 5]]
 
 def _simulated_sequence(n_frames=10, objects=((0.0, 30.0), (15.0, 55.0)), jitter=0.0, seed=0):
     """Camera drives +z at 1 m/frame; objects are (x, z) on the ground."""
@@ -422,6 +427,15 @@ class TestRunAssociation:
             ids = {o.detection.gt_id for o in t.observations}
             assert len(ids) == 1  # no cross contamination
 
+    def test_track_takes_frames_in_ascending_order(self):
+        track = make_track([make_observation(frame_id=3)], track_id=7)
+        for frame_id in (3, 2):
+            with pytest.raises(ValueError, match="track 7: observation for frame "
+                                                 f"{frame_id} not after frame 3"):
+                track.add(make_observation(frame_id=frame_id))
+        track.add(make_observation(frame_id=4))
+        assert _frame_ids(track) == [3, 4]
+
     def test_empty_detections(self):
         traj, _ = _simulated_sequence()
         assert run_association({}, traj, P_SIMPLE, self.CFG) == []
@@ -446,8 +460,8 @@ class TestRunAssociation:
         traj, dets = _simulated_sequence(jitter=0.3, seed=9)
         a = run_association(dets, traj, P_SIMPLE, self.CFG)
         b = run_association(dets, traj, P_SIMPLE, self.CFG)
-        sig_a = [(t.track_id, t.frames) for t in a]
-        sig_b = [(t.track_id, t.frames) for t in b]
+        sig_a = [(t.track_id, _frame_ids(t)) for t in a]
+        sig_b = [(t.track_id, _frame_ids(t)) for t in b]
         assert sig_a == sig_b
 
     def test_gate_soundness(self):
@@ -744,7 +758,7 @@ class TestRunningEstimateRows:
         cfg = AssociationConfig(score_threshold=0.0, w_iou=0.4, w_dist=0.4, w_desc=0.2)
         tracks, cases = _checked_rows(trajectory, detections, P_SIMPLE, cfg)
         assert cases == {"single", "no mean", "mean"}
-        assert [t.frames for t in tracks] == [[0, 1, 2], [0, 1, 2]]
+        assert [_frame_ids(t) for t in tracks] == [[0, 1, 2], [0, 1, 2]]
 
 
 class TestFinalFusionWeights:

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqlabel.annotate import AnnotationEntry, FrameAnnotation
+from conftest import make_detection
+from seqlabel.annotate import (AnnotationEntry, FrameAnnotation, annotation_to_json,
+                               read_annotation_dump, write_annotation_dump)
 from seqlabel.dataio import (
     ROTATION_INPUT_TOL,
     DetectionRecord,
@@ -20,6 +22,7 @@ from seqlabel.dataio import (
     _entries,
     _json_record,
     _read,
+    detection_to_json,
     format_label_line,
     parse_calib,
     parse_kitti_labels,
@@ -37,8 +40,9 @@ from seqlabel.errors import (
     SchemaError,
 )
 from seqlabel.geometry import Pose, nearest_rotation, yaw_to_rotation
-from seqlabel.labels import (Box2D, Dimensions3D, _data_lines, _parse_floats, box_error,
-                             dims_error, frame_file_name, frame_id_of, wrap_angle)
+from seqlabel.labels import (Box2D, Dimensions3D, KittiLabelLine, _data_lines, _parse_floats,
+                             box_error, dims_error, frame_file_name, frame_id_of, wrap_angle)
+from seqlabel.landmark import Landmark, landmark_to_json, parse_landmarks, serialize_landmarks
 from test_cli import FUZZ_VALUES, mutate
 
 DATA = Path(__file__).parent / "data"
@@ -110,14 +114,15 @@ def oracle_read_detections(text: str) -> dict[int, list[DetectionRecord]]:
 
 
 def _bits(value):
-    """A value as comparable bits: arrays by dtype and bytes, others by type and repr."""
+    """A value as comparable bits: arrays by dtype and bytes, others by type and repr; a
+    dataclass or tuple by its type and its items' bits, so a Box2D is no bare tuple."""
     if isinstance(value, np.ndarray):
         return "array", value.dtype.str, value.shape, value.tobytes()
     if dataclasses.is_dataclass(value):
         return type(value).__name__, tuple(_bits(getattr(value, f.name))
                                            for f in dataclasses.fields(value) if f.compare)
     if isinstance(value, tuple):
-        return tuple(_bits(v) for v in value)
+        return type(value).__name__, tuple(_bits(v) for v in value)
     return type(value).__name__, repr(value)
 
 
@@ -416,7 +421,26 @@ def _entry(landmark_id, category, x, y, z, yaw, box, dims, frac=1.0):
     )
 
 
+def oracle_format_label_line(lab) -> str:
+    """Each field formatted on its own, negative zero as 0.00: format_label_line must match."""
+    def fmt2(v):
+        out = f"{v:.2f}"
+        return "0.00" if out == "-0.00" else out
+    return " ".join([lab.category, fmt2(lab.truncated), str(int(lab.occluded)), fmt2(lab.alpha),
+                     *map(fmt2, [*lab.box2d, *lab.dims, *lab.location, lab.yaw_local])])
+
+
 class TestKittiLabels:
+    @settings(max_examples=300, deadline=None)
+    @given(category=st.sampled_from(["Car", "Car -0.00"]) | st.text(min_size=1),
+           occluded=st.integers(0, 3),
+           values=st.lists(st.floats() | st.sampled_from([-0.0, -0.004, -0.005, -0.006, 0.005]),
+                           min_size=13, max_size=13))
+    def test_format_matches_the_field_by_field_oracle(self, category, occluded, values):
+        lab = KittiLabelLine(category, values[0], occluded, values[1], Box2D(*values[2:6]),
+                             Dimensions3D(*values[6:9]), tuple(values[9:12]), values[12])
+        assert format_label_line(lab) == oracle_format_label_line(lab)
+
     def test_empty_annotation(self):
         assert write_kitti_labels(FrameAnnotation(frame_id=0)) == ""
 
@@ -476,6 +500,50 @@ class TestKittiLabels:
         text = write_kitti_labels(FrameAnnotation(frame_id=0, entries=[e]))
         alpha = float(text.split()[3])
         assert alpha == pytest.approx(1.0 - math.atan2(5.0, 10.0), abs=5e-3)
+
+
+class TestRowLayout:
+    """A box is the row (left, top, right, bottom) and dims the row (height, width, length):
+    numpy stacks them so, every writer emits their keys in that order and every reader
+    gives back the values written."""
+
+    BOX = Box2D(600.5, 170.25, 700.0, 210.75)
+    DIMS = Dimensions3D(1.5, 1.7, 4.2)
+
+    def test_numpy_reads_the_field_order(self):
+        assert np.asarray(self.BOX).tolist() == [600.5, 170.25, 700.0, 210.75]
+        assert np.asarray(self.DIMS).tolist() == [1.5, 1.7, 4.2]
+        assert np.array([self.BOX, self.BOX]).shape == (2, 4)
+
+    def test_detections_write_and_read_the_field_order(self):
+        rec = make_detection(box=self.BOX, dims=tuple(self.DIMS))
+        obj = detection_to_json(rec)
+        assert list(obj["box2d"].items()) == list(zip("ltrb", self.BOX))
+        assert list(obj["dims"].items()) == list(zip("hwl", self.DIMS))
+        (back,) = read_detections(write_detections([rec]))[rec.frame_id]
+        assert (type(back.box2d), type(back.dims)) == (Box2D, Dimensions3D)
+        assert (back.box2d, back.dims) == (self.BOX, self.DIMS)
+
+    def test_map_writes_and_reads_the_field_order(self):
+        lm = Landmark(landmark_id=0, global_pose=Pose(yaw_to_rotation(0.3), np.array([1.0, 2, 3])),
+                      dims=self.DIMS, support=2, first_frame=0, last_frame=1, category="Car",
+                      mean_score=0.9, observed_frames=(0, 1))
+        assert list(landmark_to_json(lm)["dims"].items()) == list(zip("hwl", self.DIMS))
+        (back,) = parse_landmarks(serialize_landmarks([lm]))
+        assert type(back.dims) is Dimensions3D and back.dims == self.DIMS
+
+    def test_dump_and_labels_write_and_read_the_field_order(self):
+        ann = FrameAnnotation(frame_id=0, entries=[
+            _entry(0, "Car", 2.0, 1.65, 20.0, 0.5, self.BOX, self.DIMS)])
+        (entry,) = annotation_to_json(ann)["entries"]
+        for key in ("box2d", "box2d_raw"):
+            assert list(entry[key].items()) == list(zip("ltrb", self.BOX))
+        assert list(entry["dims"].items()) == list(zip("hwl", self.DIMS))
+        (back,) = read_annotation_dump(write_annotation_dump([ann]))[0].entries
+        assert (back.box2d, back.box2d_raw, back.dims) == (self.BOX, self.BOX, self.DIMS)
+        (label,) = parse_kitti_labels(write_kitti_labels(ann))
+        assert (type(label.box2d), type(label.dims)) == (Box2D, Dimensions3D)
+        assert (label.box2d, label.dims) == (self.BOX, self.DIMS)
 
 
 def test_frame_file_name():
