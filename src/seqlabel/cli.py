@@ -65,13 +65,15 @@ _stage = sys.modules[__name__]  # stage functions are looked up here, where a tr
 OUTPUT_ENV = "SEQLABEL_OUTPUT"
 
 
-def _read_text(path: str, what: str) -> str:
-    p = Path(path)
+def _read_text(path: str | Path, what: str) -> str:
+    """The file's text, read once; a missing file or parent directory is a ConfigError."""
     if not path:
         raise ConfigError(f"no {what} path configured")
-    if not p.exists():
-        raise ConfigError(f"{what} file not found: {p}")
-    data = p.read_bytes()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except (FileNotFoundError, NotADirectoryError):
+        raise ConfigError(f"{what} file not found: {Path(path)}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -80,7 +82,7 @@ def _read_text(path: str, what: str) -> str:
         raise ParseError(line, reason) from None
 
 
-def _parse_with_context(parser, path: str, what: str):
+def _parse_with_context(parser, path: str | Path, what: str):
     try:
         return parser(_read_text(path, what))
     except ParseError as e:
@@ -103,7 +105,7 @@ def _header(meta: dict) -> str:
 
 def _frame_files(directory: Path) -> set[str]:
     """The names of the frame label files in directory (labels.frame_id_of)."""
-    return {p.name for p in directory.iterdir() if frame_id_of(p.name) is not None}
+    return {name for name in os.listdir(directory) if frame_id_of(name) is not None}
 
 
 def _write_labels(directory: Path, annotations) -> None:
@@ -207,7 +209,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
     pairs, n_pred, n_gt = [], 0, 0
     for name in common:
         pred_ann, gt_ann = (FrameAnnotation(frame_id_of(name), _parse_with_context(
-            parse_kitti_labels, str(d / name), "labels")) for d in (pred, gt))
+            parse_kitti_labels, d / name, "labels")) for d in (pred, gt))
         pairs += _stage.match_annotations(pred_ann, gt_ann, cfg.metrics_iou_min)
         n_pred += len(pred_ann.entries)
         n_gt += len(gt_ann.entries)

@@ -179,7 +179,7 @@ def _sigma_model(value, where: str) -> tuple | None:
 
 
 def _ranges(raw, where: str) -> tuple:
-    """((start, end), ...) from a list of [start, end] pairs of YAML ints."""
+    """((start, end), ...) from a list of [start, end] pairs of YAML ints, start <= end."""
     if raw is None:
         return ()
     if not isinstance(raw, list):
@@ -188,6 +188,8 @@ def _ranges(raw, where: str) -> tuple:
         if not isinstance(item, list) or len(item) != 2 or not all(map(is_int, item)):
             raise ValueError(f"{where} entries must be [start, end] pairs of integers, "
                              f"got {item!r}")
+        if item[0] > item[1]:  # a reversed range holds no frame
+            raise ValueError(f"{where} entries must have start <= end, got {item!r}")
     return tuple(tuple(item) for item in raw)
 
 

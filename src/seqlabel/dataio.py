@@ -344,16 +344,11 @@ def write_kitti_labels(annotation: FrameAnnotation) -> str:
     lines = []
     for entry in sorted(annotation.entries, key=lambda e: e.landmark_id):
         x, y, z = entry.local_pose.translation
-        lab = KittiLabelLine(
-            category=entry.category,
-            truncated=1.0 - entry.visible_fraction,
-            occluded=0,
-            alpha=wrap_angle(entry.yaw_local - math.atan2(x, z)),
-            box2d=entry.box2d,
-            dims=entry.dims,
-            location=(x, y, z),
-            yaw_local=entry.yaw_local,
-        )
+        # KittiLabelLine's fields in column order: category, truncated, occluded, alpha,
+        # box2d, dims, location, yaw_local.
+        lab = KittiLabelLine(entry.category, 1.0 - entry.visible_fraction, 0,
+                             wrap_angle(entry.yaw_local - math.atan2(x, z)), entry.box2d,
+                             entry.dims, (x, y, z), entry.yaw_local)
         lines.append(format_label_line(lab))
     return "".join(line + "\n" for line in lines)
 

@@ -113,18 +113,23 @@ def dims_error(height: float, width: float, length: float) -> str | None:
 
 
 def iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection over union of two boxes, in [0, 1]; 0 without positive overlap."""
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
+    """Intersection over union of two boxes, in [0, 1]; 0 without positive overlap.
+
+    Each box is unpacked once, as a tuple; its area is Box2D.area's arithmetic.  An
+    overlap whose area underflows to 0 counts as none, so 0 / 0 cannot occur."""
+    al, at, ar, ab = a
+    bl, bt, br, bb = b
+    iw = min(ar, br) - max(al, bl)
+    ih = min(ab, bb) - max(at, bt)
     inter = iw * ih
-    return inter / (a.area() + b.area() - inter)
+    if iw <= 0.0 or ih <= 0.0 or inter == 0.0:
+        return 0.0
+    return inter / ((ar - al) * (ab - at) + (br - bl) * (bb - bt) - inter)
 
 
-@dataclass
-class KittiLabelLine:
-    """One KITTI object label: 15 fields, those evaluation reads named as in AnnotationEntry.
+class KittiLabelLine(NamedTuple):
+    """One KITTI object label: 15 fields in column order, those evaluation reads named as in
+    AnnotationEntry.
 
     KITTI's columns type, bbox and rotation_y are category, box2d and yaw_local here;
     depth is location z.
@@ -164,10 +169,10 @@ def _data_lines(text: str) -> Iterable[tuple[int, str]]:
 
 def _parse_floats(fields: list[str], lineno: int) -> list[float]:
     try:
-        values = [float(f) for f in fields]
+        values = list(map(float, fields))
     except ValueError:
         raise ParseError(lineno, f"non-numeric field in {fields!r}") from None
-    if not all(map(is_number, values)):
+    if not all(map(math.isfinite, values)):  # is_number's rule, for floats
         raise ParseError(lineno, "non-finite value")
     return values
 
@@ -186,28 +191,24 @@ def format_label_line(lab: KittiLabelLine) -> str:
 
 
 def parse_kitti_labels(text: str) -> list[KittiLabelLine]:
-    """Parse KITTI labels: a 16th score field is tolerated, box order checked, dims kept."""
+    """Parse KITTI labels: a 16th score field is tolerated, box order checked, dims kept.
+
+    Each line is split once; its tokens tell a blank or comment line (_data_lines' rule)."""
     out = []
-    for lineno, line in _data_lines(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
+        if not fields or fields[0][0] == "#":
+            continue
         if len(fields) not in (15, 16):
             raise ParseError(lineno, f"expected 15 label fields, got {len(fields)}")
-        vals = _parse_floats(fields[1:15], lineno)
-        error = box_error(*vals[3:7])
+        (truncated, occluded, alpha, left, top, right, bottom, height, width, length,
+         x, y, z, yaw) = _parse_floats(fields[1:15], lineno)
+        error = box_error(left, top, right, bottom)
         if error:
             raise ParseError(lineno, error)
-        out.append(
-            KittiLabelLine(
-                category=fields[0],
-                truncated=vals[0],
-                occluded=int(vals[1]),
-                alpha=vals[2],
-                box2d=Box2D(*vals[3:7]),
-                dims=Dimensions3D(*vals[7:10]),
-                location=tuple(vals[10:13]),
-                yaw_local=vals[13],
-            )
-        )
+        out.append(KittiLabelLine(fields[0], truncated, int(occluded), alpha,
+                                  Box2D(left, top, right, bottom),
+                                  Dimensions3D(height, width, length), (x, y, z), yaw))
     return out
 
 

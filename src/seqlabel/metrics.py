@@ -12,18 +12,18 @@ null in report.json and - in report.txt.
 
 Pure Python, so that evaluate never loads numpy, with numpy's results
 bit for bit: every mean is numpy's pairwise float64 sum (_pairwise_sum)
-divided by the count, and square roots, degrees and medians are the
-correctly rounded stdlib ones.  The one exception is math.log, which may
-differ from np.log in the last bit, so rmse_log may move by an ulp.
+divided by the count, square roots and degrees are the correctly rounded
+stdlib ones, and _median is statistics.median's arithmetic ((a + b) / 2
+for an even count) without its import.  The one exception is math.log,
+which may differ from np.log in the last bit, so rmse_log may move by an ulp.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .errors import EmptyInput, FrameMismatch
 from .labels import FrameAnnotation, iou_2d, wrap_angle
@@ -37,8 +37,7 @@ def bucket_of(z_gt: float) -> str:
     return BUCKETS[max(bisect_right(_BUCKET_EDGES, z_gt) - 1, 0)]
 
 
-@dataclass(frozen=True)
-class MatchedPair:
+class MatchedPair(NamedTuple):
     """One matched prediction and ground truth; z_gt > 0 (match_annotations ensures it)."""
 
     z_gt: float
@@ -109,14 +108,8 @@ def match_annotations(
             continue
         used_pred.add(i)
         used_gt.add(j)
-        pairs.append(
-            MatchedPair(
-                z_gt=gt.entries[j].depth,
-                z_pred=pred.entries[i].depth,
-                yaw_gt=gt.entries[j].yaw_local,
-                yaw_pred=pred.entries[i].yaw_local,
-            )
-        )
+        p, g = pred.entries[i], gt.entries[j]
+        pairs.append(MatchedPair(g.depth, p.depth, g.yaw_local, p.yaw_local))
     return pairs
 
 
@@ -146,12 +139,13 @@ def _pairwise_sum(values: Sequence[float], start: int = 0, n: int | None = None)
             total += values[i]
         return total
     if n <= _PAIRWISE_BLOCK:
-        r = list(values[start:start + 8])
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
         stop = start + n - n % 8
-        for i in range(start + 8, stop, 8):
-            for k in range(8):
-                r[k] += values[i + k]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        lanes = iter(values[start + 8:stop])
+        for v0, v1, v2, v3, v4, v5, v6, v7 in zip(*[lanes] * 8):  # 8 values a step
+            r0, r1, r2, r3 = r0 + v0, r1 + v1, r2 + v2, r3 + v3
+            r4, r5, r6, r7 = r4 + v4, r5 + v5, r6 + v6, r7 + v7
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
         for i in range(stop, start + n):
             total += values[i]
         return total
@@ -163,6 +157,15 @@ def _pairwise_sum(values: Sequence[float], start: int = 0, n: int | None = None)
 def _mean(values: Sequence[float]) -> float:
     """np.mean of a non-empty float64 sequence: the identity 0.0 plus the pairwise sum."""
     return (0.0 + _pairwise_sum(values)) / len(values)
+
+
+def _median(values: Sequence[float]) -> float:
+    """statistics.median of a non-empty sequence: the middle value, or (a + b) / 2 of two."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[half]
+    return (ordered[half - 1] + ordered[half]) / 2
 
 
 def _depth_stats(pairs: Sequence[MatchedPair]) -> DepthReport:
@@ -210,7 +213,7 @@ def _viewpoint_stats(pairs: Sequence[MatchedPair]) -> ViewpointReport:
     return ViewpointReport(
         acc_pi4=sum(e < math.pi / 4 for e in err) / len(err),
         acc_pi6=sum(e < math.pi / 6 for e in err) / len(err),
-        mederr=math.degrees(statistics.median(err)),
+        mederr=math.degrees(_median(err)),
         count=len(pairs),
     )
 

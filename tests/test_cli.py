@@ -223,6 +223,20 @@ class TestExitCodes:
         (tmp_path / "sim" / "trajectory.txt").unlink()
         assert main(["build-map", "--config", str(config)]) == 3
 
+    @pytest.mark.parametrize("where", ["missing", "under a file"])
+    def test_input_file_not_found_exit_3_with_one_line(self, tmp_path, capsys, where):
+        # A missing file and a path through a regular file (ENOENT, ENOTDIR) read alike.
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        raw = yaml.safe_load(config.read_text())
+        path = tmp_path / "sim" / ("nothing.txt" if where == "missing" else "calib.txt/x.txt")
+        raw["paths"]["trajectory"] = str(path)
+        config.write_text(yaml.safe_dump(raw))
+        capsys.readouterr()
+        assert main(["build-map", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == (
+            f"seqlabel: config error: trajectory file not found: {path}\n")
+
     def test_malformed_detections_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path)
         simulate(tmp_path, config)
@@ -501,6 +515,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert str(label) in err and f"line {len(lines)}" in err and "invalid box" in err
+
+    def test_label_overlap_below_the_float_range_is_no_match(self, tmp_path, capsys):
+        # Boxes 1e-200 px wide overlap by an area that underflows to 0: no match, not 0 / 0.
+        for d in ("pred", "gt"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "000000.txt").write_text(
+                "Car 0.00 0 0.00 0 0 1e-200 1e-200 1.50 1.70 4.20 0.00 1.60 20.00 0.00\n")
+        config = write_config(tmp_path)
+        assert main(["evaluate", "--config", str(config), "--pred", str(tmp_path / "pred"),
+                     "--gt", str(tmp_path / "gt")]) == 4
+        assert capsys.readouterr().err == "evaluate: zero matched pairs\n"
 
     @pytest.mark.parametrize("command, target", [("build-map", "detections"), ("annotate", "map")])
     def test_deeply_nested_json_line_exit_2_naming_file_and_line(self, tmp_path, capsys,
@@ -818,6 +843,8 @@ class TestExitCodes:
         ("sequence.include", [["3", "7"]]),
         ("sequence.exclude", [[True, 4]]),
         ("sequence.include", 5),
+        ("sequence.include", [[10, 5]]),
+        ("sequence.exclude", [[0, 3], [7, -1]]),
         ("association", 5),
         ("paths", 5),
         ("metrics", 0.5),
@@ -825,7 +852,8 @@ class TestExitCodes:
     ])
     def test_value_of_wrong_kind_exit_3_naming_it(self, tmp_path, capsys, key, value):
         # A section must be a mapping, each value must have the kind of its
-        # field's default, and a frame range must be a pair of integers.
+        # field's default, and a frame range must be a pair of integers with
+        # start <= end: a reversed range would select no frame.
         section, _, name = key.partition(".")
         config = write_config(tmp_path, **{section: {name: value} if name else value})
         assert main(["simulate", "--config", str(config),
@@ -1065,7 +1093,9 @@ def test_numpy_free_layer_never_loads_numpy(script):
 
 
 def test_evaluate_never_loads_numpy(tmp_path):
-    # evaluate parses labels, matches and averages in pure Python.
+    # evaluate parses labels, matches and averages in pure Python, and takes its median
+    # without statistics (which brings fractions and decimal): a whole run, in a fresh
+    # interpreter, leaves neither module loaded.
     config = write_config(tmp_path)
     simulate(tmp_path, config)
     assert main(["build-map", "--config", str(config)]) == 0
@@ -1073,9 +1103,9 @@ def test_evaluate_never_loads_numpy(tmp_path):
     script = ("import sys\n"
               "from seqlabel.cli import main\n"
               "rc = main(['evaluate', '--config', sys.argv[1], '--gt', sys.argv[2]])\n"
-              "print(rc, 'numpy' in sys.modules)\n")
+              "print(rc, sorted({'numpy', 'statistics'} & set(sys.modules)))\n")
     out = _python(script, str(config), str(tmp_path / "sim" / "gt_labels"))
-    assert out.splitlines()[-1] == "0 False"
+    assert out.splitlines()[-1] == "0 []"
     assert json.loads((tmp_path / "out" / "report.json").read_text())["matching"]["n_matched"] > 0
 
 

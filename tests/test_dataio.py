@@ -41,7 +41,8 @@ from seqlabel.errors import (
 )
 from seqlabel.geometry import Pose, nearest_rotation, yaw_to_rotation
 from seqlabel.labels import (Box2D, Dimensions3D, KittiLabelLine, _data_lines, _parse_floats,
-                             box_error, dims_error, frame_file_name, frame_id_of, wrap_angle)
+                             box_error, dims_error, frame_file_name, frame_id_of, is_number,
+                             wrap_angle)
 from seqlabel.landmark import Landmark, landmark_to_json, parse_landmarks, serialize_landmarks
 from test_cli import FUZZ_VALUES, mutate
 
@@ -430,7 +431,81 @@ def oracle_format_label_line(lab) -> str:
                      *map(fmt2, [*lab.box2d, *lab.dims, *lab.location, lab.yaw_local])])
 
 
+def oracle_parse_kitti_labels(text: str) -> list[KittiLabelLine]:
+    """Label parsing in three passes: _data_lines strips each line, is_number tests each
+    number, and each record is built from slices.  parse_kitti_labels must match it."""
+    out = []
+    for lineno, line in _data_lines(text):
+        fields = line.split()
+        if len(fields) not in (15, 16):
+            raise ParseError(lineno, f"expected 15 label fields, got {len(fields)}")
+        try:
+            vals = [float(f) for f in fields[1:15]]
+        except ValueError:
+            raise ParseError(lineno, f"non-numeric field in {fields[1:15]!r}") from None
+        if not all(map(is_number, vals)):
+            raise ParseError(lineno, "non-finite value")
+        error = box_error(*vals[3:7])
+        if error:
+            raise ParseError(lineno, error)
+        out.append(KittiLabelLine(
+            category=fields[0], truncated=vals[0], occluded=int(vals[1]), alpha=vals[2],
+            box2d=Box2D(*vals[3:7]), dims=Dimensions3D(*vals[7:10]),
+            location=tuple(vals[10:13]), yaw_local=vals[13]))
+    return out
+
+
+def _labels_outcome(parse, text):
+    """What a label parser makes of text: its records as bits, or its error's line and reason."""
+    try:
+        return [_bits(label) for label in parse(text)]
+    except ParseError as e:
+        return type(e).__name__, e.line, e.reason
+
+
+# Tokens a mutation writes over a label field: non-finite, beyond the float range,
+# non-numeric, and spellings float() takes that a label writer never emits.
+BAD_TOKENS = ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999", "1e308",
+              "5e-324", "-0", "x", "1,5", "0x10", "1_0", "--1", "", "#", "Car"]
+# Lines that hold no label: comments, and lines of whitespace only, including the
+# separators str.splitlines also splits on (\x0b, \x0c, \x1c).
+NON_LABEL_LINES = ["", "#", "# 15 fields follow", "  #Car 0 0 0 1 2 3", "\t# x", " ",
+                   "\t \t", "\x0b", "\x0c", "\x1c", " \x1c ", "\x1c# x", "\u3000", "\x85"]
+
+
+@st.composite
+def _label_line(draw):
+    """A well-formed label line, mutated: 14, 16 or 17 fields, a bad token, the box edges
+    swapped, or extra whitespace between fields."""
+    left, top = draw(st.floats(-50, 1300)), draw(st.floats(-50, 400))
+    numbers = [draw(st.floats(0, 1)), draw(st.integers(0, 3)), draw(st.floats(-4, 4)),
+               left, top, left + draw(st.floats(0, 500)), top + draw(st.floats(0, 300)),
+               *draw(st.lists(st.floats(-2, 6), min_size=6, max_size=6)), draw(st.floats(-4, 4))]
+    fields = [draw(st.sampled_from(["Car", "Van", "DontCare", "c#r"]))]
+    fields += [str(v) if draw(st.booleans()) else f"{v:.2f}" for v in numbers]
+    mutation = draw(st.sampled_from(["none", "count", "token", "swap", "spaces"]))
+    if mutation == "count":
+        fields = fields[:14] if draw(st.booleans()) else fields + ["0.87", "1"][:draw(
+            st.integers(1, 2))]
+    elif mutation == "token":
+        fields[draw(st.integers(1, len(fields) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+    elif mutation == "swap":
+        fields[4], fields[6] = fields[6], fields[4]
+    sep = draw(st.sampled_from([" ", "  ", "\t", " \t"])) if mutation == "spaces" else " "
+    return draw(st.sampled_from(["", " ", "\t"])) + sep.join(fields)
+
+
 class TestKittiLabels:
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(_label_line() | st.sampled_from(NON_LABEL_LINES), max_size=6),
+           ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=6, max_size=6),
+           last=st.sampled_from(["", "\n", "\r\n"]))
+    def test_parse_matches_the_line_by_line_oracle(self, lines, ends, last):
+        text = "".join(line + end for line, end in zip(lines, ends))
+        text = text[:len(text) - len(ends[len(lines) - 1])] + last if lines else last
+        assert (_labels_outcome(parse_kitti_labels, text)
+                == _labels_outcome(oracle_parse_kitti_labels, text))
+
     @settings(max_examples=300, deadline=None)
     @given(category=st.sampled_from(["Car", "Car -0.00"]) | st.text(min_size=1),
            occluded=st.integers(0, 3),

@@ -516,7 +516,63 @@ class TestProjectBox:
         assert empty.shape == (4, 0)
 
 
+def oracle_iou_2d(a: Box2D, b: Box2D) -> float:
+    """iou_2d through Box2D's attributes and area(): the scalar rule iou_2d must equal."""
+    iw = min(a.right, b.right) - max(a.left, b.left)
+    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a.area() + b.area() - inter)
+
+
+_BIG = 1e308
+# Boxes whose IoU takes every branch: touching edges and corners, nesting, zero width or
+# height, and edges near the float maximum, where an area or the union overflows.
+IOU_CASES = [
+    (Box2D(0, 0, 10, 10), Box2D(10, 0, 20, 10)),          # touching edge
+    (Box2D(0, 0, 10, 10), Box2D(10, 10, 20, 20)),         # touching corner
+    (Box2D(0, 0, 10, 10), Box2D(0, 0, 10, 10)),           # identical
+    (Box2D(0, 0, 10, 10), Box2D(2.5, 3.25, 7.5, 9.0)),    # nested
+    (Box2D(0.1, 0.2, 30.7, 10.3), Box2D(0.1, 0.2, 30.7, 10.3 + 1e-12)),  # nearly identical
+    (Box2D(0, 0, 10, 10), Box2D(3, 3, 3, 8)),             # zero width, inside
+    (Box2D(0, 0, 10, 10), Box2D(3, 5, 8, 5)),             # zero height, inside
+    (Box2D(5, 5, 5, 5), Box2D(5, 5, 5, 5)),               # two points
+    (Box2D(-_BIG, 0, _BIG, 10), Box2D(0, 0, 10, 10)),     # infinite area, finite overlap
+    (Box2D(-_BIG, -_BIG, _BIG, _BIG), Box2D(-_BIG, -_BIG, _BIG, _BIG)),  # inf / inf
+    (Box2D(0, 0, _BIG, _BIG), Box2D(1, 1, _BIG, _BIG)),   # overlap overflows
+    (Box2D(-_BIG, 0, 0, 10), Box2D(0, 0, _BIG, 10)),      # touching at 0, huge widths
+    (Box2D(_BIG / 2, 0, _BIG, 1), Box2D(_BIG / 4, 0, _BIG, 1)),
+]
+
+
 class TestIoU:
+    @pytest.mark.parametrize("a, b", IOU_CASES)
+    def test_scalar_oracle_bit_for_bit(self, a, b):
+        assert iou_2d(a, b).hex() == oracle_iou_2d(a, b).hex()
+        assert iou_2d(b, a).hex() == oracle_iou_2d(b, a).hex()
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from([0.0, 1e-200, 10.0, _BIG, -_BIG]), min_size=8, max_size=8))
+    @settings(max_examples=300)
+    def test_matches_the_scalar_oracle(self, edges):
+        a, b = (Box2D(min(e[0], e[2]), min(e[1], e[3]), max(e[0], e[2]), max(e[1], e[3]))
+                for e in (edges[:4], edges[4:]))
+        try:
+            want = oracle_iou_2d(a, b)
+        except ZeroDivisionError:  # an overlap that underflows: iou_2d reads it as none
+            want = 0.0
+        assert iou_2d(a, b).hex() == want.hex()
+
+    @pytest.mark.parametrize("a, b", [
+        (Box2D(0, 0, 1e-200, 1e-200), Box2D(0, 0, 1e-200, 1e-200)),
+        (Box2D(5e-324, 5e-324, 1e-323, 1e-323), Box2D(0, 0, 1e-323, 1e-323)),
+        (Box2D(0, 0, 1e-200, 1e-200), Box2D(0, 0, 10, 10)),
+    ])
+    def test_overlap_below_the_float_range_is_zero(self, a, b):
+        # iw and ih are positive but their product underflows: no overlap, not 0 / 0.
+        assert iou_2d(a, b) == iou_2d(b, a) == 0.0
+
     def test_identical(self):
         b = Box2D(0, 0, 10, 10)
         assert iou_2d(b, b) == 1.0

@@ -1,6 +1,7 @@
 """Evaluation metrics against hand-computed and high-precision frozen oracles."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from seqlabel.metrics import (
     DepthReport,
     MatchedPair,
     ViewpointReport,
+    _median,
     _pairwise_sum,
     bucket_of,
     depth_metrics,
@@ -290,6 +292,22 @@ class TestNumpyOracle:
         values = values + [float(v) for v in np.linspace(-3.7, 5.1, pad)]
         want = float(np.add.reduce(np.array(values, dtype=float)))
         assert (0.0 + _pairwise_sum(values)).hex() == want.hex()
+
+    @pytest.mark.parametrize("values", [
+        [3.0], [2.5, -1.0, 7.25], [1.0, 2.0], [0.1, 0.2], [4.0, -4.0, 0.0, 1e-300],
+        [5.0, 5.0, 5.0, 5.0], [1.0, 1.0, 2.0, 2.0], [-3.5, -1.25, -2.0, -7.0],
+        [-0.0, 0.0], [1.7976931348623157e308, 1.7976931348623157e308], [5e-324, 1e-323],
+        [0.1 * k for k in range(101)], [math.pi * (-1) ** k / (k + 1) for k in range(100)],
+    ])
+    def test_median_is_statistics_median(self, values):
+        assert _median(values).hex() == statistics.median(values).hex()
+
+    @given(st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -1.5, 2.25]),
+                    min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_median_matches_statistics_median_on_any_list(self, values):
+        # Hypothesis draws odd and even lengths, repeated values, signs and infinities.
+        assert _median(values).hex() == statistics.median(values).hex()
 
     _DEPTH = st.floats(0.05, 120.0)
     # Predictions include non-positive depths, which leave RMSE_log, and
