@@ -21,7 +21,6 @@ metrics per call of that name.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -55,8 +54,7 @@ CAUSE_OFF_IMAGE = "off_image"
 BLOCK_FRAMES = 64
 
 
-@dataclass(frozen=True)
-class AnnotationEntry:
+class AnnotationEntry(NamedTuple):
     landmark_id: int
     category: str
     local_pose: Pose
@@ -90,7 +88,7 @@ def _pair_annotations(frame_ids: Sequence[int], bounds: Sequence[int], objects: 
     translation[p]); frame f owns pairs bounds[f] to bounds[f + 1], and its
     entries and exclusions keep their pair order.
     """
-    annotations = [FrameAnnotation(frame_id=k) for k in frame_ids]
+    annotations = [FrameAnnotation(k, [], []) for k in frame_ids]
     if not len(obj):
         return annotations
     hull = project_box(rotation, translation, objects.half[obj], P)
@@ -167,7 +165,7 @@ def _annotate(landmarks: Sequence[Landmark], frames: list[int], cams: list[Pose]
               P: ProjectionMatrix, cfg: VisibilityConfig) -> list[FrameAnnotation]:
     """annotate_sequence over frames seen by cams, BLOCK_FRAMES frames at a time."""
     if not landmarks:
-        return [FrameAnnotation(frame_id=k) for k in frames]
+        return [FrameAnnotation(k, [], []) for k in frames]
     ordered = sorted(landmarks, key=lambda l: l.landmark_id)
     objects = _Objects(
         ids=[lm.landmark_id for lm in ordered],
@@ -206,8 +204,8 @@ def _annotate(landmarks: Sequence[Landmark], frames: list[int], cams: list[Pose]
                              if not inside]
             if out_of_window:
                 # Stable: among equal ids, the in-window exclusions stay first.
-                annotation.exclusions = sorted(annotation.exclusions + out_of_window,
-                                               key=itemgetter(0))
+                annotation.exclusions.extend(out_of_window)
+                annotation.exclusions.sort(key=itemgetter(0))
         out += annotations
     return out
 
@@ -272,14 +270,15 @@ def read_annotation_dump(text: str) -> list[FrameAnnotation]:
     out = []
     for lineno, line in _data_lines(text):
         obj = _json_record(line, lineno)
-        ann = FrameAnnotation(frame_id=_read(obj, "frame_id", lineno, int))
-        entries = _field(obj, "entries", lineno)
-        if not isinstance(entries, list) or any(type(e) is not dict for e in entries):
+        frame_id = _read(obj, "frame_id", lineno, int)
+        raw = _field(obj, "entries", lineno)
+        if not isinstance(raw, list) or any(type(e) is not dict for e in raw):
             raise SchemaError(lineno, "field 'entries' must be an array of objects")
-        for e in entries:
+        entries = []
+        for e in raw:
             m = np.array(_entries(e, "pose", lineno, 12)).reshape(3, 4)
             _check_rotation(m[None, :, :3], [lineno], MAP_ROTATION_TOL)
-            ann.entries.append(
+            entries.append(
                 AnnotationEntry(
                     landmark_id=_read(e, "landmark_id", lineno, int),
                     category=_read(e, "category", lineno, str),
@@ -297,8 +296,8 @@ def read_annotation_dump(text: str) -> list[FrameAnnotation]:
         pairs = _field(obj, "exclusions", lineno)
         if not isinstance(pairs, list) or any(type(p) is not list or len(p) != 2 for p in pairs):
             raise SchemaError(lineno, "field 'exclusions' must be an array of [id, cause] pairs")
-        ann.exclusions = [(_read(p, 0, lineno, int, f"exclusions[{i}]"),
-                           _read(p, 1, lineno, str, f"exclusions[{i}]"))
-                          for i, p in enumerate(pairs)]
-        out.append(ann)
+        exclusions = [(_read(p, 0, lineno, int, f"exclusions[{i}]"),
+                       _read(p, 1, lineno, str, f"exclusions[{i}]"))
+                      for i, p in enumerate(pairs)]
+        out.append(FrameAnnotation(frame_id, entries, exclusions))
     return out

@@ -36,8 +36,7 @@ INFEASIBLE = math.inf
 _BIG = 1e6
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One detection lifted to 3D, in the global frame."""
 
     detection: DetectionRecord

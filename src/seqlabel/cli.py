@@ -25,7 +25,6 @@ module, and a local import would bypass its wrappers.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import json
 import os
@@ -249,7 +248,7 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, seed: int | None) -> int:
     sim = cfg.simulate
     if seed is not None:
         try:
-            sim = dataclasses.replace(sim, seed=read_value("seed", sim.seed, seed, "--seed"))
+            sim = sim._replace(seed=read_value("seed", sim.seed, seed, "--seed"))
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
@@ -300,10 +299,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.camera:
-            cfg.camera = args.camera
         out = args.output or os.environ.get(OUTPUT_ENV) or cfg.output_dir
-        cfg.output_dir = out
+        cfg = cfg._replace(camera=args.camera or cfg.camera, output_dir=out)
         out_dir = Path(out)
 
         if args.command == "build-map":

@@ -1,18 +1,18 @@
 """Pipeline configuration: one YAML file with sections, flags win over it.
 
-This module owns the config dataclass of every stage (AssociationConfig,
+This module owns the config record of every stage (AssociationConfig,
 WeightPolicy, FusionConfig, VisibilityConfig, SimConfig) and imports no
 stage: the stages import their configs from here.  So loading a config
 costs PyYAML, the standard library and seqlabel.labels only, and a
 command that needs no numpy stage, such as evaluate, never loads numpy.
 
-Each dataclass is the schema of its section, read by _section: the keys
-are its fields, and each value has the kind of the field's default.  An
-angle field x is written x_deg, in degrees.  The dataclasses are plain
-records that check nothing: read_value checks each value once, as it is
-read, against its field's range rule in _RULES, and _section checks the
-rules over several fields in _SECTION_RULES.  Anything else fails with one
-line naming section.key.
+Each record, a NamedTuple, is the schema of its section, read by
+_section: the keys are its fields, and each value has the kind of the
+field's default.  An angle field x is written x_deg, in degrees.  The
+records check nothing: read_value checks each value once, as it is read,
+against its field's range rule in _RULES, and _section checks the rules
+over several fields in _SECTION_RULES.  Anything else fails with one line
+naming section.key.  A number may have an exponent, as in YAML 1.2 (_Loader).
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+import re
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -32,8 +33,7 @@ WEIGHT_MODES = ("score", "inverse_variance")
 TRAJECTORY_KINDS = ("straight", "arc", "waypoints")
 
 
-@dataclass(frozen=True)
-class AssociationConfig:
+class AssociationConfig(NamedTuple):
     score_threshold: float = 0.7
     iou_gate: float = 0.3
     dist_gate: float = 3.0
@@ -44,24 +44,21 @@ class AssociationConfig:
     w_desc: float = 0.1
 
 
-@dataclass(frozen=True)
-class WeightPolicy:
+class WeightPolicy(NamedTuple):
     """How observation weights are derived: detection score or 1/sigma^2."""
 
     mode: str = "score"
     sigma_floor: float = 1e-3
 
 
-@dataclass(frozen=True)
-class FusionConfig:
+class FusionConfig(NamedTuple):
     depth_tol: float = 2.0            # meters around the weighted median global z
     yaw_tol: float = math.radians(30)  # radians around the weighted circular median
     min_support: int = 2
     var_gate: float = 1.0             # m^2 per axis; beyond this the track is dynamic
 
 
-@dataclass(frozen=True)
-class VisibilityConfig:
+class VisibilityConfig(NamedTuple):
     image_width: float = 1242.0
     image_height: float = 375.0
     min_box_area: float = 100.0        # px^2 after clipping
@@ -69,8 +66,7 @@ class VisibilityConfig:
     min_visible_fraction: float = 0.25  # clipped / unclipped area
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     seed: int = 0
     n_objects: int = 3
     frames: int = 60
@@ -98,17 +94,16 @@ class SimConfig:
     lateral_range: tuple = (-8.0, 8.0)
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     trajectory_path: str = ""
     calib_path: str = ""
     detections_path: str = ""
     output_dir: str = "out"
     camera: str = "P2"
-    association: AssociationConfig = field(default_factory=AssociationConfig)
-    weighting: WeightPolicy = field(default_factory=WeightPolicy)
-    fusion: FusionConfig = field(default_factory=FusionConfig)
-    visibility: VisibilityConfig = field(default_factory=VisibilityConfig)
+    association: AssociationConfig = AssociationConfig()
+    weighting: WeightPolicy = WeightPolicy()
+    fusion: FusionConfig = FusionConfig()
+    visibility: VisibilityConfig = VisibilityConfig()
     metrics_iou_min: float = 0.5
     include: tuple = ()   # ((start, end), ...) inclusive frame ranges
     exclude: tuple = ()
@@ -120,7 +115,7 @@ class PipelineConfig:
         return not any(a <= frame_id <= b for a, b in self.exclude)
 
 
-# The sections read into a config dataclass: section -> the dataclass (and PipelineConfig field).
+# The sections read into a config record: section -> the record (and PipelineConfig field).
 _SECTIONS = {"association": AssociationConfig, "weighting": WeightPolicy, "fusion": FusionConfig,
              "visibility": VisibilityConfig, "simulate": SimConfig}
 # The other sections: section -> {YAML key: PipelineConfig field}.
@@ -263,16 +258,16 @@ def read_value(name: str, default, raw, where: str):
 
 
 def _section(cls, raw, where: str):
-    """Build the config dataclass cls from its YAML section raw.
+    """Build the config record cls from its YAML section raw.
 
     The keys are the fields of cls (an angle field x as x_deg), each value
     read by read_value; then the built section must pass its _SECTION_RULES.
     """
-    by_key = {f"{f.name}_deg" if f.name in _DEGREES else f.name: f for f in fields(cls)}
+    by_key = {f"{name}_deg" if name in _DEGREES else name: name for name in cls._fields}
     kwargs = {}
     for key, value in _mapping(raw, set(by_key), where).items():
-        f = by_key[key]
-        kwargs[f.name] = read_value(f.name, f.default, value, f"{where}.{key}")
+        name = by_key[key]
+        kwargs[name] = read_value(name, cls._field_defaults[name], value, f"{where}.{key}")
     section = cls(**kwargs)
     for message, ok in _SECTION_RULES.get(where, ()):
         if not ok(section):
@@ -280,12 +275,24 @@ def _section(cls, raw, where: str):
     return section
 
 
+class _Loader(yaml.SafeLoader):
+    """yaml.SafeLoader reading YAML 1.2's floats too: 7e-1, 1E3 and 1e-100 are no strings.
+
+    Not yaml.CSafeLoader: faster, but it crashes (SIGSEGV) on a config nested 30,000 deep."""
+
+
+# Tried after YAML 1.1's patterns, so an integer such as 7 stays an int.
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     """Read and validate the YAML pipeline config."""
     path = Path(path)
     try:
-        # Not yaml.CSafeLoader: faster, but it crashes (SIGSEGV) on a config nested 30,000 deep.
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_Loader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as e:
@@ -303,20 +310,23 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
 
     _mapping(raw, {"camera", *_SECTIONS, *_OWN}, str(path))
+    defaults = PipelineConfig._field_defaults
+    kwargs = {}
     try:
-        cfg = PipelineConfig()
         for section, names in _OWN.items():
             for key, value in _mapping(raw.get(section), set(names), section).items():
                 name = names[key]
-                setattr(cfg, name, read_value(name, getattr(cfg, name), value, f"{section}.{key}"))
-        cfg.metrics_iou_min = float(cfg.metrics_iou_min)  # a YAML 1 hashes as 1.0, as before
-        cfg.camera = read_value("camera", cfg.camera, raw.get("camera", cfg.camera), "camera")
+                kwargs[name] = read_value(name, defaults[name], value, f"{section}.{key}")
+        if "metrics_iou_min" in kwargs:  # a YAML 1 hashes as 1.0, as before
+            kwargs["metrics_iou_min"] = float(kwargs["metrics_iou_min"])
+        if "camera" in raw:
+            kwargs["camera"] = read_value("camera", defaults["camera"], raw["camera"], "camera")
         for section, cls in _SECTIONS.items():
             if section != "simulate" or raw.get(section) is not None:  # simulate is optional
-                setattr(cfg, section, _section(cls, raw.get(section), section))
+                kwargs[section] = _section(cls, raw.get(section), section)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
-    return cfg
+    return PipelineConfig(**kwargs)
 
 
 def config_fingerprint(cfg: PipelineConfig) -> str:
@@ -325,7 +335,8 @@ def config_fingerprint(cfg: PipelineConfig) -> str:
     Paths are machine-specific and excluded; input content is covered by
     the per-file digests written next to this hash.
     """
-    payload = {k: v for k, v in asdict(cfg).items() if k not in _OWN["paths"].values()}
+    payload = {k: v._asdict() if k in _SECTIONS and v is not None else v
+               for k, v in cfg._asdict().items() if k not in _OWN["paths"].values()}
     blob = json.dumps(payload, sort_keys=True, default=list)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

@@ -13,8 +13,7 @@ IoU and wrap_angle live in seqlabel.labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,22 +24,14 @@ from .errors import DegenerateMean, DegenerateProjection
 _YAW_ONLY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Rigid transform: rotation (3x3, det +1; file readers check it) and translation (3,)."""
+class Pose(NamedTuple):
+    """Rigid transform: a (3, 3) float rotation with det +1 and a (3,) float translation.
+
+    It checks and converts nothing: the file readers check each rotation as they read it
+    (dataio._check_rotation), the only check, and every producer hands over float arrays."""
 
     rotation: np.ndarray
     translation: np.ndarray
-
-    def __post_init__(self):
-        r = np.array(self.rotation, dtype=float)
-        t = np.array(self.translation, dtype=float).reshape(3)
-        if r.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        r.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -56,16 +47,10 @@ class Pose:
         return p @ self.rotation.T + self.translation
 
 
-@dataclass(frozen=True)
-class ProjectionMatrix:
+class ProjectionMatrix(NamedTuple):
     """3x4 pinhole projection matrix (intrinsics times extrinsics); parse_calib checks a file's."""
 
     P: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.P, dtype=float)
-        p.flags.writeable = False
-        object.__setattr__(self, "P", p)
 
 
 def project_point(p, P: ProjectionMatrix) -> tuple[float, float, float]:

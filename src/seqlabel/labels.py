@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
 
@@ -149,14 +148,14 @@ class KittiLabelLine(NamedTuple):
         return self.location[2]
 
 
-@dataclass
-class FrameAnnotation:
+class FrameAnnotation(NamedTuple):
     """The entries of one frame: annotate.AnnotationEntry rows, or KittiLabelLine
-    rows when evaluation reads a label file; exclusions are (landmark id, cause)."""
+    rows when evaluation reads a label file; exclusions are (landmark id, cause).
+    Code that appends to them passes fresh lists; the empty defaults are tuples."""
 
     frame_id: int
-    entries: list = field(default_factory=list)
-    exclusions: list[tuple[int, str]] = field(default_factory=list)
+    entries: Sequence = ()
+    exclusions: Sequence[tuple[int, str]] = ()
 
 
 def _data_lines(text: str) -> Iterable[tuple[int, str]]:

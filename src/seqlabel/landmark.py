@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +29,7 @@ if TYPE_CHECKING:
 MAP_ROTATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Landmark:
+class Landmark(NamedTuple):
     """A fused static object in the global frame."""
 
     landmark_id: int
@@ -45,8 +43,7 @@ class Landmark:
     observed_frames: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(NamedTuple):
     """Why a track produced no landmark: dynamic, low_support or degenerate_mean."""
 
     reason: str
@@ -257,7 +254,7 @@ def fuse_tracks(
         else:
             fused.append((result.first_frame, track.track_id, result))
     fused.sort(key=lambda item: (item[0], item[1]))
-    landmarks = [replace(lm, landmark_id=i) for i, (_, _, lm) in enumerate(fused)]
+    landmarks = [lm._replace(landmark_id=i) for i, (_, _, lm) in enumerate(fused)]
     track_of = {i: track_id for i, (_, track_id, _) in enumerate(fused)}
     return landmarks, rejected, track_of
 

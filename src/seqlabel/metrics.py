@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import EmptyInput, FrameMismatch
 from .labels import FrameAnnotation, iou_2d, wrap_angle
@@ -46,8 +46,7 @@ class MatchedPair(NamedTuple):
     yaw_pred: float
 
 
-@dataclass(frozen=True)
-class DepthReport:
+class DepthReport(NamedTuple):
     delta_125: float
     abs_rel: float | None  # None when not finite
     sqr_rel: float | None
@@ -55,16 +54,15 @@ class DepthReport:
     rmse_log: float | None  # None when every prediction was non-positive
     count: int
     log_excluded: int = 0
-    intervals: dict = field(default_factory=dict)
+    intervals: Mapping[str, DepthReport] = MappingProxyType({})  # label -> sub-report
 
 
-@dataclass(frozen=True)
-class ViewpointReport:
+class ViewpointReport(NamedTuple):
     acc_pi4: float
     acc_pi6: float
     mederr: float  # degrees
     count: int
-    intervals: dict = field(default_factory=dict)
+    intervals: Mapping[str, ViewpointReport] = MappingProxyType({})  # label -> sub-report
 
 
 Report = TypeVar("Report", DepthReport, ViewpointReport)
@@ -197,7 +195,7 @@ def _by_interval(stats: Callable[[Sequence[MatchedPair]], Report],
     """stats over all pairs, with stats of each non-empty depth interval as sub-reports."""
     if not pairs:
         raise EmptyInput("no matched pairs")
-    return replace(stats(pairs), intervals={
+    return stats(pairs)._replace(intervals={
         label: stats(group) for label, group in interval_breakdown(pairs).items()
     })
 
@@ -255,7 +253,8 @@ def format_report_table(depth: DepthReport, viewpoint: ViewpointReport,
 
 def report_to_json(r: Report) -> dict:
     """The report's fields in declaration order, with intervals only when there are any."""
-    out = {f.name: getattr(r, f.name) for f in fields(r) if f.name != "intervals"}
-    if r.intervals:
-        out["intervals"] = {k: report_to_json(v) for k, v in r.intervals.items()}
+    out = r._asdict()
+    intervals = out.pop("intervals")
+    if intervals:
+        out["intervals"] = {k: report_to_json(v) for k, v in intervals.items()}
     return out

@@ -14,8 +14,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,8 +90,7 @@ def _streams(keys: list[tuple[int, int, int, int]]):
     return open_stream
 
 
-@dataclass
-class GroundTruth:
+class GroundTruth(NamedTuple):
     landmarks: list[Landmark]
     trajectory: TrajectoryFile
     P: ProjectionMatrix
@@ -112,11 +110,12 @@ def make_trajectory(cfg: SimConfig) -> TrajectoryFile:
     poses = []
     if cfg.trajectory == "straight":
         for k in range(cfg.frames):
-            poses.append(Pose(np.eye(3), [0.0, 0.0, k * cfg.speed]))
+            poses.append(Pose(np.eye(3), np.array([0.0, 0.0, k * cfg.speed])))
     elif cfg.trajectory == "arc":
         for k in range(cfg.frames):
             phi = k * cfg.speed / cfg.arc_radius
-            t = [cfg.arc_radius * (1.0 - math.cos(phi)), 0.0, cfg.arc_radius * math.sin(phi)]
+            t = np.array([cfg.arc_radius * (1.0 - math.cos(phi)), 0.0,
+                          cfg.arc_radius * math.sin(phi)])
             poses.append(Pose(yaw_to_rotation(phi), t))
     else:
         pts = [np.asarray(p, dtype=float) for p in cfg.waypoints]
@@ -143,7 +142,7 @@ def _place_objects(cfg: SimConfig, trajectory: TrajectoryFile) -> list[tuple[Pos
             x, y, z, yaw = (float(v) for v in spec[:4])
             dims = Dimensions3D(*(float(v) for v in spec[4:7])) if len(spec) >= 7 \
                 else Dimensions3D(1.5, 1.7, 4.2)
-            placements.append((Pose(yaw_to_rotation(wrap_angle(yaw)), [x, y, z]), dims))
+            placements.append((Pose(yaw_to_rotation(wrap_angle(yaw)), np.array([x, y, z])), dims))
         return placements
     streams = _streams([(cfg.seed, 0, j, _PLACEMENT) for j in range(cfg.n_objects)])
     for j in range(cfg.n_objects):

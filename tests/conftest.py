@@ -305,7 +305,7 @@ def oracle_annotate_frame(landmarks, frame_id, cam, P, cfg) -> FrameAnnotation:
     Entries and in-window exclusions come in landmark id order, then the
     out-of-window exclusions are merged in by a stable sort on the id.
     """
-    annotation = FrameAnnotation(frame_id=frame_id)
+    annotation = FrameAnnotation(frame_id, [], [])
     out_of_window = []
     for lm in sorted(landmarks, key=lambda l: l.landmark_id):
         if not lm.first_frame - cfg.frame_window <= frame_id <= lm.last_frame + cfg.frame_window:
@@ -321,7 +321,8 @@ def oracle_annotate_frame(landmarks, frame_id, cam, P, cfg) -> FrameAnnotation:
             annotation.exclusions.append((lm.landmark_id, cause))
         else:
             annotation.entries.append(entry)
-    annotation.exclusions = sorted(annotation.exclusions + out_of_window, key=lambda e: e[0])
+    annotation.exclusions.extend(out_of_window)
+    annotation.exclusions.sort(key=lambda e: e[0])  # stable: in-window exclusions stay first
     return annotation
 
 

@@ -87,7 +87,7 @@ class TestLandmarkToLocal:
         cam = Pose(np.eye(3), [2.0, 0.0, 7.0])
         obs = make_observation(cam=cam, u=640.0, v=200.0, yaw=0.1, depth=20.0)
         lm = make_landmark()
-        lm = Landmark(**{**lm.__dict__, "global_pose": obs.global_pose})
+        lm = lm._replace(global_pose=obs.global_pose)
         local = local_pose(lm, cam)
         # The lift's camera-local pose, by its definition.
         assert np.allclose(local.translation, back_project(640.0, 200.0, 20.0, P_SIMPLE),
@@ -370,7 +370,7 @@ def landmark_frames(draw):
 
 
 def _oracle_annotation(frame_id, candidates, P, cfg):
-    annotation = FrameAnnotation(frame_id=frame_id)
+    annotation = FrameAnnotation(frame_id, [], [])
     for landmark_id, *rest in candidates:
         entry, cause = oracle_visible_entry(landmark_id, *rest, P, cfg)
         if entry is None:

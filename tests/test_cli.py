@@ -1093,9 +1093,10 @@ def test_numpy_free_layer_never_loads_numpy(script):
 
 
 def test_evaluate_never_loads_numpy(tmp_path):
-    # evaluate parses labels, matches and averages in pure Python, and takes its median
-    # without statistics (which brings fractions and decimal): a whole run, in a fresh
-    # interpreter, leaves neither module loaded.
+    # evaluate parses labels, matches and averages in pure Python, takes its median
+    # without statistics (which brings fractions and decimal), and its records are
+    # NamedTuples, not dataclasses (which bring inspect, ast and dis): a whole run, in a
+    # fresh interpreter, leaves none of these modules loaded.
     config = write_config(tmp_path)
     simulate(tmp_path, config)
     assert main(["build-map", "--config", str(config)]) == 0
@@ -1103,7 +1104,8 @@ def test_evaluate_never_loads_numpy(tmp_path):
     script = ("import sys\n"
               "from seqlabel.cli import main\n"
               "rc = main(['evaluate', '--config', sys.argv[1], '--gt', sys.argv[2]])\n"
-              "print(rc, sorted({'numpy', 'statistics'} & set(sys.modules)))\n")
+              "print(rc, sorted({'numpy', 'statistics', 'dataclasses', 'inspect'}"
+              " & set(sys.modules)))\n")
     out = _python(script, str(config), str(tmp_path / "sim" / "gt_labels"))
     assert out.splitlines()[-1] == "0 []"
     assert json.loads((tmp_path / "out" / "report.json").read_text())["matching"]["n_matched"] > 0

@@ -1,9 +1,8 @@
-"""Config loading: each section's dataclass is its schema, and a value of the
+"""Config loading: each section's record is its schema, and a value of the
 wrong kind or out of its range fails with one line naming its key path."""
 
 import math
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -36,9 +35,9 @@ DEGREES = {"yaw_tol", "sigma_yaw", "outlier_dyaw"}  # written as <name>_deg
 def _keys():
     """(section, YAML key, field name, read the loaded value, default) of every key."""
     keys = [
-        (section, f"{f.name}_deg" if f.name in DEGREES else f.name, f.name,
-         lambda cfg, s=section, n=f.name: getattr(getattr(cfg, s), n), f.default)
-        for section, cls in SECTIONS.items() for f in fields(cls)
+        (section, f"{name}_deg" if name in DEGREES else name, name,
+         lambda cfg, s=section, n=name: getattr(getattr(cfg, s), n), cls._field_defaults[name])
+        for section, cls in SECTIONS.items() for name in cls._fields
     ]
     keys.append(("metrics", "iou_min", "iou_min", lambda cfg: cfg.metrics_iou_min, 0.5))
     for key, attr in (("trajectory", "trajectory_path"), ("calib", "calib_path"),
@@ -207,6 +206,43 @@ class TestSectionReader:
         named = {(section, key) for section, values in raw.items() if isinstance(values, dict)
                  for key in values}
         assert "camera" in raw and named == {(section, key) for section, key, *_ in KEYS}
+
+    @staticmethod
+    def _with_literal(tmp_path, key: str, literal: str) -> Path:
+        """synthetic.yaml with section.key written as the YAML text literal, unquoted."""
+        section, name = key.split(".")
+        raw = yaml.safe_load(SYNTHETIC.read_text())
+        raw.setdefault(section, {})[name] = "LITERAL"
+        path = tmp_path / "pipeline.yaml"
+        path.write_text(yaml.safe_dump(raw).replace(" LITERAL\n", f" {literal}\n"))
+        return path
+
+    @pytest.mark.parametrize("key, literal, value", [
+        ("association.score_threshold", "7e-1", 0.7),
+        ("association.dist_gate", "1E3", 1000.0),
+        ("association.score_threshold", ".5", 0.5),
+        ("weighting.sigma_floor", "1e-100", 1e-100),
+        ("association.max_frame_gap", "7", 7),
+    ])
+    def test_numbers_load_as_yaml_1_2_reads_them(self, tmp_path, key, literal, value):
+        # YAML 1.1 reads 7e-1, 1E3 and 1e-100 as strings; an integer stays an int.
+        section, name = key.split(".")
+        got = getattr(getattr(load_config(self._with_literal(tmp_path, key, literal)), section),
+                      name)
+        assert type(got) is type(value) and got == value
+
+    @pytest.mark.parametrize("key, literal, message", [
+        ("weighting.sigma_floor", "-1e-100", "weighting.sigma_floor must be >= 1e-100, "
+                                             "got -1e-100"),
+        ("association.score_threshold", '"12.5"', "association.score_threshold must be a "
+                                                  "number, got '12.5'"),
+    ])
+    def test_exponent_out_of_range_or_quoted_number_fails(self, tmp_path, key, literal,
+                                                          message):
+        path = self._with_literal(tmp_path, key, literal)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("raw", [{1: 2, "bogus": 3}, {"association": {2: 0.5, "x": 1}}])
     def test_mixed_type_unknown_keys_are_a_config_error(self, tmp_path, raw):

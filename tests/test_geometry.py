@@ -5,6 +5,7 @@ addition, corner enumeration) and frozen here, independent of the code
 under test.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -20,8 +21,12 @@ from conftest import (
     oracle_nearest_rotation,
     oracle_project_box,
 )
-from seqlabel.annotate import annotate_frame
-from seqlabel.config import VisibilityConfig
+from seqlabel.annotate import (annotate_frame, annotate_sequence, read_annotation_dump,
+                               write_annotation_dump)
+from seqlabel.association import run_association
+from seqlabel.config import AssociationConfig, FusionConfig, VisibilityConfig
+from seqlabel.dataio import (CalibFile, parse_calib, parse_trajectory, read_detections,
+                             serialize_calib, serialize_trajectory, write_detections)
 from seqlabel.errors import DegenerateMean, DegenerateProjection
 from seqlabel.geometry import (
     Pose,
@@ -40,9 +45,10 @@ from seqlabel.geometry import (
     yaw_to_rotations,
 )
 from seqlabel.labels import Box2D, Dimensions3D, iou_2d, wrap_angle
-from seqlabel.landmark import (Landmark, WeightPolicy, fuse_pose, observation_weight,
-                               rotation_average)
-from seqlabel.simulator import SimConfig, make_trajectory
+from seqlabel.landmark import (Landmark, WeightPolicy, fuse_pose, fuse_tracks,
+                               observation_weight, parse_landmarks, rotation_average,
+                               serialize_landmarks)
+from seqlabel.simulator import SimConfig, generate, make_trajectory
 
 P_SIMPLE = ProjectionMatrix(np.array([[700.0, 0, 600, 0], [0, 700, 180, 0], [0, 0, 1, 0]]))
 
@@ -482,7 +488,7 @@ class TestProjectBox:
         assert box.top + box.bottom == pytest.approx(2 * 180)
 
     def test_all_behind_camera(self):
-        pose = Pose(np.eye(3), [0, 0, -50])
+        pose = Pose(np.eye(3), np.array([0.0, 0.0, -50.0]))
         out = project_box(pose.rotation[None], pose.translation[None],
                           half_extents([(2, 2, 2)]), P_SIMPLE)
         assert out[:, 0].tolist() == [math.inf, math.inf, -math.inf, -math.inf]
@@ -608,3 +614,63 @@ class TestIoU:
         ab = iou_2d(a, b)
         assert ab == iou_2d(b, a)
         assert 0.0 <= ab <= 1.0
+
+
+# --- the records' producers --------------------------------------------------------------
+
+@functools.cache
+def _scene():
+    """A simulated scene whose config gives whole numbers where floats are read."""
+    return generate(SimConfig(seed=3, n_objects=4, frames=40, speed=1, focal=700,
+                              image_width=1242, image_height=375, sigma_z=0.3, sigma_px=1.0))
+
+
+def _tracks(gt, detections):
+    return run_association(read_detections(write_detections(detections)), gt.trajectory, gt.P,
+                           AssociationConfig())
+
+
+def _annotations(gt):
+    return annotate_sequence(gt.landmarks, gt.trajectory, gt.P, gt.visibility)
+
+
+def _arc_and_objects():
+    """The poses of an arc trajectory and of an object placed by the config, whole numbers."""
+    gt, _ = generate(SimConfig(trajectory="arc", speed=1, arc_radius=80, frames=10,
+                               objects=((2, 2, 20, 0),)))
+    return [*gt.trajectory.poses, *(lm.global_pose for lm in gt.landmarks)]
+
+
+# Each producer of a Pose or ProjectionMatrix: the records it hands over, of _scene().
+PRODUCERS = {
+    "parse_trajectory": lambda gt, dets: parse_trajectory(
+        serialize_trajectory(gt.trajectory)).poses,
+    "parse_calib": lambda gt, dets: [parse_calib(serialize_calib(CalibFile({"P2": gt.P})))
+                                     .get("P2")],
+    "parse_landmarks": lambda gt, dets: [lm.global_pose for lm in parse_landmarks(
+        serialize_landmarks(gt.landmarks))],
+    "read_annotation_dump": lambda gt, dets: [e.local_pose for a in read_annotation_dump(
+        write_annotation_dump(_annotations(gt))) for e in a.entries],
+    "generate.trajectory": lambda gt, dets: [*gt.trajectory.poses, gt.P],
+    "generate.landmarks": lambda gt, dets: [lm.global_pose for lm in gt.landmarks],
+    "generate.arc_and_objects": lambda gt, dets: _arc_and_objects(),
+    "run_association": lambda gt, dets: [o.global_pose for t in _tracks(gt, dets)
+                                         for o in t.observations],
+    "fuse_tracks": lambda gt, dets: [lm.global_pose for lm in fuse_tracks(
+        _tracks(gt, dets), WeightPolicy(), FusionConfig())[0]],
+    "annotate_sequence": lambda gt, dets: [e.local_pose for a in _annotations(gt)
+                                           for e in a.entries],
+}
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+def test_every_producer_hands_over_float_arrays(producer):
+    # Pose and ProjectionMatrix convert nothing, so each producer hands over float64 arrays
+    # of the right shapes: an int translation would print differently in map.jsonl.
+    records = PRODUCERS[producer](*_scene())
+    assert records
+    shapes = {"rotation": (3, 3), "translation": (3,), "P": (3, 4)}
+    for record in records:
+        for name, value in record._asdict().items():
+            assert (type(value), value.dtype, value.shape) == (np.ndarray, np.float64,
+                                                               shapes[name]), (producer, name)
