@@ -276,15 +276,16 @@ def _section(cls, raw, where: str):
 
 
 class _Loader(yaml.SafeLoader):
-    """yaml.SafeLoader reading YAML 1.2's floats too: 7e-1, 1E3 and 1e-100 are no strings.
+    """yaml.SafeLoader that also reads YAML 1.2's exponent floats: 7e-1, 1E3 and 1e-100.
+
+    A number without an exponent stays as YAML 1.1 reads it, so 08 and -.5 are strings.
 
     Not yaml.CSafeLoader: faster, but it crashes (SIGSEGV) on a config nested 30,000 deep."""
 
 
-# Tried after YAML 1.1's patterns, so an integer such as 7 stays an int.
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
     list("-+.0123456789"))
 
 

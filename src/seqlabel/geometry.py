@@ -13,6 +13,7 @@ IoU and wrap_angle live in seqlabel.labels.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,14 +25,21 @@ from .errors import DegenerateMean, DegenerateProjection
 _YAW_ONLY_TOL = 1e-9
 
 
-class Pose(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Pose:
     """Rigid transform: a (3, 3) float rotation with det +1 and a (3,) float translation.
 
     It checks and converts nothing: the file readers check each rotation as they read it
-    (dataio._check_rotation), the only check, and every producer hands over float arrays."""
+    (dataio._check_rotation), the only check, and every producer hands over float arrays.
+    The arrays may be views shared with other poses, so construction marks them read-only:
+    a write through any pose raises instead of changing every pose that shares the buffer."""
 
     rotation: np.ndarray
     translation: np.ndarray
+
+    def __post_init__(self):
+        self.rotation.setflags(write=False)
+        self.translation.setflags(write=False)
 
     @classmethod
     def identity(cls) -> "Pose":

@@ -52,7 +52,7 @@ def make_landmark(x=0.0, y=1.65, z=30.0, yaw=0.0, first=0, last=9,
     observed = tuple(range(first, last + 1)) if observed is None else tuple(observed)
     return Landmark(
         landmark_id=landmark_id,
-        global_pose=Pose(yaw_to_rotation(yaw), [x, y, z]),
+        global_pose=Pose(yaw_to_rotation(yaw), np.array([x, y, z])),
         dims=Dimensions3D(*dims),
         support=len(observed),
         first_frame=first,
@@ -63,7 +63,7 @@ def make_landmark(x=0.0, y=1.65, z=30.0, yaw=0.0, first=0, last=9,
     )
 
 def straight_trajectory(n):
-    return TrajectoryFile([Pose(np.eye(3), [0, 0, float(k)]) for k in range(n)])
+    return TrajectoryFile([Pose(np.eye(3), np.array([0, 0, float(k)])) for k in range(n)])
 
 def local_pose(lm, cam):
     """The camera-local pose the batched pass gives the landmark's one entry."""
@@ -80,11 +80,11 @@ class TestLandmarkToLocal:
 
     def test_translated_camera(self):
         lm = make_landmark(x=0.0, y=0.0, z=15.0)
-        local = local_pose(lm, Pose(np.eye(3), [0, 0, 5]))
+        local = local_pose(lm, Pose(np.eye(3), np.array([0, 0, 5])))
         assert np.allclose(local.translation, [0, 0, 10])
 
     def test_round_trip_with_lift(self):
-        cam = Pose(np.eye(3), [2.0, 0.0, 7.0])
+        cam = Pose(np.eye(3), np.array([2.0, 0.0, 7.0]))
         obs = make_observation(cam=cam, u=640.0, v=200.0, yaw=0.1, depth=20.0)
         lm = make_landmark()
         lm = lm._replace(global_pose=obs.global_pose)
@@ -134,7 +134,7 @@ class TestAnnotateFrame:
 
     def test_composition_identity(self):
         lm = make_landmark(x=3.0, z=25.0, yaw=0.6)
-        cam = Pose(np.eye(3), [1.0, 0.0, 4.0])
+        cam = Pose(np.eye(3), np.array([1.0, 0.0, 4.0]))
         ann = annotate_frame([lm], 2, cam, P_SIMPLE, VIS)
         entry = ann.entries[0]
         recomputed = oracle_project_box(
@@ -170,7 +170,7 @@ class TestAnnotateFrame:
         from seqlabel.geometry import yaw_to_rotation
 
         lm = make_landmark(yaw=0.8, z=30.0)
-        cam = Pose(yaw_to_rotation(0.3), [0, 0, 0])
+        cam = Pose(yaw_to_rotation(0.3), np.array([0, 0, 0]))
         ann = annotate_frame([lm], 0, cam, P_SIMPLE, VIS)
         assert ann.entries[0].yaw_local == pytest.approx(0.5, abs=1e-12)
 
@@ -332,7 +332,8 @@ def cameras(draw):
     c, s = math.cos(draw(tilt)), math.sin(draw(tilt))
     roll = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     rotation = yaw_to_rotation(draw(_finite(-math.pi, math.pi))) @ pitch @ roll
-    return Pose(rotation, [draw(_finite(-50, 50)), draw(_finite(-2, 2)), draw(_finite(-50, 50))])
+    return Pose(rotation, np.array([draw(_finite(-50, 50)), draw(_finite(-2, 2)),
+                                    draw(_finite(-50, 50))]))
 
 
 # In front, straddling depth 0 or behind; laterally far enough to leave the image.
@@ -355,7 +356,7 @@ def landmark_frames(draw):
     landmarks = []
     for landmark_id in draw(st.lists(st.integers(0, 50), unique=True, max_size=8)):
         local = Pose(yaw_to_rotation(draw(_finite(-math.pi, math.pi))),
-                     [draw(_finite(-40, 40)), draw(_finite(-3, 3)), draw(depths)])
+                     np.array([draw(_finite(-40, 40)), draw(_finite(-3, 3)), draw(depths)]))
         first = draw(st.integers(0, 20))
         last = draw(st.integers(first, 25))
         observed = tuple(sorted(draw(st.sets(st.integers(first, last), max_size=4))))
@@ -414,7 +415,8 @@ def camera_paths(draw):
     """A trajectory of 1 to 12 frames: a yawed, pitched or rolled start that turns and moves."""
     start = draw(cameras())
     turn, step = draw(_finite(-0.2, 0.2)), draw(_finite(-3, 3))
-    return TrajectoryFile([compose(start, Pose(yaw_to_rotation(k * turn), [0.0, 0.0, k * step]))
+    return TrajectoryFile([compose(start, Pose(yaw_to_rotation(k * turn),
+                                               np.array([0.0, 0.0, k * step])))
                            for k in range(draw(st.integers(1, 12)))])
 
 
@@ -427,7 +429,7 @@ def sequence_scenes(draw):
     landmarks = []
     for landmark_id in draw(st.lists(st.integers(0, 6), max_size=6)):
         local = Pose(yaw_to_rotation(draw(_finite(-math.pi, math.pi))),
-                     [draw(_finite(-40, 40)), draw(_finite(-3, 3)), draw(depths)])
+                     np.array([draw(_finite(-40, 40)), draw(_finite(-3, 3)), draw(depths)]))
         first = draw(st.integers(0, n + 2))
         last = draw(st.integers(first, n + 4))
         observed = tuple(sorted(draw(st.sets(st.integers(first, last), max_size=4))))
@@ -464,7 +466,8 @@ class TestSequenceOracle:
 
     def test_longer_than_one_block(self):
         n = 2 * annotate.BLOCK_FRAMES + 5
-        trajectory = TrajectoryFile([Pose(yaw_to_rotation(0.01 * k), [0.3 * k, 0.0, 1.5 * k])
+        trajectory = TrajectoryFile([Pose(yaw_to_rotation(0.01 * k),
+                                          np.array([0.3 * k, 0.0, 1.5 * k]))
                                      for k in range(n)])
         landmarks = [
             make_landmark(landmark_id=j % 7, x=(-1) ** j * (3.0 + j % 5), z=12.0 + 4.5 * j,

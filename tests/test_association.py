@@ -129,12 +129,12 @@ class TestLiftDetection:
         assert np.allclose(obs.global_pose.translation, [0, 0, 10], atol=1e-12)
 
     def test_camera_translation_composes(self):
-        cam = Pose(np.eye(3), [0, 0, 5])
+        cam = Pose(np.eye(3), np.array([0, 0, 5]))
         obs = make_observation(cam=cam, u=600.0, v=180.0, depth=10.0)
         assert np.allclose(obs.global_pose.translation, [0, 0, 15], atol=1e-12)
 
     def test_local_global_consistency(self):
-        cam = Pose(np.eye(3), [3, 0, 7])
+        cam = Pose(np.eye(3), np.array([3, 0, 7]))
         obs = make_observation(cam=cam, u=650.0, v=190.0, yaw=0.4, depth=24.0)
         local = Pose(yaw_to_rotation(0.4), back_project(650.0, 190.0, 24.0, P_SIMPLE))
         recomposed = compose(cam, local)
@@ -142,7 +142,7 @@ class TestLiftDetection:
         assert np.allclose(recomposed.rotation, obs.global_pose.rotation, atol=1e-12)
 
     def test_projection_round_trip(self):
-        cam = Pose(yaw_to_rotation(0.3), [2, 0, 5])
+        cam = Pose(yaw_to_rotation(0.3), np.array([2, 0, 5]))
         obs = make_observation(cam=cam, u=712.0, v=204.5, depth=18.0)
         u, v, z = project_point(inverse(cam).apply(obs.global_pose.translation), P_SIMPLE)
         assert (u, v, z) == pytest.approx((712.0, 204.5, 18.0), abs=1e-9)
@@ -390,7 +390,7 @@ class TestAssociateFrame:
 def _simulated_sequence(n_frames=10, objects=((0.0, 30.0), (15.0, 55.0)), jitter=0.0, seed=0):
     """Camera drives +z at 1 m/frame; objects are (x, z) on the ground."""
     rng = np.random.default_rng(seed)
-    poses = [Pose(np.eye(3), [0, 0, float(k)]) for k in range(n_frames)]
+    poses = [Pose(np.eye(3), np.array([0, 0, float(k)])) for k in range(n_frames)]
     detections = {}
     for k in range(n_frames):
         cam = poses[k]
@@ -508,7 +508,8 @@ def cameras(draw):
     c, s = math.cos(pitch), math.sin(pitch)
     tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
     rotation = yaw_to_rotation(draw(_finite(-math.pi, math.pi))) @ tilt
-    return Pose(rotation, [draw(_finite(-50, 50)), draw(_finite(-2, 2)), draw(_finite(-50, 50))])
+    return Pose(rotation, np.array([draw(_finite(-50, 50)), draw(_finite(-2, 2)),
+                                    draw(_finite(-50, 50))]))
 
 
 descriptors = st.one_of(
@@ -537,7 +538,8 @@ def scenes(draw):
         track = OracleTrack()
         for k in range(draw(st.integers(1, 3))):
             local = Pose(yaw_to_rotation(yaw + draw(_finite(-0.2, 0.2))),
-                         [x + draw(_finite(-0.5, 0.5)), 1.65, z + draw(_finite(-0.5, 0.5))])
+                         np.array([x + draw(_finite(-0.5, 0.5)), 1.65,
+                                   z + draw(_finite(-0.5, 0.5))]))
             oracle_track_add(track, _observation(
                 k, compose(cam, local), category=category, dims=draw(dimensions),
                 score=draw(_finite(0.05, 1)), descriptor=draw(descriptors)))
@@ -548,7 +550,8 @@ def scenes(draw):
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(tracks) - 1))
         base, (x, z) = tracks[i], centers[i]
-        local = Pose(np.eye(3), [x + draw(_finite(-5, 5)), 1.65, z + draw(_finite(-5, 5))])
+        local = Pose(np.eye(3),
+                     np.array([x + draw(_finite(-5, 5)), 1.65, z + draw(_finite(-5, 5))]))
         tb = oracle_project_box(oracle_box3d_corners(compose(inverse(cam), base.fused_pose),
                                                      base.fused_dims), P)
         if tb is not None and draw(st.booleans()):
@@ -588,8 +591,9 @@ class TestCostMatrix:
     def test_track_behind_camera_scores_iou_zero(self):
         # The track sits 5 m behind the camera and the detection 2 m from it:
         # only the distance gate admits the pair, with the IoU term at 1.
-        track = _estimate([_observation(0, Pose(np.eye(3), [0.0, 1.65, -5.0]))])
-        obs = _observation(1, Pose(np.eye(3), [0.0, 1.65, -3.0]), box=Box2D(500, 100, 700, 300))
+        track = _estimate([_observation(0, Pose(np.eye(3), np.array([0.0, 1.65, -5.0])))])
+        obs = _observation(1, Pose(np.eye(3), np.array([0.0, 1.65, -3.0])),
+                           box=Box2D(500, 100, 700, 300))
         cfg = AssociationConfig(w_iou=0.5, w_dist=0.5, w_desc=0.0)
         got = cost_matrix(*scoring_rows([track], [obs]), P_SIMPLE, Pose.identity(), cfg)
         assert got[0, 0] == pytest.approx(0.5 * 1.0 + 0.5 * 2.0 / 3.0, abs=1e-12)
@@ -598,11 +602,13 @@ class TestCostMatrix:
         # A track of finite but extreme size projects to a nan hull: IoU 0 with
         # every box, so only the distance gate admits a pair, and no cost is
         # nan or inf.
-        track = _estimate([_observation(0, Pose(np.eye(3), [0.0, 1.65, 20.0]),
+        track = _estimate([_observation(0, Pose(np.eye(3), np.array([0.0, 1.65, 20.0])),
                                         dims=(1e308, 1e308, 1e308))])
         observations = [
-            _observation(1, Pose(np.eye(3), [0.0, 1.65, 21.0]), box=Box2D(500, 100, 700, 300)),
-            _observation(1, Pose(np.eye(3), [0.0, 1.65, 60.0]), box=Box2D(0, 0, 1242, 375)),
+            _observation(1, Pose(np.eye(3), np.array([0.0, 1.65, 21.0])),
+                         box=Box2D(500, 100, 700, 300)),
+            _observation(1, Pose(np.eye(3), np.array([0.0, 1.65, 60.0])),
+                         box=Box2D(0, 0, 1242, 375)),
         ]
         cfg = AssociationConfig(w_iou=0.5, w_dist=0.5, w_desc=0.0)
         got = cost_matrix(*scoring_rows([track], observations), P_SIMPLE, Pose.identity(), cfg)
@@ -612,10 +618,11 @@ class TestCostMatrix:
 
     def test_track_straddling_depth_zero_matches_oracle(self):
         # Corners at depths -0.35 to 1.35: only those in front span the hull.
-        cam = Pose(yaw_to_rotation(0.4), [3.0, 0.0, -2.0])
-        track = _estimate([_observation(0, compose(cam, Pose(np.eye(3), [0.5, 1.65, 0.5])))])
+        cam = Pose(yaw_to_rotation(0.4), np.array([3.0, 0.0, -2.0]))
+        track = _estimate([_observation(0, compose(cam, Pose(np.eye(3),
+                                                             np.array([0.5, 1.65, 0.5]))))])
         observations = [
-            _observation(1, compose(cam, Pose(np.eye(3), [0.0, 1.65, 2.0])), box=box)
+            _observation(1, compose(cam, Pose(np.eye(3), np.array([0.0, 1.65, 2.0]))), box=box)
             for box in (Box2D(0, 0, 1242, 375), Box2D(900, 100, 1200, 375), Box2D(0, 0, 0, 0))
         ]
         cfg = AssociationConfig(dist_gate=3.0)
@@ -649,7 +656,7 @@ def drives(draw):
         _axis_rotation("z", draw(st.one_of(st.just(0.0), _finite(-0.3, 0.3))))
     yaw, turn = draw(_finite(-math.pi, math.pi)), draw(_finite(-0.05, 0.05))
     n_frames = draw(st.integers(1, 6))
-    poses = [Pose(yaw_to_rotation(yaw + turn * k) @ tilt, [0.0, 0.0, 0.8 * k])
+    poses = [Pose(yaw_to_rotation(yaw + turn * k) @ tilt, np.array([0.0, 0.0, 0.8 * k]))
              for k in range(n_frames)]
     objects = [(draw(_finite(50, 1200)), draw(_finite(120, 260)), draw(_finite(4, 60)),
                 draw(_finite(-math.pi, math.pi)), draw(dimensions),
@@ -750,7 +757,8 @@ class TestRunningEstimateRows:
     def test_single_no_mean_and_mean_rows(self):
         # Two parked cars over three frames.  Frame 0 starts both tracks from single
         # observations; one car scores 0 in every frame, so its sums never have a mean.
-        trajectory = TrajectoryFile([Pose(np.eye(3), [0.0, 0.0, 0.8 * k]) for k in range(3)])
+        trajectory = TrajectoryFile([Pose(np.eye(3), np.array([0.0, 0.0, 0.8 * k]))
+                                     for k in range(3)])
         detections = {k: [make_detection(frame_id=k, u=400.0, depth=20.0 - 0.8 * k, score=0.0),
                           make_detection(frame_id=k, u=800.0, depth=25.0 - 0.8 * k,
                                          yaw=0.1 * k, score=0.5 + 0.2 * k, descriptor=[1, k])]

@@ -236,6 +236,9 @@ class TestSectionReader:
                                              "got -1e-100"),
         ("association.score_threshold", '"12.5"', "association.score_threshold must be a "
                                                   "number, got '12.5'"),
+        # No exponent: YAML 1.1 reads a leading-zero 08 as a string, and so does the loader.
+        ("association.max_frame_gap", "08", "association.max_frame_gap must be an integer, "
+                                            "got '08'"),
     ])
     def test_exponent_out_of_range_or_quoted_number_fails(self, tmp_path, key, literal,
                                                           message):

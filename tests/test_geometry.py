@@ -168,8 +168,8 @@ class TestPoseAlgebra:
         assert np.allclose(out.translation, x.translation)
 
     def test_translation_composition(self):
-        a = Pose(np.eye(3), [0, 0, 5])
-        b = Pose(np.eye(3), [0, 0, 10])
+        a = Pose(np.eye(3), np.array([0, 0, 5]))
+        b = Pose(np.eye(3), np.array([0, 0, 10]))
         assert np.allclose(compose(a, b).translation, [0, 0, 15])
 
     def test_yaw_angle_addition(self):
@@ -183,7 +183,7 @@ class TestPoseAlgebra:
         assert np.allclose(inv.translation, 0.0)
 
     def test_inverse_pure_translation(self):
-        inv = inverse(Pose(np.eye(3), [1, 2, 3]))
+        inv = inverse(Pose(np.eye(3), np.array([1, 2, 3])))
         assert np.allclose(inv.translation, [-1, -2, -3])
 
     def test_compose_inverse_round_trip(self):
@@ -218,7 +218,7 @@ def rotations(draw):
 @st.composite
 def cameras(draw):
     """A camera pose with yaw, pitch and roll anywhere."""
-    return Pose(draw(rotations()), [draw(coords) for _ in range(3)])
+    return Pose(draw(rotations()), np.array([draw(coords) for _ in range(3)]))
 
 
 class TestInternalPosesStayProper:
@@ -242,7 +242,7 @@ class TestInternalPosesStayProper:
     # pitch) misses the image, so only the view camera below annotates it.
     @example(Pose(np.array([[1.0, 0.0, 0.0],
                             [0.0, math.cos(0.5), math.sin(0.5)],
-                            [0.0, -math.sin(0.5), math.cos(0.5)]]), [0.0, 0.0, 0.0]),
+                            [0.0, -math.sin(0.5), math.cos(0.5)]]), np.array([0.0, 0.0, 0.0])),
              [(0.0, 1.0), (3.0, 1.0)], "score")
     def test_lift_fuse_and_reproject(self, cam, dets, mode):
         observations = [make_observation(cam=cam, frame_id=k, yaw=yaw, depth=depth, sigma=0.5)
@@ -262,7 +262,7 @@ class TestInternalPosesStayProper:
         # box close to cam can miss the image, so it is viewed from 20 m further back along
         # cam's optical axis: every corner is then in front, and the hull holds the principal
         # point the detections were lifted from.
-        view = compose(cam, Pose(np.eye(3), [0.0, 0.0, -20.0]))
+        view = compose(cam, Pose(np.eye(3), np.array([0.0, 0.0, -20.0])))
         vis = VisibilityConfig(min_box_area=1e-9, min_visible_fraction=1e-9)
         (entry,) = annotate_frame([lm], 0, view, P_SIMPLE, vis).entries
         assert_proper_rotation(entry.local_pose)
@@ -430,18 +430,20 @@ class TestBoxCorners:
         assert got == expected
         # Seen 10 m ahead, the hull spans those corners: x in [-1, 1], y in [-2, 0],
         # nearest face at z = 9 (u = 600 -+ 700/9), v from 180 - 1400/9 to 180.
-        (box,) = hulls([Pose(np.eye(3), [0, 0, 10])], [Dimensions3D(2, 2, 2)])
+        (box,) = hulls([Pose(np.eye(3), np.array([0, 0, 10]))], [Dimensions3D(2, 2, 2)])
         assert (box.left, box.top, box.right, box.bottom) == pytest.approx(
             (600 - 700 / 9, 180 - 1400 / 9, 600 + 700 / 9, 180.0), abs=1e-9)
 
     def test_translation_equivariance(self):
         base = oracle_box3d_corners(Pose.identity(), Dimensions3D(1.5, 1.6, 4.0))
-        moved = oracle_box3d_corners(Pose(np.eye(3), [0, 0, 10]), Dimensions3D(1.5, 1.6, 4.0))
+        moved = oracle_box3d_corners(Pose(np.eye(3), np.array([0, 0, 10])),
+                                     Dimensions3D(1.5, 1.6, 4.0))
         assert np.allclose(moved, base + np.array([0, 0, 10]))
         # A camera-frame shift along x moves the whole hull by focal * dx / depth
         # when the cuboid's depth extent is zero.
         flat = Dimensions3D(1.5, 1e-12, 4.0)
-        near, shifted = hulls([Pose(np.eye(3), [0, 0, 20]), Pose(np.eye(3), [2, 0, 20])],
+        near, shifted = hulls([Pose(np.eye(3), np.array([0, 0, 20])),
+                               Pose(np.eye(3), np.array([2, 0, 20]))],
                               [flat, flat])
         assert shifted.left - near.left == pytest.approx(700 * 2 / 20, abs=1e-9)
         assert shifted.right - near.right == pytest.approx(700 * 2 / 20, abs=1e-9)
@@ -482,7 +484,7 @@ class TestBoxCorners:
 class TestProjectBox:
     def test_centered_cuboid_symmetric_box(self):
         # Cuboid around the optical axis: box symmetric about the principal point.
-        pose = Pose(np.eye(3), [0, 1, 20])  # bottom center 1 below axis, height 2
+        pose = Pose(np.eye(3), np.array([0, 1, 20]))  # bottom center 1 below axis, height 2
         (box,) = hulls([pose], [Dimensions3D(2, 2, 2)])
         assert box.left + box.right == pytest.approx(2 * 600)
         assert box.top + box.bottom == pytest.approx(2 * 180)
@@ -497,7 +499,7 @@ class TestProjectBox:
 
     def test_degenerate_cuboid_matches_point(self):
         eps = 1e-9
-        pose = Pose(np.eye(3), [2, 1, 30])
+        pose = Pose(np.eye(3), np.array([2, 1, 30]))
         (box,) = hulls([pose], [Dimensions3D(eps, eps, eps)])
         u, v, _ = project_point((2, 1, 30), P_SIMPLE)
         assert box.area() < 1e-6
@@ -513,7 +515,7 @@ class TestProjectBox:
             (600 - 700 / 3, 180 - 1400 / 3, 600 + 700 / 3, 180.0), abs=1e-9)
 
     def test_batch_order_and_empty_batch(self):
-        poses = [Pose(np.eye(3), [x, 0, 25]) for x in (-3.0, 0.0, 3.0)]
+        poses = [Pose(np.eye(3), np.array([x, 0, 25])) for x in (-3.0, 0.0, 3.0)]
         dims = [Dimensions3D(1.5, 1.7, 4.2)] * 3
         boxes = hulls(poses, dims)
         assert [b.left for b in boxes] == sorted(b.left for b in boxes)
@@ -663,6 +665,16 @@ PRODUCERS = {
 }
 
 
+def test_pose_arrays_are_read_only():
+    # Poses may share their arrays (views of one block), so a write through one raises.
+    block = np.zeros((2, 3))
+    pose = Pose(np.eye(3), block[0])
+    for value in (pose.rotation, pose.translation):
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 1.0
+    assert not block[0].any()
+
+
 @pytest.mark.parametrize("producer", PRODUCERS)
 def test_every_producer_hands_over_float_arrays(producer):
     # Pose and ProjectionMatrix convert nothing, so each producer hands over float64 arrays
@@ -671,6 +683,8 @@ def test_every_producer_hands_over_float_arrays(producer):
     assert records
     shapes = {"rotation": (3, 3), "translation": (3,), "P": (3, 4)}
     for record in records:
-        for name, value in record._asdict().items():
+        names = ("P",) if isinstance(record, ProjectionMatrix) else ("rotation", "translation")
+        for name in names:
+            value = getattr(record, name)
             assert (type(value), value.dtype, value.shape) == (np.ndarray, np.float64,
                                                                shapes[name]), (producer, name)

@@ -301,7 +301,7 @@ class TestFuseTrack:
 def _global_observation(frame_id, yaw, translation, dims, score, sigma):
     """An observation placed directly at a global pose."""
     obs = make_observation(frame_id=frame_id, score=score, sigma=sigma, dims=dims)
-    return Observation(obs.detection, Pose(yaw_to_rotation(yaw), translation))
+    return Observation(obs.detection, Pose(yaw_to_rotation(yaw), np.array(translation)))
 
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False)

@@ -3,8 +3,8 @@
 bench/tracer.py lists a hook whose targets are all gone as absent and
 drops its metrics instead of failing, so a refactor that renames a hooked
 function would silently thin the benchmark.  This runs the tracer on a
-small simulated scene and requires every hook but those in ABSENT to be
-present, and every span hook to be entered: a hook on a name that no command calls any more
+small simulated scene and requires every hook to be present, and every
+span hook to be entered: a hook on a name that no command calls any more
 is present but measures nothing.  The annotate.* metrics count calls of
 cli.annotate_frame, so annotate must still call it once per frame;
 association.track_updates counts calls of Track.add, so build-map must
@@ -25,9 +25,6 @@ TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 # whole sequence with lift_detections, so it calls neither association_cost nor
 # lift_detection.  ROADMAP item 1 re-targets these hooks.
 NOT_ENTERED = ("association.cost", "association.lift")
-# Without a target: the hook times Pose.__post_init__, and Pose, a plain NamedTuple, no longer
-# checks anything.  ROADMAP item 1's benchmark change removes the hook.
-ABSENT = ("geometry.pose_validate",)
 
 
 def _span_hooks() -> set[str]:
@@ -53,7 +50,7 @@ def test_traced_commands_have_no_absent_hook(tmp_path):
         assert proc.returncode == 0, proc.stderr
         record = json.loads(spans.read_text())
         assert record["rc"] == 0
-        assert record["absent"] == list(ABSENT)
+        assert record["absent"] == []
         counts[command] = record["counts"]
         entered.update(name for name, *_ in record["spans"])
     assert _span_hooks() - entered == set(NOT_ENTERED)
