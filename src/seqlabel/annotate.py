@@ -28,8 +28,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .config import VisibilityConfig
-from .dataio import (DetectionRecord, TrajectoryFile, _check_rotation, _entries, _field,
-                     _json_record, _read)
+from .dataio import (DetectionRecord, TrajectoryFile, _entries, _field, _json_record, _pose,
+                     _read, pose_row)
 from .errors import SchemaError
 from .geometry import (
     Pose,
@@ -41,7 +41,7 @@ from .geometry import (
     yaw_to_rotations,
 )
 from .labels import Box2D, Dimensions3D, FrameAnnotation, _data_lines, box_error, dims_error
-from .landmark import MAP_ROTATION_TOL, Landmark
+from .landmark import Landmark
 
 PROVENANCE_OBSERVED = "observed_in_frame"
 PROVENANCE_PROJECTED = "map_projected"
@@ -245,7 +245,7 @@ def annotation_to_json(ann: FrameAnnotation) -> dict:
             {
                 "landmark_id": e.landmark_id,
                 "category": e.category,
-                "pose": [float(v) for v in e.local_pose.matrix().ravel()],
+                "pose": pose_row(e.local_pose),
                 "box2d": dict(zip("ltrb", e.box2d)),
                 "box2d_raw": dict(zip("ltrb", e.box2d_raw)),
                 "depth": e.depth,
@@ -276,13 +276,12 @@ def read_annotation_dump(text: str) -> list[FrameAnnotation]:
             raise SchemaError(lineno, "field 'entries' must be an array of objects")
         entries = []
         for e in raw:
-            m = np.array(_entries(e, "pose", lineno, 12)).reshape(3, 4)
-            _check_rotation(m[None, :, :3], [lineno], MAP_ROTATION_TOL)
+            pose = _pose(e, "pose", lineno)
             entries.append(
                 AnnotationEntry(
                     landmark_id=_read(e, "landmark_id", lineno, int),
                     category=_read(e, "category", lineno, str),
-                    local_pose=Pose(m[:, :3], m[:, 3]),
+                    local_pose=pose,
                     box2d=Box2D(*_entries(e, "box2d", lineno, "ltrb", rule=box_error)),
                     box2d_raw=Box2D(*_entries(e, "box2d_raw", lineno, "ltrb", rule=box_error)),
                     depth=_read(e, "depth", lineno),

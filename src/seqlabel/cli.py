@@ -16,15 +16,16 @@ metrics but never numpy, and build-map and annotate never load metrics.
 The module __getattr__ (PEP 562) imports a stage function on first
 access and keeps it as a module global, and each cmd_* calls every stage
 function through the module, as _stage.run_association(...); only
-parse_kitti_labels, from the labels module imported at the top, is a
-plain global.  They are module attributes, not local imports, because
-the benchmark tracer hooks a command by patching these names on this
-module, and a local import would bypass its wrappers.
+parse_kitti_labels and write_kitti_labels, from the labels module
+imported at the top, are plain globals.  They are module attributes, not
+local imports, because the benchmark tracer hooks a command by patching
+these names on this module, and a local import would bypass its wrappers.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -32,17 +33,17 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import PipelineConfig, config_fingerprint, file_digest, load_config, read_value
+from .config import PipelineConfig, config_fingerprint, load_config, read_value
 from .errors import ConfigError, ParseError, SeqLabelError
-from .labels import FrameAnnotation, frame_file_name, frame_id_of, parse_kitti_labels
+from .labels import (FrameAnnotation, frame_file_name, frame_id_of, parse_kitti_labels,
+                     write_kitti_labels)
 
 # The stage functions each stage module provides to the commands.
 _STAGES = {
     "annotate": ("annotate_frame", "annotate_sequence", "write_annotation_dump"),
     "association": ("run_association",),
     "dataio": ("CalibFile", "parse_calib", "parse_trajectory", "read_detections",
-               "serialize_calib", "serialize_trajectory", "write_detections",
-               "write_kitti_labels"),
+               "serialize_calib", "serialize_trajectory", "write_detections"),
     "landmark": ("fuse_tracks", "parse_landmarks", "serialize_landmarks"),
     "metrics": ("depth_metrics", "format_report_table", "match_annotations", "report_to_json",
                 "viewpoint_metrics"),
@@ -64,8 +65,9 @@ _stage = sys.modules[__name__]  # stage functions are looked up here, where a tr
 OUTPUT_ENV = "SEQLABEL_OUTPUT"
 
 
-def _read_text(path: str | Path, what: str) -> str:
-    """The file's text, read once; a missing file or parent directory is a ConfigError."""
+def _read_text(path: str | Path, what: str) -> tuple[str, str]:
+    """The file's text, read once, and the sha256 prefix of the bytes it decodes (the
+    header's digest); a missing file or parent directory is a ConfigError."""
     if not path:
         raise ConfigError(f"no {what} path configured")
     try:
@@ -74,7 +76,7 @@ def _read_text(path: str | Path, what: str) -> str:
     except (FileNotFoundError, NotADirectoryError):
         raise ConfigError(f"{what} file not found: {Path(path)}") from None
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()[:12]
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
         reason = f"not valid UTF-8 (byte {data[e.start]:#04x} at offset {e.start})"
@@ -82,18 +84,18 @@ def _read_text(path: str | Path, what: str) -> str:
 
 
 def _parse_with_context(parser, path: str | Path, what: str):
+    """parser's value of the file's text, and the file's digest (_read_text)."""
     try:
-        return parser(_read_text(path, what))
+        text, digest = _read_text(path, what)
+        return parser(text), digest
     except ParseError as e:
         raise ParseError(e.line, f"{path}: {e.reason}") from None
 
 
-def _meta(cfg: PipelineConfig, inputs: dict[str, str]) -> dict:
-    return {
-        "tool": f"seqlabel {__version__}",
-        "config": config_fingerprint(cfg),
-        "inputs": {name: file_digest(p) for name, p in inputs.items() if Path(p).exists()},
-    }
+def _meta(cfg: PipelineConfig, digests: dict[str, str]) -> dict:
+    """Tool, config hash and the digest of each input, keyed by its header name."""
+    return {"tool": f"seqlabel {__version__}", "config": config_fingerprint(cfg),
+            "inputs": digests}
 
 
 def _header(meta: dict) -> str:
@@ -113,19 +115,22 @@ def _write_labels(directory: Path, annotations) -> None:
     for name in _frame_files(directory):
         (directory / name).unlink()
     for ann in annotations:
-        (directory / frame_file_name(ann.frame_id)).write_text(_stage.write_kitti_labels(ann))
+        (directory / frame_file_name(ann.frame_id)).write_text(write_kitti_labels(ann))
 
 
 def _load_inputs(cfg: PipelineConfig):
-    trajectory = _parse_with_context(_stage.parse_trajectory, cfg.trajectory_path, "trajectory")
-    calib = _parse_with_context(_stage.parse_calib, cfg.calib_path, "calib")
-    P = calib.get(cfg.camera)
-    return trajectory, P
+    """The trajectory, the configured camera's matrix and the two files' digests."""
+    digests = {}
+    trajectory, digests["trajectory"] = _parse_with_context(
+        _stage.parse_trajectory, cfg.trajectory_path, "trajectory")
+    calib, digests["calib"] = _parse_with_context(_stage.parse_calib, cfg.calib_path, "calib")
+    return trajectory, calib.get(cfg.camera), digests
 
 
 def cmd_build_map(cfg: PipelineConfig, out_dir: Path) -> int:
-    trajectory, P = _load_inputs(cfg)
-    detections = _parse_with_context(_stage.read_detections, cfg.detections_path, "detections")
+    trajectory, P, digests = _load_inputs(cfg)
+    detections, digests["detections"] = _parse_with_context(
+        _stage.read_detections, cfg.detections_path, "detections")
     detections = {k: v for k, v in detections.items() if cfg.frame_allowed(k)}
     if not detections:
         print("seqlabel: warning: no detections after filtering; writing an empty map",
@@ -138,9 +143,7 @@ def cmd_build_map(cfg: PipelineConfig, out_dir: Path) -> int:
     landmarks, rejected, track_of = _stage.fuse_tracks(tracks, cfg.weighting, cfg.fusion)
     landmark_of_track = {tid: lid for lid, tid in track_of.items()}
 
-    inputs = {"trajectory": cfg.trajectory_path, "calib": cfg.calib_path,
-              "detections": cfg.detections_path}
-    meta = _meta(cfg, inputs)
+    meta = _meta(cfg, digests)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "map.jsonl").write_text(_header(meta) + _stage.serialize_landmarks(landmarks))
 
@@ -169,9 +172,10 @@ def cmd_build_map(cfg: PipelineConfig, out_dir: Path) -> int:
 
 
 def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> int:
-    trajectory, P = _load_inputs(cfg)
+    trajectory, P, digests = _load_inputs(cfg)
     map_file = Path(map_path) if map_path else out_dir / "map.jsonl"
-    landmarks = _parse_with_context(_stage.parse_landmarks, str(map_file), "landmark map")
+    landmarks, digests["map"] = _parse_with_context(
+        _stage.parse_landmarks, str(map_file), "landmark map")
 
     annotations = [
         _stage.annotate_frame(landmarks, k, trajectory.pose(k), P, cfg.visibility)
@@ -180,10 +184,8 @@ def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> in
 
     labels_dir = out_dir / "labels"
     _write_labels(labels_dir, annotations)
-    inputs = {"trajectory": cfg.trajectory_path, "calib": cfg.calib_path,
-              "map": str(map_file)}
     (out_dir / "annotations.jsonl").write_text(
-        _header(_meta(cfg, inputs)) + _stage.write_annotation_dump(annotations)
+        _header(_meta(cfg, digests)) + _stage.write_annotation_dump(annotations)
     )
     n_entries = sum(len(a.entries) for a in annotations)
     print(f"annotate: {n_entries} entries over {len(annotations)} frames -> {labels_dir}")
@@ -208,7 +210,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
     pairs, n_pred, n_gt = [], 0, 0
     for name in common:
         pred_ann, gt_ann = (FrameAnnotation(frame_id_of(name), _parse_with_context(
-            parse_kitti_labels, d / name, "labels")) for d in (pred, gt))
+            parse_kitti_labels, d / name, "labels")[0]) for d in (pred, gt))
         pairs += _stage.match_annotations(pred_ann, gt_ann, cfg.metrics_iou_min)
         n_pred += len(pred_ann.entries)
         n_gt += len(gt_ann.entries)

@@ -340,7 +340,3 @@ def config_fingerprint(cfg: PipelineConfig) -> str:
                for k, v in cfg._asdict().items() if k not in _OWN["paths"].values()}
     blob = json.dumps(payload, sort_keys=True, default=list)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]

@@ -1,15 +1,17 @@
 """Readers and writers for the on-disk formats.
 
 Formats:
-  trajectory  one camera-to-world pose per line, 12 reals (row-major 3x4);
-              the frame id is the data-line index starting at 0
+  pose        12 reals, [R | t] row-major, written by pose_row: a trajectory
+              line, or the "pose" of a map or dump line, which _pose reads
+  trajectory  one camera-to-world pose per line; the frame id is the
+              data-line index starting at 0
   calib       "KEY: v1 ... v12" per line, e.g. "P2: ..."
   detections  JSONL, one record per line: frame_id, category,
               box2d{l,t,r,b}, depth, yaw, dims{h,w,l}, center2d{u,v},
               score, sigma?, descriptor?, gt_id?
   labels      KITTI object labels, 15 whitespace-separated fields per
               line, floats rendered with 2 decimals; the numpy-free
-              reader and formatter live in seqlabel.labels
+              reader and writer live in seqlabel.labels
 
 Blank lines and lines starting with '#' are skipped everywhere; reported
 line numbers are 1-based positions in the raw file.  Each value is
@@ -24,7 +26,6 @@ numbers first (_detection_line).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -41,22 +42,22 @@ from .geometry import Pose, ProjectionMatrix, nearest_rotation
 from .labels import (
     Box2D,
     Dimensions3D,
-    FrameAnnotation,
     KINDS,
-    KittiLabelLine,
     _data_lines,
     _parse_floats,
     box_error,
     dims_error,
-    format_label_line,
     is_number,
     parse_kitti_labels,  # re-exported: the acceptance suite reads labels through dataio
     wrap_angle,
+    write_kitti_labels,  # re-exported: and writes them through dataio
 )
 
 # Rotation blocks may deviate this much from orthonormal before parsing fails;
 # anything accepted is re-projected onto the closest proper rotation.
 ROTATION_INPUT_TOL = 1e-3
+# Map and dump rotations are used exactly as read, so they must be this close.
+MAP_ROTATION_TOL = 1e-9
 
 
 @dataclass
@@ -142,11 +143,14 @@ def parse_trajectory(text: str) -> TrajectoryFile:
     return TrajectoryFile([Pose(r, t) for r, t in zip(rotations, m[..., 3])])
 
 
+def pose_row(pose: Pose) -> list[float]:
+    """The 12 numbers of [R | t], row-major, as Python floats: the one stored form of a pose."""
+    (r0, r1, r2), t = pose.rotation.tolist(), pose.translation.tolist()
+    return [float(v) for v in (*r0, t[0], *r1, t[1], *r2, t[2])]
+
+
 def serialize_trajectory(trajectory: TrajectoryFile) -> str:
-    lines = [
-        " ".join(repr(float(v)) for v in pose.matrix().ravel()) for pose in trajectory.poses
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(" ".join(map(repr, pose_row(pose))) + "\n" for pose in trajectory.poses)
 
 
 def parse_calib(text: str) -> CalibFile:
@@ -246,6 +250,13 @@ def _entries(obj: dict, key: str, lineno: int, shape: str | int | None, kind=flo
     return values
 
 
+def _pose(obj: dict, key: str, lineno: int) -> Pose:
+    """Field key, a pose_row of 12 numbers, as a Pose; its rotation must pass MAP_ROTATION_TOL."""
+    m = np.array(_entries(obj, key, lineno, 12)).reshape(3, 4)
+    _check_rotation(m[None, :, :3], [lineno], MAP_ROTATION_TOL)
+    return Pose(m[:, :3], m[:, 3])
+
+
 def _detection(obj: dict, lineno: int, descriptor_len: int | None) -> DetectionRecord:
     """The record of one decoded line, each field read by _read or _entries in the
     format's order; the first that breaks a rule is a SchemaError that names it."""
@@ -271,7 +282,7 @@ def _detection(obj: dict, lineno: int, descriptor_len: int | None) -> DetectionR
         frame_id, category, Box2D(*box), depth, wrap_angle(_read(obj, "yaw", lineno)),
         Dimensions3D(*dims), tuple(center), score, sigma,
         None if descriptor is None else np.array(descriptor),
-        _read(obj, "gt_id", lineno, int) if obj.get("gt_id") is not None else None)
+        _read(obj, "gt_id", lineno, int) if obj.get("gt_id") is not None else None, line=lineno)
 
 
 def _detection_line(line: str, lineno: int, descriptor_len: int | None) -> DetectionRecord:
@@ -304,7 +315,6 @@ def read_detections(text: str) -> dict[int, list[DetectionRecord]]:
     descriptor_len = None  # one length per file, set by the first descriptor
     for lineno, line in _data_lines(text):
         record = _detection_line(line, lineno, descriptor_len)
-        record.line = lineno
         if record.descriptor is not None:
             descriptor_len = len(record.descriptor)
         groups.setdefault(record.frame_id, []).append(record)
@@ -333,22 +343,3 @@ def detection_to_json(rec: DetectionRecord) -> dict:
 
 def write_detections(records: Iterable[DetectionRecord]) -> str:
     return "".join(json.dumps(detection_to_json(r)) + "\n" for r in records)
-
-
-def write_kitti_labels(annotation: FrameAnnotation) -> str:
-    """Render a frame annotation as KITTI label text, ordered by landmark id.
-
-    alpha follows the KITTI convention rotation_y - arctan(x / z); truncation
-    is the off-image fraction of the projected box.
-    """
-    lines = []
-    for entry in sorted(annotation.entries, key=lambda e: e.landmark_id):
-        x, y, z = entry.local_pose.translation
-        # KittiLabelLine's fields in column order: category, truncated, occluded, alpha,
-        # box2d, dims, location, yaw_local.
-        lab = KittiLabelLine(entry.category, 1.0 - entry.visible_fraction, 0,
-                             wrap_angle(entry.yaw_local - math.atan2(x, z)), entry.box2d,
-                             entry.dims, (x, y, z), entry.yaw_local)
-        lines.append(format_label_line(lab))
-    return "".join(line + "\n" for line in lines)
-

@@ -45,10 +45,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    def matrix(self) -> np.ndarray:
-        """The 3x4 [R | t] matrix."""
-        return np.hstack([self.rotation, self.translation.reshape(3, 1)])
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one (3,) point or an (n, 3) batch."""
         p = np.asarray(points, dtype=float)

@@ -2,7 +2,8 @@
 
 This module holds what a label file carries and what evaluation reads:
 the pixel box and cuboid extents, 2D IoU, angle wrapping, the KITTI
-label line with its parser and formatter, the per-frame annotation, and
+label line with its one reader (parse_kitti_labels) and its one writer
+(write_kitti_labels, through format_label_line), the per-frame annotation, and
 the input rules the other readers share: is_number, is_int and KINDS say
 what a number, an integer and a string are in a YAML, JSON or text
 input.  It imports nothing but the standard library and seqlabel.errors,
@@ -187,6 +188,24 @@ def format_label_line(lab: KittiLabelLine) -> str:
     numbers = _LABEL_NUMBERS % (lab.truncated, lab.occluded, lab.alpha, *lab.box2d, *lab.dims,
                                 *lab.location, lab.yaw_local)
     return lab.category + numbers.replace(" -0.00", " 0.00")
+
+
+def write_kitti_labels(annotation: FrameAnnotation) -> str:
+    """Render a frame annotation as KITTI label text, ordered by landmark id.
+
+    alpha follows the KITTI convention rotation_y - arctan(x / z); truncation
+    is the off-image fraction of the projected box.
+    """
+    lines = []
+    for entry in sorted(annotation.entries, key=lambda e: e.landmark_id):
+        x, y, z = entry.local_pose.translation
+        # KittiLabelLine's fields in column order: category, truncated, occluded, alpha,
+        # box2d, dims, location, yaw_local.
+        lab = KittiLabelLine(entry.category, 1.0 - entry.visible_fraction, 0,
+                             wrap_angle(entry.yaw_local - math.atan2(x, z)), entry.box2d,
+                             entry.dims, (x, y, z), entry.yaw_local)
+        lines.append(format_label_line(lab))
+    return "".join(line + "\n" for line in lines)
 
 
 def parse_kitti_labels(text: str) -> list[KittiLabelLine]:

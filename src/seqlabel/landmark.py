@@ -18,15 +18,13 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .config import FusionConfig, WeightPolicy
-from .dataio import _check_rotation, _entries, _json_record, _read
+from .dataio import _entries, _json_record, _pose, _read, pose_row
 from .errors import DegenerateMean, EmptyInput, MissingSigma, ZeroWeightSum
 from .geometry import Pose, nearest_rotation, yaw_from_rotations, yaw_only
 from .labels import Dimensions3D, _data_lines, dims_error, wrap_angle
 
 if TYPE_CHECKING:
     from .association import Observation, Track
-
-MAP_ROTATION_TOL = 1e-9
 
 
 class Landmark(NamedTuple):
@@ -263,7 +261,7 @@ def landmark_to_json(lm: Landmark) -> dict:
     return {
         "id": lm.landmark_id,
         "category": lm.category,
-        "pose": [float(v) for v in lm.global_pose.matrix().ravel()],
+        "pose": pose_row(lm.global_pose),
         "dims": dict(zip("hwl", lm.dims)),
         "support": lm.support,
         "first_frame": lm.first_frame,
@@ -278,19 +276,15 @@ def serialize_landmarks(landmarks: Iterable[Landmark]) -> str:
 
 
 def parse_landmarks(text: str) -> list[Landmark]:
-    """Read a map; rotations are used exactly as read, so they must pass MAP_ROTATION_TOL.
-
-    Every field is read, and checked, as read_detections reads it.
-    """
+    """Read a map: each line's pose first (dataio._pose), then its fields as read_detections."""
     out = []
     for lineno, line in _data_lines(text):
         obj = _json_record(line, lineno)
-        m = np.array(_entries(obj, "pose", lineno, 12)).reshape(3, 4)
-        _check_rotation(m[None, :, :3], [lineno], MAP_ROTATION_TOL)
+        pose = _pose(obj, "pose", lineno)
         out.append(
             Landmark(
                 landmark_id=_read(obj, "id", lineno, int),
-                global_pose=Pose(m[:, :3], m[:, 3]),
+                global_pose=pose,
                 dims=Dimensions3D(*_entries(obj, "dims", lineno, "hwl", rule=dims_error)),
                 support=_read(obj, "support", lineno, int),
                 first_frame=_read(obj, "first_frame", lineno, int),

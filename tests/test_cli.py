@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: subcommand composition, exit codes, determinism."""
 
+import builtins
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -15,8 +17,10 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqlabel import cli
 from seqlabel.cli import main
 from seqlabel.config import AssociationConfig, load_config
+from seqlabel.dataio import read_detections
 from seqlabel.metrics import BUCKETS
 
 BASE_CONFIG = {
@@ -195,6 +199,44 @@ class TestPipelineComposition:
         label = next(iter(sorted((tmp_path / "out" / "labels").glob("*.txt"))))
         text = label.read_text()
         assert not text.startswith("#")
+
+    def test_header_digests_the_bytes_parsed(self, tmp_path, monkeypatch):
+        # The file changes after build-map parsed it; the header names what was parsed.
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        detections = tmp_path / "sim" / "detections.jsonl"
+        parsed = detections.read_bytes()
+
+        def read_then_rewrite(text):
+            records = read_detections(text)
+            detections.write_text("")
+            return records
+
+        monkeypatch.setattr(cli, "read_detections", read_then_rewrite)
+        assert main(["build-map", "--config", str(config)]) == 0
+        head = (tmp_path / "out" / "map.jsonl").read_text().splitlines()[0].split()
+        assert f"detections:{hashlib.sha256(parsed).hexdigest()[:12]}" in head
+
+    def test_each_input_opened_once(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        sim, out = tmp_path / "sim", tmp_path / "out"
+        real_open = io.open
+        for command, inputs in (("build-map", [sim / "detections.jsonl"]),
+                                ("annotate", [out / "map.jsonl"])):
+            opened = []
+
+            def counting_open(file, *args, **kwargs):
+                opened.append(file)
+                return real_open(file, *args, **kwargs)
+
+            for owner in (builtins, io):  # open, and pathlib's io.open
+                monkeypatch.setattr(owner, "open", counting_open)
+            assert main([command, "--config", str(config)]) == 0
+            monkeypatch.undo()
+            paths = [Path(f).resolve() for f in opened if isinstance(f, (str, os.PathLike))]
+            for path in [sim / "trajectory.txt", sim / "calib.txt", *inputs]:
+                assert paths.count(path.resolve()) == 1, (command, path)
 
     def test_empty_detections_warns_and_succeeds(self, tmp_path, capsys):
         config = write_config(tmp_path)

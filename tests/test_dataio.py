@@ -4,12 +4,14 @@ import dataclasses
 import json
 import math
 import random
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_detection
 from seqlabel.annotate import (AnnotationEntry, FrameAnnotation, annotation_to_json,
@@ -19,14 +21,15 @@ from seqlabel.dataio import (
     DetectionRecord,
     TrajectoryFile,
     _check_rotation,
+    _detection_line,
     _entries,
     _json_record,
     _read,
     detection_to_json,
-    format_label_line,
     parse_calib,
     parse_kitti_labels,
     parse_trajectory,
+    pose_row,
     read_detections,
     serialize_calib,
     serialize_trajectory,
@@ -41,8 +44,8 @@ from seqlabel.errors import (
 )
 from seqlabel.geometry import Pose, nearest_rotation, yaw_to_rotation
 from seqlabel.labels import (Box2D, Dimensions3D, KittiLabelLine, _data_lines, _parse_floats,
-                             box_error, dims_error, frame_file_name, frame_id_of, is_number,
-                             wrap_angle)
+                             box_error, dims_error, format_label_line, frame_file_name,
+                             frame_id_of, is_number, wrap_angle)
 from seqlabel.landmark import Landmark, landmark_to_json, parse_landmarks, serialize_landmarks
 from test_cli import FUZZ_VALUES, mutate
 
@@ -71,6 +74,12 @@ def oracle_parse_trajectory(text: str) -> TrajectoryFile:
         oracle_check_rotation(rows[-1][:, :3], lineno, ROTATION_INPUT_TOL)
     rotations, _ = nearest_rotation(np.array(rows).reshape(-1, 3, 4)[..., :3])
     return TrajectoryFile([Pose(r, m[:, 3]) for r, m in zip(rotations, rows)])
+
+
+def oracle_pose_row(pose: Pose) -> list[float]:
+    """[R | t] stacked with np.hstack and flattened, each entry a float: dataio.pose_row
+    must give the same numbers, bit for bit."""
+    return [float(v) for v in np.hstack([pose.rotation, pose.translation.reshape(3, 1)]).ravel()]
 
 
 def oracle_read_detections(text: str) -> dict[int, list[DetectionRecord]]:
@@ -398,6 +407,10 @@ class TestDetections:
             assert sorted(d.line for ds in got.values() for d in ds) == \
                 [lineno for lineno, _ in _data_lines(text)]
 
+    def test_record_is_built_with_its_line(self):
+        line = (DATA / "detections_good.jsonl").read_text().splitlines()[0]
+        assert _detection_line(line, 7, None).line == 7
+
     def test_round_trip(self):
         text = (DATA / "detections_good.jsonl").read_text()
         groups = read_detections(text)
@@ -619,6 +632,63 @@ class TestRowLayout:
         (label,) = parse_kitti_labels(write_kitti_labels(ann))
         assert (type(label.box2d), type(label.dims)) == (Box2D, Dimensions3D)
         assert (label.box2d, label.dims) == (self.BOX, self.DIMS)
+
+
+# Edge values of a pose entry: signed zero, subnormals, the smallest normal and the range's ends.
+_POSE_EDGES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+
+
+def _pose_array(shape):
+    """A float or an integer array of shape, floats mixed with the edge values."""
+    return (hnp.arrays(np.float64, shape, elements=st.floats() | st.sampled_from(_POSE_EDGES))
+            | hnp.arrays(np.int64, shape))
+
+
+class TestPoseRow:
+    """One pose row for the trajectory, the map and the dump; one reader of the map's and
+    the dump's."""
+
+    @staticmethod
+    def _landmark(pose: Pose) -> Landmark:
+        return Landmark(landmark_id=0, global_pose=pose, dims=Dimensions3D(1.5, 1.7, 4.2),
+                        support=2, first_frame=0, last_frame=1, category="Car", mean_score=0.9,
+                        observed_frames=(0, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rotation=_pose_array((3, 3)), translation=_pose_array((3,)))
+    @example(rotation=np.array(_POSE_EDGES[:3] * 3).reshape(3, 3),
+             translation=np.array(_POSE_EDGES[3:]))
+    def test_bits_match_the_hstack_oracle(self, rotation, translation):
+        pose = Pose(rotation, translation)
+        got, want = pose_row(pose), oracle_pose_row(pose)
+        assert [type(v) for v in got] == [float] * 12
+        assert struct.pack("<12d", *got) == struct.pack("<12d", *want)
+
+    def test_every_stored_pose_is_the_row(self):
+        pose = Pose(yaw_to_rotation(0.3), np.array([1.0, -0.0, 20.5]))
+        lm = self._landmark(pose)
+        entry = _entry(0, "Car", 1.0, -0.0, 20.5, 0.3, TestRowLayout.BOX, lm.dims)
+        row = oracle_pose_row(pose)
+        assert serialize_trajectory(TrajectoryFile([pose])) == " ".join(map(repr, row)) + "\n"
+        assert landmark_to_json(lm)["pose"] == row
+        assert annotation_to_json(FrameAnnotation(0, [entry]))["entries"][0]["pose"] == row
+
+    @pytest.mark.parametrize("rotation", [
+        1.1 * np.eye(3), np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3)),
+        yaw_to_rotation(0.3) + 1e-6 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    ], ids=["scaled", "reflection", "zero", "off_by_1e-6"])
+    def test_bad_rotation_is_one_error_in_a_map_and_a_dump(self, rotation):
+        pose = Pose(rotation, np.array([1.0, 1.65, 20.0]))
+        lm = self._landmark(pose)
+        entry = _entry(0, "Car", 1.0, 1.65, 20.0, 0.0, TestRowLayout.BOX, lm.dims)
+        dump = FrameAnnotation(0, [entry._replace(local_pose=pose)])
+        errors = []
+        for read, text in ((parse_landmarks, serialize_landmarks([lm])),
+                           (read_annotation_dump, write_annotation_dump([dump]))):
+            with pytest.raises(OrthonormalityError) as exc:
+                read("# header\n" + text)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] and errors[0].startswith("line 2: ")
 
 
 def test_frame_file_name():
