@@ -6,10 +6,12 @@ similarity of appearance descriptors when both sides carry one.  Costs
 are combined convexly and resolved per frame with an optimal one-to-one
 assignment, never greedily.
 
+Every estimate is one float row in landmark.fusion_rows' layout, (1, t, R
+row-major, h, w, l), then its category code, box and descriptor (table).
 run_association lifts the retained detections of a sequence once into one
-table of stacked rows (_Rows), and each frame is a slice of it.  The running
-estimate of each track lives only in rows the run owns: each frame's
-cost_matrix gathers the live ones, and refresh_fused rewrites those the
+table, and each frame is a slice of it.  The running estimate of each track
+lives only in a table of the same width that the run owns: each frame's
+cost_matrix gathers the live rows, and refresh_fused rewrites those the
 frame touched.  A Track is the record of its observations.
 """
 
@@ -26,10 +28,12 @@ from .dataio import DetectionRecord, TrajectoryFile
 from .errors import MissingCameraPose, ParseError
 from .geometry import (Pose, ProjectionMatrix, back_project, half_extents, project_box, yaw_only,
                        yaw_to_rotations)
-from .labels import Dimensions3D
-from .landmark import fuse_rows, fusion_rows
+from .landmark import _D, _R, _T, fuse_rows, fusion_rows
 
 INFEASIBLE = math.inf
+
+# Table columns after the fusion row: category code, box (l, t, r, b), descriptor if any.
+_CAT, _BOX, _DESC = 16, slice(17, 21), slice(21, None)
 
 # Any finite cost is < 1; this dominates so the assignment prefers
 # matching every feasible pair before ever touching an infeasible one.
@@ -63,32 +67,23 @@ class Track:
         self.observations.append(obs)
 
 
-class _Rows(NamedTuple):
-    """Stacked rows of detections or tracks: rotation (n, 3, 3), translation (n, 3), dims
-    (n, 3) as (h, w, l), category codes, descriptors (zeros where absent, None when no row
-    has one) and, of detections, boxes as (left, top, right, bottom)."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-    dims: np.ndarray
-    category: np.ndarray
-    descriptor: np.ndarray | None
-    box: np.ndarray | None = None
-
-    def take(self, index) -> "_Rows":
-        return _Rows(*(None if a is None else a[index] for a in self))
-
-
-def _rows(poses: tuple, dims: Sequence[Dimensions3D], categories: Sequence[str],
-          descriptors: Sequence, codes: dict, boxes: Sequence | None = None) -> _Rows:
-    """Rows of these (rotations, translations) stacks, dims, categories and descriptors
-    (None where absent); codes maps each category to its code and grows with new ones."""
-    k = next((len(d) for d in descriptors if d is not None), None)
-    return _Rows(*poses, np.array(dims, float).reshape(-1, 3),
-                 np.array([codes.setdefault(c, len(codes)) for c in categories]),
-                 None if k is None else
-                 np.array([np.zeros(k) if d is None else d for d in descriptors]),
-                 None if boxes is None else np.array(boxes, float).reshape(-1, 4))
+def table(translation: np.ndarray, rotation: np.ndarray, dims, categories: Sequence[str],
+          descriptors: Sequence, codes: dict, boxes: Sequence | None = None) -> np.ndarray:
+    """Rows of these poses, (h, w, l) dims, categories (codes maps each to its code and grows
+    with new ones), descriptors (zeros where None) and boxes (zeros when None).  A descriptor
+    is scaled by the power of two that brings its largest |entry| into [0.5, 1): its cosines
+    keep their bits, and its squares neither overflow nor vanish."""
+    k = next((len(d) for d in descriptors if d is not None), 0)
+    rows = fusion_rows(translation, rotation, dims, _DESC.start + k)
+    rows[:, _CAT] = [codes.setdefault(c, len(codes)) for c in categories]
+    if boxes is not None:
+        rows[:, _BOX] = boxes
+    for row, d in zip(rows, descriptors):
+        if d is not None:
+            row[_DESC] = d
+    d = rows[:, _DESC]
+    rows[:, _DESC] = np.ldexp(d, -np.frexp(np.abs(d).max(axis=1, initial=0.0))[1][:, None])
+    return rows
 
 
 def lift_detections(dets: Sequence[DetectionRecord], P: ProjectionMatrix,
@@ -112,9 +107,10 @@ def lift_detection(d: DetectionRecord, P: ProjectionMatrix, cam: Pose) -> Observ
     return Observation(d, Pose(*(a[0] for a in lift_detections([d], P, [cam]))))
 
 
-def cost_matrix(tracks: _Rows, dets: _Rows, P: ProjectionMatrix, cam: Pose,
+def cost_matrix(tracks: np.ndarray, dets: np.ndarray, P: ProjectionMatrix, cam: Pose,
                 cfg: AssociationConfig) -> np.ndarray:
-    """Matching cost of every track's running estimate against every detection, shape (T, D).
+    """Matching cost of every track's running estimate against every detection, shape (T, D),
+    both as table rows.
 
     Each cost is in [0, 1], or _BIG when the pair is infeasible.  A pair is
     infeasible only when both hard gates fail: projected-box IoU below
@@ -127,11 +123,11 @@ def cost_matrix(tracks: _Rows, dets: _Rows, P: ProjectionMatrix, cam: Pose,
     """
     # Predicted boxes: each track's cuboid in the camera frame, projected.
     cam_rt = cam.rotation.T
-    local_rot = cam_rt @ tracks.rotation
-    local_trans = tracks.translation @ cam_rt.T - cam_rt @ cam.translation
-    tl, tt, tr, tb = project_box(local_rot, local_trans, half_extents(tracks.dims), P)[:, :, None]
+    local_rot = cam_rt @ tracks[:, _R].reshape(-1, 3, 3)
+    local_trans = tracks[:, _T] @ cam_rt.T - cam_rt @ cam.translation
+    tl, tt, tr, tb = project_box(local_rot, local_trans, half_extents(tracks[:, _D]), P)[:, :, None]
 
-    dl, dt, dr, db = dets.box.T[:, None, :]
+    dl, dt, dr, db = dets[:, _BOX].T[:, None, :]
     iw = np.minimum(tr, dr) - np.maximum(tl, dl)
     ih = np.minimum(tb, db) - np.maximum(tt, dt)
     overlap = (iw > 0.0) & (ih > 0.0)
@@ -141,9 +137,9 @@ def cost_matrix(tracks: _Rows, dets: _Rows, P: ProjectionMatrix, cam: Pose,
     with np.errstate(over="ignore", invalid="ignore"):
         inter = np.multiply(iw, ih, out=np.zeros_like(iw), where=overlap)
         union = (tr - tl) * (tb - tt) + (dr - dl) * (db - dt) - inter
-        dist = np.linalg.norm(tracks.translation[:, None, :] - dets.translation[None, :, :], axis=2)
+        dist = np.linalg.norm(tracks[:, None, _T] - dets[None, :, _T], axis=2)
     iou = np.divide(inter, union, out=np.zeros_like(inter), where=overlap & np.isfinite(union))
-    feasible = ((tracks.category[:, None] == dets.category[None, :])
+    feasible = ((tracks[:, _CAT, None] == dets[None, :, _CAT])
                 & ~((iou < cfg.iou_gate) & (dist > cfg.dist_gate)))
 
     iou_term = 1.0 - iou
@@ -152,8 +148,8 @@ def cost_matrix(tracks: _Rows, dets: _Rows, P: ProjectionMatrix, cam: Pose,
     wd = cfg.w_dist / (cfg.w_iou + cfg.w_dist)
     cost = wi * iou_term + wd * dist_term
 
-    if tracks.descriptor is not None and dets.descriptor is not None:
-        a, b = tracks.descriptor, dets.descriptor
+    a, b = tracks[:, _DESC], dets[:, _DESC]
+    if a.shape[1] and b.shape[1]:
         na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
         both = (na[:, None] != 0.0) & (nb[None, :] != 0.0)
         cos = np.divide(a @ b.T, na[:, None] * nb[None, :], out=np.zeros(both.shape), where=both)
@@ -165,10 +161,10 @@ def cost_matrix(tracks: _Rows, dets: _Rows, P: ProjectionMatrix, cam: Pose,
 
 # Nothing in the package calls this; it stays only for the benchmark tracer's
 # association.cost hook, until that hook is re-targeted (ROADMAP item 1).
-def association_cost(track: _Rows, det: _Rows, P: ProjectionMatrix, cam: Pose,
+def association_cost(track: np.ndarray, det: np.ndarray, P: ProjectionMatrix, cam: Pose,
                      cfg: AssociationConfig) -> float:
-    """Matching cost in [0, 1], or INFEASIBLE, of one track row and one detection row: the
-    1x1 case of cost_matrix."""
+    """Matching cost in [0, 1], or INFEASIBLE, of a table of one track row and one of one
+    detection row: the 1x1 case of cost_matrix."""
     cost = float(cost_matrix(track, det, P, cam, cfg)[0, 0])
     return INFEASIBLE if cost >= _BIG else cost
 
@@ -246,32 +242,30 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     return [(i, j) for i, j in zip(rows, cols) if cost[i, j] < _BIG]
 
 
-def refresh_fused(fused: _Rows, ks: np.ndarray, seq: _Rows, js: slice, sums: np.ndarray,
-                  single: np.ndarray) -> None:
-    """Rewrite fused rows ks, of the tracks that took the detections js, with one fuse_rows call.
+def refresh_fused(fused: np.ndarray, ks: np.ndarray, rows: np.ndarray, described: np.ndarray,
+                  sums: np.ndarray, single: np.ndarray) -> None:
+    """Rewrite fused rows ks, of the tracks that took the detection rows, with one fuse_rows
+    call.  Each becomes its detection's row, but keeps its last descriptor where the
+    detection has none (described false); a single observation's rotation is rebuilt from
+    its yaw; where a track's sums have a mean, its fused row replaces the first 16 columns.
 
-    sums holds each track's sum of w * landmark.fusion_rows, summed in
-    observation order.  A track of a single observation passes through, its
-    rotation rebuilt from its yaw; one whose sums have no mean keeps its
-    latest detection's row.  w is the detection score whatever the
-    WeightPolicy; only the final fusion (landmark.fuse_track) follows the
-    policy.  The score is always present and bounded in [0, 1], while
-    1/sigma^2 needs a sigma on every detection and reaches
-    1/sigma_floor^2, so one overconfident detection would steer the gate
-    before outlier rejection has seen the track.  Association, and so the
-    set of tracks, also stays the same whichever policy final fusion uses.
+    sums holds each track's sum of w * landmark.fusion_rows, summed in observation order.
+    w is the detection score whatever the WeightPolicy; only the final fusion
+    (landmark.fuse_track) follows the policy.  The score is always present and bounded in
+    [0, 1], while 1/sigma^2 needs a sigma on every detection and reaches 1/sigma_floor^2,
+    so one overconfident detection would steer the gate before outlier rejection has seen
+    the track.  Association, and so the set of tracks, also stays the same whichever
+    policy final fusion uses.
     """
-    fused.rotation[ks], fused.translation[ks], fused.dims[ks] = (
-        seq.rotation[js], seq.translation[js], seq.dims[js])
+    last = fused[ks, _DESC]
+    fused[ks] = rows
+    fused[ks[~described], _DESC] = last[~described]
     if single.any():
-        fused.rotation[ks[single]] = yaw_only(seq.rotation[js][single])
+        fused[ks[single], _R] = yaw_only(rows[single, _R].reshape(-1, 3, 3)).reshape(-1, 9)
     if not single.all():
-        multi = ks[~single]
-        rotation, translation, dims, errors = fuse_rows(sums[multi])
-        kept = np.array([e is not None for e in errors])
-        mean = slice(None) if not kept.any() else ~kept  # no mask when all have one
-        fused.rotation[multi[mean]], fused.translation[multi[mean]], fused.dims[multi[mean]] = (
-            rotation[mean], translation[mean], dims[mean])
+        means, errors = fuse_rows(sums[ks[~single]])
+        mean = np.array([e is None for e in errors])
+        fused[ks[~single][mean], :16] = means[mean]
 
 
 def _camera(trajectory: TrajectoryFile, frame_id: int, dets: list[DetectionRecord]) -> Pose:
@@ -307,21 +301,21 @@ def run_association(
         return []
     poses = lift_detections(dets, P, [cam for _, cam, n in frames for _ in range(n)])
     observations = [Observation(d, Pose(r, t)) for d, r, t in zip(dets, *poses)]
-    seq = _rows(poses, [d.dims for d in dets], [d.category for d in dets],
+    seq = table(poses[1], poses[0], [d.dims for d in dets], [d.category for d in dets],
                 [d.descriptor for d in dets], {}, [d.box2d for d in dets])
     described = np.array([d.descriptor is not None for d in dets])
     scores = np.array([d.score for d in dets])
     # One row per track, untouched until it starts: running estimate, sums of w * fusion_rows.
-    fused = _Rows(*(None if a is None else np.zeros(a.shape, a.dtype) for a in seq[:5]))
-    sums = np.zeros((len(dets), 16))
+    fused, sums = np.zeros(seq.shape), np.zeros((len(dets), 16))
     last_seen = np.zeros(len(dets), int)
     tracks: list[Track] = []
     start = 0
     for f, cam, n in frames:
         js, start = slice(start, start + n), start + n
+        rows = seq[js]
         live = np.flatnonzero(f - last_seen[:len(tracks)] <= cfg.max_frame_gap)
         matched = {j: live[i] for i, j in solve_assignment(
-            cost_matrix(fused.take(live), seq.take(js), P, cam, cfg))} if live.size else {}
+            cost_matrix(fused[live], rows, P, cam, cfg))} if live.size else {}
         single = np.array([j not in matched for j in range(n)])
         for j in range(n):
             if j not in matched:
@@ -330,10 +324,7 @@ def run_association(
             tracks[matched[j]].add(observations[js.start + j])
         ks = np.array([matched[j] for j in range(n)])
         with np.errstate(over="ignore"):  # an overflowed sum makes fuse_rows report the mean
-            sums[ks] += scores[js, None] * fusion_rows(seq.translation[js], seq.rotation[js],
-                                                       seq.dims[js])
-        last_seen[ks], fused.category[ks] = f, seq.category[js]  # a match keeps its category
-        if fused.descriptor is not None:
-            fused.descriptor[ks[described[js]]] = seq.descriptor[js][described[js]]
-        refresh_fused(fused, ks, seq, js, sums, single)
+            sums[ks] += scores[js, None] * rows[:, :16]
+        last_seen[ks] = f
+        refresh_fused(fused, ks, rows, described[js], sums, single)
     return tracks

@@ -144,16 +144,20 @@ def reject_outliers(
     return inliers, outliers
 
 
-def fusion_rows(translation: np.ndarray, rotation: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """Rows of the fusion sums, (n, 16): (1, t, R row-major, h, w, l) of each pose and dims."""
-    n = len(translation)
-    return np.concatenate((np.ones((n, 1)), translation, rotation.reshape(n, 9), dims), axis=1)
+_T, _R, _D = slice(1, 4), slice(4, 13), slice(13, 16)  # fusion row columns of t, R and dims
 
 
-def fuse_rows(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Fused rotation, translation and dims of each row of sums, an (n, 16) stack of
-    sum(w * fusion_rows): (n, 3, 3), (n, 3) and (n, 3) arrays, dims as (h, w, l), and
-    each row's error, None where the row has a mean.
+def fusion_rows(translation: np.ndarray, rotation: np.ndarray, dims, width=16) -> np.ndarray:
+    """Rows of the fusion sums, (n, width): (1, t, R row-major, h, w, l), then zeros."""
+    rows = np.zeros((len(translation), width))
+    rows[:, 0], rows[:, _T], rows[:, _D] = 1.0, translation, dims
+    rows[:, _R] = rotation.reshape(-1, 9)
+    return rows
+
+
+def fuse_rows(sums: np.ndarray) -> tuple[np.ndarray, list]:
+    """Each row of sums, an (n, 16) stack of sum(w * fusion_rows), fused into a row of the
+    same layout, and each row's error, None where the row has a mean.
 
     Translation and dims are the weighted means; the rotation is
     nearest_rotation of the weighted rotation mean, rebuilt from its yaw
@@ -162,15 +166,16 @@ def fuse_rows(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, lis
     """
     total = sums[:, :1]
     mean = sums / np.where(total > 0.0, total, 1.0)  # a row without weight is reported below
-    usable = np.isfinite(mean).all(axis=1) & (mean[:, 13:] > 0.0).all(axis=1)
+    usable = np.isfinite(mean).all(axis=1) & (mean[:, _D] > 0.0).all(axis=1)
     if not usable.all():
-        mean[~usable, 4:13] = 0.0  # an SVD of a non-finite matrix never returns
-    rotations, collapsed = nearest_rotation(mean[:, 4:13].reshape(-1, 3, 3))
+        mean[~usable, _R] = 0.0  # an SVD of a non-finite matrix never returns
+    rotations, collapsed = nearest_rotation(mean[:, _R].reshape(-1, 3, 3))
     errors = [ZeroWeightSum("weights sum to zero") if w <= 0.0
               else DegenerateMean(f"fused mean not finite or dims <= 0 "
-                                  f"(dims {mean[i, 13:].tolist()})") if not ok else c
+                                  f"(dims {mean[i, _D].tolist()})") if not ok else c
               for i, (w, ok, c) in enumerate(zip(total[:, 0].tolist(), usable.tolist(), collapsed))]
-    return yaw_only(rotations), mean[:, 1:4], mean[:, 13:], errors
+    mean[:, _R] = yaw_only(rotations).reshape(-1, 9)
+    return mean, errors
 
 
 def fuse_pose(observations: Sequence["Observation"],
@@ -185,13 +190,12 @@ def fuse_pose(observations: Sequence["Observation"],
         return Pose(yaw_only(pose.rotation)[0], pose.translation), observations[0].detection.dims
     rows = fusion_rows(np.array([o.global_pose.translation for o in observations]),
                        np.array([o.global_pose.rotation for o in observations]),
-                       np.array([o.detection.dims for o in observations]))
+                       [o.detection.dims for o in observations])
     with np.errstate(over="ignore", invalid="ignore"):  # fuse_rows reports a non-finite sum
-        rotation, translation, dims, (error,) = fuse_rows(
-            (np.asarray(weights, dtype=float) @ rows)[None])
+        (row,), (error,) = fuse_rows((np.asarray(weights, dtype=float) @ rows)[None])
     if error is not None:
         raise error
-    return Pose(rotation[0], translation[0]), Dimensions3D(*dims[0])
+    return Pose(row[_R].reshape(3, 3), row[_T]), Dimensions3D(*row[_D])
 
 
 def fuse_track(track: "Track", policy: WeightPolicy, cfg: FusionConfig) -> Landmark | Rejected:

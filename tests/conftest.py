@@ -18,8 +18,8 @@ from seqlabel.annotate import (
     PROVENANCE_PROJECTED,
     AnnotationEntry,
 )
-from seqlabel.association import (Observation, Track, _rows, cost_matrix, lift_detection,
-                                  solve_assignment)
+from seqlabel.association import (Observation, Track, cost_matrix, lift_detection,
+                                  solve_assignment, table)
 from seqlabel.dataio import DetectionRecord
 from seqlabel.errors import DegenerateMean, DegenerateProjection, ZeroWeightSum
 from seqlabel.geometry import (
@@ -197,19 +197,19 @@ def oracle_track_add(track: OracleTrack, obs: Observation) -> None:
 
 
 def scoring_rows(tracks, observations):
-    """The rows association.cost_matrix scores: of the running estimates of tracks
+    """The tables association.cost_matrix scores: of the running estimates of tracks
     (OracleTrack), each with its category and latest descriptor, and of observations.
     One codes dict gives both sides the same category codes."""
     codes = {}
     latest = [next((o.detection.descriptor for o in reversed(t.observations)
                     if o.detection.descriptor is not None), None) for t in tracks]
-    track_rows = _rows((np.array([t.fused_pose.rotation for t in tracks]),
-                        np.array([t.fused_pose.translation for t in tracks])),
+    track_rows = table(np.array([t.fused_pose.translation for t in tracks]),
+                       np.array([t.fused_pose.rotation for t in tracks]),
                        [t.fused_dims for t in tracks],
                        [t.observations[0].detection.category for t in tracks], latest, codes)
     dets = [o.detection for o in observations]
-    return track_rows, _rows((np.array([o.global_pose.rotation for o in observations]),
-                              np.array([o.global_pose.translation for o in observations])),
+    return track_rows, table(np.array([o.global_pose.translation for o in observations]),
+                             np.array([o.global_pose.rotation for o in observations]),
                              [d.dims for d in dets], [d.category for d in dets],
                              [d.descriptor for d in dets], codes, [d.box2d for d in dets])
 

@@ -27,16 +27,19 @@ from conftest import (
 from seqlabel import association
 from seqlabel.association import (
     _BIG,
+    _BOX,
+    _CAT,
+    _DESC,
     INFEASIBLE,
     AssociationConfig,
     Observation,
-    _Rows,
     association_cost,
     cost_matrix,
     lift_detection,
     min_cost_assignment,
     run_association,
     solve_assignment,
+    table,
 )
 from seqlabel.config import load_config
 from seqlabel.dataio import TrajectoryFile
@@ -48,13 +51,18 @@ from seqlabel.geometry import (
     inverse,
     project_point,
     yaw_to_rotation,
+    yaw_to_rotations,
 )
 from seqlabel.labels import Box2D, Dimensions3D, iou_2d
 from seqlabel.landmark import (
+    _D,
+    _R,
+    _T,
     FusionConfig,
     Landmark,
     WeightPolicy,
     fuse_track,
+    fusion_rows,
     observation_weight,
     reject_outliers,
 )
@@ -588,6 +596,25 @@ class TestCostMatrix:
                 if want is not INFEASIBLE:
                     assert abs(got[i, j] - want) <= 1e-12, (i, j, got[i, j], want)
 
+    @pytest.mark.parametrize("descriptor", [[1e200, 1e200], [1e-200, 1e-200], [1e308, -1e308]])
+    def test_extreme_descriptor_costs_as_its_unit_scaled_copy(self, descriptor):
+        # Squared, these entries overflow to inf or underflow to 0.  Paired with itself, each
+        # costs what its unit-scaled copy costs; the tiny one counts as present, so its
+        # opposite costs the whole appearance weight more.
+        pose = Pose(np.eye(3), np.array([0.0, 1.65, 20.0]))
+        cfg = AssociationConfig(w_iou=0.4, w_dist=0.4, w_desc=0.2)
+
+        def cost(a, b):
+            track = _estimate([_observation(0, pose, descriptor=a)])
+            obs = _observation(1, pose, descriptor=b, box=Box2D(500, 100, 700, 300))
+            return cost_matrix(*scoring_rows([track], [obs]), P_SIMPLE, Pose.identity(), cfg)[0, 0]
+
+        unit = unit_scaled(descriptor)
+        assert cost(descriptor, descriptor) == pytest.approx(cost(unit, unit), abs=1e-12)
+        opposite = [-x for x in descriptor]
+        assert cost(descriptor, opposite) - cost(descriptor, descriptor) == pytest.approx(
+            cfg.w_desc, abs=1e-12)
+
     def test_track_behind_camera_scores_iou_zero(self):
         # The track sits 5 m behind the camera and the detection 2 m from it:
         # only the distance gate admits the pair, with the IoU term at 1.
@@ -631,6 +658,39 @@ class TestCostMatrix:
             want = oracle_cost(track, obs, P_SIMPLE, cam, cfg)
             assert want is not INFEASIBLE
             assert got[0, j] == pytest.approx(want, abs=1e-12)
+
+
+class TestTable:
+    """association.table: each row is its fusion row, then its category code, box and
+    descriptor."""
+
+    @given(st.lists(st.tuples(_finite(-math.pi, math.pi),
+                              st.tuples(_finite(-50, 50), _finite(-2, 2), _finite(-50, 50)),
+                              dimensions, st.sampled_from(["Car", "Pedestrian", "Cyclist"]),
+                              st.one_of(st.none(), st.lists(_finite(-1e308, 1e308), min_size=3,
+                                                            max_size=3)),
+                              st.tuples(*[_finite(-100, 1300)] * 4)), min_size=1, max_size=6),
+           st.lists(st.sampled_from(["Car", "Pedestrian", "Van"]), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_columns(self, dets, track_categories):
+        yaws, translations, dims, categories, descriptors, boxes = zip(*dets)
+        t, r = np.array(translations), yaw_to_rotations(yaws)
+        codes = {}
+        rows = table(t, r, dims, categories, descriptors, codes, boxes)
+        assert rows[:, :16].tobytes() == fusion_rows(t, r, np.array(dims)).tobytes()
+        assert rows[:, _BOX].tobytes() == np.array(boxes).tobytes()
+        for row, d in zip(rows, descriptors):
+            want = np.zeros(row[_DESC].size) if d is None else np.array(unit_scaled(d))
+            assert row[_DESC].tobytes() == want.tobytes()
+        assert rows.shape[1] == (21 if all(d is None for d in descriptors) else 24)
+
+        # A track table: no boxes, no descriptors, and the codes of the same codes dict.
+        n = len(track_categories)
+        tracks = table(t[[0] * n], r[[0] * n], dims[:1] * n, track_categories, [None] * n, codes)
+        assert tracks.shape == (n, 21)
+        assert not tracks[:, _BOX].any()
+        assert (rows[:, _CAT, None] == tracks[None, :, _CAT]).tolist() == [
+            [a == b for b in track_categories] for a in categories]
 
 
 def _axis_rotation(axis, angle):
@@ -702,17 +762,23 @@ class TestTableAssociationOracle:
                        for x, y in zip(a.observations, b.observations))
 
 
+def unit_scaled(descriptor) -> list[float]:
+    """descriptor divided, exactly, by the power of two that brings its largest |entry|
+    into [0.5, 1): how association.table stores it."""
+    e = math.frexp(max(abs(float(x)) for x in descriptor))[1]
+    return [math.ldexp(float(x), -e) for x in descriptor]
+
+
 def _checked_rows(trajectory, detections, P, cfg) -> tuple[list, set[str]]:
-    """Run the association and, after every frame, check each row refresh_fused rewrote
-    against oracle_track_add over that track's observations so far; the tracks and the
-    cases seen."""
+    """Run the association and, after every frame, check each table row refresh_fused
+    rewrote against oracle_track_add over that track's observations so far; the tracks and
+    the cases seen."""
     captured = []
     refresh = association.refresh_fused
 
     def capture(fused, ks, *args):
         refresh(fused, ks, *args)
-        captured.append([(k, _Rows(*(None if a is None else a[k].copy() for a in fused)))
-                         for k in ks.tolist()])
+        captured.append([(k, fused[k].copy()) for k in ks.tolist()])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(association, "refresh_fused", capture)
@@ -723,17 +789,16 @@ def _checked_rows(trajectory, detections, P, cfg) -> tuple[list, set[str]]:
             oracle = oracles.setdefault(k, OracleTrack())
             oracle_track_add(oracle, tracks[k].observations[len(oracle.observations)])
             pose, dims = oracle.fused_pose, oracle.fused_dims
-            assert row.rotation.tobytes() == pose.rotation.tobytes()
-            assert row.translation.tobytes() == pose.translation.tobytes()
-            assert row.dims.tobytes() == np.array([dims.height, dims.width, dims.length]).tobytes()
+            rotation = row[_R].reshape(3, 3)
+            assert rotation.tobytes() == pose.rotation.tobytes()
+            assert row[_T].tobytes() == pose.translation.tobytes()
+            assert row[_D].tobytes() == np.array([dims.height, dims.width, dims.length]).tobytes()
             latest = next((o.detection.descriptor for o in reversed(oracle.observations)
                            if o.detection.descriptor is not None), None)
-            if row.descriptor is not None:
-                assert row.descriptor.tobytes() == (np.zeros_like(row.descriptor) if latest is None
-                                                    else latest).tobytes()
-            np.testing.assert_allclose(row.rotation @ row.rotation.T, np.eye(3), rtol=0,
-                                       atol=1e-9)
-            assert np.linalg.det(row.rotation) > 0.0
+            want = np.zeros(row[_DESC].size) if latest is None else np.array(unit_scaled(latest))
+            assert row[_DESC].tobytes() == want.tobytes()
+            np.testing.assert_allclose(rotation @ rotation.T, np.eye(3), rtol=0, atol=1e-9)
+            assert np.linalg.det(rotation) > 0.0
             cases.add("single" if len(oracle.observations) == 1 else
                       "no mean" if pose is oracle.observations[-1].global_pose else "mean")
     # Every observation of every track went through a checked row.

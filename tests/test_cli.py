@@ -1311,3 +1311,52 @@ def test_mutated_input_exits_with_at_most_one_line(fuzz_scene, target, line, fie
     rc, _, err = run_mutated(fuzz_scene, target, line, field, value)
     assert rc in (0, 2, 3, 4)
     assert len(err.splitlines()) <= 1, err
+
+
+# --- the appearance term: the same scene with a descriptor on every detection line ---------
+
+EXTREME_DESCRIPTORS = [[1e200, 1e200], [1e-200, 1e-200], [1e308, -1e308]]
+
+
+def describe(path: Path, descriptor) -> None:
+    """Give detection line i of path the descriptor descriptor(i)."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for i, r in enumerate(records):
+        r["descriptor"] = descriptor(i)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+@pytest.fixture(scope="module")
+def described_scene(tmp_path_factory):
+    """The fuzz scene with w_desc 0.2 and a 3-entry descriptor on every detection line,
+    the last field of each: (config, {"detections": path})."""
+    tmp_path = tmp_path_factory.mktemp("described")
+    config = simulate_synthetic(tmp_path, simulate={"frames": 20},
+                                association={"w_iou": 0.4, "w_dist": 0.4, "w_desc": 0.2})
+    detections = tmp_path / "sim" / "detections.jsonl"
+    describe(detections, lambda i: [1.0 + i % 3, 1.0, -0.5])
+    return config, {"detections": detections}
+
+
+def test_extreme_descriptors_build_map_without_warnings(tmp_path):
+    # Squared in the cosine, these entries overflowed to inf and underflowed to 0: warnings,
+    # and under tier-1's filterwarnings a failed run.
+    config = simulate_synthetic(tmp_path, simulate={"frames": 2},
+                                association={"w_iou": 0.4, "w_dist": 0.4, "w_desc": 0.2})
+    describe(tmp_path / "sim" / "detections.jsonl", lambda i: EXTREME_DESCRIPTORS[i % 3])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["build-map", "--config", str(config)]) == 0
+    assert err.getvalue() == ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=st.integers(0, 99), entry=st.integers(0, 2), value=st.sampled_from(FUZZ_VALUES))
+@example(0, 0, ("1e308", 1e308))
+@example(0, 1, ("-1e308", -1e308))
+@example(0, 2, ("5e-324", 5e-324))
+def test_mutated_descriptor_exits_with_at_most_one_line(described_scene, line, entry, value):
+    # Field entry - 3 of a line is its descriptor's entry: mutate counts fields modulo.
+    rc, _, err = run_mutated(described_scene, ("build-map", "detections"), line, entry - 3, value)
+    assert rc in (0, 2, 3, 4)
+    assert len(err.splitlines()) <= 1, err

@@ -16,8 +16,9 @@ from conftest import make_observation, make_track, oracle_fuse, oracle_fusion_ro
 from seqlabel.association import Observation
 from seqlabel.config import load_config
 from seqlabel.errors import (ConfigError, DegenerateMean, EmptyInput, MissingSigma,
-                             OrthonormalityError, ParseError)
-from seqlabel.geometry import Pose, yaw_from_rotation, yaw_to_rotation
+                             OrthonormalityError, ParseError, ZeroWeightSum)
+from seqlabel.geometry import (Pose, nearest_rotation, yaw_from_rotation, yaw_only,
+                               yaw_to_rotation, yaw_to_rotations)
 from seqlabel.labels import wrap_angle
 from seqlabel.landmark import (
     FusionConfig,
@@ -25,6 +26,7 @@ from seqlabel.landmark import (
     Rejected,
     WeightPolicy,
     fuse_pose,
+    fuse_rows,
     fuse_track,
     fuse_tracks,
     fusion_rows,
@@ -352,6 +354,56 @@ class TestFusePoseOracle:
                         for k in range(2)]
         with pytest.raises(DegenerateMean, match="not finite"):
             fuse_pose(observations, [math.inf, 1.0])
+
+
+def oracle_fuse_rows(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """fuse_rows as three arrays: fused rotations (n, 3, 3), translations (n, 3) and dims
+    (n, 3), and each row's error, None where the row has a mean.  fuse_rows' rows must
+    hold these bits wherever a mean exists."""
+    total = sums[:, :1]
+    mean = sums / np.where(total > 0.0, total, 1.0)
+    usable = np.isfinite(mean).all(axis=1) & (mean[:, 13:] > 0.0).all(axis=1)
+    if not usable.all():
+        mean[~usable, 4:13] = 0.0
+    rotations, collapsed = nearest_rotation(mean[:, 4:13].reshape(-1, 3, 3))
+    errors = [ZeroWeightSum("weights sum to zero") if w <= 0.0
+              else DegenerateMean(f"fused mean not finite or dims <= 0 "
+                                  f"(dims {mean[i, 13:].tolist()})") if not ok else c
+              for i, (w, ok, c) in enumerate(zip(total[:, 0].tolist(), usable.tolist(), collapsed))]
+    return yaw_only(rotations), mean[:, 1:4], mean[:, 13:], errors
+
+
+@st.composite
+def fusion_sums(draw):
+    """A stack of sums of w * fusion_rows over 1 to 4 observations each: rows with a mean,
+    rows of zero weight and rows scaled past the float range."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        steps = draw(st.lists(st.tuples(
+            st.floats(-math.pi, math.pi), _unit, _unit, _unit,
+            st.tuples(st.floats(0.5, 3), st.floats(0.5, 3), st.floats(0.5, 6)),
+            st.one_of(st.just(0.0), st.floats(0.05, 1.0))), min_size=1, max_size=4))
+        yaws, dx, dy, dz, dims, w = zip(*steps)
+        t = np.array([20.0 * np.array(dx), 1.65 + np.array(dy), 30.0 + 20.0 * np.array(dz)]).T
+        row = np.array(w) @ fusion_rows(t, yaw_to_rotations(yaws), np.array(dims))
+        with np.errstate(over="ignore"):
+            rows.append(row * draw(st.sampled_from([1.0, 1.0, 1.0, 1e308])))
+    return np.array(rows)
+
+
+class TestFuseRowsOracle:
+    @given(fusion_sums())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_hold_the_three_arrays(self, sums):
+        with np.errstate(invalid="ignore"):  # an inf sum over an inf weight is nan
+            rows, errors = fuse_rows(sums)
+            rotation, translation, dims, want = oracle_fuse_rows(sums)
+        assert rows.shape == sums.shape
+        assert [(type(e), str(e)) for e in errors] == [(type(e), str(e)) for e in want]
+        for i in (i for i, e in enumerate(errors) if e is None):
+            assert rows[i, 4:13].tobytes() == rotation[i].tobytes()
+            assert rows[i, 1:4].tobytes() == translation[i].tobytes()
+            assert rows[i, 13:].tobytes() == dims[i].tobytes()
 
 
 class TestErrorReduction:
