@@ -12,10 +12,11 @@ Per block of BLOCK_FRAMES frames, stacked matmuls give the camera-local
 pose of every (frame, landmark) pair inside the frame window, one
 geometry.project_box call projects them all, and the visibility rules
 are masks over the hulls.  The blocks bound the memory of a long
-sequence.  simulate writes its ground-truth labels with one
-annotate_sequence call; the annotate command still calls annotate_frame
-once per frame, because the benchmark tracer counts its annotate.*
-metrics per call of that name.
+sequence, and write_annotation_dump writes annotations.jsonl one frame
+at a time, so the dump is never held whole.  simulate writes its
+ground-truth labels with one annotate_sequence call; the annotate
+command still calls annotate_frame once per frame, because the benchmark
+tracer counts its annotate.* metrics per call of that name.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 from itertools import accumulate
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -261,8 +262,9 @@ def annotation_to_json(ann: FrameAnnotation) -> dict:
     }
 
 
-def write_annotation_dump(annotations: Iterable[FrameAnnotation]) -> str:
-    return "".join(json.dumps(annotation_to_json(a)) + "\n" for a in annotations)
+def write_annotation_dump(annotations: Iterable[FrameAnnotation], out: TextIO) -> None:
+    """Write one JSON line per frame to the open text file out, a frame at a time."""
+    out.writelines(json.dumps(annotation_to_json(a)) + "\n" for a in annotations)
 
 
 def read_annotation_dump(text: str) -> list[FrameAnnotation]:

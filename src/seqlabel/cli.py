@@ -4,10 +4,12 @@ Every run is driven by a YAML config; a few flags override it (flags
 win, then the SEQLABEL_OUTPUT environment variable, then the file).
 Exit codes: 0 ok, 2 input parse error, 3 config error, 4 empty
 evaluation.  Output files we own start with a provenance comment line
-(tool version, config hash, input digests); KITTI-format files stay
-comment-free for ecosystem compatibility.  A label directory's frame
-files are the names labels.frame_id_of accepts: evaluate reads those both
-directories hold, annotate and simulate replace them, other files stay.
+(tool version, config hash, input digests, each SHA-256 from CPython's
+built-in module: config.sha256); KITTI-format files stay comment-free.
+annotate writes annotations.jsonl a frame at a time, to a temp file that
+replaces it when complete.  A label directory's frame files are the names
+labels.frame_id_of accepts: evaluate reads those both directories hold,
+annotate and simulate replace them, other files stay.
 
 Each command imports only what it runs.  This module imports only the
 numpy-free config and labels modules at the top; the stage functions are
@@ -25,7 +27,7 @@ these names on this module, and a local import would bypass its wrappers.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import contextlib
 import importlib
 import json
 import os
@@ -33,7 +35,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import PipelineConfig, config_fingerprint, load_config, read_value
+from .config import PipelineConfig, config_fingerprint, load_config, read_value, sha256
 from .errors import ConfigError, ParseError, SeqLabelError
 from .labels import (FrameAnnotation, frame_file_name, frame_id_of, parse_kitti_labels,
                      write_kitti_labels)
@@ -65,9 +67,10 @@ _stage = sys.modules[__name__]  # stage functions are looked up here, where a tr
 OUTPUT_ENV = "SEQLABEL_OUTPUT"
 
 
-def _read_text(path: str | Path, what: str) -> tuple[str, str]:
-    """The file's text, read once, and the sha256 prefix of the bytes it decodes (the
-    header's digest); a missing file or parent directory is a ConfigError."""
+def _parse_with_context(parser, path: str | Path, what: str, digest: bool = True):
+    """parser's value of the file's text, read once, and if digest the sha256 prefix of the
+    bytes it decodes (the header's digest), else None.  A missing file or parent directory
+    is a ConfigError; a parse error, invalid UTF-8 included, names the file."""
     if not path:
         raise ConfigError(f"no {what} path configured")
     try:
@@ -76,18 +79,15 @@ def _read_text(path: str | Path, what: str) -> tuple[str, str]:
     except (FileNotFoundError, NotADirectoryError):
         raise ConfigError(f"{what} file not found: {Path(path)}") from None
     try:
-        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()[:12]
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
         reason = f"not valid UTF-8 (byte {data[e.start]:#04x} at offset {e.start})"
-        raise ParseError(line, reason) from None
-
-
-def _parse_with_context(parser, path: str | Path, what: str):
-    """parser's value of the file's text, and the file's digest (_read_text)."""
+        raise ParseError(line, f"{path}: {reason}") from None
+    hexdigest = sha256(data).hexdigest()[:12] if digest else None
+    del data  # only the text is held while it is parsed
     try:
-        text, digest = _read_text(path, what)
-        return parser(text), digest
+        return parser(text), hexdigest
     except ParseError as e:
         raise ParseError(e.line, f"{path}: {e.reason}") from None
 
@@ -102,6 +102,18 @@ def _header(meta: dict) -> str:
     """The provenance comment line of a _meta: tool, config hash and input digests."""
     digests = " ".join(f"{name}:{digest}" for name, digest in meta["inputs"].items())
     return f"# {meta['tool']} config={meta['config']} {digests}".rstrip() + "\n"
+
+
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A text file to write that replaces path when the block ends; if it raises, path stays."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _frame_files(directory: Path) -> set[str]:
@@ -184,9 +196,9 @@ def cmd_annotate(cfg: PipelineConfig, out_dir: Path, map_path: str | None) -> in
 
     labels_dir = out_dir / "labels"
     _write_labels(labels_dir, annotations)
-    (out_dir / "annotations.jsonl").write_text(
-        _header(_meta(cfg, digests)) + _stage.write_annotation_dump(annotations)
-    )
+    with _replacing(out_dir / "annotations.jsonl") as f:
+        f.write(_header(_meta(cfg, digests)))
+        _stage.write_annotation_dump(annotations, f)
     n_entries = sum(len(a.entries) for a in annotations)
     print(f"annotate: {n_entries} entries over {len(annotations)} frames -> {labels_dir}")
     return 0
@@ -210,7 +222,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path, pred_dir: str | None,
     pairs, n_pred, n_gt = [], 0, 0
     for name in common:
         pred_ann, gt_ann = (FrameAnnotation(frame_id_of(name), _parse_with_context(
-            parse_kitti_labels, d / name, "labels")[0]) for d in (pred, gt))
+            parse_kitti_labels, d / name, "labels", digest=False)[0]) for d in (pred, gt))
         pairs += _stage.match_annotations(pred_ann, gt_ann, cfg.metrics_iou_min)
         n_pred += len(pred_ann.entries)
         n_gt += len(gt_ann.entries)

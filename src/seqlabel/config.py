@@ -13,11 +13,11 @@ records check nothing: read_value checks each value once, as it is read,
 against its field's range rule in _RULES, and _section checks the rules
 over several fields in _SECTION_RULES.  Anything else fails with one line
 naming section.key.  A number may have an exponent, as in YAML 1.2 (_Loader).
+Digests are SHA-256 from CPython's built-in module (sha256), not OpenSSL's.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -28,6 +28,14 @@ import yaml
 
 from .errors import ConfigError
 from .labels import KINDS, dims_error, is_int, is_number
+
+try:
+    from _sha256 import sha256  # up to Python 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # from Python 3.12
+    except ImportError:
+        from hashlib import sha256
 
 WEIGHT_MODES = ("score", "inverse_variance")
 TRAJECTORY_KINDS = ("straight", "arc", "waypoints")
@@ -339,4 +347,4 @@ def config_fingerprint(cfg: PipelineConfig) -> str:
     payload = {k: v._asdict() if k in _SECTIONS and v is not None else v
                for k, v in cfg._asdict().items() if k not in _OWN["paths"].values()}
     blob = json.dumps(payload, sort_keys=True, default=list)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return sha256(blob.encode()).hexdigest()[:12]

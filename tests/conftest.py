@@ -2,9 +2,12 @@
 the per-matrix rotation projection and per-point back-projection oracles, the
 fusion oracle, the per-observation lift and running-fusion oracles, the rows
 that association.cost_matrix scores, the association oracle, the scalar
-projection and annotation oracles, the numpy metric oracles and the all-pairs
-matcher."""
+projection and annotation oracles, the annotations.jsonl writers (the streamed
+one into a string, and the joined oracle it replaced), the numpy metric oracles
+and the all-pairs matcher."""
 
+import io
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +20,8 @@ from seqlabel.annotate import (
     PROVENANCE_OBSERVED,
     PROVENANCE_PROJECTED,
     AnnotationEntry,
+    annotation_to_json,
+    write_annotation_dump,
 )
 from seqlabel.association import (Observation, Track, cost_matrix, lift_detection,
                                   solve_assignment, table)
@@ -324,6 +329,18 @@ def oracle_annotate_frame(landmarks, frame_id, cam, P, cfg) -> FrameAnnotation:
     annotation.exclusions.extend(out_of_window)
     annotation.exclusions.sort(key=lambda e: e[0])  # stable: in-window exclusions stay first
     return annotation
+
+
+def dump_text(annotations) -> str:
+    """The frame lines write_annotation_dump streams, written to an in-memory file."""
+    out = io.StringIO()
+    write_annotation_dump(annotations, out)
+    return out.getvalue()
+
+
+def oracle_write_annotation_dump(annotations) -> str:
+    """Every frame line joined into one string: the writer write_annotation_dump replaced."""
+    return "".join(json.dumps(annotation_to_json(a)) + "\n" for a in annotations)
 
 
 def oracle_match_annotations(pred, gt, iou_min):

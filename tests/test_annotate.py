@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     P_OFFSET,
     P_SIMPLE,
+    dump_text,
     make_detection,
     make_observation,
     make_track,
@@ -20,6 +22,7 @@ from conftest import (
     oracle_landmark_to_local,
     oracle_project_box,
     oracle_visible_entry,
+    oracle_write_annotation_dump,
 )
 from seqlabel import annotate
 from seqlabel.annotate import (
@@ -258,7 +261,7 @@ class TestDump:
     def test_round_trip(self):
         lm = make_landmark(x=1.0, z=35.0, yaw=0.2, observed=(0, 2, 3))
         anns = annotate_sequence([lm], straight_trajectory(4), P_SIMPLE, VIS)
-        again = read_annotation_dump(write_annotation_dump(anns))
+        again = read_annotation_dump(dump_text(anns))
         assert len(again) == len(anns)
         for a, b in zip(anns, again):
             assert a.frame_id == b.frame_id
@@ -284,7 +287,7 @@ class TestDump:
             "entries", "entry"])
     def test_broken_rule_is_a_schema_error_naming_the_line(self, edit, message):
         lm = make_landmark(x=1.0, z=35.0, yaw=0.2, observed=(0, 2, 3))
-        lines = write_annotation_dump(
+        lines = dump_text(
             annotate_sequence([lm], straight_trajectory(4), P_SIMPLE, VIS)).splitlines()
         record = json.loads(lines[1])
         edit(record)
@@ -299,7 +302,7 @@ class TestDump:
     def test_pose_follows_the_map_rotation_rule(self, scale, message):
         # parse_landmarks rejects these rotations (determinant 1.331 and -1); so does the dump.
         lm = make_landmark(x=1.0, z=35.0, yaw=0.2, observed=(0, 2, 3))
-        lines = write_annotation_dump(
+        lines = dump_text(
             annotate_sequence([lm], straight_trajectory(4), P_SIMPLE, VIS)).splitlines()
         record = json.loads(lines[1])
         pose = record["entries"][0]["pose"]
@@ -316,7 +319,34 @@ class TestDump:
         ann = annotate_frame([lm], 0, Pose.identity(), P_SIMPLE, VIS)
         (entry,) = ann.entries
         assert entry.box2d_raw.right > 1242.0 and entry.box2d.right == 1242.0
-        assert '"r": 1242.0,' in write_annotation_dump([ann])
+        assert '"r": 1242.0,' in dump_text([ann])
+
+    def test_streamed_file_is_the_joined_oracle(self, tmp_path):
+        anns = annotate_sequence(*_long_scene(), P_OFFSET, VIS)
+        path = tmp_path / "annotations.jsonl"
+        with open(path, "w") as f:
+            write_annotation_dump(anns, f)
+        assert path.read_bytes() == oracle_write_annotation_dump(anns).encode()
+        assert dump_text([]) == oracle_write_annotation_dump([]) == ""
+
+    def test_streamed_writer_holds_one_frame_at_a_time(self, tmp_path):
+        # The joined writer holds every line and their join; the streamed one holds a frame's
+        # entries and line, some 80 KB here, whatever the number of frames.
+        anns = annotate_sequence(*_long_scene(), P_OFFSET, VIS) * 3
+        peaks = {}
+        for name, write in (("streamed", write_annotation_dump),
+                            ("joined", lambda a, f: f.write(oracle_write_annotation_dump(a)))):
+            with open(tmp_path / name, "w") as f:
+                tracemalloc.start()
+                try:
+                    write(anns, f)
+                    peaks[name] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        size = (tmp_path / "streamed").stat().st_size
+        assert size == (tmp_path / "joined").stat().st_size
+        assert 500_000 < size < 2_000_000  # about 1 MB in 399 frames
+        assert peaks["streamed"] < size / 4 and peaks["joined"] > 2 * size, (peaks, size)
 
 
 def _finite(lo, hi):
@@ -390,7 +420,7 @@ class TestSharedProjectionOracle:
         cam, P, cfg, frame_id, landmarks = scene
         want = oracle_annotate_frame(landmarks, frame_id, cam, P, cfg)
         got = annotate_frame(landmarks, frame_id, cam, P, cfg)
-        assert write_annotation_dump([got]) == write_annotation_dump([want])
+        assert dump_text([got]) == dump_text([want])
 
     @given(st.lists(st.tuples(_finite(-400, 1700), _finite(-200, 600), depths,
                               _finite(-math.pi, math.pi), dimensions), max_size=8),
@@ -407,7 +437,7 @@ class TestSharedProjectionOracle:
         ]
         want = _oracle_annotation(3, candidates, P, cfg)
         got = annotation_from_detections(3, detections, P, cfg)
-        assert write_annotation_dump([got]) == write_annotation_dump([want])
+        assert dump_text([got]) == dump_text([want])
 
 
 @st.composite
@@ -444,12 +474,28 @@ def sequence_scenes(draw):
             frames, landmarks)
 
 
+def _long_scene():
+    """40 landmarks along a turning path of more than two BLOCK_FRAMES frames."""
+    n = 2 * annotate.BLOCK_FRAMES + 5
+    trajectory = TrajectoryFile([Pose(yaw_to_rotation(0.01 * k),
+                                      np.array([0.3 * k, 0.0, 1.5 * k]))
+                                 for k in range(n)])
+    landmarks = [
+        make_landmark(landmark_id=j % 7, x=(-1) ** j * (3.0 + j % 5), z=12.0 + 4.5 * j,
+                      yaw=0.3 * j, first=max(0, 3 * j - 20), last=min(n - 1, 3 * j + 5),
+                      observed=range(3 * j - 20, 3 * j + 5, 3))
+        for j in range(40)
+    ]
+    return landmarks, trajectory
+
+
 def _assert_sequence_matches_oracle(landmarks, trajectory, P, cfg, frames=None):
     got = annotate_sequence(landmarks, trajectory, P, cfg, frames)
     want = [oracle_annotate_frame(landmarks, k, trajectory.pose(k), P, cfg)
             for k in (range(len(trajectory)) if frames is None else frames)]
     # One line per frame: a failure names the first differing frame.
-    assert write_annotation_dump(got).splitlines() == write_annotation_dump(want).splitlines()
+    assert dump_text(got).splitlines() == dump_text(want).splitlines()
+    assert dump_text(got) == oracle_write_annotation_dump(got)
     assert [write_kitti_labels(a) for a in got] == [write_kitti_labels(a) for a in want]
 
 
@@ -465,16 +511,8 @@ class TestSequenceOracle:
             _assert_sequence_matches_oracle(landmarks, trajectory, P, cfg, frames)
 
     def test_longer_than_one_block(self):
-        n = 2 * annotate.BLOCK_FRAMES + 5
-        trajectory = TrajectoryFile([Pose(yaw_to_rotation(0.01 * k),
-                                          np.array([0.3 * k, 0.0, 1.5 * k]))
-                                     for k in range(n)])
-        landmarks = [
-            make_landmark(landmark_id=j % 7, x=(-1) ** j * (3.0 + j % 5), z=12.0 + 4.5 * j,
-                          yaw=0.3 * j, first=max(0, 3 * j - 20), last=min(n - 1, 3 * j + 5),
-                          observed=range(3 * j - 20, 3 * j + 5, 3))
-            for j in range(40)
-        ]
+        landmarks, trajectory = _long_scene()
+        n = len(trajectory)
         _assert_sequence_matches_oracle(landmarks, trajectory, P_OFFSET, VIS)
         _assert_sequence_matches_oracle(landmarks, trajectory, P_SIMPLE, VIS,
                                         frames=[n - 1, 0, annotate.BLOCK_FRAMES, 3, 3])

@@ -3,6 +3,7 @@
 import builtins
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -222,8 +223,12 @@ class TestPipelineComposition:
         simulate(tmp_path, config)
         sim, out = tmp_path / "sim", tmp_path / "out"
         real_open = io.open
-        for command, inputs in (("build-map", [sim / "detections.jsonl"]),
-                                ("annotate", [out / "map.jsonl"])):
+        for argv, inputs in (
+                (["build-map"], [sim / "trajectory.txt", sim / "calib.txt",
+                                 sim / "detections.jsonl"]),
+                (["annotate"], [sim / "trajectory.txt", sim / "calib.txt", out / "map.jsonl"]),
+                (["evaluate", "--gt", str(sim / "gt_labels")],
+                 [out / "labels" / "000000.txt", sim / "gt_labels" / "000059.txt"])):
             opened = []
 
             def counting_open(file, *args, **kwargs):
@@ -232,11 +237,61 @@ class TestPipelineComposition:
 
             for owner in (builtins, io):  # open, and pathlib's io.open
                 monkeypatch.setattr(owner, "open", counting_open)
-            assert main([command, "--config", str(config)]) == 0
+            assert main([*argv, "--config", str(config)]) == 0
             monkeypatch.undo()
             paths = [Path(f).resolve() for f in opened if isinstance(f, (str, os.PathLike))]
-            for path in [sim / "trajectory.txt", sim / "calib.txt", *inputs]:
-                assert paths.count(path.resolve()) == 1, (command, path)
+            for path in inputs:
+                assert paths.count(path.resolve()) == 1, (argv[0], path)
+
+    def test_only_recorded_digests_are_computed(self, tmp_path, monkeypatch):
+        # A header records the digests of build-map's and annotate's three inputs each;
+        # evaluate records none, so it hashes none of the label files it reads.
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        hashed = []
+
+        def counting_sha256(data):
+            hashed.append(len(data))
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(cli, "sha256", counting_sha256)
+        for argv, n in ((["build-map"], 3), (["annotate"], 3),
+                        (["evaluate", "--gt", str(tmp_path / "sim" / "gt_labels")], 0)):
+            hashed.clear()
+            assert main([*argv, "--config", str(config)]) == 0
+            assert len(hashed) == n, argv[0]
+
+    @pytest.mark.parametrize("error, code", [(OSError(28, "No space left on device"), 3),
+                                             (RuntimeError("interrupted"), None)],
+                             ids=["OSError", "RuntimeError"])
+    def test_failed_dump_keeps_the_previous_file(self, tmp_path, monkeypatch, capsys, error,
+                                                 code):
+        # annotations.jsonl is written to a temp file that replaces it only when complete.
+        config = write_config(tmp_path)
+        simulate(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["build-map", "--config", str(config)]) == 0
+        assert main(["annotate", "--config", str(config)]) == 0
+        before, names = (out / "annotations.jsonl").read_bytes(), sorted(os.listdir(out))
+        write, partial = cli.write_annotation_dump, []
+
+        def fail_midway(annotations, f):
+            write(annotations[:3], f)  # the real writer, three frames of sixty
+            f.flush()
+            partial.append((Path(f.name), os.path.getsize(f.name)))
+            raise error
+
+        monkeypatch.setattr(cli, "write_annotation_dump", fail_midway)
+        if code is None:
+            with pytest.raises(type(error)):
+                main(["annotate", "--config", str(config)])
+        else:
+            assert main(["annotate", "--config", str(config)]) == code
+            assert str(error) in capsys.readouterr().err
+        ((temp, size),) = partial
+        assert temp.parent == out and 0 < size < len(before)
+        assert (out / "annotations.jsonl").read_bytes() == before
+        assert sorted(os.listdir(out)) == names  # and no temp file is left
 
     def test_empty_detections_warns_and_succeeds(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -1151,6 +1206,22 @@ def test_evaluate_never_loads_numpy(tmp_path):
     out = _python(script, str(config), str(tmp_path / "sim" / "gt_labels"))
     assert out.splitlines()[-1] == "0 []"
     assert json.loads((tmp_path / "out" / "report.json").read_text())["matching"]["n_matched"] > 0
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2")),
+                    reason="this Python has no built-in SHA-256 module")
+def test_commands_never_load_openssl(tmp_path):
+    # Digests come from CPython's built-in SHA-256 (config.sha256), not hashlib, whose
+    # _hashlib loads OpenSSL's libcrypto: a whole run, in a fresh interpreter, leaves it out.
+    config = write_config(tmp_path)
+    simulate(tmp_path, config)
+    script = ("import sys\n"
+              "from seqlabel.cli import main\n"
+              "rc = main(sys.argv[1:])\n"
+              "print(rc, '_hashlib' in sys.modules)\n")
+    for argv in (["build-map"], ["annotate"],
+                 ["evaluate", "--gt", str(tmp_path / "sim" / "gt_labels")]):
+        assert _python(script, *argv, "--config", str(config)).splitlines()[-1] == "0 False"
 
 
 def test_no_source_line_longer_than_100():

@@ -1,13 +1,14 @@
 """Config loading: each section's record is its schema, and a value of the
 wrong kind or out of its range fails with one line naming its key path."""
 
+import hashlib
 import math
 import re
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqlabel import config
 from seqlabel.config import (
@@ -126,6 +127,15 @@ VALUES = st.one_of(
     st.integers(-5, 10**6),
     st.floats(),
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary())
+@example(b"")
+@example(bytes(range(256)) * 4097)  # over 1 MB, across many blocks
+def test_sha256_is_hashlibs(data):
+    # Every digest the package writes comes from config.sha256, CPython's built-in module.
+    assert config.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 class TestSectionReader:

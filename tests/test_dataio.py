@@ -13,9 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import make_detection
+from conftest import dump_text, make_detection
 from seqlabel.annotate import (AnnotationEntry, FrameAnnotation, annotation_to_json,
-                               read_annotation_dump, write_annotation_dump)
+                               read_annotation_dump)
 from seqlabel.dataio import (
     ROTATION_INPUT_TOL,
     DetectionRecord,
@@ -627,7 +627,7 @@ class TestRowLayout:
         for key in ("box2d", "box2d_raw"):
             assert list(entry[key].items()) == list(zip("ltrb", self.BOX))
         assert list(entry["dims"].items()) == list(zip("hwl", self.DIMS))
-        (back,) = read_annotation_dump(write_annotation_dump([ann]))[0].entries
+        (back,) = read_annotation_dump(dump_text([ann]))[0].entries
         assert (back.box2d, back.box2d_raw, back.dims) == (self.BOX, self.BOX, self.DIMS)
         (label,) = parse_kitti_labels(write_kitti_labels(ann))
         assert (type(label.box2d), type(label.dims)) == (Box2D, Dimensions3D)
@@ -684,7 +684,7 @@ class TestPoseRow:
         dump = FrameAnnotation(0, [entry._replace(local_pose=pose)])
         errors = []
         for read, text in ((parse_landmarks, serialize_landmarks([lm])),
-                           (read_annotation_dump, write_annotation_dump([dump]))):
+                           (read_annotation_dump, dump_text([dump]))):
             with pytest.raises(OrthonormalityError) as exc:
                 read("# header\n" + text)
             errors.append(str(exc.value))

@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     P_OFFSET,
+    dump_text,
     make_observation,
     oracle_back_project,
     oracle_box3d_corners,
     oracle_nearest_rotation,
     oracle_project_box,
 )
-from seqlabel.annotate import (annotate_frame, annotate_sequence, read_annotation_dump,
-                               write_annotation_dump)
+from seqlabel.annotate import annotate_frame, annotate_sequence, read_annotation_dump
 from seqlabel.association import run_association
 from seqlabel.config import AssociationConfig, FusionConfig, VisibilityConfig
 from seqlabel.dataio import (CalibFile, parse_calib, parse_trajectory, read_detections,
@@ -652,7 +652,7 @@ PRODUCERS = {
     "parse_landmarks": lambda gt, dets: [lm.global_pose for lm in parse_landmarks(
         serialize_landmarks(gt.landmarks))],
     "read_annotation_dump": lambda gt, dets: [e.local_pose for a in read_annotation_dump(
-        write_annotation_dump(_annotations(gt))) for e in a.entries],
+        dump_text(_annotations(gt))) for e in a.entries],
     "generate.trajectory": lambda gt, dets: [*gt.trajectory.poses, gt.P],
     "generate.landmarks": lambda gt, dets: [lm.global_pose for lm in gt.landmarks],
     "generate.arc_and_objects": lambda gt, dets: _arc_and_objects(),
